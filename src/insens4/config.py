@@ -59,7 +59,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "s": ("float", 0.0),  # 0: threshold * s_factor
         "s_factor": ("float", 1.0),
         "c_proxy": ("float", 1.0),
-        "eta_peak": ("float", 0.0),  # 0: automatic interior peak
+        "eta_peak": ("floats", "0"),  # one entry per axis; 0: automatic peak
     },
     "penalty": {
         "epsilon": ("float", 1e-3),
@@ -304,7 +304,7 @@ def problem_from_config(cfg: dict) -> ValidatedProblem:
         s=None if w["s"] == 0.0 else w["s"],
         s_factor=w["s_factor"],
         c_proxy=w["c_proxy"],
-        eta_peak=None if w["eta_peak"] == 0.0 else w["eta_peak"],
+        eta_peak=w["eta_peak"] if np.any(w["eta_peak"]) else None,
         nonlinearity=nl,
     )
     return validate_problem(problem)

@@ -12,10 +12,22 @@ the summed space-time duality identity
 
     <y_Nt, q_Nt> - <y_0, q_0> = dt sum_j <g_j, qbar_j> - dt sum_j <h_j, ybar_j>
 
-holds to rounding (qbar, ybar are the stored midpoint averages).  The
-implicit solve splits off the mode-diagonal bilaplacian part and fixes
-the lower-order remainder by preconditioned iteration; with no
-lower-order terms the step is an exact diagonal solve.
+holds to rounding (qbar, ybar are the stored midpoint averages).
+
+Two paths solve the step.  When every node of a march has spatially
+uniform a0 and a1, a uniform diagonal b and no b0 (an all-zero schedule
+included), A is diagonal in the sine basis with symbol
+
+    lambda(k) = |kappa|^4 + a0 - a1 |kappa|^2 - sum_i b_ii kappa_i^2,
+
+and the march is the exact per-mode recurrence
+u^_{j+1} = r u^_j + dt/(1 + c lambda) g^_j with r = (1 - c lambda)/(1 + c lambda),
+c = dt/2: one transform of the source in and one of the midpoint average
+out per step, at any stiffness.  The symbol is symmetric, so the backward
+march is the same recurrence.  Every other march (b0, mixed b_ij, or
+x-dependent and frozen coefficients) forms the right-hand side in physical
+space and fixes the lower-order remainder by a Richardson iteration
+preconditioned with the bilaplacian part.
 """
 from __future__ import annotations
 
@@ -68,7 +80,6 @@ class StaticSchedule:
     def __init__(self, grid: Grid, coefficients: dict[str, CoefficientField | None]):
         self.grid = grid
         self.coefficients = coefficients
-        self.is_zero = all(coefficients.get(r) is None for r in ("a0", "b0", "b", "a1"))
         self._constant_node: NodeCoefficients | None = None
         self._cache: dict[int, NodeCoefficients] = {}
         self._all_constant = all(
@@ -98,7 +109,6 @@ class ListSchedule:
 
     def __init__(self, nodes: list[NodeCoefficients]):
         self.nodes_list = nodes
-        self.is_zero = all(n.all_zero for n in nodes)
 
     def node(self, j: int) -> NodeCoefficients:
         return self.nodes_list[j]
@@ -220,6 +230,77 @@ def _source_fields(grid: Grid, source) -> np.ndarray | None:
     return out
 
 
+def _uniform_value(arr: Array, dim: int) -> Array | None:
+    """Component values of a coefficient stored as a broadcast over space.
+
+    Constant coefficient fields evaluate to views with zero strides along
+    the spatial axes.  A materialized array (a callable's or a frozen
+    linearization's) returns None even when its entries agree.
+    """
+    if any(arr.strides[arr.ndim - dim:]):
+        return None
+    return arr[(...,) + (0,) * dim]
+
+
+def _diagonal_key(nc: NodeCoefficients, dim: int) -> tuple[float, ...] | None:
+    """(a0, a1, b_11, ..., b_dd) of a node diagonal in the sine basis, else None."""
+    vals = {}
+    for role in ("a0", "b0", "b", "a1"):
+        arr = getattr(nc, role)
+        if arr is not None:
+            vals[role] = _uniform_value(arr, dim)
+            if vals[role] is None:
+                return None
+    b = vals.get("b", np.zeros((dim, dim)))
+    if np.any(vals.get("b0", 0.0)) or np.any(b - np.diag(np.diag(b))):
+        return None
+    return (float(vals.get("a0", 0.0)), float(vals.get("a1", 0.0)),
+            *np.diag(b).tolist())
+
+
+def _mode_factors(basis: SineBasis, dt: float, key: tuple[float, ...],
+                  step: int) -> tuple[Array, Array]:
+    """Per-mode CN factors r = (1 - c lam)/(1 + c lam) and dt/(1 + c lam)."""
+    a0, a1, *b_diag = key
+    lam = basis.bilap_modes + a0 - a1 * basis.lap_modes
+    for i, b_ii in enumerate(b_diag):
+        k2 = basis.kappa[i] ** 2
+        lam = lam - b_ii * k2.reshape((-1,) + (1,) * (basis.dim - 1 - i))
+    c = dt / 2
+    denom = 1.0 + c * lam
+    if not np.all(denom > 0):
+        worst = np.unravel_index(np.argmin(denom), denom.shape)
+        mode = tuple(int(m) + 1 for m in worst)
+        raise EngineError(
+            "implicit-denominator-nonpositive",
+            f"1 + (dt/2) lambda = {denom[worst]:.3e} <= 0 for sine mode "
+            f"{mode if basis.dim > 1 else mode[0]} at step {step}; the implicit "
+            f"step is singular or sign-flipping there (reduce dt or the "
+            f"negative lower-order coefficients)",
+            step=step, mode=mode,
+        )
+    return (1.0 - c * lam) / denom, dt / denom
+
+
+def _diagonal_factors(basis: SineBasis, schedule, nt: int,
+                      dt: float) -> list[tuple[Array, Array]] | None:
+    """Per-step mode factors when every node is diagonal in the sine basis."""
+    cache: dict[tuple[float, ...], tuple[Array, Array]] = {}
+    factors = []
+    last = None
+    for j in range(nt):
+        nc = schedule.node(j)
+        if nc is not last:
+            key = _diagonal_key(nc, basis.dim)
+            if key is None:
+                return None
+            if key not in cache:
+                cache[key] = _mode_factors(basis, dt, key, j)
+            last = nc
+        factors.append(cache[key])
+    return factors
+
+
 class _StepSolver:
     """Shared machinery for one implicit CN half-system solve."""
 
@@ -230,7 +311,8 @@ class _StepSolver:
         self.inner_tol = inner_tol
         self.inner_cap = inner_cap
 
-    def solve(self, rhs: Array, nc: NodeCoefficients, transpose: bool) -> Array:
+    def solve(self, rhs: Array, nc: NodeCoefficients, transpose: bool,
+              step: int) -> Array:
         """Solve (I + c (Bilap + Lo)) x = rhs for x."""
         basis = self.basis
         rhs_modes = basis.to_modes(rhs)
@@ -240,18 +322,35 @@ class _StepSolver:
         rhs_norm = max(float(np.linalg.norm(rhs_modes)), 1e-300)
         x_modes = rhs_modes / self.pre
         x = basis.from_modes(x_modes)
+        trail = []
         for _ in range(self.inner_cap):
             y_modes = rhs_modes - self.c * basis.to_modes(lower(basis, nc, x))
             res = float(np.linalg.norm(y_modes - self.pre * x_modes))
+            trail.append(res / rhs_norm)
             x_modes = y_modes / self.pre
             x = basis.from_modes(x_modes)
             if res <= self.inner_tol * rhs_norm:
                 return x
         raise EngineError(
             "inner-solve-divergence",
-            f"implicit step failed to reach {self.inner_tol} in {self.inner_cap} "
-            f"iterations (last residual {res / rhs_norm:.3e} relative)",
+            f"implicit step {step} failed to reach {self.inner_tol} in "
+            f"{self.inner_cap} iterations (last residual {trail[-1]:.3e} relative)",
+            step=step, residuals=trail,
         )
+
+
+def _march_modes(basis: SineBasis, factors, start: Array,
+                 source: np.ndarray | None, order, fields: np.ndarray) -> Array:
+    """Exact per-mode CN recurrence; fills ``fields``, returns the end state."""
+    u_hat = basis.to_modes(start)
+    for j in order:
+        r, d = factors[j]
+        new_hat = r * u_hat
+        if source is not None:
+            new_hat += d * basis.to_modes(source[j])
+        fields[j] = basis.from_modes(0.5 * (u_hat + new_hat))
+        u_hat = new_hat
+    return basis.from_modes(u_hat)
 
 
 def _march(
@@ -266,22 +365,26 @@ def _march(
     basis = grid.basis
     nt = grid.n_steps
     dt = grid.dt
-    solver = _StepSolver(basis, dt, inner_tol, inner_cap)
     fields = np.empty((nt,) + basis.shape)
-    state = np.asarray(start, dtype=float).copy()
+    first = np.asarray(start, dtype=float).copy()
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
-    first = state.copy()
-    for j in order:
-        nc = schedule.node(j)
-        if transpose:
-            rhs = state - solver.c * (basis.bilap(state) + _lower_apply_t(basis, nc, state))
-        else:
-            rhs = state - solver.c * (basis.bilap(state) + _lower_apply(basis, nc, state))
-        if source is not None:
-            rhs = rhs + dt * source[j]
-        new_state = solver.solve(rhs, nc, transpose)
-        fields[j] = 0.5 * (state + new_state)
-        state = new_state
+    factors = _diagonal_factors(basis, schedule, nt, dt)
+    if factors is not None:
+        state = _march_modes(basis, factors, first, source, order, fields)
+    else:
+        solver = _StepSolver(basis, dt, inner_tol, inner_cap)
+        state = first.copy()
+        for j in order:
+            nc = schedule.node(j)
+            if transpose:
+                rhs = state - solver.c * (basis.bilap(state) + _lower_apply_t(basis, nc, state))
+            else:
+                rhs = state - solver.c * (basis.bilap(state) + _lower_apply(basis, nc, state))
+            if source is not None:
+                rhs = rhs + dt * source[j]
+            new_state = solver.solve(rhs, nc, transpose, j)
+            fields[j] = 0.5 * (state + new_state)
+            state = new_state
     if transpose:
         return Trajectory(basis, dt, grid.times, fields, state0=state, stateT=first)
     return Trajectory(basis, dt, grid.times, fields, state0=first, stateT=state)
@@ -374,7 +477,7 @@ def solve_forward_nonlinear(
         converged = False
         for _ in range(picard_cap):
             mid = 0.5 * (state + new_state)
-            candidate = solver.solve(base_rhs + dt * reaction(mid), nc, False)
+            candidate = solver.solve(base_rhs + dt * reaction(mid), nc, False, j)
             step = float(np.linalg.norm(candidate - new_state))
             new_state = candidate
             if step <= picard_tol * scale:

@@ -337,7 +337,7 @@ def validate_problem(config: ProblemConfig, require_insensitization: bool = True
     SetupError
         ``disjoint-omega-obs``, ``omega0-margin``, ``nonzero-y0``,
         ``degenerate-perturbation``, ``declared-bound-violated``,
-        ``force-onset``, ``force-weight-divergent``.
+        ``force-onset``, ``force-weight-divergent``, ``eta-peak-shape``.
     """
     grid = config.grid
     basis = grid.basis
@@ -408,6 +408,12 @@ def validate_problem(config: ProblemConfig, require_insensitization: bool = True
             "force must vanish before its declared onset time",
         )
 
+    if config.eta_peak is not None and np.size(config.eta_peak) != grid.dim:
+        raise SetupError(
+            "eta-peak-shape",
+            f"eta_peak needs {grid.dim} coordinates, one per axis; "
+            f"got {config.eta_peak}",
+        )
     profile = cw.build_eta(basis, config.omega0.support, peak=config.eta_peak)
     weights = cw.build_weights(profile, config.lam, grid.t_final)
     s = config.s if config.s is not None else weights.s_threshold * config.s_factor

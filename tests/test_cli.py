@@ -166,6 +166,35 @@ class TestFailureModes:
         summary = (out / "control_summary.csv").read_text().splitlines()[1]
         assert summary.split(",")[0] == "quadratic"
 
+    def test_stiff_damping_exits_0(self, tmp_path):
+        # constant coefficients march as an exact mode recurrence, so a
+        # damping far beyond 2/dt stays stable
+        cfg = _ini(tmp_path, "[coefficients]\na0 = 1000\n")
+        assert main(["insensitize-linear", "--quick", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_nonpositive_denominator_exits_2(self, tmp_path, capsys):
+        cfg = _ini(tmp_path, "[coefficients]\na0 = -1000\n")
+        assert main(["insensitize-linear", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "implicit-denominator-nonpositive" in err
+        assert "sine mode 1" in err
+        assert "Traceback" not in err
+
+    def test_2d_eta_peak_per_axis(self, tmp_path, capsys):
+        text = ("[grid]\ndimension = 2\ncells = 32\nsteps = 16\n"
+                "[domains]\nomega = 0.6:1.4,0.6:1.4\nobs = 1.0:1.8,1.0:1.8\n"
+                "[weights]\neta_peak = %s\n")
+        short = _ini(tmp_path, text % "1.2", "short.ini")
+        assert main(["weights-check", "--config", short,
+                     "--out", str(tmp_path / "o1")]) == 1
+        err = capsys.readouterr().err
+        assert "eta-peak-shape" in err and "Traceback" not in err
+        full = _ini(tmp_path, text % "1.2, 1.2", "full.ini")
+        assert main(["weights-check", "--config", full,
+                     "--out", str(tmp_path / "o2")]) == 0
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["selftest", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path)]) == 1

@@ -212,6 +212,14 @@ class TestProblemFromConfig:
         assert p.nonlinearity.name == "tanh"
         assert p.nonlinearity.lipschitz_declared == pytest.approx(0.2)
 
+    def test_eta_peak_per_axis(self):
+        cfg = apply_quick(default_config())
+        cfg["grid"]["dimension"] = 2
+        cfg["domains"]["omega"] = "0.6:1.4,0.6:1.4"
+        cfg["domains"]["obs"] = "1.0:1.8,1.0:1.8"
+        cfg["weights"]["eta_peak"] = (1.2, 1.25)
+        assert problem_from_config(cfg).profile.peak == (1.2, 1.25)
+
     def test_round_trip_through_file(self, tmp_path):
         path = _write(tmp_path, """
 [grid]

@@ -16,6 +16,7 @@ from insens4.pde_engine import (
     Trajectory,
     assemble_operator,
     check_energy_growth,
+    duality_residual,
     make_schedule,
     solve_backward,
     solve_forward,
@@ -147,14 +148,137 @@ class TestNonlinearMarch:
         assert np.array_equal(got.stateT, want.stateT)
 
     def test_stiff_coefficient_diverges_loudly(self):
-        # the modal half-solve iterates the lower-order block; a reaction
-        # coefficient with dt*a0/2 >> 1 breaks that contraction
+        # an x-dependent coefficient takes the iterative half-solve, which
+        # iterates the lower-order block; a reaction coefficient with
+        # dt*a0/2 >> 1 breaks that contraction
         grid = build_grid(1, 2.0, 32, 1.0, 40)
         y0 = np.random.default_rng(7).standard_normal(grid.basis.shape)
-        coeffs = {"a0": CoefficientField.constant("a0", 400.0)}
+        a0 = CoefficientField.from_callable(
+            "a0", lambda x, t: 400.0 * (1 + 0.1 * np.sin(np.pi * x)), 440.0,
+            time_constant=True)
         with pytest.raises(EngineError) as exc:
-            solve_forward(grid, make_schedule(grid, coeffs), y0)
+            solve_forward(grid, make_schedule(grid, {"a0": a0}), y0)
         assert exc.value.code == "inner-solve-divergence"
+        assert exc.value.context["step"] == 0
+        assert "step 0" in str(exc.value)
+        assert len(exc.value.context["residuals"]) == 200
+
+
+class TestDiagonalPath:
+    """Uniform a0, a1 and diagonal b march as an exact per-mode recurrence."""
+
+    @staticmethod
+    def _grid(dim):
+        return build_grid(1, 2.0, 32, 0.5, 40) if dim == 1 else \
+            build_grid(2, 2.0, 12, 0.5, 24)
+
+    @staticmethod
+    def _smooth(grid, rng):
+        # decaying mode content keeps the iterative path's physical-space
+        # right-hand side free of high-mode cancellation
+        basis = grid.basis
+        decay = 1.0 / (1.0 + basis.lap_modes) ** 2
+        return basis.from_modes(decay * rng.standard_normal(basis.shape))
+
+    @staticmethod
+    def _coefficients(dim, materialized):
+        values = {"a0": np.array(0.7), "a1": np.array(0.3),
+                  "b": np.diag([-0.2, 0.15][:dim])}
+        if not materialized:
+            return {role: CoefficientField.constant(role, v, dim)
+                    for role, v in values.items()}
+        out = {}
+        for role, v in values.items():
+            def fn(*mesh_t, v=v):
+                # a full array, not a broadcast: the iterative path runs
+                shape = np.broadcast(*mesh_t[:-1]).shape
+                return v.reshape(v.shape + (1,) * dim) * np.ones(shape)
+            out[role] = CoefficientField.from_callable(
+                role, fn, float(np.sqrt(np.sum(v ** 2))), time_constant=True)
+        return out
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_agrees_with_iterative_path(self, dim, backward):
+        grid = self._grid(dim)
+        rng = np.random.default_rng(20 + dim)
+        start = self._smooth(grid, rng)
+        source = np.array([self._smooth(grid, rng) for _ in grid.times])
+        march = solve_backward if backward else solve_forward
+        got = march(grid, make_schedule(grid, self._coefficients(dim, False)),
+                    start, source)
+        want = march(grid, make_schedule(grid, self._coefficients(dim, True)),
+                     start, source)
+        for a, b in ((got.fields, want.fields), (got.state0, want.state0),
+                     (got.stateT, want.stateT)):
+            assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_duality_residual(self, dim):
+        grid = self._grid(dim)
+        rng = np.random.default_rng(30 + dim)
+        sched = make_schedule(grid, self._coefficients(dim, False))
+        obs = (rng.uniform(size=grid.shape) > 0.5).astype(float)
+        g = rng.standard_normal((grid.n_steps,) + grid.shape)
+        y = solve_forward(grid, sched, np.zeros(grid.shape), g)
+        phi = solve_forward(grid, sched, rng.standard_normal(grid.shape))
+        psi = solve_backward(grid, sched, np.zeros(grid.shape),
+                             obs * phi.fields)
+        res = duality_residual(y, psi, None, g, phi, np.ones(grid.shape), obs)
+        assert res <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_list_schedule_is_bitwise_static(self, dim, backward):
+        grid = self._grid(dim)
+        rng = np.random.default_rng(40 + dim)
+        start = rng.standard_normal(grid.shape)
+        source = rng.standard_normal((grid.n_steps,) + grid.shape)
+        march = solve_backward if backward else solve_forward
+        static = make_schedule(grid, self._coefficients(dim, False))
+        for a, b in ((make_schedule(grid, {}),
+                      ListSchedule([NodeCoefficients()] * grid.n_steps)),
+                     (static, ListSchedule([static._eval(t) for t in grid.times]))):
+            ta = march(grid, a, start, source)
+            tb = march(grid, b, start, source)
+            assert np.array_equal(ta.fields, tb.fields)
+            assert np.array_equal(ta.state0, tb.state0)
+            assert np.array_equal(ta.stateT, tb.stateT)
+
+    def test_fine_grid_matches_extended_precision(self):
+        # at 256 cells c*lambda_max ~ 4e7, where the physical-space
+        # right-hand side u - c*bilap(u) cancels about eight digits
+        grid = build_grid(1, 2.0, 256, 1.0, 800)
+        basis = grid.basis
+        y0 = np.random.default_rng(11).standard_normal(basis.shape)
+        traj = solve_forward(grid, make_schedule(grid, {}), y0)
+        c = np.longdouble(grid.dt) / 2
+        lam = basis.bilap_modes.astype(np.longdouble)
+        r = (1 - c * lam) / (1 + c * lam)
+        want = basis.to_modes(y0).astype(np.longdouble) * r ** grid.n_steps
+        err = np.linalg.norm((basis.to_modes(traj.stateT) - want).astype(float))
+        assert err <= 1e-12 * np.linalg.norm(want.astype(float))
+
+    def test_stiff_damping_is_stable(self):
+        # a Richardson inner solve diverges once c*a0 >> 1; the mode
+        # recurrence is exact at any stiffness
+        grid = build_grid(1, 2.0, 32, 1.0, 40)
+        k, a0 = 1, 1000.0
+        coeffs = {"a0": CoefficientField.constant("a0", a0)}
+        traj = solve_forward(grid, make_schedule(grid, coeffs), _mode(grid, k))
+        g = _rational_march((np.pi / 2.0) ** 4 + a0, grid.dt, grid.n_steps)
+        assert grid.basis.to_modes(traj.stateT)[k - 1] == pytest.approx(
+            g[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("dim, mode", [(1, (1,)), (2, (1, 1))])
+    def test_nonpositive_denominator_names_mode(self, dim, mode):
+        grid = self._grid(dim)
+        coeffs = {"a0": CoefficientField.constant("a0", -1000.0, dim)}
+        with pytest.raises(EngineError) as exc:
+            solve_forward(grid, make_schedule(grid, coeffs), np.ones(grid.shape))
+        assert exc.value.code == "implicit-denominator-nonpositive"
+        assert exc.value.context["mode"] == mode
+        assert exc.value.context["step"] == 0
 
 
 class TestTrajectory:

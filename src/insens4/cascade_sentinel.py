@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SetupError
 from .pde_engine import (
     ListSchedule,
     StaticSchedule,
@@ -170,71 +171,87 @@ class InsensitivityReport:
 def sentinel_sensitivity(
     problem: ValidatedProblem,
     v: np.ndarray | None,
-    yhat0: Array,
+    yhats: Array,
     tau_probe: float = 1e-3,
     premasked: bool = False,
     inner_tol: float = 1e-13,
-) -> InsensitivityReport:
-    """Probe d/dtau Phi(y_tau) at tau = 0 and compare with <q(0), yhat0>.
+) -> list[InsensitivityReport]:
+    """Probe d/dtau Phi(y_tau) at tau = 0 along each direction in ``yhats``.
 
-    The finite-difference side runs the true dynamics (reaction term
-    active when the problem carries one) from initial states +-tau*yhat0
-    and +-tau/2*yhat0 under the same control.  The dual side solves the
-    cascade at tau = 0: the state run y0, then the backward costate with
-    the tangent coefficients frozen at y0 and source chi_obs y0.  In the
+    ``yhats`` stacks the perturbation directions, shape (B, *shape), and
+    the result holds one report per direction.  The finite-difference
+    side runs the true dynamics (reaction term active when the problem
+    carries one) from initial states +-tau*yhat0 and +-tau/2*yhat0 under
+    the same control.  The dual side does not depend on the direction,
+    so it is solved once: the state run y0 at tau = 0, then the backward
+    costate with the tangent coefficients frozen at y0 and source
+    chi_obs y0, and each direction's dual value is <q(0), yhat0>.  In the
     linear case both sides agree to rounding; the half-step re-run makes
     quadratic tau bias visible in the report.
+
+    Raises
+    ------
+    SetupError
+        ``direction-shape`` when ``yhats`` is not a stack of fields.
     """
     grid = problem.grid
     basis = problem.basis
     nl = problem.nonlinearity
     base = StaticSchedule(grid, problem.coefficients)
+    yhats = np.asarray(yhats, dtype=float)
+    if yhats.shape[1:] != grid.shape:
+        raise SetupError(
+            "direction-shape",
+            f"directions must stack fields of shape {grid.shape}, got "
+            f"{yhats.shape}")
+    if not len(yhats):
+        return []
 
     source = problem.force_fields.copy()
     if v is not None:
         source += v if premasked else problem.omega.values * v
 
-    def run(scale: float) -> Trajectory:
-        init = scale * yhat0
+    def run(init: Array) -> Trajectory:
         return solve_forward_nonlinear(
             grid, base, nl, init, source, inner_tol=inner_tol
         )
 
-    tau = float(tau_probe)
-    y_plus = run(tau)
-    y_minus = run(-tau)
-    phi_plus = sentinel(y_plus, problem.obs.values)
-    phi_minus = sentinel(y_minus, problem.obs.values)
-    d_fd = (phi_plus - phi_minus) / (2 * tau)
-    d_fd_half = (
-        sentinel(run(tau / 2), problem.obs.values)
-        - sentinel(run(-tau / 2), problem.obs.values)
-    ) / tau
+    def phi(init: Array) -> float:
+        return sentinel(run(init), problem.obs.values)
 
-    # dual value from the cascade at tau = 0
+    # dual side from the cascade at tau = 0, shared by every direction
+    zero = np.zeros(grid.shape)
     if nl.is_zero:
-        y0_traj = solve_forward(grid, base, np.zeros(grid.shape), source,
-                                inner_tol=inner_tol)
+        y0_traj = solve_forward(grid, base, zero, source, inner_tol=inner_tol)
         costate = base
     else:
-        y0_traj = run(0.0)
+        y0_traj = run(zero)
         # tangent coefficients at the tau = 0 trajectory; imported here to
         # keep the linearization builder with the outer iteration module
         from .semilinear_loop import tangent_schedule
 
         costate = tangent_schedule(problem, y0_traj)
     q = solve_backward(
-        grid, costate, np.zeros(grid.shape),
-        problem.obs.values * y0_traj.fields, inner_tol=inner_tol,
+        grid, costate, zero, problem.obs.values * y0_traj.fields,
+        inner_tol=inner_tol,
     )
-    d_dual = basis.inner(q.state0, yhat0)
     q0_norm = basis.norm(q.state0)
-    yhat_norm = basis.norm(yhat0)
-    gap = abs(d_fd - d_dual)
-    scale = q0_norm * yhat_norm + abs(d_dual)
-    return InsensitivityReport(
-        tau=tau, d_fd=d_fd, d_fd_half=d_fd_half, d_dual=d_dual,
-        gap=gap, gap_rel=gap / (scale + 1e-300),
-        q0_norm=q0_norm, yhat_norm=yhat_norm,
-        phi_plus=phi_plus, phi_minus=phi_minus,
-    )
+
+    tau = float(tau_probe)
+    reports = []
+    for yhat0 in yhats:
+        phi_plus = phi(tau * yhat0)
+        phi_minus = phi(-tau * yhat0)
+        d_fd = (phi_plus - phi_minus) / (2 * tau)
+        d_fd_half = (phi(tau / 2 * yhat0) - phi(-tau / 2 * yhat0)) / tau
+        d_dual = basis.inner(q.state0, yhat0)
+        yhat_norm = basis.norm(yhat0)
+        gap = abs(d_fd - d_dual)
+        scale = q0_norm * yhat_norm + abs(d_dual)
+        reports.append(InsensitivityReport(
+            tau=tau, d_fd=d_fd, d_fd_half=d_fd_half, d_dual=d_dual,
+            gap=gap, gap_rel=gap / (scale + 1e-300),
+            q0_norm=q0_norm, yhat_norm=yhat_norm,
+            phi_plus=phi_plus, phi_minus=phi_minus,
+        ))
+    return reports

@@ -241,10 +241,12 @@ def _sensitivity_block(problem, result, cfg, manifest, out_dir, rng,
     tau = cfg["sampling"]["tau_probe"]
     gap_tol = cfg["sampling"]["gap_tol"]
     rows = []
-    for i in range(n_dir):
-        yhat = _smooth_unit(problem.basis, rng)
-        rep = sentinel_sensitivity(problem, result.v, yhat, tau_probe=tau,
+    yhats = np.empty((max(n_dir, 0),) + problem.basis.shape)
+    for yhat in yhats:
+        yhat[...] = _smooth_unit(problem.basis, rng)
+    reports = sentinel_sensitivity(problem, result.v, yhats, tau_probe=tau,
                                    premasked=True)
+    for i, rep in enumerate(reports):
         rows.append((i, rep.tau, rep.d_fd, rep.d_fd_half, rep.d_dual,
                      rep.gap, rep.gap_rel, rep.q0_norm))
         manifest.add_check(f"sentinel-derivative-{i}",
@@ -353,6 +355,9 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path, quick: bool) -> int:
 
     result = sem.final
     null = verify_null(result)
+    # the final linearization is not marched again: free its step factors
+    # before the probes build their own
+    sem.frozen.release_factors()
     ftc = ftc_residual(problem.nonlinearity, result.y, sem.frozen)
     manifest.add_check("picard-converged", sem.converged,
                        iterations=sem.iterations,

@@ -14,7 +14,7 @@ the summed space-time duality identity
 
 holds to rounding (qbar, ybar are the stored midpoint averages).
 
-Two paths solve the step.  When every node of a march has spatially
+Three paths solve the step.  When every node of a march has spatially
 uniform a0 and a1, a uniform diagonal b and no b0 (an all-zero schedule
 included), A is diagonal in the sine basis with symbol
 
@@ -24,17 +24,32 @@ and the march is the exact per-mode recurrence
 u^_{j+1} = r u^_j + dt/(1 + c lambda) g^_j with r = (1 - c lambda)/(1 + c lambda),
 c = dt/2: one transform of the source in and one of the midpoint average
 out per step, at any stiffness.  The symbol is symmetric, so the backward
-march is the same recurrence.  Every other march (b0, mixed b_ij, or
-x-dependent and frozen coefficients) forms the right-hand side in physical
-space and fixes the lower-order remainder by a Richardson iteration
-preconditioned with the bilaplacian part.
+march is the same recurrence.
+
+Any other 1D march (b0, or x-dependent and frozen coefficients) is solved
+in sine coefficients too.  With T and F the to/from-mode matrices,
+D = 1 + c |kappa|^4 and Lo_j the lower-order part at node j, the step
+matrix in modes is D M_j with the well-conditioned M_j = I + c D^-1 T Lo_j F.
+Each distinct node's M_j is LU-factored once and the factors are cached
+on the schedule, so every march of a frozen linearization reuses them.
+A step is then the midpoint solve mid_j = 1/2 M_j^-1 D^-1 (2 u^_j + dt g^_j),
+u^_{j+1} = 2 mid_j - u^_j; the backward march solves with M_j^T
+(mid_j = 1/2 D^-1 M_j^-T (2 u^_j + dt g^_j)), the exact transpose, and no
+physical-space right-hand side (I - c A) u is formed.  A factor stack
+larger than LU_STACK_CAP_BYTES is not built.
+
+2D marches off the diagonal path, and 1D marches over that cap, form the
+right-hand side in physical space and fix the lower-order remainder by a
+Richardson iteration preconditioned with the bilaplacian part.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lapack, lu_factor
 
 from .errors import EngineError
 from .nonlinearity import NonlinearitySpec
@@ -59,6 +74,10 @@ __all__ = [
 
 Array = np.ndarray
 
+# Largest stack of 1D mode-space LU factors a schedule may cache; a march
+# whose stack would be bigger keeps the Richardson inner solve.
+LU_STACK_CAP_BYTES = 64 * 2**20
+
 
 @dataclass
 class NodeCoefficients:
@@ -74,7 +93,17 @@ class NodeCoefficients:
         return self.a0 is None and self.b0 is None and self.b is None and self.a1 is None
 
 
-class StaticSchedule:
+class _FactorCache:
+    """A schedule's 1D mode-space LU factors, kept between marches."""
+
+    mode_lu: "_ModeLU | None" = None
+
+    def release_factors(self) -> None:
+        """Drop the cached factors; the next march rebuilds them."""
+        self.mode_lu = None
+
+
+class StaticSchedule(_FactorCache):
     """Per-node coefficients from the problem's coefficient fields."""
 
     def __init__(self, grid: Grid, coefficients: dict[str, CoefficientField | None]):
@@ -104,7 +133,7 @@ class StaticSchedule:
         return self._cache[j]
 
 
-class ListSchedule:
+class ListSchedule(_FactorCache):
     """Precomputed per-node coefficients (used by frozen linearizations)."""
 
     def __init__(self, nodes: list[NodeCoefficients]):
@@ -301,6 +330,95 @@ def _diagonal_factors(basis: SineBasis, schedule, nt: int,
     return factors
 
 
+@dataclass
+class _ModeLU:
+    """LU factors of the 1D mode-space step matrices M_j of one schedule.
+
+    ``lu[slots[j]]`` and ``piv[slots[j]]`` are the LAPACK factors of
+    M_j = I + c D^-1 T Lo_j F; nodes shared between steps share a slot.
+    One small array per factor, not one stack, lets the allocator reuse
+    a retired linearization's memory for the next one.
+    """
+
+    key: tuple
+    to_modes: Array = field(repr=False)     # T
+    from_modes: Array = field(repr=False)   # F
+    half_inv_denom: Array = field(repr=False)  # 1 / (2 D)
+    slots: Array = field(repr=False)
+    lu: list[Array] = field(repr=False)     # (n, n) each, Fortran order
+    piv: list[Array] = field(repr=False)
+
+
+def _lower_matrix(nc: NodeCoefficients, f_mat: Array, dx_f: Array,
+                  dxx_f: Array) -> Array:
+    """Lo F of a 1D node: the lower-order part applied to every sine mode."""
+    out = np.zeros_like(f_mat)
+    if nc.a0 is not None:
+        out += nc.a0[:, None] * f_mat
+    if nc.b0 is not None:
+        out += nc.b0[0][:, None] * dx_f
+    if nc.b is not None:
+        out += nc.b[0, 0][:, None] * dxx_f
+    if nc.a1 is not None:
+        out += nc.a1[:, None] * dxx_f
+    return out
+
+
+def _mode_lu(basis: SineBasis, schedule, nt: int, dt: float) -> _ModeLU | None:
+    """The schedule's cached mode-space LU factors, built on first use.
+
+    Returns None in 2D and when the stack of factors would exceed
+    LU_STACK_CAP_BYTES; those marches take the Richardson path.
+    """
+    if basis.dim != 1:
+        return None
+    key = (dt, nt, basis.extents, basis.n_cells)
+    cached = getattr(schedule, "mode_lu", None)
+    if cached is not None and cached.key == key:
+        return cached
+    slot_of: dict[int, int] = {}
+    firsts: list[tuple[int, NodeCoefficients]] = []
+    slots = np.empty(nt, dtype=np.intp)
+    for j in range(nt):
+        nc = schedule.node(j)
+        if id(nc) not in slot_of:
+            slot_of[id(nc)] = len(firsts)
+            firsts.append((j, nc))
+        slots[j] = slot_of[id(nc)]
+    n = basis.shape[0]
+    if len(firsts) * n * n * 8 > LU_STACK_CAP_BYTES:
+        return None
+    eye = np.eye(n)
+    t_mat = basis.to_modes(eye)
+    f_mat = basis.from_modes(eye)
+    dx_f = basis.dx(f_mat)
+    dxx_f = basis.dxx(f_mat)
+    c = dt / 2
+    denom = 1.0 + c * basis.bilap_modes
+    scale = (c / denom)[:, None]
+    lu, piv = [], []
+    with warnings.catch_warnings():
+        # an exactly zero pivot is reported below as a coded error
+        warnings.simplefilter("ignore", LinAlgWarning)
+        for j, nc in firsts:
+            m = eye + scale * (t_mat @ _lower_matrix(nc, f_mat, dx_f, dxx_f))
+            fac, perm = lu_factor(m, overwrite_a=True, check_finite=False)
+            pivots = np.diagonal(fac)
+            bad = np.flatnonzero(~np.isfinite(pivots) | (pivots == 0.0))
+            if bad.size:
+                raise EngineError(
+                    "implicit-step-singular",
+                    f"implicit step {j} is singular: pivot {bad[0] + 1} of its "
+                    f"mode-space LU factorization is {pivots[bad[0]]:.3e} "
+                    f"(reduce dt or the lower-order coefficients)",
+                    step=j, pivot=int(bad[0]) + 1,
+                )
+            lu.append(fac)
+            piv.append(perm)
+    schedule.mode_lu = _ModeLU(key, t_mat, f_mat, 0.5 / denom, slots, lu, piv)
+    return schedule.mode_lu
+
+
 class _StepSolver:
     """Shared machinery for one implicit CN half-system solve."""
 
@@ -353,6 +471,33 @@ def _march_modes(basis: SineBasis, factors, start: Array,
     return basis.from_modes(u_hat)
 
 
+def _march_lu(factors: _ModeLU, start: Array, source: np.ndarray | None,
+              order, fields: np.ndarray, dt: float, transpose: bool) -> Array:
+    """CN midpoint solves with the cached mode-space LU factors.
+
+    Fills ``fields`` and returns the end state.
+    """
+    getrs = lapack.dgetrs
+    lu, piv, slots = factors.lu, factors.piv, factors.slots
+    half_inv_d = factors.half_inv_denom
+    src_hat = None if source is None else dt * (source @ factors.to_modes)
+    mids = np.empty(fields.shape)
+    u_hat = factors.to_modes @ start
+    for j in order:
+        rhs = 2.0 * u_hat
+        if src_hat is not None:
+            rhs += src_hat[j]
+        k = slots[j]
+        if transpose:
+            mid = half_inv_d * getrs(lu[k], piv[k], rhs, trans=1)[0]
+        else:
+            mid = getrs(lu[k], piv[k], half_inv_d * rhs)[0]
+        mids[j] = mid
+        u_hat = 2.0 * mid - u_hat
+    np.matmul(mids, factors.from_modes, out=fields)
+    return factors.from_modes @ u_hat
+
+
 def _march(
     grid: Grid,
     schedule,
@@ -369,8 +514,11 @@ def _march(
     first = np.asarray(start, dtype=float).copy()
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
     factors = _diagonal_factors(basis, schedule, nt, dt)
+    mode_lu = None if factors is not None else _mode_lu(basis, schedule, nt, dt)
     if factors is not None:
         state = _march_modes(basis, factors, first, source, order, fields)
+    elif mode_lu is not None:
+        state = _march_lu(mode_lu, first, source, order, fields, dt, transpose)
     else:
         solver = _StepSolver(basis, dt, inner_tol, inner_cap)
         state = first.copy()

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import IterationError, SetupError
 from .hum_synthesis import ControlResult, minimize_exact
@@ -64,6 +63,12 @@ class FrozenLinearization:
     state_schedule: ListSchedule | None = field(default=None, repr=False)
     costate_schedule: ListSchedule | None = field(default=None, repr=False)
 
+    def release_factors(self) -> None:
+        """Free the step factors both legs' marches cached."""
+        for schedule in (self.state_schedule, self.costate_schedule):
+            if schedule is not None:
+                schedule.release_factors()
+
 
 @dataclass
 class SemilinearResult:
@@ -96,13 +101,56 @@ def _zero_trajectory(problem: ValidatedProblem) -> Trajectory:
     )
 
 
+def _jet(z: Trajectory) -> tuple[Array, Array, Array]:
+    """(z, grad z, hess z) over all midpoint nodes, component axes leading.
+
+    Shapes (Nt, *shape), (dim, Nt, *shape) and (dim, dim, Nt, *shape):
+    the layout the partials take, with the time axis as one more
+    pointwise axis.
+    """
+    basis = z.basis
+    dim = basis.dim
+    lead = z.fields.shape
+    p = np.empty((dim,) + lead)
+    r = np.empty((dim, dim) + lead)
+    for j, u in enumerate(z.fields):
+        p[:, j] = basis.gradient(u)
+        r[:, :, j] = basis.hessian(u)
+    return z.fields, p, r
+
+
+def _time_leading(fu: Array, fp: Array, fr: Array) -> tuple[Array, Array, Array]:
+    """Partials of a stack reordered to (Nt, ...) node-major layout."""
+    return (fu, np.ascontiguousarray(np.moveaxis(fp, 0, 1)),
+            np.ascontiguousarray(np.moveaxis(fr, 2, 0)))
+
+
+def _require_finite(nonlinearity: NonlinearitySpec, *arrays: Array) -> None:
+    for arr in arrays:
+        if not np.all(np.isfinite(arr)):
+            raise IterationError(
+                "nonlinearity-eval-failure",
+                f"{nonlinearity.name}: non-finite linearization coefficients",
+            )
+
+
+def _eval_tangent(nonlinearity: NonlinearitySpec, u: Array, p: Array,
+                  r: Array) -> tuple[Array, Array, Array]:
+    """Pointwise tangent coefficients F_u, F_p, F_r at the jet (u, p, r)."""
+    tangent = _time_leading(nonlinearity.f_u(u, p, r), nonlinearity.f_p(u, p, r),
+                            nonlinearity.f_r(u, p, r))
+    _require_finite(nonlinearity, *tangent)
+    return tangent
+
+
 def eval_g(nonlinearity: NonlinearitySpec, z: Trajectory) -> FrozenLinearization:
     """Path-averaged secant and pointwise tangent coefficients at z.
 
     The secant fields come from 16-node Gauss-Legendre quadrature of
     the partials along the ray tau (z, grad z, hess z), tau in [0, 1];
-    the tangent fields are the partials at tau = 1.  The certificate is
-    the largest pointwise l1 magnitude over both families.
+    the tangent fields are the partials at tau = 1.  Each partial runs
+    once per quadrature node on the whole space-time stack.  The
+    certificate is the largest pointwise l1 magnitude over both families.
 
     Raises
     ------
@@ -110,38 +158,22 @@ def eval_g(nonlinearity: NonlinearitySpec, z: Trajectory) -> FrozenLinearization
         ``nonlinearity-eval-failure`` when any evaluation returns a
         non-finite value.
     """
-    basis = z.basis
-    dim = basis.dim
-    nt = len(z.fields)
-    shape = z.fields.shape[1:]
-    g1 = np.zeros((nt,) + shape)
-    g2 = np.zeros((nt, dim) + shape)
-    g3 = np.zeros((nt, dim, dim) + shape)
-    tu = np.zeros((nt,) + shape)
-    tp = np.zeros((nt, dim) + shape)
-    tr = np.zeros((nt, dim, dim) + shape)
-    for j in range(nt):
-        u = z.fields[j]
-        p = basis.gradient(u)
-        r = basis.hessian(u)
-        for tau, w in zip(_TAU, _TAU_W):
-            g1[j] += w * nonlinearity.f_u(tau * u, tau * p, tau * r)
-            g2[j] += w * nonlinearity.f_p(tau * u, tau * p, tau * r)
-            g3[j] += w * nonlinearity.f_r(tau * u, tau * p, tau * r)
-        tu[j] = nonlinearity.f_u(u, p, r)
-        tp[j] = nonlinearity.f_p(u, p, r)
-        tr[j] = nonlinearity.f_r(u, p, r)
-    for arr in (g1, g2, g3, tu, tp, tr):
-        if not np.all(np.isfinite(arr)):
-            raise IterationError(
-                "nonlinearity-eval-failure",
-                f"{nonlinearity.name}: non-finite linearization coefficients",
-            )
+    u, p, r = _jet(z)
+    g1 = np.zeros(u.shape)
+    g2 = np.zeros(p.shape)
+    g3 = np.zeros(r.shape)
+    for tau, w in zip(_TAU, _TAU_W):
+        g1 += w * nonlinearity.f_u(tau * u, tau * p, tau * r)
+        g2 += w * nonlinearity.f_p(tau * u, tau * p, tau * r)
+        g3 += w * nonlinearity.f_r(tau * u, tau * p, tau * r)
+    g1, g2, g3 = _time_leading(g1, g2, g3)
+    _require_finite(nonlinearity, g1, g2, g3)
+    tu, tp, tr = _eval_tangent(nonlinearity, u, p, r)
     secant_mag = np.abs(g1) + np.abs(g2).sum(axis=1) \
         + np.abs(g3).sum(axis=(1, 2))
     tangent_mag = np.abs(tu) + np.abs(tp).sum(axis=1) \
         + np.abs(tr).sum(axis=(1, 2))
-    cert = float(max(secant_mag.max(), tangent_mag.max())) if nt else 0.0
+    cert = float(max(secant_mag.max(), tangent_mag.max())) if len(u) else 0.0
     return FrozenLinearization(
         z_fields=z.fields, g1=g1, g2=g2, g3=g3,
         tangent_u=tu, tangent_p=tp, tangent_r=tr,
@@ -231,10 +263,12 @@ def freeze_linearization(problem: ValidatedProblem,
 
 
 def tangent_schedule(problem: ValidatedProblem, z: Trajectory) -> ListSchedule:
-    """Base plus pointwise tangent coefficients at z, costate-leg form."""
-    frozen = eval_g(problem.nonlinearity, z)
-    return _combined_schedule(
-        problem, frozen.tangent_u, frozen.tangent_p, frozen.tangent_r)
+    """Base plus pointwise tangent coefficients at z, costate-leg form.
+
+    Evaluates only the partials at z, not the secant quadrature.
+    """
+    tangent = _eval_tangent(problem.nonlinearity, *_jet(z))
+    return _combined_schedule(problem, *tangent)
 
 
 def lipschitz_bound(nonlinearity: NonlinearitySpec,
@@ -253,6 +287,8 @@ def lipschitz_bound(nonlinearity: NonlinearitySpec,
     """
     if box is None:
         box = nonlinearity.box if nonlinearity.box is not None else (5.0, 5.0, 5.0)
+    from scipy.stats import qmc  # heavy import, needed by this check only
+
     dim = nonlinearity.dim
     d = 1 + dim + dim * dim
     halton = qmc.Halton(d=d, scramble=True, seed=seed)
@@ -350,6 +386,9 @@ def picard_insensitize(
                             "note": "linearization-stationary"})
             converged = True
             break
+        if frozen is not None:
+            # retire the previous linearization: keep one set of step factors
+            frozen.release_factors()
         frozen = candidate
         result = minimize_exact(problem, eps, tol=hum_tol,
                                 max_iter=hum_max_iter, frozen=frozen)

@@ -71,11 +71,8 @@ def probes(desk_problem, ladder):
     rng = np.random.default_rng(np.random.Philox(123))
     v = ladder[1e-3].v
 
-    sens = []
-    for _ in range(20):
-        yhat = _smooth(p.basis, rng)
-        sens.append(sentinel_sensitivity(p, v, yhat, tau_probe=0.3,
-                                         premasked=True))
+    yhats = np.array([_smooth(p.basis, rng) for _ in range(20)])
+    sens = sentinel_sensitivity(p, v, yhats, tau_probe=0.3, premasked=True)
 
     eps = 1e-3
     x = _smooth(p.basis, rng)
@@ -312,10 +309,9 @@ def test_criterion_09_semilinear_pipeline(capfd, desk_problem, ladder, semilinea
     bound = 10.0 * sem.epsilon + 10.0 * tau * tau
     worst_fd = 0.0
     worst_gap = 0.0
-    for _ in range(20):
-        yhat = _smooth(pt.basis, rng)
-        rep = sentinel_sensitivity(pt, sem.final.v, yhat, tau_probe=tau,
-                                   premasked=True)
+    yhats = np.array([_smooth(pt.basis, rng) for _ in range(20)])
+    for rep in sentinel_sensitivity(pt, sem.final.v, yhats, tau_probe=tau,
+                                    premasked=True):
         worst_fd = max(worst_fd, abs(rep.d_fd))
         worst_gap = max(worst_gap, rep.gap_rel)
 

@@ -14,6 +14,8 @@ from insens4.cascade_sentinel import (
     solve_adjoint_pair,
     solve_cascade,
 )
+from insens4.config import apply_quick, default_config, problem_from_config
+from insens4.errors import SetupError
 from insens4.pde_engine import Trajectory, duality_residual
 from insens4.problem_setup import (
     CoefficientField,
@@ -168,7 +170,7 @@ class TestSensitivity:
         p = _partial_problem(rng)
         v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
         yhat = unit_smooth(p.basis, rng)
-        report = sentinel_sensitivity(p, v, yhat, tau_probe=0.1)
+        report, = sentinel_sensitivity(p, v, yhat[None], tau_probe=0.1)
         # linear dynamics: the sentinel is quadratic in tau, central
         # differences are exact up to rounding
         assert report.gap_rel <= 1e-9
@@ -180,8 +182,30 @@ class TestSensitivity:
         p = _partial_problem(rng)
         v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
         yhat = unit_smooth(p.basis, rng)
-        a = sentinel_sensitivity(p, v, yhat, tau_probe=0.05)
-        b = sentinel_sensitivity(p, p.omega.values * v, yhat,
-                                 tau_probe=0.05, premasked=True)
+        a, = sentinel_sensitivity(p, v, yhat[None], tau_probe=0.05)
+        b, = sentinel_sensitivity(p, p.omega.values * v, yhat[None],
+                                  tau_probe=0.05, premasked=True)
         assert a.d_fd == b.d_fd
         assert a.d_dual == b.d_dual
+
+    @pytest.mark.parametrize("kind", ["zero", "tanh"])
+    def test_stack_matches_single_directions(self, rng, kind):
+        # the dual side is shared across the stack; each report must equal
+        # a probe of its direction alone
+        cfg = apply_quick(default_config())
+        cfg["nonlinearity"] = {"kind": kind, "scale": 0.5}
+        p = problem_from_config(cfg)
+        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        yhats = np.array([unit_smooth(p.basis, rng) for _ in range(3)])
+        stacked = sentinel_sensitivity(p, v, yhats, tau_probe=0.05)
+        assert len(stacked) == 3
+        for yhat, report in zip(yhats, stacked):
+            single, = sentinel_sensitivity(p, v, yhat[None], tau_probe=0.05)
+            assert single == report
+
+    def test_unstacked_direction_rejected(self, rng):
+        p = _partial_problem(rng)
+        with pytest.raises(SetupError) as exc:
+            sentinel_sensitivity(p, None, unit_smooth(p.basis, rng))
+        assert exc.value.code == "direction-shape"
+        assert sentinel_sensitivity(p, None, np.empty((0,) + p.grid.shape)) == []

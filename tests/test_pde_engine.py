@@ -8,6 +8,7 @@ Every oracle below is that recursion recomputed in plain floats.
 import numpy as np
 import pytest
 
+from insens4 import pde_engine
 from insens4.errors import EngineError
 from insens4.nonlinearity import make_nonlinearity
 from insens4.pde_engine import (
@@ -148,14 +149,14 @@ class TestNonlinearMarch:
         assert np.array_equal(got.stateT, want.stateT)
 
     def test_stiff_coefficient_diverges_loudly(self):
-        # an x-dependent coefficient takes the iterative half-solve, which
-        # iterates the lower-order block; a reaction coefficient with
+        # an x-dependent coefficient in 2D takes the iterative half-solve,
+        # which iterates the lower-order block; a reaction coefficient with
         # dt*a0/2 >> 1 breaks that contraction
-        grid = build_grid(1, 2.0, 32, 1.0, 40)
+        grid = build_grid(2, 2.0, 12, 1.0, 40)
         y0 = np.random.default_rng(7).standard_normal(grid.basis.shape)
         a0 = CoefficientField.from_callable(
-            "a0", lambda x, t: 400.0 * (1 + 0.1 * np.sin(np.pi * x)), 440.0,
-            time_constant=True)
+            "a0", lambda x, y, t: 400.0 * (1 + 0.1 * np.sin(np.pi * x)),
+            440.0, time_constant=True)
         with pytest.raises(EngineError) as exc:
             solve_forward(grid, make_schedule(grid, {"a0": a0}), y0)
         assert exc.value.code == "inner-solve-divergence"
@@ -279,6 +280,149 @@ class TestDiagonalPath:
         assert exc.value.code == "implicit-denominator-nonpositive"
         assert exc.value.context["mode"] == mode
         assert exc.value.context["step"] == 0
+
+
+class TestModeLUPath:
+    """1D non-diagonal marches solve each step with cached mode-space LU."""
+
+    @staticmethod
+    def _coefficients():
+        # every role x-dependent, a0 and b0 also time-dependent
+        return {
+            "a0": CoefficientField.from_callable(
+                "a0", lambda x, t: 2.0 + np.sin(np.pi * x) * np.cos(t), 3.0),
+            "b0": CoefficientField.from_callable(
+                "b0", lambda x, t: (0.5 * np.cos(np.pi * x / 2) * (1 + t))[None],
+                1.0),
+            "b": CoefficientField.from_callable(
+                "b", lambda x, t: (0.2 * np.sin(np.pi * x / 2))[None, None],
+                0.2, time_constant=True),
+            "a1": CoefficientField.from_callable(
+                "a1", lambda x, t: 0.3 * x * (2.0 - x), 0.3,
+                time_constant=True),
+        }
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_agrees_with_richardson(self, monkeypatch, backward):
+        grid = build_grid(1, 2.0, 64, 1.0, 200)
+        rng = np.random.default_rng(50)
+        smooth = TestDiagonalPath._smooth
+        start = smooth(grid, rng)
+        source = np.array([smooth(grid, rng) for _ in grid.times])
+        march = solve_backward if backward else solve_forward
+        sched = make_schedule(grid, self._coefficients())
+        got = march(grid, sched, start, source)
+        assert sched.mode_lu is not None
+        monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 0)
+        want = march(grid, make_schedule(grid, self._coefficients()), start,
+                     source)
+        for a, b in ((got.fields, want.fields), (got.state0, want.state0),
+                     (got.stateT, want.stateT)):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_duality_residual(self):
+        grid = build_grid(1, 2.0, 32, 0.5, 40)
+        rng = np.random.default_rng(51)
+        sched = make_schedule(grid, self._coefficients())
+        obs = (rng.uniform(size=grid.shape) > 0.5).astype(float)
+        g = rng.standard_normal((grid.n_steps,) + grid.shape)
+        y = solve_forward(grid, sched, np.zeros(grid.shape), g)
+        phi = solve_forward(grid, sched, rng.standard_normal(grid.shape))
+        psi = solve_backward(grid, sched, np.zeros(grid.shape),
+                             obs * phi.fields)
+        assert sched.mode_lu is not None
+        res = duality_residual(y, psi, None, g, phi, np.ones(grid.shape), obs)
+        assert res <= 1e-13
+
+    @staticmethod
+    def _stiff(grid):
+        # dt*a0/2 = 5: the Richardson half-solve diverges on this damping
+        a0 = CoefficientField.from_callable(
+            "a0", lambda x, t: 400.0 * (1 + 0.1 * np.sin(np.pi * x)), 440.0,
+            time_constant=True)
+        return make_schedule(grid, {"a0": a0})
+
+    def test_stiff_x_dependent_damping_converges(self):
+        grid = build_grid(1, 2.0, 32, 1.0, 40)
+        basis = grid.basis
+        y0 = np.random.default_rng(7).standard_normal(basis.shape)
+        traj = solve_forward(grid, self._stiff(grid), y0)
+        # dense physical-space CN steps as the oracle
+        n = basis.shape[0]
+        eye = np.eye(n)
+        bilap = basis.from_modes(eye) @ (basis.bilap_modes[:, None]
+                                         * basis.to_modes(eye))
+        a_mat = bilap + np.diag(
+            400.0 * (1 + 0.1 * np.sin(np.pi * basis.nodes[0])))
+        c = grid.dt / 2
+        state = y0
+        for _ in range(grid.n_steps):
+            state = np.linalg.solve(eye + c * a_mat, state - c * a_mat @ state)
+        assert np.linalg.norm(traj.stateT - state) <= 1e-10 * np.linalg.norm(state)
+        assert basis.norm(traj.stateT) < basis.norm(y0)
+
+    def test_cap_falls_back_to_richardson(self, monkeypatch):
+        grid = build_grid(1, 2.0, 32, 1.0, 40)
+        y0 = np.random.default_rng(7).standard_normal(grid.basis.shape)
+        # one factor of a time-constant node is 31*31*8 bytes
+        monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 31 * 31 * 8 - 1)
+        sched = self._stiff(grid)
+        with pytest.raises(EngineError) as exc:
+            solve_forward(grid, sched, y0)
+        assert exc.value.code == "inner-solve-divergence"
+        assert sched.mode_lu is None
+        monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 31 * 31 * 8)
+        solve_forward(grid, sched, y0)
+        assert [f.shape for f in sched.mode_lu.lu] == [(31, 31)]
+
+    def test_factors_reused_and_released(self):
+        grid = build_grid(1, 2.0, 32, 0.5, 40)
+        rng = np.random.default_rng(52)
+        sched = make_schedule(grid, self._coefficients())
+        start = rng.standard_normal(grid.shape)
+        first = solve_forward(grid, sched, start)
+        factors = sched.mode_lu
+        # time-dependent a0 and b0: one factorization per step
+        assert len(factors.lu) == grid.n_steps
+        solve_backward(grid, sched, start)
+        assert sched.mode_lu is factors
+        sched.release_factors()
+        assert sched.mode_lu is None
+        assert np.array_equal(solve_forward(grid, sched, start).stateT,
+                              first.stateT)
+
+    def test_nonfinite_pivot_names_step(self):
+        grid = build_grid(1, 2.0, 32, 0.5, 40)
+        a0 = CoefficientField.from_callable(
+            "a0", lambda x, t: np.where(t > 0.25, np.nan, 1.0) + 0.1 * x, 1.3)
+        with pytest.raises(EngineError) as exc:
+            solve_forward(grid, make_schedule(grid, {"a0": a0}),
+                          np.ones(grid.shape))
+        assert exc.value.code == "implicit-step-singular"
+        first_bad = int(np.argmax(grid.times > 0.25))
+        assert exc.value.context["step"] == first_bad
+        assert f"step {first_bad}" in str(exc.value)
+
+    def test_zero_pivot_names_step(self, monkeypatch):
+        # an exactly singular step matrix shows up as a zero pivot
+        grid = build_grid(1, 2.0, 32, 0.5, 40)
+        real = pde_engine.lu_factor
+        calls = []
+
+        def singular_at_third(m, **kwargs):
+            fac, piv = real(m, **kwargs)
+            calls.append(None)
+            if len(calls) == 3:
+                fac[4, 4] = 0.0
+            return fac, piv
+
+        monkeypatch.setattr(pde_engine, "lu_factor", singular_at_third)
+        with pytest.raises(EngineError) as exc:
+            solve_forward(grid, make_schedule(grid, self._coefficients()),
+                          np.ones(grid.shape))
+        assert exc.value.code == "implicit-step-singular"
+        assert exc.value.context["step"] == 2
+        assert exc.value.context["pivot"] == 5
 
 
 class TestTrajectory:

@@ -6,6 +6,8 @@ F = s*sin(u), and s*tanh(z)/z for F = s*tanh(u).  The quadrature is
 exact for polynomials and at rounding level for the analytic kinds.
 """
 import copy
+import gc
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.errors import IterationError, SetupError
 from insens4.hum_synthesis import minimize_exact
 from insens4.nonlinearity import NonlinearitySpec, make_nonlinearity
-from insens4.pde_engine import Trajectory
+from insens4.pde_engine import Trajectory, _ModeLU
 from insens4.semilinear_loop import (
     eval_g,
     freeze_linearization,
@@ -24,6 +26,7 @@ from insens4.semilinear_loop import (
     picard_insensitize,
     tangent_schedule,
 )
+from conftest import unit_smooth
 
 
 def _trajectory(problem, rng, scale=0.8):
@@ -77,6 +80,33 @@ class TestSecantCoefficients:
             res = ftc_residual(make_nonlinearity(kind, scale=0.7), z)
             assert res <= 1e-10
         assert ftc_residual(make_nonlinearity("quadratic", scale=0.7), z) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["tanh", "mixed", "quadratic"])
+    def test_stacked_matches_per_node_loop(self, desk_problem, rng, kind):
+        # each partial runs once per quadrature node on the whole stack;
+        # the pointwise arithmetic is that of a loop over time nodes
+        basis = desk_problem.basis
+        grid = desk_problem.grid
+        fields = np.array([unit_smooth(basis, rng, decay=3.0)
+                           for _ in grid.times])
+        z = Trajectory(basis, grid.dt, grid.times, fields, fields[0],
+                       fields[-1])
+        nl = make_nonlinearity(kind, scale=0.7)
+        want = {name: [] for name in ("g1", "g2", "g3", "tangent_u",
+                                      "tangent_p", "tangent_r")}
+        for u in z.fields:
+            p, r = basis.gradient(u), basis.hessian(u)
+            acc = [np.zeros_like(u), np.zeros_like(p), np.zeros_like(r)]
+            for tau, w in zip(sl._TAU, sl._TAU_W):
+                for k, f in enumerate((nl.f_u, nl.f_p, nl.f_r)):
+                    acc[k] += w * f(tau * u, tau * p, tau * r)
+            for name, val in zip(want, acc + [nl.f_u(u, p, r),
+                                              nl.f_p(u, p, r),
+                                              nl.f_r(u, p, r)]):
+                want[name].append(val)
+        got = eval_g(nl, z)
+        for name, vals in want.items():
+            assert np.array_equal(getattr(got, name), np.array(vals)), name
 
     def test_nonfinite_linearization_is_loud(self, quick_problem, rng):
         z = _trajectory(quick_problem, rng)
@@ -192,3 +222,43 @@ class TestTangentSchedule:
             got = sched.node(j)
             want = frozen.costate_schedule.node(j)
             assert np.array_equal(got.a0, want.a0)
+
+
+def _reachable(root, cls):
+    """Instances of cls reachable from root, not crossing code or modules."""
+    skip = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType)
+    seen, found, todo = set(), {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, cls):
+            found[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return list(found.values())
+
+
+class TestFactorRetention:
+    def test_one_linearization_keeps_factors(self, monkeypatch):
+        p = _nl_problem("tanh", 0.1)
+        seen = []
+
+        def spy(problem, eps, frozen=None, **kwargs):
+            # every earlier linearization is retired before the next solve
+            for old in seen:
+                assert old.state_schedule.mode_lu is None
+                assert old.costate_schedule.mode_lu is None
+            seen.append(frozen)
+            return minimize_exact(problem, eps, frozen=frozen, **kwargs)
+
+        monkeypatch.setattr(sl, "minimize_exact", spy)
+        r = picard_insensitize(p, tol=1e-10)
+        assert len(seen) == r.iterations >= 2
+        final = {id(r.frozen.state_schedule.mode_lu),
+                 id(r.frozen.costate_schedule.mode_lu)}
+        assert None not in (r.frozen.state_schedule.mode_lu,
+                            r.frozen.costate_schedule.mode_lu)
+        reachable = _reachable(r, _ModeLU)
+        assert {id(f) for f in reachable} == final

@@ -230,11 +230,12 @@ def grad_j_smooth(
     return casc.q0
 
 
-def _control_bound(problem: ValidatedProblem) -> float:
+def _control_bound(problem: ValidatedProblem, constants=None) -> float:
+    """2 sqrt(H int e^{M/sqrt(t)} |f|^2), H from ``constants`` or the problem's."""
     fw = problem.force_weight_integral
     if fw == 0.0:
         return 0.0
-    h = problem.constants.cost_h
+    h = (problem.constants if constants is None else constants).cost_h
     if math.isinf(h):
         return math.inf
     return 2.0 * math.sqrt(h * fw)
@@ -568,21 +569,13 @@ def verify_null(result: ControlResult, constants=None,
     if problem is None:
         raise SynthesisError("detached-result",
                              "result carries no problem to recompute against")
-    if constants is None:
-        constants = problem.constants
     basis = problem.basis
     casc = solve_cascade(problem, result.v, ops=result.ops, include_force=True,
                          premasked=True)
     q0_norm = basis.norm(casc.q0)
     cell = problem.grid.dt * basis.cell_volume
     v_norm = float(np.sqrt(cell * np.sum(result.v ** 2)))
-    fw = problem.force_weight_integral
-    if fw == 0.0:
-        bound = 0.0
-    elif math.isinf(constants.cost_h):
-        bound = math.inf
-    else:
-        bound = 2.0 * math.sqrt(constants.cost_h * fw)
+    bound = _control_bound(problem, constants)
     return NullReport(
         epsilon=result.epsilon,
         q0_norm=q0_norm,

@@ -41,9 +41,21 @@ larger than LU_STACK_CAP_BYTES is not built.
 2D marches off the diagonal path, and 1D marches over that cap, form the
 right-hand side in physical space and fix the lower-order remainder by a
 Richardson iteration preconditioned with the bilaplacian part.
+
+All three paths run in one step loop (``_march``).  A march starts from
+one field or from a stack (B, *shape): spatial axes are trailing, so each
+row marches independently against the shared (Nt, *shape) source, which
+is transformed once per step.  A reaction F(u, grad u, hess u) enters
+that loop as one more source evaluated at the midpoint average; on the
+diagonal path that is u^_{j+1} = r u^_j + d (g^_j + F^(mid_j)).  Each step
+relaxes it by lagged iteration from F(u_j), and a row stops updating once
+its update meets picard_tol (1 + |u_j|).  An ``on_step`` hook sees every
+midpoint average and chooses what the trajectory records, so a batched
+march can stream a reduction instead of storing every row.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -210,7 +222,9 @@ class Trajectory:
 
     ``fields[j]`` is the average of the two integer-node states around
     the midpoint node t_j; ``state0`` and ``stateT`` are the untouched
-    integer-node states at t = 0 and t = T.
+    integer-node states at t = 0 and t = T.  A march from a stack
+    (B, *shape) records fields (Nt, B, *shape) and end states (B, *shape);
+    the norms below are those of a single field.
     """
 
     basis: SineBasis
@@ -219,9 +233,6 @@ class Trajectory:
     fields: np.ndarray = field(repr=False)
     state0: np.ndarray = field(repr=False)
     stateT: np.ndarray = field(repr=False)
-
-    def at(self, j: int) -> Array:
-        return self.fields[j]
 
     def norm_l2q(self) -> float:
         """L2 norm over space-time by midpoint quadrature."""
@@ -391,8 +402,9 @@ def _mode_lu(basis: SineBasis, schedule, nt: int, dt: float) -> _ModeLU | None:
     eye = np.eye(n)
     t_mat = basis.to_modes(eye)
     f_mat = basis.from_modes(eye)
-    dx_f = basis.dx(f_mat)
-    dxx_f = basis.dxx(f_mat)
+    # row m of dx(f_mat) is the derivative of mode m; columns index modes below
+    dx_f = basis.dx(f_mat).T
+    dxx_f = basis.dxx(f_mat).T
     c = dt / 2
     denom = 1.0 + c * basis.bilap_modes
     scale = (c / denom)[:, None]
@@ -419,83 +431,224 @@ def _mode_lu(basis: SineBasis, schedule, nt: int, dt: float) -> _ModeLU | None:
     return schedule.mode_lu
 
 
-class _StepSolver:
-    """Shared machinery for one implicit CN half-system solve."""
+def _row_norms(x: Array, dim: int) -> Array:
+    """Euclidean norm of each field of a (..., *shape) stack."""
+    return np.sqrt(np.sum(x * x, axis=tuple(range(-dim, 0))))
 
-    def __init__(self, basis: SineBasis, dt: float, inner_tol: float, inner_cap: int):
+
+def _rows(mask: Array, dim: int) -> Array:
+    """A per-field mask broadcast against the trailing spatial axes."""
+    return np.reshape(mask, np.shape(mask) + (1,) * dim)
+
+
+def _first_row(active: Array) -> tuple[int | None, int | tuple]:
+    """First unconverged row (None when unbatched) and its index."""
+    if not np.ndim(active):
+        return None, ()
+    row = int(np.flatnonzero(active)[0])
+    return row, row
+
+
+def _at_row(row: int | None) -> str:
+    return "" if row is None else f", row {row}"
+
+
+def _sym_apply(mat: Array, u: Array) -> Array:
+    """A symmetric mode matrix applied to a 1D field or each row of a stack."""
+    return mat @ u if u.ndim == 1 else u @ mat
+
+
+class _DiagonalPath:
+    """Exact per-mode recurrence; the state is kept in sine coefficients.
+
+    Each path steps in its own representation of the state: ``enter``
+    and ``leave`` convert the end states and ``physical`` a midpoint,
+    ``linear(j, x)`` is the part of step j that does not depend on the
+    reaction, and ``advance`` completes the step with an extra physical
+    source, returning the new state and the midpoint.
+    """
+
+    defers_fields = False
+
+    def __init__(self, basis: SineBasis, factors, source: Array | None):
         self.basis = basis
+        self.factors = factors
+        self.source = source
+        self.enter = basis.to_modes
+        self.leave = self.physical = basis.from_modes
+
+    def linear(self, j: int, x: Array) -> Array:
+        """r u^_j + d g^_j."""
+        r, d = self.factors[j]
+        base = r * x
+        if self.source is not None:
+            base += d * self.basis.to_modes(self.source[j])
+        return base
+
+    def advance(self, j: int, x: Array, base: Array, extra: Array | None):
+        new = base if extra is None else \
+            base + self.factors[j][1] * self.basis.to_modes(extra)
+        return new, 0.5 * (x + new)
+
+
+class _LUPath:
+    """Midpoint solves with a schedule's cached 1D mode-space LU factors.
+
+    Midpoints come out in modes; a march that records them converts the
+    whole record in one product at the end.
+    """
+
+    defers_fields = True
+
+    def __init__(self, factors: _ModeLU, source: Array | None, dt: float,
+                 transpose: bool):
+        self.f = factors
+        self.dt = dt
+        self.transpose = transpose
+        self.src_hat = None if source is None else dt * (source @ factors.to_modes)
+        self.enter = functools.partial(_sym_apply, factors.to_modes)
+        self.leave = self.physical = functools.partial(_sym_apply, factors.from_modes)
+
+    def linear(self, j: int, x: Array) -> Array:
+        """2 u^_j + dt g^_j."""
+        rhs = 2.0 * x
+        if self.src_hat is not None:
+            rhs += self.src_hat[j]
+        return rhs
+
+    def advance(self, j: int, x: Array, rhs: Array, extra: Array | None):
+        f = self.f
+        if extra is not None:
+            rhs = rhs + self.dt * self.enter(extra)
+        k = f.slots[j]
+        # LAPACK takes the right-hand sides as columns
+        if self.transpose:
+            mid = f.half_inv_denom * lapack.dgetrs(f.lu[k], f.piv[k], rhs.T,
+                                                   trans=1)[0].T
+        else:
+            mid = lapack.dgetrs(f.lu[k], f.piv[k], (f.half_inv_denom * rhs).T)[0].T
+        return 2.0 * mid - x, mid
+
+
+class _RichardsonPath:
+    """Physical-space right-hand side and a Richardson inner solve.
+
+    The iteration is preconditioned with the bilaplacian part; the state
+    and the midpoints stay physical.
+    """
+
+    defers_fields = False
+
+    def __init__(self, basis: SineBasis, schedule, source: Array | None,
+                 dt: float, transpose: bool, inner_tol: float, inner_cap: int):
+        self.basis = basis
+        self.schedule = schedule
+        self.source = source
+        self.dt = dt
         self.c = dt / 2
         self.pre = 1.0 + self.c * basis.bilap_modes
+        self.transpose = transpose
+        self.lower = _lower_apply_t if transpose else _lower_apply
         self.inner_tol = inner_tol
         self.inner_cap = inner_cap
 
-    def solve(self, rhs: Array, nc: NodeCoefficients, transpose: bool,
-              step: int) -> Array:
-        """Solve (I + c (Bilap + Lo)) x = rhs for x."""
+    @staticmethod
+    def enter(u: Array) -> Array:
+        return u
+
+    leave = physical = enter
+
+    def linear(self, j: int, x: Array) -> Array:
+        """(I - c A_j) u_j + dt g_j."""
         basis = self.basis
+        rhs = x - self.c * (basis.bilap(x) + self.lower(basis, self.schedule.node(j), x))
+        if self.source is not None:
+            rhs = rhs + self.dt * self.source[j]
+        return rhs
+
+    def advance(self, j: int, x: Array, rhs: Array, extra: Array | None):
+        if extra is not None:
+            rhs = rhs + self.dt * extra
+        new = self._solve(rhs, self.schedule.node(j), j)
+        return new, 0.5 * (x + new)
+
+    def _solve(self, rhs: Array, nc: NodeCoefficients, step: int) -> Array:
+        """Solve (I + c (Bilap + Lo)) x = rhs for each field of ``rhs``.
+
+        A field stops updating once its own residual meets the tolerance.
+        """
+        basis = self.basis
+        dim = basis.dim
         rhs_modes = basis.to_modes(rhs)
         if nc.all_zero:
             return basis.from_modes(rhs_modes / self.pre)
-        lower = _lower_apply_t if transpose else _lower_apply
-        rhs_norm = max(float(np.linalg.norm(rhs_modes)), 1e-300)
+        rhs_norm = np.maximum(_row_norms(rhs_modes, dim), 1e-300)
         x_modes = rhs_modes / self.pre
         x = basis.from_modes(x_modes)
+        active = np.ones(np.shape(rhs_norm), dtype=bool)
         trail = []
         for _ in range(self.inner_cap):
-            y_modes = rhs_modes - self.c * basis.to_modes(lower(basis, nc, x))
-            res = float(np.linalg.norm(y_modes - self.pre * x_modes))
+            y_modes = rhs_modes - self.c * basis.to_modes(self.lower(basis, nc, x))
+            res = _row_norms(y_modes - self.pre * x_modes, dim)
             trail.append(res / rhs_norm)
-            x_modes = y_modes / self.pre
+            x_modes = np.where(_rows(active, dim), y_modes / self.pre, x_modes)
             x = basis.from_modes(x_modes)
-            if res <= self.inner_tol * rhs_norm:
+            active &= res > self.inner_tol * rhs_norm
+            if not active.any():
                 return x
+        row, idx = _first_row(active)
         raise EngineError(
             "inner-solve-divergence",
-            f"implicit step {step} failed to reach {self.inner_tol} in "
-            f"{self.inner_cap} iterations (last residual {trail[-1]:.3e} relative)",
-            step=step, residuals=trail,
+            f"implicit step {step}{_at_row(row)} failed to reach "
+            f"{self.inner_tol} in {self.inner_cap} iterations (last residual "
+            f"{trail[-1][idx]:.3e} relative)",
+            step=step, row=row, residuals=[float(t[idx]) for t in trail],
         )
 
 
-def _march_modes(basis: SineBasis, factors, start: Array,
-                 source: np.ndarray | None, order, fields: np.ndarray) -> Array:
-    """Exact per-mode CN recurrence; fills ``fields``, returns the end state."""
-    u_hat = basis.to_modes(start)
-    for j in order:
-        r, d = factors[j]
-        new_hat = r * u_hat
-        if source is not None:
-            new_hat += d * basis.to_modes(source[j])
-        fields[j] = basis.from_modes(0.5 * (u_hat + new_hat))
-        u_hat = new_hat
-    return basis.from_modes(u_hat)
+def _path(basis: SineBasis, schedule, nt: int, dt: float, source: Array | None,
+          transpose: bool, inner_tol: float, inner_cap: int):
+    """The cheapest exact solver of the march's steps."""
+    factors = _diagonal_factors(basis, schedule, nt, dt)
+    if factors is not None:
+        return _DiagonalPath(basis, factors, source)
+    mode_lu = _mode_lu(basis, schedule, nt, dt)
+    if mode_lu is not None:
+        return _LUPath(mode_lu, source, dt, transpose)
+    return _RichardsonPath(basis, schedule, source, dt, transpose,
+                           inner_tol, inner_cap)
 
 
-def _march_lu(factors: _ModeLU, start: Array, source: np.ndarray | None,
-              order, fields: np.ndarray, dt: float, transpose: bool) -> Array:
-    """CN midpoint solves with the cached mode-space LU factors.
+def _relax(path, j: int, x: Array, base: Array, u: Array, reaction,
+           picard_tol: float, picard_cap: int, dim: int) -> tuple[Array, Array]:
+    """Step j with the reaction at the midpoint, by lagged iteration.
 
-    Fills ``fields`` and returns the end state.
+    Starts from F(u_j) and re-solves with F at the latest midpoint; a
+    field stops updating once its update meets picard_tol (1 + |u_j|).
+    Returns the new state (path form) and the physical midpoint.
     """
-    getrs = lapack.dgetrs
-    lu, piv, slots = factors.lu, factors.piv, factors.slots
-    half_inv_d = factors.half_inv_denom
-    src_hat = None if source is None else dt * (source @ factors.to_modes)
-    mids = np.empty(fields.shape)
-    u_hat = factors.to_modes @ start
-    for j in order:
-        rhs = 2.0 * u_hat
-        if src_hat is not None:
-            rhs += src_hat[j]
-        k = slots[j]
-        if transpose:
-            mid = half_inv_d * getrs(lu[k], piv[k], rhs, trans=1)[0]
-        else:
-            mid = getrs(lu[k], piv[k], half_inv_d * rhs)[0]
-        mids[j] = mid
-        u_hat = 2.0 * mid - u_hat
-    np.matmul(mids, factors.from_modes, out=fields)
-    return factors.from_modes @ u_hat
+    scale = 1.0 + _row_norms(u, dim)
+    new, mid = x, u
+    active = np.ones(np.shape(scale), dtype=bool)
+    trail = []
+    for _ in range(picard_cap):
+        cand, cand_mid = path.advance(j, x, base, reaction(mid))
+        cand_mid = path.physical(cand_mid)
+        # the state moves twice as far as the midpoint average
+        trail.append(2.0 * _row_norms(cand_mid - mid, dim) / scale)
+        keep = _rows(active, dim)
+        new = np.where(keep, cand, new)
+        mid = np.where(keep, cand_mid, mid)
+        active &= trail[-1] > picard_tol
+        if not active.any():
+            return new, mid
+    row, idx = _first_row(active)
+    raise EngineError(
+        "inner-solve-divergence",
+        f"reaction relaxation stalled at step {j}{_at_row(row)} (last update "
+        f"{trail[-1][idx]:.3e} relative to 1 + |u|, tolerance {picard_tol})",
+        step=j, row=row, updates=[float(t[idx]) for t in trail],
+    )
 
 
 def _march(
@@ -506,33 +659,44 @@ def _march(
     transpose: bool,
     inner_tol: float,
     inner_cap: int,
+    reaction: Callable[[Array], Array] | None = None,
+    picard_tol: float = 1e-11,
+    picard_cap: int = 50,
+    on_step: Callable[[int, Array], Array] | None = None,
 ) -> Trajectory:
+    """The one CN step loop behind every march (see the module notes)."""
     basis = grid.basis
     nt = grid.n_steps
     dt = grid.dt
-    fields = np.empty((nt,) + basis.shape)
     first = np.asarray(start, dtype=float).copy()
+    if first.shape[first.ndim - basis.dim:] != basis.shape \
+            or first.ndim > basis.dim + 1:
+        raise EngineError(
+            "start-shape", f"start must have shape {basis.shape} or "
+            f"(B, *{basis.shape}), got {first.shape}")
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
-    factors = _diagonal_factors(basis, schedule, nt, dt)
-    mode_lu = None if factors is not None else _mode_lu(basis, schedule, nt, dt)
-    if factors is not None:
-        state = _march_modes(basis, factors, first, source, order, fields)
-    elif mode_lu is not None:
-        state = _march_lu(mode_lu, first, source, order, fields, dt, transpose)
-    else:
-        solver = _StepSolver(basis, dt, inner_tol, inner_cap)
-        state = first.copy()
-        for j in order:
-            nc = schedule.node(j)
-            if transpose:
-                rhs = state - solver.c * (basis.bilap(state) + _lower_apply_t(basis, nc, state))
-            else:
-                rhs = state - solver.c * (basis.bilap(state) + _lower_apply(basis, nc, state))
-            if source is not None:
-                rhs = rhs + dt * source[j]
-            new_state = solver.solve(rhs, nc, transpose, j)
-            fields[j] = 0.5 * (state + new_state)
-            state = new_state
+    path = _path(basis, schedule, nt, dt, source, transpose, inner_tol, inner_cap)
+    defer = path.defers_fields and reaction is None and on_step is None
+    fields = None
+    x = path.enter(first)
+    u = first
+    for j in order:
+        base = path.linear(j, x)
+        if reaction is None:
+            x, mid = path.advance(j, x, base, None)
+            if not defer:
+                mid = path.physical(mid)
+        else:
+            x, mid = _relax(path, j, x, base, u, reaction, picard_tol,
+                            picard_cap, basis.dim)
+            u = 2.0 * mid - u
+        rec = mid if on_step is None else on_step(j, mid)
+        if fields is None:
+            fields = np.empty((nt,) + np.shape(rec))
+        fields[j] = rec
+    if defer:
+        fields = path.physical(fields)
+    state = path.leave(x)
     if transpose:
         return Trajectory(basis, dt, grid.times, fields, state0=state, stateT=first)
     return Trajectory(basis, dt, grid.times, fields, state0=first, stateT=state)
@@ -545,6 +709,7 @@ def solve_forward(
     source=None,
     inner_tol: float = 1e-13,
     inner_cap: int = 200,
+    on_step: Callable[[int, Array], Array] | None = None,
 ) -> Trajectory:
     """March the state equation from t = 0 to t = T.
 
@@ -552,8 +717,16 @@ def solve_forward(
     ----------
     schedule : object with ``node(j) -> NodeCoefficients``
         Lower-order coefficients per midpoint node.
+    initial : array, shape ``shape`` or (B, *shape)
+        One initial state, or a stack marched together under the shared
+        source; the trajectory's arrays then carry the batch axis after
+        the time axis.
     source : None, array (Nt, *shape), or callable(*mesh, t)
         Source evaluated at midpoint nodes.
+    on_step : callable(j, mid) -> array, optional
+        Sees each step's midpoint average and returns what ``fields[j]``
+        records, so a batched march can stream a reduction instead of
+        storing every row.
 
     Raises
     ------
@@ -562,7 +735,8 @@ def solve_forward(
         for the implicit half-system stalls above tolerance.
     """
     src = _source_fields(grid, source)
-    return _march(grid, schedule, initial, src, False, inner_tol, inner_cap)
+    return _march(grid, schedule, initial, src, False, inner_tol, inner_cap,
+                  on_step=on_step)
 
 
 def solve_backward(
@@ -592,54 +766,32 @@ def solve_forward_nonlinear(
     inner_cap: int = 200,
     picard_tol: float = 1e-11,
     picard_cap: int = 50,
+    on_step: Callable[[int, Array], Array] | None = None,
 ) -> Trajectory:
     """Forward solve with the reaction term F(u, grad u, hess u) active.
 
-    Each CN step freezes F at the midpoint average and relaxes it by
-    lagged iteration: the implicit linear half-system is re-solved with
-    the reaction source updated from the previous sweep.
+    The reaction enters the step loop of :func:`solve_forward` as a
+    source at the midpoint average, relaxed per step by lagged
+    iteration; ``initial`` and ``on_step`` are as there.
+
+    Raises
+    ------
+    EngineError
+        ``inner-solve-divergence`` when a step's relaxation stalls; its
+        context names the ``step``, the ``row`` of a batched start and the
+        relative ``updates`` trail.
     """
     if nonlinearity.is_zero:
-        return solve_forward(grid, schedule, initial, source, inner_tol, inner_cap)
+        return solve_forward(grid, schedule, initial, source, inner_tol,
+                             inner_cap, on_step=on_step)
     basis = grid.basis
-    nt = grid.n_steps
-    dt = grid.dt
-    solver = _StepSolver(basis, dt, inner_tol, inner_cap)
-    src = _source_fields(grid, source)
-    fields = np.empty((nt,) + basis.shape)
-    state = np.asarray(initial, dtype=float).copy()
-    first = state.copy()
 
     def reaction(u: Array) -> Array:
-        p = basis.gradient(u)
-        r = basis.hessian(u)
-        return nonlinearity.f(u, p, r)
+        return nonlinearity.f(u, basis.gradient(u), basis.hessian(u))
 
-    for j in range(nt):
-        nc = schedule.node(j)
-        base_rhs = state - solver.c * (basis.bilap(state) + _lower_apply(basis, nc, state))
-        if src is not None:
-            base_rhs = base_rhs + dt * src[j]
-        new_state = state.copy()
-        scale = 1.0 + float(np.linalg.norm(state))
-        converged = False
-        for _ in range(picard_cap):
-            mid = 0.5 * (state + new_state)
-            candidate = solver.solve(base_rhs + dt * reaction(mid), nc, False, j)
-            step = float(np.linalg.norm(candidate - new_state))
-            new_state = candidate
-            if step <= picard_tol * scale:
-                converged = True
-                break
-        if not converged:
-            raise EngineError(
-                "inner-solve-divergence",
-                f"reaction relaxation stalled at step {j} "
-                f"(last update {step:.3e} against scale {scale:.3e})",
-            )
-        fields[j] = 0.5 * (state + new_state)
-        state = new_state
-    return Trajectory(basis, dt, grid.times, fields, state0=first, stateT=state)
+    src = _source_fields(grid, source)
+    return _march(grid, schedule, initial, src, False, inner_tol, inner_cap,
+                  reaction, picard_tol, picard_cap, on_step)
 
 
 def duality_residual(

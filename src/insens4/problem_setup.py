@@ -297,9 +297,6 @@ class ValidatedProblem:
     def basis(self) -> SineBasis:
         return self.grid.basis
 
-    def force_at(self, j: int) -> np.ndarray:
-        return self.force_fields[j]
-
 
 def _materialize_force(grid: Grid, force) -> np.ndarray:
     basis = grid.basis

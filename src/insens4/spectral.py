@@ -5,6 +5,11 @@ a rectangle.  A field is identified with its sine interpolant, so the
 bilaplacian with y = lap(y) = 0 on the boundary is diagonal in mode space
 and every derivative operator below has an exact discrete transpose with
 respect to the uniform-weight inner product.
+
+Spatial axes are trailing: spatial axis ``a`` of a ``dim``-D basis is
+array axis ``a - dim``, so every operator accepts a single field of shape
+``shape`` or a stack ``(..., *shape)`` and acts on each field of the stack.
+A single 1D field keeps the matrix-vector product ``mat @ u``.
 """
 from __future__ import annotations
 
@@ -14,10 +19,8 @@ __all__ = ["SineBasis"]
 
 
 def _along(mat: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a dense matrix along one axis of a 1D or 2D field."""
-    if u.ndim == 1:
-        return mat @ u
-    if axis == 0:
+    """Apply a symmetric dense matrix along array axis -1 or -2 of u."""
+    if axis == -2 or u.ndim == 1:
         return mat @ u
     return u @ mat  # mat is symmetric, so u @ mat == u @ mat.T
 
@@ -35,7 +38,9 @@ class SineBasis:
 
     Notes
     -----
-    The transform pair uses the symmetric matrix S[k, m] = sin(pi*m*k/N),
+    Operators take fields with the spatial axes trailing, ``(..., *shape)``;
+    ``gradient`` and ``hessian`` put their component axes first.  The
+    transform pair uses the symmetric matrix S[k, m] = sin(pi*m*k/N),
     which satisfies S @ S = (N/2) I exactly, so round trips are spectrally
     exact up to rounding.  First derivatives evaluate on the cosine matrix
     C[k, m] = cos(pi*m*k/N); the discrete transpose of d/dx is obtained by
@@ -78,13 +83,13 @@ class SineBasis:
 
     def to_modes(self, u: np.ndarray) -> np.ndarray:
         c = u
-        for axis in range(self.dim):
+        for axis in range(-self.dim, 0):
             c = _along(self._sine, c, axis) * self._mode_scale
         return c
 
     def from_modes(self, c: np.ndarray) -> np.ndarray:
         u = c
-        for axis in range(self.dim):
+        for axis in range(-self.dim, 0):
             u = _along(self._sine, u, axis)
         return u
 
@@ -97,27 +102,29 @@ class SineBasis:
     # -- derivative operators and their exact transposes -----------------
 
     def _mode_mult(self, arr: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
-        if arr.ndim == 1 or axis == 0:
-            return arr * w.reshape((-1,) + (1,) * (arr.ndim - 1))
-        return arr * w
+        """Scale spatial axis ``axis`` of ``arr`` by the weights ``w``."""
+        return arr * w.reshape((-1,) + (1,) * (self.dim - 1 - axis))
 
     def dx(self, u: np.ndarray, axis: int = 0) -> np.ndarray:
-        """First derivative along ``axis`` of the sine interpolant."""
-        c = _along(self._sine, u, axis) * self._mode_scale
+        """First derivative along spatial ``axis`` of the sine interpolant."""
+        ax = axis - self.dim
+        c = _along(self._sine, u, ax) * self._mode_scale
         c = self._mode_mult(c, self.kappa[axis], axis)
-        return _along(self._cosine, c, axis)
+        return _along(self._cosine, c, ax)
 
     def dx_t(self, w: np.ndarray, axis: int = 0) -> np.ndarray:
         """Discrete transpose of :meth:`dx` in the uniform inner product."""
-        c = _along(self._cosine, w, axis)
+        ax = axis - self.dim
+        c = _along(self._cosine, w, ax)
         c = self._mode_mult(c, self.kappa[axis], axis)
-        return _along(self._sine, c, axis) * self._mode_scale
+        return _along(self._sine, c, ax) * self._mode_scale
 
     def dxx(self, u: np.ndarray, axis: int = 0) -> np.ndarray:
         """Same-axis second derivative; symmetric, hence self-transposed."""
-        c = _along(self._sine, u, axis) * self._mode_scale
+        ax = axis - self.dim
+        c = _along(self._sine, u, ax) * self._mode_scale
         c = self._mode_mult(c, -self.kappa[axis] ** 2, axis)
-        return _along(self._sine, c, axis)
+        return _along(self._sine, c, ax)
 
     def d2(self, u: np.ndarray, ax_i: int, ax_j: int) -> np.ndarray:
         """Second derivative d^2/dx_i dx_j (mixed terms via nested dx)."""
@@ -140,11 +147,11 @@ class SineBasis:
         return self.from_modes(self.to_modes(u) * self.bilap_modes)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        """Stacked first derivatives, shape (dim, *shape)."""
+        """Stacked first derivatives, shape (dim, ..., *shape)."""
         return np.stack([self.dx(u, ax) for ax in range(self.dim)])
 
     def hessian(self, u: np.ndarray) -> np.ndarray:
-        """Stacked second derivatives, shape (dim, dim, *shape)."""
+        """Stacked second derivatives, shape (dim, dim, ..., *shape)."""
         rows = []
         for i in range(self.dim):
             rows.append([self.d2(u, i, j) for j in range(self.dim)])

@@ -1,0 +1,218 @@
+"""Batched marches: a (B, *shape) start marches each row independently.
+
+The spectral operators act on trailing spatial axes, so a stack of
+fields runs through the one step loop.  On every path (exact diagonal, 1D
+mode-space LU, 2D Richardson, and the reaction relaxation on top of
+them) a row's arithmetic must not depend on its batch-mates: a row
+marched in a batch of B >= 2 gives the same bits as the same row marched
+in any other batch of B >= 2 (dense products with one row take a
+different BLAS kernel, so single fields are compared with a tolerance).
+"""
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from insens4.cascade_sentinel import sentinel, sentinel_sensitivity
+from insens4.config import apply_quick, default_config, problem_from_config
+from insens4.errors import EngineError
+from insens4.nonlinearity import make_nonlinearity
+from insens4.pde_engine import (
+    Trajectory,
+    make_schedule,
+    solve_backward,
+    solve_forward,
+    solve_forward_nonlinear,
+)
+from insens4.problem_setup import CoefficientField, build_grid
+from conftest import unit_smooth
+
+SETTINGS = settings(max_examples=8, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# path name -> (dimension, coefficients that select it)
+PATHS = ("diagonal-1d", "diagonal-2d", "lu-1d", "richardson-2d")
+
+
+def _grid(dim):
+    return build_grid(1, 2.0, 16, 0.5, 16) if dim == 1 else \
+        build_grid(2, 2.0, 8, 0.5, 16)
+
+
+def _coefficients(path, draw):
+    """Random coefficients of the kind that routes a march to ``path``."""
+    dim = 2 if path.endswith("2d") else 1
+    a0, a1, b0, bii, amp = draw
+    coeffs = {
+        "a0": CoefficientField.constant("a0", a0, dim),
+        "a1": CoefficientField.constant("a1", a1, dim),
+        "b": CoefficientField.constant("b", bii * np.eye(dim), dim),
+    }
+    if not path.startswith("diagonal"):
+        # a first-order term and an x-dependent damping leave the
+        # sine-diagonal path
+        coeffs["b0"] = CoefficientField.constant("b0", np.full(dim, b0), dim)
+        def damping(*mesh_t):
+            shape = np.broadcast(*mesh_t[:-1]).shape
+            return a0 + amp * np.sin(np.pi * mesh_t[0]) * np.ones(shape)
+
+        coeffs["a0"] = CoefficientField.from_callable(
+            "a0", damping, abs(a0) + abs(amp), time_constant=True)
+    return dim, coeffs
+
+
+coefficient_draws = st.tuples(
+    st.floats(-1.0, 3.0), st.floats(-0.3, 0.3), st.floats(-1.0, 1.0),
+    st.floats(-0.2, 0.2), st.floats(0.0, 2.0))
+
+
+def _stack(basis, seed, rows):
+    rng = np.random.default_rng(seed)
+    return np.array([unit_smooth(basis, rng) for _ in range(rows)])
+
+
+def _source(grid, seed):
+    rng = np.random.default_rng(seed + 1)
+    return rng.standard_normal((grid.n_steps,) + grid.shape)
+
+
+def _assert_rows_match(march, starts):
+    """Each row of a batched march equals that row marched in a pair."""
+    full = march(starts)
+    assert full.fields.shape == (full.fields.shape[0],) + starts.shape
+    for i, row in enumerate(starts):
+        pair = march(np.array([row, starts[(i + 1) % len(starts)]]))
+        assert np.array_equal(full.fields[:, i], pair.fields[:, 0])
+        assert np.array_equal(full.state0[i], pair.state0[0])
+        assert np.array_equal(full.stateT[i], pair.stateT[0])
+    # a single field takes matrix-vector products: equal up to rounding
+    one = march(starts[0])
+    scale = np.abs(full.fields[:, 0]).max()
+    assert np.abs(one.fields - full.fields[:, 0]).max() <= 1e-12 * scale
+    return full
+
+
+class TestBatchedLinearMarch:
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    @SETTINGS
+    @given(draw=coefficient_draws, seed=st.integers(0, 2**16), rows=st.integers(3, 5))
+    def test_rows_are_independent(self, path, backward, draw, seed, rows):
+        dim, coeffs = _coefficients(path, draw)
+        grid = _grid(dim)
+        schedule = make_schedule(grid, coeffs)
+        source = _source(grid, seed)
+        solve = solve_backward if backward else solve_forward
+        _assert_rows_match(lambda s: solve(grid, schedule, s, source),
+                           _stack(grid.basis, seed, rows))
+
+    def test_on_step_streams_what_it_returns(self):
+        grid = _grid(1)
+        schedule = make_schedule(grid, {})
+        starts = _stack(grid.basis, 3, 4)
+        full = solve_forward(grid, schedule, starts)
+        seen = []
+
+        def keep_last(j, mid):
+            seen.append(j)
+            return mid[-1]
+
+        streamed = solve_forward(grid, schedule, starts, on_step=keep_last)
+        assert seen == list(range(grid.n_steps))
+        assert np.array_equal(streamed.fields, full.fields[:, -1])
+        assert np.array_equal(streamed.stateT, full.stateT)
+
+    def test_start_shape_rejected(self):
+        grid = _grid(1)
+        with pytest.raises(EngineError) as exc:
+            solve_forward(grid, make_schedule(grid, {}), np.zeros((2, 3, 15)))
+        assert exc.value.code == "start-shape"
+
+
+class TestBatchedNonlinearMarch:
+    @pytest.mark.parametrize("kind", ["tanh", "mixed"])
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(SETTINGS, max_examples=5)
+    @given(draw=coefficient_draws, seed=st.integers(0, 2**16),
+           scale=st.floats(0.1, 1.0), amp=st.floats(0.5, 3.0))
+    def test_rows_are_independent(self, kind, path, draw, seed, scale, amp):
+        dim, coeffs = _coefficients(path, draw)
+        grid = _grid(dim)
+        schedule = make_schedule(grid, coeffs)
+        nl = make_nonlinearity(kind, scale=scale, dim=dim)
+        source = _source(grid, seed)
+        starts = amp * _stack(grid.basis, seed, 3)
+        _assert_rows_match(
+            lambda s: solve_forward_nonlinear(grid, schedule, nl, s, source),
+            starts)
+
+    def test_rows_converge_to_their_own_tolerance(self):
+        # the relaxed step is the CN step with F at the midpoint: the
+        # residual of every row sits at the fixed-point tolerance
+        grid = _grid(1)
+        basis = grid.basis
+        nl = make_nonlinearity("tanh", scale=2.0)
+        starts = np.array([3.0, 0.0, -1.0])[:, None] \
+            * _stack(basis, 5, 1)
+        traj = solve_forward_nonlinear(grid, make_schedule(grid, {}), nl, starts)
+        u = traj.state0
+        for mid in traj.fields:
+            new = 2.0 * mid - u
+            react = nl.f(mid, basis.gradient(mid), basis.hessian(mid))
+            resid = new - u + grid.dt * (basis.bilap(mid) - react)
+            assert np.abs(resid).max() <= 1e-8 * (1 + np.abs(u).max())
+            u = new
+        assert np.array_equal(traj.fields[:, 1], np.zeros_like(traj.fields[:, 1]))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_relaxation_stall_names_step_and_row(self, batched):
+        grid = _grid(1)
+        nl = make_nonlinearity("tanh", scale=1.0)
+        y0 = _stack(grid.basis, 7, 1)[0]
+        # a zero row with no source has a zero reaction and converges in
+        # one sweep; the perturbed row cannot within picard_cap = 1
+        start = np.array([np.zeros_like(y0), y0]) if batched else y0
+        with pytest.raises(EngineError) as exc:
+            solve_forward_nonlinear(grid, make_schedule(grid, {}), nl, start,
+                                    picard_cap=1)
+        err = exc.value
+        assert err.code == "inner-solve-divergence"
+        assert err.context["step"] == 0
+        assert err.context["row"] == (1 if batched else None)
+        assert len(err.context["updates"]) == 1
+        assert err.context["updates"][0] > 1e-11
+        assert "step 0" in str(err)
+        assert ("row 1" in str(err)) == batched
+
+
+@functools.lru_cache
+def _quick_problem(kind):
+    cfg = apply_quick(default_config())
+    cfg["nonlinearity"] = {"kind": kind, "scale": 0.5}
+    return problem_from_config(cfg)
+
+
+class TestStreamedSentinel:
+    @pytest.mark.parametrize("kind", ["zero", "tanh", "mixed"])
+    @settings(SETTINGS, max_examples=6)
+    @given(seed=st.integers(0, 2**16), tau=st.floats(1e-3, 0.3),
+           rows=st.integers(1, 3))
+    def test_matches_sentinel_of_full_trajectory(self, kind, seed, tau, rows):
+        p = _quick_problem(kind)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        yhats = np.array([unit_smooth(p.basis, rng) for _ in range(rows)])
+        reports = sentinel_sensitivity(p, v, yhats, tau_probe=tau)
+        # the same runs as one stored batched march
+        source = p.force_fields + p.omega.values * v
+        starts = np.concatenate([tau * yhats, -tau * yhats])
+        full = solve_forward_nonlinear(
+            p.grid, make_schedule(p.grid, p.coefficients), p.nonlinearity,
+            starts, source)
+        for i, report in enumerate(reports):
+            for got, row in ((report.phi_plus, i), (report.phi_minus, rows + i)):
+                want = sentinel(Trajectory(p.basis, p.grid.dt, p.grid.times,
+                                           full.fields[:, row], starts[row],
+                                           full.stateT[row]), p.obs.values)
+                assert got == pytest.approx(want, rel=1e-13, abs=0)

@@ -5,6 +5,8 @@ J(x) - penalty(x) must equal <grad(x) + grad(0), x> / 2 exactly; that
 identity plus J(0) = 0 pins the assembled objective against the
 gradient with no reference to the minimizer at all.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,16 @@ class TestQuadraticPenalty:
         rep = verify_null(r)
         assert rep.q0_norm == pytest.approx(r.q0_norm, rel=1e-13)
         assert rep.passed == (r.q0_norm <= 1.01 * 1e-3 and rep.bound_within)
+
+    def test_null_check_bound_follows_constants(self, quick_problem):
+        # verify_null and the minimizers share one control-bound formula;
+        # scaling H by 4 doubles the bound
+        r = minimize_quadratic(quick_problem, 1e-3)
+        assert verify_null(r).bound_value == r.bound_value
+        constants = dataclasses.replace(
+            quick_problem.constants, cost_h=4 * quick_problem.constants.cost_h)
+        rep = verify_null(r, constants=constants)
+        assert rep.bound_value == pytest.approx(2 * r.bound_value, rel=1e-15)
 
 
 class TestRatioSample:

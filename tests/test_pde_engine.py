@@ -449,9 +449,14 @@ class TestTrajectory:
             grid.basis.inner(traj.fields[j], w[j]) for j in range(grid.n_steps))
         assert traj.inner_l2q(other) == pytest.approx(direct, rel=1e-12)
 
-    def test_at_returns_midpoint_record(self):
+    def test_fields_record_midpoint_averages(self):
+        # fields[j] averages the integer-node states u_j and u_{j+1}, so
+        # u_{j+1} = 2 fields[j] - u_j carries state0 to stateT
         _, traj = self._traj()
-        assert np.array_equal(traj.at(3), traj.fields[3])
+        u = traj.state0
+        for f in traj.fields:
+            u = 2.0 * f - u
+        assert np.allclose(u, traj.stateT, rtol=0, atol=1e-12)
 
 
 class TestEnergyGrowth:

@@ -135,3 +135,25 @@ def test_h2_norm_single_mode():
 def test_h2_norm_dominates_l2(basis):
     u = _random(basis, 10)
     assert basis.h2_norm_sq(u) >= basis.inner(u, u)
+
+
+def test_operators_act_per_field_of_a_stack(basis):
+    # spatial axes are trailing: a (3, *shape) stack is three fields
+    stack = np.random.default_rng(11).standard_normal((3,) + basis.shape)
+    ops = [basis.to_modes, basis.from_modes, basis.lap, basis.bilap,
+           basis.gradient, basis.hessian]
+    for ax in range(basis.dim):
+        ops += [lambda u, ax=ax: basis.dx(u, ax),
+                lambda u, ax=ax: basis.dx_t(u, ax),
+                lambda u, ax=ax: basis.dxx(u, ax)]
+        for bx in range(basis.dim):
+            ops += [lambda u, ax=ax, bx=bx: basis.d2(u, ax, bx),
+                    lambda u, ax=ax, bx=bx: basis.d2_t(u, ax, bx)]
+    for op in ops:
+        out = op(stack)
+        lead = out.ndim - stack.ndim   # component axes come first
+        assert out.shape[lead:] == stack.shape
+        scale = np.abs(out).max()
+        for i, u in enumerate(stack):
+            got = out[(slice(None),) * lead + (i,)]
+            assert np.abs(got - op(u)).max() <= 1e-14 * scale

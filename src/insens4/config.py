@@ -89,6 +89,9 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
+# Smallest admissible value of integer keys that have one.
+_MINIMUM = {("sampling", "samples"): 1, ("sampling", "mode_cap"): 0}
+
 _BOOL = {"true": True, "1": True, "yes": True, "on": True,
          "false": False, "0": False, "no": False, "off": False}
 
@@ -135,7 +138,8 @@ def parse_config(path: str | Path | None = None) -> dict:
     SetupError
         ``config-missing`` for an unreadable path, ``config-parse`` for
         malformed syntax, ``config-unknown-key`` for keys or sections
-        outside the schema, ``config-value`` for uncoercible values.
+        outside the schema, ``config-value`` for uncoercible values and
+        for sample counts below one or negative mode caps.
     """
     cfg = default_config()
     if path is None:
@@ -161,6 +165,12 @@ def parse_config(path: str | Path | None = None) -> dict:
                     f"{path}: unknown key {key!r} in section [{section}]")
             kind = SCHEMA[section][key][0]
             cfg[section][key] = _coerce(section, key, kind, raw)
+            floor = _MINIMUM.get((section, key))
+            if floor is not None and cfg[section][key] < floor:
+                raise SetupError(
+                    "config-value",
+                    f"{path}: [{section}] {key} must be >= {floor}, "
+                    f"got {cfg[section][key]}")
     return cfg
 
 

@@ -37,7 +37,7 @@ from .cascade_sentinel import (
     solve_cascade,
 )
 from .errors import SynthesisError
-from .pde_engine import Trajectory
+from .pde_engine import Trajectory, solve_backward, solve_forward
 from .problem_setup import ValidatedProblem
 
 __all__ = [
@@ -589,13 +589,29 @@ def verify_null(result: ControlResult, constants=None,
 
 def _ratio_for(problem: ValidatedProblem, phi0: Array, weights: Array,
                ops: CascadeOperators) -> tuple[float, bool]:
-    """One observability ratio: weighted energy over control-window energy."""
-    basis = problem.basis
-    pair = solve_adjoint_pair(problem, phi0, ops=ops)
-    psi2 = pair.psi.fields ** 2
-    cell = problem.grid.dt * basis.cell_volume
-    num = cell * float(weights @ psi2.reshape(len(weights), -1).sum(axis=1))
-    den = cell * float(np.sum(problem.omega.values * psi2))
+    """One observability ratio: weighted energy over control-window energy.
+
+    The adjoint pair of :func:`solve_adjoint_pair`, marched on the box
+    its source reads: phi is recorded on the obs box only, psi marches
+    back from the box source chi_obs phi, and psi's ``on_step`` streams
+    the per-step sums of psi^2 and of omega psi^2 over the domain (one
+    product with both weight rows), so no (Nt, *shape) field is stored.
+    """
+    grid = problem.grid
+    obs = problem.obs
+    phi = solve_forward(grid, ops.costate_schedule, phi0, record_box=obs.box)
+    energy_weights = np.stack([np.ones(grid.shape),
+                               problem.omega.values]).reshape(2, -1)
+
+    def energies(j: int, mid: Array) -> Array:
+        return energy_weights @ (mid * mid).reshape(-1)
+
+    psi = solve_backward(grid, ops.state_schedule, np.zeros(grid.shape),
+                         obs.values[obs.box] * phi.fields, on_step=energies,
+                         source_box=obs.box)
+    cell = grid.dt * problem.basis.cell_volume
+    num = cell * float(weights @ psi.fields[:, 0])
+    den = cell * float(np.sum(psi.fields[:, 1]))
     if den <= 1e-300:
         return math.nan, True
     return num / den, False
@@ -618,6 +634,17 @@ def observability_ratio_sample(
     the same seed reproduces the same continuum seeds across grid
     refinements.  Degenerate draws (underflowing denominator) are
     skipped and reported, never asserted against.
+
+    Each draw transforms only what its obs mask reads: phi's midpoints on
+    the obs box and psi's source on that box; psi's two energies are
+    streamed step by step, so one midpoint transform per step is
+    full-grid and no space-time field is stored.
+
+    Raises
+    ------
+    SynthesisError
+        ``sample-count`` when ``n_samples < 1``, ``mode-cap`` when the
+        mode cap is below one.
     """
     if n_samples < 1:
         raise SynthesisError("sample-count",
@@ -629,7 +656,7 @@ def observability_ratio_sample(
     dim = len(shape)
     cap = min(shape) if mode_cap is None else min(int(mode_cap), min(shape))
     if cap < 1:
-        raise SynthesisError("sample-count", f"mode cap must be >= 1, got {cap}")
+        raise SynthesisError("mode-cap", f"mode cap must be >= 1, got {cap}")
     rng = np.random.default_rng(np.random.Philox(seed))
     rate_m = problem.constants.rate_m
     weights = np.exp(-rate_m / np.sqrt(problem.grid.times))

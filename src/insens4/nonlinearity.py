@@ -29,7 +29,8 @@ class NonlinearitySpec:
     ``f(u, p, r)`` takes the state u with shape S, the gradient stack p
     with shape (dim, *S) and the Hessian stack r with shape (dim, dim, *S),
     and returns an array of shape S.  ``f_u``, ``f_p``, ``f_r`` return the
-    partials with shapes S, (dim, *S) and (dim, dim, *S).
+    partials with shapes S, (dim, *S) and (dim, dim, *S).  An entry with
+    ``state_only`` set never reads the values of p and r.
     """
 
     name: str
@@ -43,6 +44,8 @@ class NonlinearitySpec:
     # box (u_max, p_max, r_max) on which the declared constant is claimed;
     # None means the claim is global.
     box: tuple[float, float, float] | None = None
+    # True when F reads only u, so callers may skip computing p and r
+    state_only: bool = False
     f0: float = field(init=False)
 
     def __post_init__(self):
@@ -123,7 +126,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             f_u=lambda u, p, r: np.zeros_like(u),
             f_p=lambda u, p, r: zeros_like_p(p),
             f_r=lambda u, p, r: zeros_like_r(r),
-            lipschitz_declared=0.0,
+            lipschitz_declared=0.0, state_only=True,
         )
     elif kind == "linear":
         spec = NonlinearitySpec(
@@ -132,7 +135,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             f_u=lambda u, p, r: np.full_like(u, c),
             f_p=lambda u, p, r: zeros_like_p(p),
             f_r=lambda u, p, r: zeros_like_r(r),
-            lipschitz_declared=abs(c),
+            lipschitz_declared=abs(c), state_only=True,
         )
     elif kind == "tanh":
         spec = NonlinearitySpec(
@@ -141,7 +144,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             f_u=lambda u, p, r: c / np.cosh(u) ** 2,
             f_p=lambda u, p, r: zeros_like_p(p),
             f_r=lambda u, p, r: zeros_like_r(r),
-            lipschitz_declared=abs(c),
+            lipschitz_declared=abs(c), state_only=True,
         )
     elif kind == "sin":
         spec = NonlinearitySpec(
@@ -150,7 +153,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             f_u=lambda u, p, r: c * np.cos(u),
             f_p=lambda u, p, r: zeros_like_p(p),
             f_r=lambda u, p, r: zeros_like_r(r),
-            lipschitz_declared=abs(c),
+            lipschitz_declared=abs(c), state_only=True,
         )
     elif kind == "quadratic":
         u_max = 3.0
@@ -161,7 +164,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             f_p=lambda u, p, r: zeros_like_p(p),
             f_r=lambda u, p, r: zeros_like_r(r),
             lipschitz_declared=2 * abs(c) * u_max,
-            box=(u_max, 0.0, 0.0),
+            box=(u_max, 0.0, 0.0), state_only=True,
         )
     elif kind == "mixed":
         def f(u, p, r):

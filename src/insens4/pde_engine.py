@@ -52,6 +52,14 @@ relaxes it by lagged iteration from F(u_j), and a row stops updating once
 its update meets picard_tol (1 + |u_j|).  An ``on_step`` hook sees every
 midpoint average and chooses what the trajectory records, so a batched
 march can stream a reduction instead of storing every row.
+
+A linear march can also take its source on a box of nodes (one slice per
+axis, zero outside) and record its midpoints on a box only.  The diagonal
+path then transforms the source in and the midpoints out with boxed sine
+transforms, the 1D LU path multiplies by the matching rows of its to/from
+mode matrices, and the Richardson path embeds the source into and slices
+the midpoints out of its physical-space state.  A march whose source or
+observer lives on a subdomain pays for the subdomain only.
 """
 from __future__ import annotations
 
@@ -106,12 +114,18 @@ class NodeCoefficients:
 
 
 class _FactorCache:
-    """A schedule's 1D mode-space LU factors, kept between marches."""
+    """A schedule's step factors, kept between marches.
 
+    ``diagonal`` is (march key, per-step mode factors or None when the
+    schedule is not diagonal); ``mode_lu`` the 1D mode-space LU factors.
+    """
+
+    diagonal: tuple | None = None
     mode_lu: "_ModeLU | None" = None
 
     def release_factors(self) -> None:
         """Drop the cached factors; the next march rebuilds them."""
+        self.diagonal = None
         self.mode_lu = None
 
 
@@ -253,18 +267,26 @@ class Trajectory:
         return float(self.dt * self.basis.cell_volume * np.sum(self.fields * other.fields))
 
 
-def _source_fields(grid: Grid, source) -> np.ndarray | None:
+def _on_box(u: Array, box: tuple[slice, ...] | None = None) -> Array:
+    """The trailing spatial axes of u restricted to ``box`` (all of u for None)."""
+    return u if box is None else u[(...,) + box]
+
+
+def _source_fields(grid: Grid, source, box: tuple[slice, ...] | None = None
+                   ) -> np.ndarray | None:
     if source is None:
         return None
+    basis = grid.basis
     if callable(source):
-        basis = grid.basis
         out = np.empty((grid.n_steps,) + basis.shape)
         for j, t in enumerate(grid.times):
             out[j] = np.broadcast_to(np.asarray(source(*basis.mesh(), t), float),
                                      basis.shape)
-        return out
+        return _on_box(out, box)
     out = np.asarray(source, dtype=float)
-    expected = (grid.n_steps,) + grid.basis.shape
+    shape = basis.shape if box is None else \
+        tuple(len(range(n)[sl]) for n, sl in zip(basis.shape, box))
+    expected = (grid.n_steps,) + shape
     if out.shape != expected:
         raise EngineError("source-shape", f"source must have shape {expected}, got {out.shape}")
     return out
@@ -324,7 +346,19 @@ def _mode_factors(basis: SineBasis, dt: float, key: tuple[float, ...],
 
 def _diagonal_factors(basis: SineBasis, schedule, nt: int,
                       dt: float) -> list[tuple[Array, Array]] | None:
-    """Per-step mode factors when every node is diagonal in the sine basis."""
+    """Per-step mode factors when every node is diagonal in the sine basis.
+
+    The result, None included, is cached on the schedule for later marches.
+    """
+    key = (dt, nt, basis.extents, basis.n_cells)
+    cached = getattr(schedule, "diagonal", None)
+    if cached is None or cached[0] != key:
+        cached = schedule.diagonal = (key, _scan_diagonal(basis, schedule, nt, dt))
+    return cached[1]
+
+
+def _scan_diagonal(basis: SineBasis, schedule, nt: int,
+                   dt: float) -> list[tuple[Array, Array]] | None:
     cache: dict[tuple[float, ...], tuple[Array, Array]] = {}
     factors = []
     last = None
@@ -462,18 +496,21 @@ class _DiagonalPath:
     """Exact per-mode recurrence; the state is kept in sine coefficients.
 
     Each path steps in its own representation of the state: ``enter``
-    and ``leave`` convert the end states and ``physical`` a midpoint,
-    ``linear(j, x)`` is the part of step j that does not depend on the
-    reaction, and ``advance`` completes the step with an extra physical
-    source, returning the new state and the midpoint.
+    and ``leave`` convert the end states and ``physical(mid, box=None)``
+    a midpoint (to its values on ``box``), ``linear(j, x)`` is the part of
+    step j that does not depend on the reaction, and ``advance`` completes
+    the step with an extra physical source, returning the new state and
+    the midpoint.  ``source`` holds values on ``source_box`` when given.
     """
 
     defers_fields = False
 
-    def __init__(self, basis: SineBasis, factors, source: Array | None):
+    def __init__(self, basis: SineBasis, factors, source: Array | None,
+                 source_box: tuple[slice, ...] | None):
         self.basis = basis
         self.factors = factors
         self.source = source
+        self.source_box = source_box
         self.enter = basis.to_modes
         self.leave = self.physical = basis.from_modes
 
@@ -482,7 +519,7 @@ class _DiagonalPath:
         r, d = self.factors[j]
         base = r * x
         if self.source is not None:
-            base += d * self.basis.to_modes(self.source[j])
+            base += d * self.basis.to_modes(self.source[j], self.source_box)
         return base
 
     def advance(self, j: int, x: Array, base: Array, extra: Array | None):
@@ -500,14 +537,25 @@ class _LUPath:
 
     defers_fields = True
 
-    def __init__(self, factors: _ModeLU, source: Array | None, dt: float,
-                 transpose: bool):
+    def __init__(self, factors: _ModeLU, source: Array | None,
+                 source_box: tuple[slice, ...] | None, dt: float, transpose: bool):
         self.f = factors
         self.dt = dt
         self.transpose = transpose
-        self.src_hat = None if source is None else dt * (source @ factors.to_modes)
+        if source is None:
+            self.src_hat = None
+        else:
+            # T is symmetric: a boxed source meets the rows of T on its box
+            t_rows = factors.to_modes if source_box is None \
+                else factors.to_modes[source_box[0]]
+            self.src_hat = dt * (source @ t_rows)
         self.enter = functools.partial(_sym_apply, factors.to_modes)
-        self.leave = self.physical = functools.partial(_sym_apply, factors.from_modes)
+        self.leave = functools.partial(_sym_apply, factors.from_modes)
+
+    def physical(self, mid: Array, box: tuple[slice, ...] | None = None) -> Array:
+        if box is None:
+            return self.leave(mid)
+        return mid @ self.f.from_modes[:, box[0]]
 
     def linear(self, j: int, x: Array) -> Array:
         """2 u^_j + dt g^_j."""
@@ -540,10 +588,12 @@ class _RichardsonPath:
     defers_fields = False
 
     def __init__(self, basis: SineBasis, schedule, source: Array | None,
-                 dt: float, transpose: bool, inner_tol: float, inner_cap: int):
+                 source_box: tuple[slice, ...] | None, dt: float,
+                 transpose: bool, inner_tol: float, inner_cap: int):
         self.basis = basis
         self.schedule = schedule
         self.source = source
+        self.source_box = source_box
         self.dt = dt
         self.c = dt / 2
         self.pre = 1.0 + self.c * basis.bilap_modes
@@ -556,14 +606,18 @@ class _RichardsonPath:
     def enter(u: Array) -> Array:
         return u
 
-    leave = physical = enter
+    leave = enter
+    physical = staticmethod(_on_box)
 
     def linear(self, j: int, x: Array) -> Array:
         """(I - c A_j) u_j + dt g_j."""
         basis = self.basis
         rhs = x - self.c * (basis.bilap(x) + self.lower(basis, self.schedule.node(j), x))
-        if self.source is not None:
-            rhs = rhs + self.dt * self.source[j]
+        if self.source is None:
+            return rhs
+        if self.source_box is None:
+            return rhs + self.dt * self.source[j]
+        rhs[(...,) + self.source_box] += self.dt * self.source[j]
         return rhs
 
     def advance(self, j: int, x: Array, rhs: Array, extra: Array | None):
@@ -607,15 +661,16 @@ class _RichardsonPath:
 
 
 def _path(basis: SineBasis, schedule, nt: int, dt: float, source: Array | None,
-          transpose: bool, inner_tol: float, inner_cap: int):
+          source_box: tuple[slice, ...] | None, transpose: bool,
+          inner_tol: float, inner_cap: int):
     """The cheapest exact solver of the march's steps."""
     factors = _diagonal_factors(basis, schedule, nt, dt)
     if factors is not None:
-        return _DiagonalPath(basis, factors, source)
+        return _DiagonalPath(basis, factors, source, source_box)
     mode_lu = _mode_lu(basis, schedule, nt, dt)
     if mode_lu is not None:
-        return _LUPath(mode_lu, source, dt, transpose)
-    return _RichardsonPath(basis, schedule, source, dt, transpose,
+        return _LUPath(mode_lu, source, source_box, dt, transpose)
+    return _RichardsonPath(basis, schedule, source, source_box, dt, transpose,
                            inner_tol, inner_cap)
 
 
@@ -663,8 +718,13 @@ def _march(
     picard_tol: float = 1e-11,
     picard_cap: int = 50,
     on_step: Callable[[int, Array], Array] | None = None,
+    source_box: tuple[slice, ...] | None = None,
+    record_box: tuple[slice, ...] | None = None,
 ) -> Trajectory:
-    """The one CN step loop behind every march (see the module notes)."""
+    """The one CN step loop behind every march (see the module notes).
+
+    ``record_box`` applies to linear marches only (``reaction`` None).
+    """
     basis = grid.basis
     nt = grid.n_steps
     dt = grid.dt
@@ -675,7 +735,8 @@ def _march(
             "start-shape", f"start must have shape {basis.shape} or "
             f"(B, *{basis.shape}), got {first.shape}")
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
-    path = _path(basis, schedule, nt, dt, source, transpose, inner_tol, inner_cap)
+    path = _path(basis, schedule, nt, dt, source, source_box, transpose,
+                 inner_tol, inner_cap)
     defer = path.defers_fields and reaction is None and on_step is None
     fields = None
     x = path.enter(first)
@@ -685,7 +746,7 @@ def _march(
         if reaction is None:
             x, mid = path.advance(j, x, base, None)
             if not defer:
-                mid = path.physical(mid)
+                mid = path.physical(mid, record_box)
         else:
             x, mid = _relax(path, j, x, base, u, reaction, picard_tol,
                             picard_cap, basis.dim)
@@ -695,7 +756,7 @@ def _march(
             fields = np.empty((nt,) + np.shape(rec))
         fields[j] = rec
     if defer:
-        fields = path.physical(fields)
+        fields = path.physical(fields, record_box)
     state = path.leave(x)
     if transpose:
         return Trajectory(basis, dt, grid.times, fields, state0=state, stateT=first)
@@ -710,6 +771,8 @@ def solve_forward(
     inner_tol: float = 1e-13,
     inner_cap: int = 200,
     on_step: Callable[[int, Array], Array] | None = None,
+    source_box: tuple[slice, ...] | None = None,
+    record_box: tuple[slice, ...] | None = None,
 ) -> Trajectory:
     """March the state equation from t = 0 to t = T.
 
@@ -722,11 +785,17 @@ def solve_forward(
         source; the trajectory's arrays then carry the batch axis after
         the time axis.
     source : None, array (Nt, *shape), or callable(*mesh, t)
-        Source evaluated at midpoint nodes.
+        Source evaluated at midpoint nodes.  With ``source_box`` an array
+        holds the values on that box, (Nt, *box shape), and the source is
+        zero elsewhere; a callable is restricted to the box.
     on_step : callable(j, mid) -> array, optional
         Sees each step's midpoint average and returns what ``fields[j]``
         records, so a batched march can stream a reduction instead of
         storing every row.
+    source_box, record_box : tuple of slices, optional
+        Boxes of nodes, one slice per axis.  With ``record_box`` the
+        midpoints (what ``on_step`` sees and ``fields`` records) are the
+        values on that box only; the end states stay whole.
 
     Raises
     ------
@@ -734,9 +803,9 @@ def solve_forward(
         ``inner-solve-divergence`` when the preconditioned fixed point
         for the implicit half-system stalls above tolerance.
     """
-    src = _source_fields(grid, source)
+    src = _source_fields(grid, source, source_box)
     return _march(grid, schedule, initial, src, False, inner_tol, inner_cap,
-                  on_step=on_step)
+                  on_step=on_step, source_box=source_box, record_box=record_box)
 
 
 def solve_backward(
@@ -746,14 +815,20 @@ def solve_backward(
     source=None,
     inner_tol: float = 1e-13,
     inner_cap: int = 200,
+    on_step: Callable[[int, Array], Array] | None = None,
+    source_box: tuple[slice, ...] | None = None,
+    record_box: tuple[slice, ...] | None = None,
 ) -> Trajectory:
     """March the exact transpose steps from t = T down to t = 0.
 
     The result's ``state0`` is the adjoint state at t = 0 on the integer
-    node, the quantity every duality identity below refers to.
+    node, the quantity every duality identity below refers to.  The
+    source, ``on_step`` and the boxes are as in :func:`solve_forward`;
+    ``on_step`` sees the steps from j = Nt - 1 down to 0.
     """
-    src = _source_fields(grid, source)
-    return _march(grid, schedule, terminal, src, True, inner_tol, inner_cap)
+    src = _source_fields(grid, source, source_box)
+    return _march(grid, schedule, terminal, src, True, inner_tol, inner_cap,
+                  on_step=on_step, source_box=source_box, record_box=record_box)
 
 
 def solve_forward_nonlinear(
@@ -786,8 +861,14 @@ def solve_forward_nonlinear(
                              inner_cap, on_step=on_step)
     basis = grid.basis
 
-    def reaction(u: Array) -> Array:
-        return nonlinearity.f(u, basis.gradient(u), basis.hessian(u))
+    if nonlinearity.state_only:
+        def reaction(u: Array) -> Array:
+            # F ignores p and r: zero-stride placeholders of their shapes
+            return nonlinearity.f(u, np.broadcast_to(0.0, (basis.dim,) + u.shape),
+                                  np.broadcast_to(0.0, (basis.dim,) * 2 + u.shape))
+    else:
+        def reaction(u: Array) -> Array:
+            return nonlinearity.f(u, basis.gradient(u), basis.hessian(u))
 
     src = _source_fields(grid, source)
     return _march(grid, schedule, initial, src, False, inner_tol, inner_cap,

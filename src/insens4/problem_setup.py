@@ -102,13 +102,18 @@ def build_grid(
 
 @dataclass
 class SubdomainMask:
-    """Node indicator of a union of boxes; sharp masks are exactly 0/1."""
+    """Node indicator of a union of boxes; sharp masks are exactly 0/1.
+
+    ``box`` is the bounding box of ``support`` in node indices, one slice
+    per axis: every nonzero value lies in ``values[box]``.
+    """
 
     label: str
     boxes: tuple
     values: np.ndarray = field(repr=False)
     support: np.ndarray = field(repr=False)
     smooth: bool
+    box: tuple[slice, ...]
 
     @property
     def n_support(self) -> int:
@@ -177,9 +182,14 @@ def build_mask(grid: Grid, boxes, label: str = "", smooth: bool = False) -> Subd
     support = values > 0
     if not support.any():
         raise SetupError("empty-mask", f"mask {label!r} covers no interior node")
+    box = []
+    for ax in range(grid.dim):
+        others = tuple(a for a in range(grid.dim) if a != ax)
+        hit = np.flatnonzero(support.any(axis=others))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
     return SubdomainMask(
         label=label, boxes=norm, values=_freeze(values),
-        support=_freeze(support), smooth=bool(smooth),
+        support=_freeze(support), smooth=bool(smooth), box=tuple(box),
     )
 
 

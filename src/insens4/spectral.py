@@ -10,6 +10,13 @@ Spatial axes are trailing: spatial axis ``a`` of a ``dim``-D basis is
 array axis ``a - dim``, so every operator accepts a single field of shape
 ``shape`` or a stack ``(..., *shape)`` and acts on each field of the stack.
 A single 1D field keeps the matrix-vector product ``mat @ u``.
+
+The transforms also take a box of nodes, one slice per axis: ``to_modes(u,
+box)`` reads values given on the box only (zero elsewhere) and
+``from_modes(c, box)`` returns values on the box only.  Each pass then
+multiplies by a slice of the sine matrix, copied contiguous once per box,
+so a field supported on a quarter of the nodes costs a fraction of a full
+transform.  Unboxed calls run exactly the products they always have.
 """
 from __future__ import annotations
 
@@ -18,11 +25,16 @@ import numpy as np
 __all__ = ["SineBasis"]
 
 
-def _along(mat: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a symmetric dense matrix along array axis -1 or -2 of u."""
+def _along(mat: np.ndarray, u: np.ndarray, axis: int,
+           mat_t: np.ndarray | None = None) -> np.ndarray:
+    """Apply a dense matrix along array axis -1 or -2 of u.
+
+    ``mat_t`` is the transpose of ``mat``; it defaults to ``mat`` itself,
+    which is right for the symmetric full sine and cosine matrices.
+    """
     if axis == -2 or u.ndim == 1:
         return mat @ u
-    return u @ mat  # mat is symmetric, so u @ mat == u @ mat.T
+    return u @ (mat if mat_t is None else mat_t)
 
 
 class SineBasis:
@@ -70,6 +82,9 @@ class SineBasis:
         self._sine = np.sin(angles)
         self._cosine = np.cos(angles)
         self._mode_scale = 2.0 / n
+        self._full_slices = ((self._sine, self._sine),) * self.dim
+        self._box_slices: dict[tuple, tuple] = {}
+        self._last_box: tuple | None = None  # (box, slices) of the last call
         # positive Laplacian symbol sum_i kappa_i^2 on the mode lattice
         if self.dim == 1:
             self.lap_modes = self.kappa[0] ** 2
@@ -81,16 +96,37 @@ class SineBasis:
 
     # -- transforms ------------------------------------------------------
 
-    def to_modes(self, u: np.ndarray) -> np.ndarray:
+    def _slices(self, box: tuple[slice, ...] | None) -> tuple:
+        """Per axis, the sine-matrix slices S[:, r] and S[r, :] of ``box``."""
+        if box is None:
+            return self._full_slices
+        last = self._last_box
+        if last is not None and last[0] is box:
+            # a march passes the same box object at every step
+            return last[1]
+        key = tuple(sl.indices(n) for sl, n in zip(box, self.shape))
+        mats = self._box_slices.get(key)
+        if mats is None:
+            mats = tuple((np.ascontiguousarray(self._sine[:, sl]),
+                          np.ascontiguousarray(self._sine[sl, :])) for sl in box)
+            self._box_slices[key] = mats
+        self._last_box = (box, mats)
+        return mats
+
+    def to_modes(self, u: np.ndarray,
+                 box: tuple[slice, ...] | None = None) -> np.ndarray:
+        """Sine coefficients of u; with ``box``, u holds the values on it."""
         c = u
-        for axis in range(-self.dim, 0):
-            c = _along(self._sine, c, axis) * self._mode_scale
+        for axis, (cols, rows) in zip(range(-self.dim, 0), self._slices(box)):
+            c = _along(cols, c, axis, rows) * self._mode_scale
         return c
 
-    def from_modes(self, c: np.ndarray) -> np.ndarray:
+    def from_modes(self, c: np.ndarray,
+                   box: tuple[slice, ...] | None = None) -> np.ndarray:
+        """Node values of the coefficients c; with ``box``, on it only."""
         u = c
-        for axis in range(-self.dim, 0):
-            u = _along(self._sine, u, axis)
+        for axis, (cols, rows) in zip(range(-self.dim, 0), self._slices(box)):
+            u = _along(rows, u, axis, cols)
         return u
 
     def mesh(self) -> tuple[np.ndarray, ...]:

@@ -7,7 +7,12 @@ them) a row's arithmetic must not depend on its batch-mates: a row
 marched in a batch of B >= 2 gives the same bits as the same row marched
 in any other batch of B >= 2 (dense products with one row take a
 different BLAS kernel, so single fields are compared with a tolerance).
+
+A linear march may also take its source on a box of nodes and record its
+midpoints on a box; on every path that equals the full march with the
+source embedded in zeros and the record sliced to the box.
 """
+import dataclasses
 import functools
 
 import numpy as np
@@ -26,6 +31,7 @@ from insens4.pde_engine import (
     solve_forward_nonlinear,
 )
 from insens4.problem_setup import CoefficientField, build_grid
+from insens4.spectral import SineBasis
 from conftest import unit_smooth
 
 SETTINGS = settings(max_examples=8, deadline=None, derandomize=True,
@@ -65,6 +71,20 @@ def _coefficients(path, draw):
 coefficient_draws = st.tuples(
     st.floats(-1.0, 3.0), st.floats(-0.3, 0.3), st.floats(-1.0, 1.0),
     st.floats(-0.2, 0.2), st.floats(0.0, 2.0))
+
+
+# per axis (start fraction, width fraction) of a box of nodes
+box_draws = st.lists(st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 1.0)),
+                     min_size=2, max_size=2)
+
+
+def _box(draw, shape):
+    """A nonempty box of nodes, one slice per axis."""
+    box = []
+    for (lo, width), n in zip(draw, shape):
+        start = min(int(lo * n), n - 1)
+        box.append(slice(start, min(n, start + 1 + int(width * n))))
+    return tuple(box)
 
 
 def _stack(basis, seed, rows):
@@ -130,6 +150,72 @@ class TestBatchedLinearMarch:
         assert exc.value.code == "start-shape"
 
 
+class TestBoxedMarch:
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    @SETTINGS
+    @given(draw=coefficient_draws, seed=st.integers(0, 2**16),
+           box_draw=box_draws, rows=st.sampled_from([0, 2]))
+    def test_boxed_source_and_record_match_full(self, path, backward, draw,
+                                                seed, box_draw, rows):
+        dim, coeffs = _coefficients(path, draw)
+        grid = _grid(dim)
+        schedule = make_schedule(grid, coeffs)
+        box = _box(box_draw, grid.shape)
+        on_box = (...,) + box
+        source = np.zeros((grid.n_steps,) + grid.shape)
+        source[on_box] = _source(grid, seed)[on_box]
+        starts = _stack(grid.basis, seed, max(rows, 1))
+        if not rows:
+            starts = starts[0]
+        solve = functools.partial(solve_backward if backward else solve_forward,
+                                  grid, schedule, starts)
+        full = solve(source)
+        runs = {
+            "source": (solve(source[on_box], source_box=box), full.fields),
+            "record": (solve(source, record_box=box), full.fields[on_box]),
+            "both": (solve(source[on_box], source_box=box, record_box=box),
+                     full.fields[on_box]),
+        }
+        scale = np.abs(full.fields).max()
+        for name, (traj, want) in runs.items():
+            assert traj.fields.shape == want.shape, name
+            assert np.abs(traj.fields - want).max() <= 1e-12 * scale, name
+            for end in ("state0", "stateT"):
+                got, ref = getattr(traj, end), getattr(full, end)
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    def test_on_step_sees_the_record_box(self, backward):
+        grid = _grid(2)
+        box = (slice(1, 4), slice(2, 6))
+        seen = []
+
+        def norm(j, mid):
+            seen.append((j, mid.shape))
+            return np.sum(mid * mid)
+
+        solve = solve_backward if backward else solve_forward
+        start = _stack(grid.basis, 4, 1)[0]
+        traj = solve(grid, make_schedule(grid, {}), start, on_step=norm,
+                     record_box=box)
+        order = range(grid.n_steps)
+        assert seen == [(j, (3, 4)) for j in (order[::-1] if backward else order)]
+        full = solve(grid, make_schedule(grid, {}), start)
+        want = np.sum(full.fields[(...,) + box] ** 2, axis=(1, 2))
+        assert traj.fields.shape == (grid.n_steps,)
+        assert np.allclose(traj.fields, want, rtol=1e-13, atol=0)
+
+    def test_source_box_shape_checked(self):
+        grid = _grid(1)
+        with pytest.raises(EngineError) as exc:
+            solve_forward(grid, make_schedule(grid, {}), np.zeros(grid.shape),
+                          np.zeros((grid.n_steps,) + grid.shape),
+                          source_box=(slice(2, 5),))
+        assert exc.value.code == "source-shape"
+
+
 class TestBatchedNonlinearMarch:
     @pytest.mark.parametrize("kind", ["tanh", "mixed"])
     @pytest.mark.parametrize("path", PATHS)
@@ -146,6 +232,35 @@ class TestBatchedNonlinearMarch:
         _assert_rows_match(
             lambda s: solve_forward_nonlinear(grid, schedule, nl, s, source),
             starts)
+
+    @pytest.mark.parametrize("kind", ["tanh", "mixed"])
+    @pytest.mark.parametrize("path", ["diagonal-1d", "lu-1d"])
+    def test_state_only_reaction_skips_derivatives(self, kind, path, monkeypatch):
+        # tanh reads only u: the march computes no gradient or Hessian and
+        # gives the bits it gives when it does compute them
+        dim, coeffs = _coefficients(path, (0.5, 0.1, 0.3, 0.0, 1.0))
+        grid = _grid(dim)
+        schedule = make_schedule(grid, coeffs)
+        nl = make_nonlinearity(kind, scale=0.5)
+        starts = 2.0 * _stack(grid.basis, 9, 2)
+        source = _source(grid, 9)
+        want = solve_forward_nonlinear(grid, schedule,
+                                       dataclasses.replace(nl, state_only=False),
+                                       starts, source)
+        calls = []
+        for name in ("dx", "dxx"):
+            original = getattr(SineBasis, name)
+
+            def counted(basis, u, *args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(basis, u, *args, **kwargs)
+
+            monkeypatch.setattr(SineBasis, name, counted)
+        got = solve_forward_nonlinear(grid, schedule, nl, starts, source)
+        assert nl.state_only == (kind == "tanh")
+        assert (len(calls) == 0) == nl.state_only
+        assert np.array_equal(got.fields, want.fields)
+        assert np.array_equal(got.stateT, want.stateT)
 
     def test_rows_converge_to_their_own_tolerance(self):
         # the relaxed step is the CN step with F at the midpoint: the

@@ -195,6 +195,16 @@ class TestFailureModes:
         assert main(["weights-check", "--config", full,
                      "--out", str(tmp_path / "o2")]) == 0
 
+    @pytest.mark.parametrize("line", ["samples = 0", "mode_cap = -3"])
+    def test_bad_sampling_value_exits_1(self, tmp_path, capsys, line):
+        # a malformed value is a setup error (exit 1), not a failed check
+        cfg = _ini(tmp_path, "[sampling]\n%s\n" % line)
+        assert main(["observability", "--quick", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config-value" in err and line.split(" =")[0] in err
+        assert "Traceback" not in err
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["selftest", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path)]) == 1

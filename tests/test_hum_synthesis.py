@@ -10,7 +10,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from insens4 import hum_synthesis
 from insens4.cascade_sentinel import solve_adjoint_pair, solve_cascade
+from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.errors import SynthesisError
 from insens4.hum_synthesis import (
     eval_j,
@@ -21,6 +23,7 @@ from insens4.hum_synthesis import (
     shrink,
     verify_null,
 )
+from insens4.spectral import SineBasis
 
 
 class TestShrink:
@@ -166,7 +169,7 @@ class TestRatioSample:
         b = observability_ratio_sample(quick_problem, n_samples=4, seed=3)
         assert a.max_ratio == b.max_ratio
         assert a.n_samples == 4 and len(a.samples) == 4
-        assert {s["status"] for s in a.samples} <= {"ok", "degenerate"}
+        assert {s["status"] for s in a.samples} <= {"ok", "degenerate-psi"}
         assert a.max_ratio >= a.median_ratio > 0
         assert np.isfinite(a.empirical_c)
 
@@ -180,3 +183,67 @@ class TestRatioSample:
         with pytest.raises(SynthesisError) as exc:
             observability_ratio_sample(quick_problem, n_samples=0)
         assert exc.value.code == "sample-count"
+
+    def test_mode_cap_guard(self, quick_problem):
+        with pytest.raises(SynthesisError) as exc:
+            observability_ratio_sample(quick_problem, n_samples=1, mode_cap=-3)
+        assert exc.value.code == "mode-cap"
+
+    @pytest.mark.parametrize("case", ["1d-diagonal", "1d-lu", "2d-diagonal",
+                                      "2d-richardson"])
+    def test_matches_stored_pair_formula(self, case, monkeypatch):
+        # the boxed, streamed sampler against the ratio of the stored
+        # adjoint pair, draw by draw
+        problem = _ratio_problem(case)
+        got = observability_ratio_sample(problem, n_samples=4, seed=5)
+        monkeypatch.setattr(hum_synthesis, "_ratio_for", _stored_pair_ratio)
+        want = observability_ratio_sample(problem, n_samples=4, seed=5)
+        for g, w in zip(got.samples, want.samples):
+            assert (g["index"], g["decay"], g["status"]) == \
+                (w["index"], w["decay"], w["status"])
+            assert g["ratio"] == pytest.approx(w["ratio"], rel=1e-13, abs=0)
+
+    def test_full_grid_transforms_pinned(self, monkeypatch):
+        # per draw: psi's midpoint is the only full-grid transform of a
+        # step; the rest are the seed's synthesis and the end states of
+        # the two marches.  phi's record and psi's source stay on the
+        # obs box.
+        problem = _ratio_problem("2d-diagonal")
+        calls = {"full": 0, "boxed": 0}
+        for name in ("to_modes", "from_modes"):
+            original = getattr(SineBasis, name)
+
+            def counted(basis, u, box=None, _original=original):
+                calls["full" if box is None else "boxed"] += 1
+                return _original(basis, u, box)
+
+            monkeypatch.setattr(SineBasis, name, counted)
+        n, nt = 3, problem.grid.n_steps
+        observability_ratio_sample(problem, n_samples=n, seed=2)
+        assert calls["full"] <= n * (nt + 5)
+        assert calls["boxed"] == n * 2 * nt
+
+
+def _stored_pair_ratio(problem, phi0, weights, ops):
+    """The ratio from the stored (Nt, *shape) fields of the adjoint pair."""
+    pair = solve_adjoint_pair(problem, phi0, ops=ops)
+    psi2 = pair.psi.fields ** 2
+    cell = problem.grid.dt * problem.basis.cell_volume
+    num = cell * float(weights @ psi2.reshape(len(weights), -1).sum(axis=1))
+    den = cell * float(np.sum(problem.omega.values * psi2))
+    if den <= 1e-300:
+        return float("nan"), True
+    return num / den, False
+
+
+def _ratio_problem(case):
+    """Small problems whose marches take each path of the engine."""
+    cfg = apply_quick(default_config())
+    if case.startswith("2d"):
+        cfg["grid"].update(dimension=2, cells=12, steps=20)
+        cfg["domains"].update(omega="0.4:1.6,0.4:1.6", obs="0.8:1.8,0.8:1.8")
+    dim = cfg["grid"]["dimension"]
+    if case.endswith(("lu", "richardson")):
+        cfg["coefficients"]["b0"] = (0.3, -0.2)[:dim]
+        cfg["coefficients"]["a0"] = 0.5
+    return problem_from_config(cfg)

@@ -107,3 +107,16 @@ def test_inconsistent_partials_fail_fast():
     with pytest.raises(SetupError) as exc:
         _fd_check(broken, np.random.default_rng(0))
     assert exc.value.code == "partials-inconsistent"
+
+
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+def test_state_only_declaration_is_truthful(kind):
+    # entries that declare state_only must not read p or r
+    spec = make_nonlinearity(kind, scale=0.7, dim=2)
+    assert spec.state_only == (kind != "mixed")
+    rng = np.random.default_rng(3)
+    u = rng.uniform(-2, 2, (4,))
+    p, r = rng.uniform(-2, 2, (2, 4)), rng.uniform(-2, 2, (2, 2, 4))
+    moved = not np.array_equal(spec.f(u, p, r),
+                               spec.f(u, np.zeros_like(p), np.zeros_like(r)))
+    assert moved == (kind == "mixed")

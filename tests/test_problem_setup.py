@@ -85,6 +85,27 @@ class TestMask:
         expected = ((xs > 0.5) & (xs < 1.5))[:, None] & ((ys > 0.3) & (ys < 1.0))[None, :]
         assert np.array_equal(m.support, expected)
 
+    @pytest.mark.parametrize("dim,boxes,smooth", [
+        (1, [(0.5, 1.25)], False),
+        (1, [(0.2, 0.5), (1.5, 1.8)], False),
+        (1, [(0.5, 1.5)], True),
+        (2, [((0.5, 1.5), (0.3, 1.0))], False),
+        (2, [((0.2, 0.6), (0.3, 0.7)), ((1.1, 1.7), (0.9, 1.9))], True),
+    ])
+    def test_box_bounds_support_tightly(self, dim, boxes, smooth):
+        g = build_grid(dim, 2.0, 16, 1.0, 20)
+        m = build_mask(g, boxes, "m", smooth=smooth)
+        assert len(m.box) == dim
+        inside = np.zeros(g.shape, dtype=bool)
+        inside[m.box] = True
+        # every nonzero value lies in the box ...
+        assert not np.any(m.values[~inside])
+        # ... and the support reaches each face of it
+        for ax, sl in enumerate(m.box):
+            other = tuple(a for a in range(dim) if a != ax)
+            hit = np.flatnonzero(m.support.any(axis=other))
+            assert (sl.start, sl.stop) == (hit[0], hit[-1] + 1)
+
     def test_box_outside_domain(self):
         g = build_grid(1, 2.0, 16, 1.0, 20)
         with pytest.raises(SetupError) as exc:

@@ -157,3 +157,35 @@ def test_operators_act_per_field_of_a_stack(basis):
         for i, u in enumerate(stack):
             got = out[(slice(None),) * lead + (i,)]
             assert np.abs(got - op(u)).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["field", "stack"])
+def test_boxed_transforms_match_full(basis, lead):
+    # a box reads (to_modes) or returns (from_modes) the nodes on it only
+    rng = np.random.default_rng(12)
+    full_box = (slice(2, 7), slice(3, 9))[:basis.dim]
+    for box in (full_box, (slice(0, 1), slice(8, 9))[:basis.dim],
+                (slice(None),) * basis.dim):
+        index = (...,) + box
+        u = np.zeros(lead + basis.shape)
+        u[index] = rng.standard_normal(u[index].shape)
+        want = basis.to_modes(u)
+        got = basis.to_modes(u[index], box)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        c = rng.standard_normal(lead + basis.shape)
+        want = basis.from_modes(c)[index]
+        got = basis.from_modes(c, box)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_unboxed_transforms_unchanged_by_box_calls(basis):
+    # boxed calls leave the full transforms' products alone
+    u = _random(basis, 13)
+    before = basis.to_modes(u), basis.from_modes(u)
+    box = (slice(1, 4),) * basis.dim
+    basis.to_modes(u[box], box)
+    basis.from_modes(u, box)
+    assert np.array_equal(basis.to_modes(u), before[0])
+    assert np.array_equal(basis.from_modes(u), before[1])

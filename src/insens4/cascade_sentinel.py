@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import SetupError
 from .pde_engine import (
-    ListSchedule,
-    StaticSchedule,
+    Schedule,
     Trajectory,
+    make_schedule,
     solve_backward,
     solve_forward,
     solve_forward_nonlinear,
@@ -49,8 +49,8 @@ Array = np.ndarray
 class CascadeOperators:
     """Coefficient schedules for the two legs of the cascade."""
 
-    state_schedule: StaticSchedule | ListSchedule
-    costate_schedule: StaticSchedule | ListSchedule
+    state_schedule: Schedule
+    costate_schedule: Schedule
     reaction_offset: float = 0.0  # -F(0,0,0), added to the state source
 
 
@@ -61,7 +61,7 @@ def linearized_operators(problem: ValidatedProblem, frozen=None) -> CascadeOpera
     and the reaction term is absent entirely.
     """
     if frozen is None:
-        base = StaticSchedule(problem.grid, problem.coefficients)
+        base = make_schedule(problem.grid, problem.coefficients)
         return CascadeOperators(base, base, 0.0)
     return CascadeOperators(
         frozen.state_schedule, frozen.costate_schedule, -frozen.f0
@@ -86,7 +86,6 @@ def solve_adjoint_pair(
     phi0: Array,
     frozen=None,
     ops: CascadeOperators | None = None,
-    inner_tol: float = 1e-13,
 ) -> AdjointPair:
     """Solve the adjoint pair: phi forward from phi0, psi backward.
 
@@ -97,12 +96,9 @@ def solve_adjoint_pair(
     grid = problem.grid
     if ops is None:
         ops = linearized_operators(problem, frozen)
-    phi = solve_forward(grid, ops.costate_schedule, phi0, inner_tol=inner_tol)
+    phi = solve_forward(grid, ops.costate_schedule, phi0)
     psi_source = problem.obs.values * phi.fields
-    psi = solve_backward(
-        grid, ops.state_schedule, np.zeros(grid.shape), psi_source,
-        inner_tol=inner_tol,
-    )
+    psi = solve_backward(grid, ops.state_schedule, np.zeros(grid.shape), psi_source)
     return AdjointPair(phi=phi, psi=psi)
 
 
@@ -113,7 +109,6 @@ def solve_cascade(
     ops: CascadeOperators | None = None,
     include_force: bool = True,
     premasked: bool = False,
-    inner_tol: float = 1e-13,
 ) -> CascadeSolution:
     """Solve the cascade (y, q) for a given control v on Q_omega.
 
@@ -135,11 +130,9 @@ def solve_cascade(
         source += problem.force_fields
         if ops.reaction_offset != 0.0:
             source += ops.reaction_offset
-    y = solve_forward(grid, ops.state_schedule, np.zeros(grid.shape), source,
-                      inner_tol=inner_tol)
+    y = solve_forward(grid, ops.state_schedule, np.zeros(grid.shape), source)
     q_source = problem.obs.values * y.fields
-    q = solve_backward(grid, ops.costate_schedule, np.zeros(grid.shape), q_source,
-                       inner_tol=inner_tol)
+    q = solve_backward(grid, ops.costate_schedule, np.zeros(grid.shape), q_source)
     return CascadeSolution(y=y, q=q, q0=q.state0)
 
 
@@ -174,7 +167,6 @@ def sentinel_sensitivity(
     yhats: Array,
     tau_probe: float = 1e-3,
     premasked: bool = False,
-    inner_tol: float = 1e-13,
 ) -> list[InsensitivityReport]:
     """Probe d/dtau Phi(y_tau) at tau = 0 along each direction in ``yhats``.
 
@@ -199,7 +191,7 @@ def sentinel_sensitivity(
     grid = problem.grid
     basis = problem.basis
     nl = problem.nonlinearity
-    base = StaticSchedule(grid, problem.coefficients)
+    base = make_schedule(grid, problem.coefficients)
     yhats = np.asarray(yhats, dtype=float)
     if yhats.shape[1:] != grid.shape:
         raise SetupError(
@@ -231,8 +223,7 @@ def sentinel_sensitivity(
         sums[j] = np.sum(obs * mid**2, axis=spatial)
         return mid[0]
 
-    run = solve_forward_nonlinear(grid, base, nl, starts, source,
-                                  inner_tol=inner_tol, on_step=on_step)
+    run = solve_forward_nonlinear(grid, base, nl, starts, source, on_step=on_step)
     phis = 0.5 * grid.dt * basis.cell_volume * np.sum(sums, axis=0)
 
     # dual side from the cascade at tau = 0, shared by every direction
@@ -246,8 +237,7 @@ def sentinel_sensitivity(
         from .semilinear_loop import tangent_schedule
 
         costate = tangent_schedule(problem, y0_traj)
-    q = solve_backward(grid, costate, zero, obs * y0_traj.fields,
-                       inner_tol=inner_tol)
+    q = solve_backward(grid, costate, zero, obs * y0_traj.fields)
     q0_norm = basis.norm(q.state0)
 
     reports = []

@@ -50,8 +50,8 @@ from .hum_synthesis import (
 )
 from .nonlinearity import make_nonlinearity
 from .pde_engine import (
+    SpatialOperator,
     Trajectory,
-    assemble_operator,
     duality_residual,
     make_schedule,
     solve_forward,
@@ -77,18 +77,13 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _smooth_unit(basis, rng: np.random.Generator, decay: float = 1.5) -> np.ndarray:
     """Random unit field with power-law mode decay, so probes stay resolved."""
-    shape = basis.shape
-    dim = len(shape)
-    cap = min(shape)
-    idx = np.arange(1, cap + 1, dtype=float)
-    rank = idx if dim == 1 else np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2)
-    modes = np.zeros(shape)
-    modes[(slice(0, cap),) * dim] = rng.standard_normal((cap,) * dim) * rank ** (-decay)
-    u = basis.from_modes(modes)
+    u = basis.random_smooth(rng, decay)
     nrm = basis.norm(u)
     if nrm == 0.0:
-        modes[(0,) * dim] = 1.0
-        u = basis.from_modes(modes)
+        # every draw vanished: fall back to the first mode
+        first = np.zeros(basis.shape)
+        first[(0,) * basis.dim] = 1.0
+        u = basis.from_modes(first)
         nrm = basis.norm(u)
     return u / nrm
 
@@ -412,7 +407,8 @@ def _mms_error(dim: int, extent: float, cells: int, t_final: float,
     seed_modes = np.zeros(basis.shape)
     seed_modes[(0,) * dim] = 1.0
     p = basis.from_modes(seed_modes)
-    ap = assemble_operator(grid, coeffs, t=0.0).apply(p)
+    schedule = make_schedule(grid, coeffs)
+    ap = SpatialOperator(basis, schedule.node(0)).apply(p)
 
     def g(t: float) -> float:
         return math.exp(-t) * (1.0 + 0.5 * math.sin(3.0 * t))
@@ -424,7 +420,7 @@ def _mms_error(dim: int, extent: float, cells: int, t_final: float,
     source = np.empty((n_steps,) + basis.shape)
     for j, t in enumerate(grid.times):
         source[j] = gp(t) * p + g(t) * ap
-    traj = solve_forward(grid, make_schedule(grid, coeffs), g(0.0) * p, source)
+    traj = solve_forward(grid, schedule, g(0.0) * p, source)
     return basis.norm(traj.stateT - g(t_final) * p)
 
 
@@ -499,7 +495,7 @@ def _cmd_selftest(cfg: dict, out_dir: Path, quick: bool) -> int:
         "b": CoefficientField.constant("b", np.full((dim, dim), 0.3), dim),
         "a1": CoefficientField.constant("a1", 0.2, dim),
     }
-    op = assemble_operator(grid, synth, t=0.0)
+    op = SpatialOperator(basis, make_schedule(grid, synth).node(0))
     u = rng.standard_normal(basis.shape)
     w = rng.standard_normal(basis.shape)
     au = op.apply(u)

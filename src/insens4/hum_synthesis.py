@@ -143,28 +143,26 @@ class _Synthesis:
     """Matrix-free operator and affine term, with an apply counter."""
 
     def __init__(self, problem: ValidatedProblem, frozen=None,
-                 ops: CascadeOperators | None = None, inner_tol: float = 1e-13):
+                 ops: CascadeOperators | None = None):
         self.problem = problem
         self.ops = ops if ops is not None else linearized_operators(problem, frozen)
-        self.inner_tol = inner_tol
         self.applies = 0
 
     def pair(self, phi0: Array) -> AdjointPair:
-        return solve_adjoint_pair(self.problem, phi0, ops=self.ops,
-                                  inner_tol=self.inner_tol)
+        return solve_adjoint_pair(self.problem, phi0, ops=self.ops)
 
     def apply(self, phi0: Array) -> Array:
         """Lambda phi0: costate at t = 0 of the force-free cascade."""
         pair = self.pair(phi0)
         casc = solve_cascade(self.problem, pair.psi.fields, ops=self.ops,
-                             include_force=False, inner_tol=self.inner_tol)
+                             include_force=False)
         self.applies += 1
         return casc.q0
 
     def affine(self) -> Array:
         """b: costate at t = 0 with zero control and the force on."""
         casc = solve_cascade(self.problem, None, ops=self.ops,
-                             include_force=True, inner_tol=self.inner_tol)
+                             include_force=True)
         self.applies += 1
         return casc.q0
 
@@ -248,7 +246,7 @@ def _assemble(syn: _Synthesis, state: HUMState, branch: str, converged: bool,
     pair = syn.pair(state.phi0)
     v = problem.omega.values * pair.psi.fields
     casc = solve_cascade(problem, v, ops=syn.ops, include_force=True,
-                         premasked=True, inner_tol=syn.inner_tol)
+                         premasked=True)
     cell = problem.grid.dt * basis.cell_volume
     return ControlResult(
         variant=state.variant,
@@ -653,7 +651,6 @@ def observability_ratio_sample(
         ops = linearized_operators(problem, frozen)
     basis = problem.basis
     shape = basis.shape
-    dim = len(shape)
     cap = min(shape) if mode_cap is None else min(int(mode_cap), min(shape))
     if cap < 1:
         raise SynthesisError("mode-cap", f"mode cap must be >= 1, got {cap}")
@@ -661,20 +658,11 @@ def observability_ratio_sample(
     rate_m = problem.constants.rate_m
     weights = np.exp(-rate_m / np.sqrt(problem.grid.times))
 
-    idx = np.arange(1, cap + 1, dtype=float)
-    if dim == 1:
-        rank = idx
-    else:
-        rank = np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2)
-
     samples: list[dict] = []
     ratios: list[float] = []
     for i in range(n_samples):
         decay = rng.uniform(0.5, 2.5)
-        coeffs = rng.standard_normal((cap,) * dim) * rank ** (-decay)
-        modes = np.zeros(shape)
-        modes[(slice(0, cap),) * dim] = coeffs
-        phi0 = basis.from_modes(modes)
+        phi0 = basis.random_smooth(rng, decay, cap)
         nrm = basis.norm(phi0)
         if nrm == 0.0:
             samples.append({"index": i, "decay": decay, "ratio": math.nan,

@@ -49,7 +49,7 @@ is transformed once per step.  A reaction F(u, grad u, hess u) enters
 that loop as one more source evaluated at the midpoint average; on the
 diagonal path that is u^_{j+1} = r u^_j + d (g^_j + F^(mid_j)).  Each step
 relaxes it by lagged iteration from F(u_j), and a row stops updating once
-its update meets picard_tol (1 + |u_j|).  An ``on_step`` hook sees every
+its update meets RELAX_TOL (1 + |u_j|).  An ``on_step`` hook sees every
 midpoint average and chooses what the trajectory records, so a batched
 march can stream a reduction instead of storing every row.
 
@@ -78,11 +78,9 @@ from .spectral import SineBasis
 
 __all__ = [
     "NodeCoefficients",
-    "StaticSchedule",
-    "ListSchedule",
+    "Schedule",
     "SpatialOperator",
     "Trajectory",
-    "assemble_operator",
     "make_schedule",
     "solve_forward",
     "solve_backward",
@@ -97,6 +95,14 @@ Array = np.ndarray
 # Largest stack of 1D mode-space LU factors a schedule may cache; a march
 # whose stack would be bigger keeps the Richardson inner solve.
 LU_STACK_CAP_BYTES = 64 * 2**20
+# Richardson inner solve: relative residual tolerance and iteration cap.
+INNER_TOL = 1e-13
+INNER_CAP = 200
+# Per-step reaction relaxation: update tolerance relative to 1 + |u_j|, and cap.
+RELAX_TOL = 1e-11
+RELAX_CAP = 50
+
+_ROLES = ("a0", "b0", "b", "a1")
 
 
 @dataclass
@@ -113,15 +119,22 @@ class NodeCoefficients:
         return self.a0 is None and self.b0 is None and self.b is None and self.a1 is None
 
 
-class _FactorCache:
-    """A schedule's step factors, kept between marches.
+@dataclass(eq=False)
+class Schedule:
+    """Lower-order coefficients at every midpoint node, plus cached factors.
 
-    ``diagonal`` is (march key, per-step mode factors or None when the
-    schedule is not diagonal); ``mode_lu`` the 1D mode-space LU factors.
+    ``nodes[j]`` holds the coefficients of step j; steps that share a node
+    object share its factors.  ``diagonal`` is (march key, per-step mode
+    factors or None when the schedule is not diagonal) and ``mode_lu`` the
+    1D mode-space LU factors, both filled in by the first march.
     """
 
-    diagonal: tuple | None = None
-    mode_lu: "_ModeLU | None" = None
+    nodes: list[NodeCoefficients]
+    diagonal: tuple | None = field(default=None, repr=False)
+    mode_lu: "_ModeLU | None" = field(default=None, repr=False)
+
+    def node(self, j: int) -> NodeCoefficients:
+        return self.nodes[j]
 
     def release_factors(self) -> None:
         """Drop the cached factors; the next march rebuilds them."""
@@ -129,48 +142,33 @@ class _FactorCache:
         self.mode_lu = None
 
 
-class StaticSchedule(_FactorCache):
-    """Per-node coefficients from the problem's coefficient fields."""
+def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None],
+                  add_a0: Array | None = None, add_b0: Array | None = None,
+                  add_b: Array | None = None) -> Schedule:
+    """The coefficient fields at each midpoint node, plus per-node additions.
 
-    def __init__(self, grid: Grid, coefficients: dict[str, CoefficientField | None]):
-        self.grid = grid
-        self.coefficients = coefficients
-        self._constant_node: NodeCoefficients | None = None
-        self._cache: dict[int, NodeCoefficients] = {}
-        self._all_constant = all(
-            f is None or f.time_constant for f in coefficients.values()
-        )
+    ``add_a0``, ``add_b0`` and ``add_b`` are (Nt, ...) stacks added to the
+    matching role at every node (a frozen linearization); an all-zero one
+    is dropped.  When every field is time-constant and nothing is added,
+    all steps share one node, so a march factors it once.
+    """
+    basis = grid.basis
+    fields = {role: coefficients.get(role) for role in _ROLES}
+    adds = {role: add for role, add in (("a0", add_a0), ("b0", add_b0), ("b", add_b))
+            if add is not None and np.any(add)}
 
-    def _eval(self, t: float) -> NodeCoefficients:
-        basis = self.grid.basis
+    def at(j: int) -> NodeCoefficients:
         vals = {}
-        for role in ("a0", "b0", "b", "a1"):
-            f = self.coefficients.get(role)
-            vals[role] = None if f is None else f.eval(basis, t)
+        for role, f in fields.items():
+            base = None if f is None else f.eval(basis, grid.times[j])
+            add = adds.get(role)
+            vals[role] = base if add is None else add[j] if base is None \
+                else base + add[j]
         return NodeCoefficients(**vals)
 
-    def node(self, j: int) -> NodeCoefficients:
-        if self._all_constant:
-            if self._constant_node is None:
-                self._constant_node = self._eval(self.grid.times[0])
-            return self._constant_node
-        if j not in self._cache:
-            self._cache[j] = self._eval(self.grid.times[j])
-        return self._cache[j]
-
-
-class ListSchedule(_FactorCache):
-    """Precomputed per-node coefficients (used by frozen linearizations)."""
-
-    def __init__(self, nodes: list[NodeCoefficients]):
-        self.nodes_list = nodes
-
-    def node(self, j: int) -> NodeCoefficients:
-        return self.nodes_list[j]
-
-
-def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None]) -> StaticSchedule:
-    return StaticSchedule(grid, coefficients)
+    if not adds and all(f is None or f.time_constant for f in fields.values()):
+        return Schedule([at(0)] * grid.n_steps)
+    return Schedule([at(j) for j in range(grid.n_steps)])
 
 
 def _lower_apply(basis: SineBasis, nc: NodeCoefficients, u: Array) -> Array:
@@ -219,17 +217,6 @@ class SpatialOperator:
         return self.basis.bilap(w) + _lower_apply_t(self.basis, self.coeffs, w)
 
 
-def assemble_operator(grid: Grid, coefficients: dict[str, CoefficientField | None],
-                      t: float) -> SpatialOperator:
-    """Operator with the coefficient fields evaluated at time t."""
-    basis = grid.basis
-    vals = {}
-    for role in ("a0", "b0", "b", "a1"):
-        f = coefficients.get(role)
-        vals[role] = None if f is None else f.eval(basis, t)
-    return SpatialOperator(basis, NodeCoefficients(**vals))
-
-
 @dataclass
 class Trajectory:
     """Midpoint-averaged space-time field with exact end states.
@@ -272,24 +259,18 @@ def _on_box(u: Array, box: tuple[slice, ...] | None = None) -> Array:
     return u if box is None else u[(...,) + box]
 
 
-def _source_fields(grid: Grid, source, box: tuple[slice, ...] | None = None
-                   ) -> np.ndarray | None:
+def _source_fields(grid: Grid, source: Array | None,
+                   box: tuple[slice, ...] | None = None) -> Array | None:
+    """The source as a float (Nt, *shape) array, or its values on ``box``."""
     if source is None:
         return None
-    basis = grid.basis
-    if callable(source):
-        out = np.empty((grid.n_steps,) + basis.shape)
-        for j, t in enumerate(grid.times):
-            out[j] = np.broadcast_to(np.asarray(source(*basis.mesh(), t), float),
-                                     basis.shape)
-        return _on_box(out, box)
-    out = np.asarray(source, dtype=float)
-    shape = basis.shape if box is None else \
-        tuple(len(range(n)[sl]) for n, sl in zip(basis.shape, box))
+    shape = grid.shape if box is None else \
+        tuple(len(range(n)[sl]) for n, sl in zip(grid.shape, box))
     expected = (grid.n_steps,) + shape
+    out = np.asarray(source)
     if out.shape != expected:
         raise EngineError("source-shape", f"source must have shape {expected}, got {out.shape}")
-    return out
+    return out.astype(float, copy=False)
 
 
 def _uniform_value(arr: Array, dim: int) -> Array | None:
@@ -307,7 +288,7 @@ def _uniform_value(arr: Array, dim: int) -> Array | None:
 def _diagonal_key(nc: NodeCoefficients, dim: int) -> tuple[float, ...] | None:
     """(a0, a1, b_11, ..., b_dd) of a node diagonal in the sine basis, else None."""
     vals = {}
-    for role in ("a0", "b0", "b", "a1"):
+    for role in _ROLES:
         arr = getattr(nc, role)
         if arr is not None:
             vals[role] = _uniform_value(arr, dim)
@@ -344,20 +325,20 @@ def _mode_factors(basis: SineBasis, dt: float, key: tuple[float, ...],
     return (1.0 - c * lam) / denom, dt / denom
 
 
-def _diagonal_factors(basis: SineBasis, schedule, nt: int,
+def _diagonal_factors(basis: SineBasis, schedule: Schedule, nt: int,
                       dt: float) -> list[tuple[Array, Array]] | None:
     """Per-step mode factors when every node is diagonal in the sine basis.
 
     The result, None included, is cached on the schedule for later marches.
     """
     key = (dt, nt, basis.extents, basis.n_cells)
-    cached = getattr(schedule, "diagonal", None)
+    cached = schedule.diagonal
     if cached is None or cached[0] != key:
         cached = schedule.diagonal = (key, _scan_diagonal(basis, schedule, nt, dt))
     return cached[1]
 
 
-def _scan_diagonal(basis: SineBasis, schedule, nt: int,
+def _scan_diagonal(basis: SineBasis, schedule: Schedule, nt: int,
                    dt: float) -> list[tuple[Array, Array]] | None:
     cache: dict[tuple[float, ...], tuple[Array, Array]] = {}
     factors = []
@@ -409,7 +390,8 @@ def _lower_matrix(nc: NodeCoefficients, f_mat: Array, dx_f: Array,
     return out
 
 
-def _mode_lu(basis: SineBasis, schedule, nt: int, dt: float) -> _ModeLU | None:
+def _mode_lu(basis: SineBasis, schedule: Schedule, nt: int,
+             dt: float) -> _ModeLU | None:
     """The schedule's cached mode-space LU factors, built on first use.
 
     Returns None in 2D and when the stack of factors would exceed
@@ -418,7 +400,7 @@ def _mode_lu(basis: SineBasis, schedule, nt: int, dt: float) -> _ModeLU | None:
     if basis.dim != 1:
         return None
     key = (dt, nt, basis.extents, basis.n_cells)
-    cached = getattr(schedule, "mode_lu", None)
+    cached = schedule.mode_lu
     if cached is not None and cached.key == key:
         return cached
     slot_of: dict[int, int] = {}
@@ -587,9 +569,9 @@ class _RichardsonPath:
 
     defers_fields = False
 
-    def __init__(self, basis: SineBasis, schedule, source: Array | None,
+    def __init__(self, basis: SineBasis, schedule: Schedule, source: Array | None,
                  source_box: tuple[slice, ...] | None, dt: float,
-                 transpose: bool, inner_tol: float, inner_cap: int):
+                 transpose: bool):
         self.basis = basis
         self.schedule = schedule
         self.source = source
@@ -599,8 +581,6 @@ class _RichardsonPath:
         self.pre = 1.0 + self.c * basis.bilap_modes
         self.transpose = transpose
         self.lower = _lower_apply_t if transpose else _lower_apply
-        self.inner_tol = inner_tol
-        self.inner_cap = inner_cap
 
     @staticmethod
     def enter(u: Array) -> Array:
@@ -641,28 +621,28 @@ class _RichardsonPath:
         x = basis.from_modes(x_modes)
         active = np.ones(np.shape(rhs_norm), dtype=bool)
         trail = []
-        for _ in range(self.inner_cap):
+        for _ in range(INNER_CAP):
             y_modes = rhs_modes - self.c * basis.to_modes(self.lower(basis, nc, x))
             res = _row_norms(y_modes - self.pre * x_modes, dim)
             trail.append(res / rhs_norm)
             x_modes = np.where(_rows(active, dim), y_modes / self.pre, x_modes)
             x = basis.from_modes(x_modes)
-            active &= res > self.inner_tol * rhs_norm
+            active &= res > INNER_TOL * rhs_norm
             if not active.any():
                 return x
         row, idx = _first_row(active)
         raise EngineError(
             "inner-solve-divergence",
             f"implicit step {step}{_at_row(row)} failed to reach "
-            f"{self.inner_tol} in {self.inner_cap} iterations (last residual "
+            f"{INNER_TOL} in {INNER_CAP} iterations (last residual "
             f"{trail[-1][idx]:.3e} relative)",
             step=step, row=row, residuals=[float(t[idx]) for t in trail],
         )
 
 
-def _path(basis: SineBasis, schedule, nt: int, dt: float, source: Array | None,
-          source_box: tuple[slice, ...] | None, transpose: bool,
-          inner_tol: float, inner_cap: int):
+def _path(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
+          source: Array | None, source_box: tuple[slice, ...] | None,
+          transpose: bool):
     """The cheapest exact solver of the march's steps."""
     factors = _diagonal_factors(basis, schedule, nt, dt)
     if factors is not None:
@@ -670,23 +650,22 @@ def _path(basis: SineBasis, schedule, nt: int, dt: float, source: Array | None,
     mode_lu = _mode_lu(basis, schedule, nt, dt)
     if mode_lu is not None:
         return _LUPath(mode_lu, source, source_box, dt, transpose)
-    return _RichardsonPath(basis, schedule, source, source_box, dt, transpose,
-                           inner_tol, inner_cap)
+    return _RichardsonPath(basis, schedule, source, source_box, dt, transpose)
 
 
 def _relax(path, j: int, x: Array, base: Array, u: Array, reaction,
-           picard_tol: float, picard_cap: int, dim: int) -> tuple[Array, Array]:
+           dim: int) -> tuple[Array, Array]:
     """Step j with the reaction at the midpoint, by lagged iteration.
 
     Starts from F(u_j) and re-solves with F at the latest midpoint; a
-    field stops updating once its update meets picard_tol (1 + |u_j|).
+    field stops updating once its update meets RELAX_TOL (1 + |u_j|).
     Returns the new state (path form) and the physical midpoint.
     """
     scale = 1.0 + _row_norms(u, dim)
     new, mid = x, u
     active = np.ones(np.shape(scale), dtype=bool)
     trail = []
-    for _ in range(picard_cap):
+    for _ in range(RELAX_CAP):
         cand, cand_mid = path.advance(j, x, base, reaction(mid))
         cand_mid = path.physical(cand_mid)
         # the state moves twice as far as the midpoint average
@@ -694,29 +673,25 @@ def _relax(path, j: int, x: Array, base: Array, u: Array, reaction,
         keep = _rows(active, dim)
         new = np.where(keep, cand, new)
         mid = np.where(keep, cand_mid, mid)
-        active &= trail[-1] > picard_tol
+        active &= trail[-1] > RELAX_TOL
         if not active.any():
             return new, mid
     row, idx = _first_row(active)
     raise EngineError(
         "inner-solve-divergence",
         f"reaction relaxation stalled at step {j}{_at_row(row)} (last update "
-        f"{trail[-1][idx]:.3e} relative to 1 + |u|, tolerance {picard_tol})",
+        f"{trail[-1][idx]:.3e} relative to 1 + |u|, tolerance {RELAX_TOL})",
         step=j, row=row, updates=[float(t[idx]) for t in trail],
     )
 
 
 def _march(
     grid: Grid,
-    schedule,
+    schedule: Schedule,
     start: Array,
     source: np.ndarray | None,
     transpose: bool,
-    inner_tol: float,
-    inner_cap: int,
     reaction: Callable[[Array], Array] | None = None,
-    picard_tol: float = 1e-11,
-    picard_cap: int = 50,
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
     record_box: tuple[slice, ...] | None = None,
@@ -735,8 +710,7 @@ def _march(
             "start-shape", f"start must have shape {basis.shape} or "
             f"(B, *{basis.shape}), got {first.shape}")
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
-    path = _path(basis, schedule, nt, dt, source, source_box, transpose,
-                 inner_tol, inner_cap)
+    path = _path(basis, schedule, nt, dt, source, source_box, transpose)
     defer = path.defers_fields and reaction is None and on_step is None
     fields = None
     x = path.enter(first)
@@ -748,8 +722,7 @@ def _march(
             if not defer:
                 mid = path.physical(mid, record_box)
         else:
-            x, mid = _relax(path, j, x, base, u, reaction, picard_tol,
-                            picard_cap, basis.dim)
+            x, mid = _relax(path, j, x, base, u, reaction, basis.dim)
             u = 2.0 * mid - u
         rec = mid if on_step is None else on_step(j, mid)
         if fields is None:
@@ -765,11 +738,9 @@ def _march(
 
 def solve_forward(
     grid: Grid,
-    schedule,
+    schedule: Schedule,
     initial: Array,
-    source=None,
-    inner_tol: float = 1e-13,
-    inner_cap: int = 200,
+    source: Array | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
     record_box: tuple[slice, ...] | None = None,
@@ -778,16 +749,16 @@ def solve_forward(
 
     Parameters
     ----------
-    schedule : object with ``node(j) -> NodeCoefficients``
-        Lower-order coefficients per midpoint node.
+    schedule : Schedule
+        Lower-order coefficients per midpoint node (see :func:`make_schedule`).
     initial : array, shape ``shape`` or (B, *shape)
         One initial state, or a stack marched together under the shared
         source; the trajectory's arrays then carry the batch axis after
         the time axis.
-    source : None, array (Nt, *shape), or callable(*mesh, t)
-        Source evaluated at midpoint nodes.  With ``source_box`` an array
-        holds the values on that box, (Nt, *box shape), and the source is
-        zero elsewhere; a callable is restricted to the box.
+    source : None or array (Nt, *shape)
+        Source values at the midpoint nodes.  With ``source_box`` it holds
+        the values on that box, (Nt, *box shape), and the source is zero
+        elsewhere.
     on_step : callable(j, mid) -> array, optional
         Sees each step's midpoint average and returns what ``fields[j]``
         records, so a batched march can stream a reduction instead of
@@ -800,21 +771,20 @@ def solve_forward(
     Raises
     ------
     EngineError
+        ``source-shape`` when the source does not have that shape;
         ``inner-solve-divergence`` when the preconditioned fixed point
         for the implicit half-system stalls above tolerance.
     """
     src = _source_fields(grid, source, source_box)
-    return _march(grid, schedule, initial, src, False, inner_tol, inner_cap,
-                  on_step=on_step, source_box=source_box, record_box=record_box)
+    return _march(grid, schedule, initial, src, False, on_step=on_step,
+                  source_box=source_box, record_box=record_box)
 
 
 def solve_backward(
     grid: Grid,
-    schedule,
+    schedule: Schedule,
     terminal: Array,
-    source=None,
-    inner_tol: float = 1e-13,
-    inner_cap: int = 200,
+    source: Array | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
     record_box: tuple[slice, ...] | None = None,
@@ -827,20 +797,16 @@ def solve_backward(
     ``on_step`` sees the steps from j = Nt - 1 down to 0.
     """
     src = _source_fields(grid, source, source_box)
-    return _march(grid, schedule, terminal, src, True, inner_tol, inner_cap,
-                  on_step=on_step, source_box=source_box, record_box=record_box)
+    return _march(grid, schedule, terminal, src, True, on_step=on_step,
+                  source_box=source_box, record_box=record_box)
 
 
 def solve_forward_nonlinear(
     grid: Grid,
-    schedule,
+    schedule: Schedule,
     nonlinearity: NonlinearitySpec,
     initial: Array,
-    source=None,
-    inner_tol: float = 1e-13,
-    inner_cap: int = 200,
-    picard_tol: float = 1e-11,
-    picard_cap: int = 50,
+    source: Array | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
 ) -> Trajectory:
     """Forward solve with the reaction term F(u, grad u, hess u) active.
@@ -857,8 +823,7 @@ def solve_forward_nonlinear(
         relative ``updates`` trail.
     """
     if nonlinearity.is_zero:
-        return solve_forward(grid, schedule, initial, source, inner_tol,
-                             inner_cap, on_step=on_step)
+        return solve_forward(grid, schedule, initial, source, on_step=on_step)
     basis = grid.basis
 
     if nonlinearity.state_only:
@@ -871,8 +836,7 @@ def solve_forward_nonlinear(
             return nonlinearity.f(u, basis.gradient(u), basis.hessian(u))
 
     src = _source_fields(grid, source)
-    return _march(grid, schedule, initial, src, False, inner_tol, inner_cap,
-                  reaction, picard_tol, picard_cap, on_step)
+    return _march(grid, schedule, initial, src, False, reaction, on_step)
 
 
 def duality_residual(

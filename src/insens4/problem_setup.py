@@ -269,7 +269,7 @@ class ProblemConfig:
     b0: CoefficientField | None = None
     b: CoefficientField | None = None
     a1: CoefficientField | None = None
-    force: Callable | np.ndarray | None = None
+    force: np.ndarray | None = None  # (Nt, *shape) values at the midpoint nodes
     force_onset: float = 0.0
     y0: np.ndarray | None = None
     yhat0: np.ndarray | None = None
@@ -308,24 +308,18 @@ class ValidatedProblem:
         return self.grid.basis
 
 
-def _materialize_force(grid: Grid, force) -> np.ndarray:
-    basis = grid.basis
+def _materialize_force(grid: Grid, force: np.ndarray | None) -> np.ndarray:
+    """A float copy of the (Nt, *shape) force, zeros when absent."""
+    expected = (grid.n_steps,) + grid.shape
     if force is None:
-        return np.zeros((grid.n_steps,) + basis.shape)
-    if callable(force):
-        out = np.empty((grid.n_steps,) + basis.shape)
-        for j, t in enumerate(grid.times):
-            out[j] = np.broadcast_to(
-                np.asarray(force(*basis.mesh(), t), dtype=float), basis.shape
-            )
-        return out
-    out = np.asarray(force, dtype=float)
-    if out.shape != (grid.n_steps,) + basis.shape:
+        return np.zeros(expected)
+    out = np.asarray(force)
+    if out.shape != expected:
         raise SetupError(
             "force-shape",
-            f"force array must have shape {(grid.n_steps,) + basis.shape}, got {out.shape}",
+            f"force array must have shape {expected}, got {out.shape}",
         )
-    return out.copy()
+    return out.astype(float)
 
 
 def validate_problem(config: ProblemConfig, require_insensitization: bool = True) -> ValidatedProblem:

@@ -93,6 +93,11 @@ def read_field_dump(path) -> tuple[int, int, np.ndarray]:
     magic, dim, n_cells, nt, pad, length = _HEADER.unpack(raw[:_HEADER.size])
     if magic != FIELD_MAGIC or pad != 0:
         raise SetupError("field-dump-corrupt", f"{path}: bad magic or padding")
+    if dim not in (1, 2) or n_cells < 2 or nt < 1:
+        raise SetupError(
+            "field-dump-corrupt",
+            f"{path}: header says dimension {dim}, {n_cells} cells, {nt} records",
+        )
     payload = raw[_HEADER.size:]
     if len(payload) != length:
         raise SetupError(

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import IterationError, SetupError
 from .hum_synthesis import ControlResult, minimize_exact
 from .nonlinearity import NonlinearitySpec
-from .pde_engine import ListSchedule, NodeCoefficients, Trajectory
+from .pde_engine import Schedule, Trajectory, make_schedule
 from .problem_setup import ValidatedProblem
 
 __all__ = [
@@ -60,8 +60,8 @@ class FrozenLinearization:
     tangent_r: Array = field(repr=False)
     f0: float                              # F(0,0,0)
     sup_certificate: float                 # max |G1| + sum|G2| + sum|G3| seen
-    state_schedule: ListSchedule | None = field(default=None, repr=False)
-    costate_schedule: ListSchedule | None = field(default=None, repr=False)
+    state_schedule: Schedule | None = field(default=None, repr=False)
+    costate_schedule: Schedule | None = field(default=None, repr=False)
 
     def release_factors(self) -> None:
         """Free the step factors both legs' marches cached."""
@@ -204,71 +204,25 @@ def ftc_residual(nonlinearity: NonlinearitySpec, z: Trajectory,
     return worst
 
 
-def _role_values(problem: ValidatedProblem, role: str) -> list | None:
-    f = problem.coefficients.get(role)
-    if f is None:
-        return None
-    basis = problem.basis
-    return [f.eval(basis, t) for t in problem.grid.times]
-
-
-def _combined_schedule(problem: ValidatedProblem, add_a0, add_b0, add_b,
-                       ) -> ListSchedule:
-    """Base coefficients plus frozen reaction fields, one node per step.
-
-    An all-zero reaction stack with no base coefficient stays None so
-    the marches keep their cheap paths.
-    """
-    grid = problem.grid
-    base_a0 = _role_values(problem, "a0")
-    base_b0 = _role_values(problem, "b0")
-    base_b = _role_values(problem, "b")
-    base_a1 = _role_values(problem, "a1")
-    if add_a0 is not None and not np.any(add_a0):
-        add_a0 = None
-    if add_b0 is not None and not np.any(add_b0):
-        add_b0 = None
-    if add_b is not None and not np.any(add_b):
-        add_b = None
-
-    def merge(base, add, j):
-        if base is None and add is None:
-            return None
-        if base is None:
-            return add[j]
-        if add is None:
-            return base[j]
-        return base[j] + add[j]
-
-    nodes = []
-    for j in range(grid.n_steps):
-        nodes.append(NodeCoefficients(
-            a0=merge(base_a0, add_a0, j),
-            b0=merge(base_b0, add_b0, j),
-            b=merge(base_b, add_b, j),
-            a1=None if base_a1 is None else base_a1[j],
-        ))
-    return ListSchedule(nodes)
-
-
 def freeze_linearization(problem: ValidatedProblem,
                          z: Trajectory) -> FrozenLinearization:
-    """eval_g plus the combined coefficient schedules for both legs."""
+    """eval_g plus the base-plus-frozen coefficient schedules of both legs."""
     frozen = eval_g(problem.nonlinearity, z)
-    frozen.state_schedule = _combined_schedule(
-        problem, frozen.g1, frozen.g2, frozen.g3)
-    frozen.costate_schedule = _combined_schedule(
-        problem, frozen.tangent_u, frozen.tangent_p, frozen.tangent_r)
+    grid, coeffs = problem.grid, problem.coefficients
+    frozen.state_schedule = make_schedule(grid, coeffs, frozen.g1, frozen.g2,
+                                          frozen.g3)
+    frozen.costate_schedule = make_schedule(grid, coeffs, frozen.tangent_u,
+                                            frozen.tangent_p, frozen.tangent_r)
     return frozen
 
 
-def tangent_schedule(problem: ValidatedProblem, z: Trajectory) -> ListSchedule:
+def tangent_schedule(problem: ValidatedProblem, z: Trajectory) -> Schedule:
     """Base plus pointwise tangent coefficients at z, costate-leg form.
 
     Evaluates only the partials at z, not the secant quadrature.
     """
     tangent = _eval_tangent(problem.nonlinearity, *_jet(z))
-    return _combined_schedule(problem, *tangent)
+    return make_schedule(problem.grid, problem.coefficients, *tangent)
 
 
 def lipschitz_bound(nonlinearity: NonlinearitySpec,

@@ -129,6 +129,22 @@ class SineBasis:
             u = _along(rows, u, axis, cols)
         return u
 
+    def random_smooth(self, rng: np.random.Generator, decay: float,
+                      cap: int | None = None) -> np.ndarray:
+        """Random field with power-law mode decay.
+
+        The coefficient of mode m (m_i <= ``cap`` on every axis, all modes
+        by default) is a standard normal draw times |m|^-decay; the draws
+        come from ``rng`` in one (cap,)*dim block.
+        """
+        cap = min(self.shape) if cap is None else cap
+        idx = np.arange(1, cap + 1, dtype=float)
+        rank = idx if self.dim == 1 else np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2)
+        modes = np.zeros(self.shape)
+        modes[(slice(0, cap),) * self.dim] = \
+            rng.standard_normal((cap,) * self.dim) * rank ** (-decay)
+        return self.from_modes(modes)
+
     def mesh(self) -> tuple[np.ndarray, ...]:
         """Broadcastable node coordinate arrays (sparse meshgrid)."""
         if self.dim == 1:

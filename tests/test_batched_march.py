@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from insens4 import pde_engine
 from insens4.cascade_sentinel import sentinel, sentinel_sensitivity
 from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.errors import EngineError
@@ -215,6 +216,14 @@ class TestBoxedMarch:
                           source_box=(slice(2, 5),))
         assert exc.value.code == "source-shape"
 
+    def test_callable_source_rejected(self):
+        # the source is given as values at the midpoint nodes, not a function
+        grid = _grid(1)
+        with pytest.raises(EngineError) as exc:
+            solve_forward(grid, make_schedule(grid, {}), np.zeros(grid.shape),
+                          lambda x, t: np.sin(x) * t)
+        assert exc.value.code == "source-shape"
+
 
 class TestBatchedNonlinearMarch:
     @pytest.mark.parametrize("kind", ["tanh", "mixed"])
@@ -281,16 +290,16 @@ class TestBatchedNonlinearMarch:
         assert np.array_equal(traj.fields[:, 1], np.zeros_like(traj.fields[:, 1]))
 
     @pytest.mark.parametrize("batched", [False, True])
-    def test_relaxation_stall_names_step_and_row(self, batched):
+    def test_relaxation_stall_names_step_and_row(self, monkeypatch, batched):
         grid = _grid(1)
         nl = make_nonlinearity("tanh", scale=1.0)
         y0 = _stack(grid.basis, 7, 1)[0]
         # a zero row with no source has a zero reaction and converges in
-        # one sweep; the perturbed row cannot within picard_cap = 1
+        # one sweep; the perturbed row cannot within RELAX_CAP = 1
         start = np.array([np.zeros_like(y0), y0]) if batched else y0
+        monkeypatch.setattr(pde_engine, "RELAX_CAP", 1)
         with pytest.raises(EngineError) as exc:
-            solve_forward_nonlinear(grid, make_schedule(grid, {}), nl, start,
-                                    picard_cap=1)
+            solve_forward_nonlinear(grid, make_schedule(grid, {}), nl, start)
         err = exc.value
         assert err.code == "inner-solve-divergence"
         assert err.context["step"] == 0

@@ -5,6 +5,8 @@ with a constant reaction follows the scalar rational recursion
 g(n+1) = g(n) (1 - c) / (1 + c) with c = dt (kappa^4 + a0) / 2 exactly.
 Every oracle below is that recursion recomputed in plain floats.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from insens4 import pde_engine
 from insens4.errors import EngineError
 from insens4.nonlinearity import make_nonlinearity
 from insens4.pde_engine import (
-    ListSchedule,
     NodeCoefficients,
+    Schedule,
+    SpatialOperator,
     Trajectory,
-    assemble_operator,
     check_energy_growth,
     duality_residual,
     make_schedule,
@@ -94,7 +96,7 @@ class TestSingleModeRecursion:
         shape = grid.basis.shape
         nodes = [NodeCoefficients(a0=np.full(shape, a0_of_t(t)))
                  for t in grid.times]
-        traj = solve_forward(grid, ListSchedule(nodes), _mode(grid, k))
+        traj = solve_forward(grid, Schedule(nodes), _mode(grid, k))
         g = 1.0
         for t in grid.times:
             c = grid.dt * (kap4 + a0_of_t(t)) / 2
@@ -112,7 +114,7 @@ class TestTemporalOrder:
             basis = grid.basis
             p = _mode(grid, 1)
             coeffs = {"a0": CoefficientField.constant("a0", 0.3)}
-            ap = assemble_operator(grid, coeffs, 0.0).apply(p)
+            ap = SpatialOperator(basis, make_schedule(grid, coeffs).node(0)).apply(p)
             g = lambda t: np.exp(-t) * (1 + 0.5 * np.sin(3 * t))
             gp = lambda t: np.exp(-t) * (1.5 * np.cos(3 * t) - 1 - 0.5 * np.sin(3 * t))
             source = np.array([gp(t) * p + g(t) * ap for t in grid.times])
@@ -237,9 +239,11 @@ class TestDiagonalPath:
         source = rng.standard_normal((grid.n_steps,) + grid.shape)
         march = solve_backward if backward else solve_forward
         static = make_schedule(grid, self._coefficients(dim, False))
+        # distinct per-step copies of the shared node
+        copies = [dataclasses.replace(static.node(0)) for _ in grid.times]
         for a, b in ((make_schedule(grid, {}),
-                      ListSchedule([NodeCoefficients()] * grid.n_steps)),
-                     (static, ListSchedule([static._eval(t) for t in grid.times]))):
+                      Schedule([NodeCoefficients()] * grid.n_steps)),
+                     (static, Schedule(copies))):
             ta = march(grid, a, start, source)
             tb = march(grid, b, start, source)
             assert np.array_equal(ta.fields, tb.fields)
@@ -423,6 +427,54 @@ class TestModeLUPath:
         assert exc.value.code == "implicit-step-singular"
         assert exc.value.context["step"] == 2
         assert exc.value.context["pivot"] == 5
+
+
+class TestMakeSchedule:
+    """One builder: coefficient fields at the midpoint nodes plus additions."""
+
+    def test_time_constant_schedule_factors_once(self):
+        grid = build_grid(1, 2.0, 32, 0.5, 40)
+        coeffs = {"a0": CoefficientField.constant("a0", 0.7),
+                  "b0": CoefficientField.constant("b0", [0.4])}
+        sched = make_schedule(grid, coeffs)
+        assert all(sched.node(j) is sched.node(0) for j in range(grid.n_steps))
+        solve_forward(grid, sched, np.ones(grid.shape))
+        assert len(sched.mode_lu.lu) == 1
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_additions_add_to_every_node(self, dim):
+        grid = TestDiagonalPath._grid(dim)
+        rng = np.random.default_rng(60 + dim)
+        coeffs = {
+            "a0": CoefficientField.from_callable(
+                "a0", lambda *xt: 1.0 + xt[0] * xt[-1], 3.0),
+            "b": CoefficientField.constant("b", 0.2 * np.eye(dim), dim),
+            "a1": CoefficientField.constant("a1", 0.3, dim),
+        }
+        lead = (grid.n_steps,)
+        add_a0 = rng.standard_normal(lead + grid.shape)
+        add_b0 = rng.standard_normal(lead + (dim,) + grid.shape)
+        add_b = rng.standard_normal(lead + (dim, dim) + grid.shape)
+        base = make_schedule(grid, coeffs)
+        sched = make_schedule(grid, coeffs, add_a0, add_b0, add_b)
+        for j in range(grid.n_steps):
+            want, got = base.node(j), sched.node(j)
+            assert np.array_equal(got.a0, want.a0 + add_a0[j])
+            assert np.array_equal(got.b0, add_b0[j])
+            assert np.array_equal(got.b, want.b + add_b[j])
+            assert np.array_equal(got.a1, want.a1)
+
+    def test_zero_addition_stays_diagonal(self):
+        grid = TestDiagonalPath._grid(1)
+        coeffs = TestDiagonalPath._coefficients(1, False)
+        zero = np.zeros((grid.n_steps,) + grid.shape)
+        sched = make_schedule(grid, coeffs, add_a0=zero)
+        assert all(sched.node(j) is sched.node(0) for j in range(grid.n_steps))
+        y0 = np.random.default_rng(62).standard_normal(grid.shape)
+        got = solve_forward(grid, sched, y0)
+        assert sched.diagonal[1] is not None and sched.mode_lu is None
+        want = solve_forward(grid, make_schedule(grid, coeffs), y0)
+        assert np.array_equal(got.stateT, want.stateT)
 
 
 class TestTrajectory:

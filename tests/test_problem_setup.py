@@ -213,6 +213,14 @@ class TestValidateProblem:
             validate_problem(_config(g, force=np.ones((3, 3)), force_onset=0.3))
         assert exc.value.code == "force-shape"
 
+    def test_callable_force_rejected(self):
+        # the force is given as values at the midpoint nodes, not a function
+        g = build_grid(1, 2.0, 16, 1.0, 20)
+        with pytest.raises(SetupError) as exc:
+            validate_problem(_config(g, force=lambda x, t: np.sin(x) * t,
+                                     force_onset=0.3))
+        assert exc.value.code == "force-shape"
+
     def test_force_weight_integral(self):
         g = build_grid(1, 2.0, 32, 1.0, 40)
         force = np.zeros((g.n_steps,) + g.basis.shape)

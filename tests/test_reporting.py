@@ -17,6 +17,13 @@ from insens4.reporting import (
 )
 
 
+def _dump(dim, n_cells, nt, n_values):
+    """A field dump with the given header fields and n_values zero doubles."""
+    payload = bytes(8 * n_values)
+    return struct.pack("<8sIIIIQ", FIELD_MAGIC, dim, n_cells, nt, 0,
+                       len(payload)) + payload
+
+
 class TestFormatCell:
     def test_float_round_trip(self):
         for x in (0.1, 1.0 / 3.0, 6.886014e-3, 1e-300, -2.5e17, np.pi):
@@ -89,6 +96,13 @@ class TestFieldDump:
         lambda raw: b"BADMAGIC" + raw[8:],         # wrong magic
         lambda raw: raw[:-8],                      # short payload
         lambda raw: raw[:24] + struct.pack("<Q", 8) + raw[32:],  # lying length
+        # headers whose payload length agrees with an impossible shape
+        lambda raw: _dump(0, 16, 2, 2),          # dimension 0
+        lambda raw: _dump(3, 3, 1, 8),           # dimension 3
+        lambda raw: _dump(2, 0, 1, 1),           # no cells (2D)
+        lambda raw: _dump(1, 0, 0, 0),           # no cells, no records (1D)
+        lambda raw: _dump(1, 1, 2, 0),           # one cell: no interior node
+        lambda raw: _dump(1, 16, 0, 0),          # no records
     ])
     def test_corrupt_files(self, tmp_path, mutate):
         good = write_field_dump(tmp_path / "g.fld", np.ones((2, 15)), 1, 16)

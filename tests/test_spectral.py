@@ -189,3 +189,16 @@ def test_unboxed_transforms_unchanged_by_box_calls(basis):
     basis.from_modes(u, box)
     assert np.array_equal(basis.to_modes(u), before[0])
     assert np.array_equal(basis.from_modes(u), before[1])
+
+
+@pytest.mark.parametrize("cap", [None, 4])
+def test_random_smooth_fills_the_low_mode_cube(basis, cap):
+    dim = basis.dim
+    got = basis.random_smooth(np.random.default_rng(3), 1.5, cap)
+    n = min(basis.shape) if cap is None else cap
+    draws = np.random.default_rng(3).standard_normal((n,) * dim)
+    idx = np.arange(1, n + 1, dtype=float)
+    rank = idx if dim == 1 else np.hypot(idx[:, None], idx[None, :])
+    want = np.zeros(basis.shape)
+    want[(slice(0, n),) * dim] = draws * rank ** -1.5
+    assert np.allclose(basis.to_modes(got), want, rtol=0, atol=1e-13)

@@ -14,6 +14,10 @@ the summed space-time duality identity
 
 holds to rounding (qbar, ybar are the stored midpoint averages).
 
+Coefficients reach a march only as a ``Schedule`` (one ``NodeCoefficients``
+per step, built by ``make_schedule``), which also carries the factors the
+marches cache.
+
 Three paths solve the step.  When every node of a march has spatially
 uniform a0 and a1, a uniform diagonal b and no b0 (an all-zero schedule
 included), A is diagonal in the sine basis with symbol
@@ -160,10 +164,11 @@ def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None],
     def at(j: int) -> NodeCoefficients:
         vals = {}
         for role, f in fields.items():
-            base = None if f is None else f.eval(basis, grid.times[j])
+            val = None if f is None else f.eval(basis, grid.times[j])
             add = adds.get(role)
-            vals[role] = base if add is None else add[j] if base is None \
-                else base + add[j]
+            if add is not None:
+                val = add[j] if val is None else val + add[j]
+            vals[role] = val
         return NodeCoefficients(**vals)
 
     if not adds and all(f is None or f.time_constant for f in fields.values()):

@@ -26,6 +26,7 @@ from insens4.semilinear_loop import (
     picard_insensitize,
     tangent_schedule,
 )
+from insens4.spectral import SineBasis
 from conftest import unit_smooth
 
 
@@ -84,7 +85,9 @@ class TestSecantCoefficients:
     @pytest.mark.parametrize("kind", ["tanh", "mixed", "quadratic"])
     def test_stacked_matches_per_node_loop(self, desk_problem, rng, kind):
         # each partial runs once per quadrature node on the whole stack;
-        # the pointwise arithmetic is that of a loop over time nodes
+        # the pointwise arithmetic is that of a loop over time nodes.  The
+        # jet is one derivative call on the stack, which agrees with
+        # per-node calls to rounding (a stack takes gemm, a field gemv).
         basis = desk_problem.basis
         grid = desk_problem.grid
         fields = np.array([unit_smooth(basis, rng, decay=3.0)
@@ -92,10 +95,16 @@ class TestSecantCoefficients:
         z = Trajectory(basis, grid.dt, grid.times, fields, fields[0],
                        fields[-1])
         nl = make_nonlinearity(kind, scale=0.7)
+        grads, hessians = basis.gradient(fields), basis.hessian(fields)
+        for j, u in enumerate(fields):
+            for stacked, single in ((grads[:, j], basis.gradient(u)),
+                                    (hessians[:, :, j], basis.hessian(u))):
+                assert np.abs(stacked - single).max() \
+                    <= 1e-12 * np.abs(single).max()
         want = {name: [] for name in ("g1", "g2", "g3", "tangent_u",
                                       "tangent_p", "tangent_r")}
-        for u in z.fields:
-            p, r = basis.gradient(u), basis.hessian(u)
+        for j, u in enumerate(z.fields):
+            p, r = grads[:, j], hessians[:, :, j]
             acc = [np.zeros_like(u), np.zeros_like(p), np.zeros_like(r)]
             for tau, w in zip(sl._TAU, sl._TAU_W):
                 for k, f in enumerate((nl.f_u, nl.f_p, nl.f_r)):
@@ -107,6 +116,23 @@ class TestSecantCoefficients:
         got = eval_g(nl, z)
         for name, vals in want.items():
             assert np.array_equal(getattr(got, name), np.array(vals)), name
+
+    def test_jet_is_one_derivative_call_per_order(self, quick_problem, rng,
+                                                  monkeypatch):
+        basis = quick_problem.basis
+        calls = []
+        for name in ("gradient", "hessian"):
+            real = getattr(SineBasis, name)
+            monkeypatch.setattr(
+                SineBasis, name,
+                lambda self, u, real=real: calls.append(u.shape) or real(self, u))
+        grid = quick_problem.grid
+        fields = np.array([unit_smooth(basis, rng, decay=3.0) for _ in grid.times])
+        z = Trajectory(basis, grid.dt, grid.times, fields, fields[0], fields[-1])
+        nl = make_nonlinearity("mixed", scale=0.5)
+        frozen = eval_g(nl, z)
+        ftc_residual(nl, z, frozen)
+        assert calls == [z.fields.shape] * 4
 
     def test_nonfinite_linearization_is_loud(self, quick_problem, rng):
         z = _trajectory(quick_problem, rng)

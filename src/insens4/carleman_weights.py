@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import WeightError
 from .spectral import SineBasis
@@ -136,8 +135,9 @@ def build_eta(
     ------
     WeightError
         ``critical-point-outside-omega0`` if the peak leaves the support
-        hull, ``eta-degenerate`` if the gradient vanishes at any node
-        outside the support.
+        hull, ``eta-degenerate`` if the closed-form steepness misses the
+        critical point or the gradient vanishes at any node outside the
+        support.
     """
     support = np.asarray(omega0_support, dtype=bool)
     if not support.any():
@@ -162,19 +162,18 @@ def build_eta(
                 f"peak coordinate {c} outside support hull ({lo}, {hi}) on axis {ax}",
             )
 
-    # steepness per axis from the critical-point condition eta'(c) = 0
+    # steepness per axis from the critical-point condition eta'(c) = 0,
+    # checked on eta' itself with its exp(k c) factor divided out
     steepness = []
     for ax, c in enumerate(peak):
         L = basis.extents[ax]
-        bracket = 8.0 / min(c, L - c)
-        k = brentq(lambda k_: _axis_profile_d1(c, L, k_), -bracket, bracket,
-                   xtol=1e-15, rtol=4 * np.finfo(float).eps)
-        # closed form (2c - L) / (c (L - c)) must agree to rounding
-        k_closed = (2 * c - L) / (c * (L - c))
-        if abs(k - k_closed) > 1e-12 * (1 + abs(k_closed)):
+        k = (2 * c - L) / (c * (L - c))
+        resid = _axis_profile_d1(c, L, k) / np.exp(k * c)
+        if not (np.isfinite(k) and abs(resid) <= 1e-12 * L):
             raise WeightError(
                 "eta-degenerate",
-                f"steepness solve disagrees with closed form on axis {ax}",
+                f"steepness {k} misses the critical point on axis {ax} "
+                f"(residual {resid})",
             )
         steepness.append(k)
     steepness = tuple(steepness)

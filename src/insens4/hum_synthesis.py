@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cascade_sentinel import (
     AdjointPair,
@@ -390,8 +389,69 @@ def _secular_solve(alphas: np.ndarray, betas: np.ndarray, beta0: float,
     if glo == 0.0:
         delta = lo
     else:
-        delta = brentq(gap, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+        delta = _brentq(gap, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
     return float(delta), solve(float(delta))
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """Root of f in the sign-change bracket [xa, xb] by Brent's method.
+
+    A line-for-line port of scipy's C ``brentq`` (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973): the same
+    iterates, tolerance 2 * delta = xtol + rtol |x| and return point, so
+    it gives the same bits as ``scipy.optimize.brentq``.  Running out of
+    ``maxiter`` iterations raises ``secular-no-convergence``.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise SynthesisError(
+        "secular-no-convergence",
+        f"Brent's method did not converge in {maxiter} iterations",
+        bracket=(xa, xb), iterations=maxiter, last=xcur)
 
 
 def _lanczos_warm_start(syn: _Synthesis, b: Array, bnorm: float, eps: float,

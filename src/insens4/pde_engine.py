@@ -718,7 +718,8 @@ def _march(
     path = _path(basis, schedule, nt, dt, source, source_box, transpose)
     defer = path.defers_fields and reaction is None and on_step is None
     fields = None
-    x = path.enter(first)
+    # a zero start (y0 = 0, every costate's terminal) needs no transform
+    x = path.enter(first) if first.any() else np.zeros_like(first)
     u = first
     for j in order:
         base = path.linear(j, x)

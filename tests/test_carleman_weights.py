@@ -8,6 +8,7 @@ closed-form assertions below lean on that family.
 import numpy as np
 import pytest
 
+from insens4 import carleman_weights
 from insens4.carleman_weights import (
     build_eta,
     build_weights,
@@ -72,6 +73,35 @@ class TestProfile:
         ax1 = eta2.value_at((eta2.peak[0], x[1]))
         prod = ax0 * ax1 / eta2.sup
         assert eta2.value_at(x) == pytest.approx(prod, rel=1e-12)
+
+
+class TestSteepnessGuard:
+    @pytest.fixture(scope="class")
+    def square(self):
+        g = build_grid(2, (1.0, 1.5), 16, 1.0, 20)
+        return g, build_mask(g, [((0.2, 0.8), (0.3, 1.2))], "omega0")
+
+    def test_sweep_is_closed_form_and_critical(self, square):
+        # peaks across the support hull on both axes of a non-square domain
+        g, m = square
+        for c0 in np.linspace(0.23, 0.77, 9):
+            for c1 in np.linspace(0.34, 1.16, 9):
+                eta2 = build_eta(g.basis, m.support, peak=(c0, c1))
+                for ax, c in enumerate((c0, c1)):
+                    L = g.basis.extents[ax]
+                    k = eta2.steepness[ax]
+                    assert k == (2 * c - L) / (c * (L - c))
+                    assert abs((L - 2 * c) + k * c * (L - c)) <= 1e-12 * L
+
+    def test_derivative_off_by_a_constant_is_degenerate(self, square,
+                                                        monkeypatch):
+        g, m = square
+        original = carleman_weights._axis_profile_d1
+        monkeypatch.setattr(carleman_weights, "_axis_profile_d1",
+                            lambda x, L, k: original(x, L, k) + 1e-9)
+        with pytest.raises(WeightError) as exc:
+            build_eta(g.basis, m.support)
+        assert exc.value.code == "eta-degenerate"
 
 
 class TestClosedFormFamily:

@@ -1,6 +1,11 @@
 """End-to-end command line runs through the in-process entry point."""
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,3 +228,29 @@ class TestFailureModes:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out
+
+
+# scipy subpackages no command needs, each a cost of every cold start
+# (scipy.linalg, which the 1D mode-space LU needs, may load)
+_IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    from insens4.cli import main
+    for command in ("observability", "insensitize-linear",
+                    "insensitize-semilinear"):
+        code = main([command, "--quick", "--out", sys.argv[1] + "/" + command])
+        assert code == 0, (command, code)
+    heavy = ("scipy.optimize", "scipy.ndimage", "scipy.stats")
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith(heavy))))
+""")
+
+
+def test_cli_runs_without_optimize_ndimage_or_stats(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-s", "-c", _IMPORT_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -9,6 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from insens4 import hum_synthesis
 from insens4.cascade_sentinel import solve_adjoint_pair, solve_cascade
@@ -163,6 +164,66 @@ class TestQuadraticPenalty:
         assert rep.bound_value == pytest.approx(2 * r.bound_value, rel=1e-15)
 
 
+def _secular_brackets(monkeypatch, n_problems, seed=11):
+    """(f, lo, hi, delta) of every root solve of n random secular problems.
+
+    Each problem is a tridiagonal SPD model with a random right-hand side
+    norm beta0 above eps; ``_secular_solve`` expands the bracket itself.
+    """
+    calls = []
+    port = hum_synthesis._brentq
+
+    def recording(f, lo, hi, **kw):
+        delta = port(f, lo, hi, **kw)
+        calls.append((f, lo, hi, delta))
+        return delta
+
+    rng = np.random.default_rng(seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(hum_synthesis, "_brentq", recording)
+        for _ in range(n_problems):
+            m = int(rng.integers(1, 13))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            betas = scale * rng.uniform(-1, 1, m)
+            off = np.abs(np.concatenate(([0.0], betas[:m - 1])))
+            alphas = off + np.abs(betas) + scale * 10.0 ** rng.uniform(-4, 1, m)
+            beta0 = 10.0 ** rng.uniform(-2, 2)
+            eps = beta0 * 10.0 ** rng.uniform(-8, -0.001)
+            assert hum_synthesis._secular_solve(alphas, betas, beta0, eps) \
+                is not None
+    return calls
+
+
+class TestSecularBrent:
+    def test_port_matches_scipy_bitwise(self, monkeypatch):
+        calls = _secular_brackets(monkeypatch, 520)
+        assert len(calls) >= 500
+        for f, lo, hi, delta in calls:
+            # the same points are evaluated in the same order
+            seen = {"port": [], "scipy": []}
+
+            def logged(x, key):
+                seen[key].append(x)
+                return f(x)
+
+            got = hum_synthesis._brentq(lambda x: logged(x, "port"), lo, hi,
+                                        xtol=1e-300, rtol=1e-14, maxiter=200)
+            want = optimize.brentq(lambda x: logged(x, "scipy"), lo, hi,
+                                   xtol=1e-300, rtol=1e-14, maxiter=200)
+            assert got == want == delta
+            assert seen["port"] == seen["scipy"]
+
+    def test_iteration_cap_is_coded(self, monkeypatch):
+        f, lo, hi, _ = _secular_brackets(monkeypatch, 1)[0]
+        with pytest.raises(RuntimeError):
+            optimize.brentq(f, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=2)
+        with pytest.raises(SynthesisError) as exc:
+            hum_synthesis._brentq(f, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=2)
+        assert exc.value.code == "secular-no-convergence"
+        assert exc.value.context["bracket"] == (lo, hi)
+        assert exc.value.context["iterations"] == 2
+
+
 class TestRatioSample:
     def test_deterministic_and_shaped(self, quick_problem):
         a = observability_ratio_sample(quick_problem, n_samples=4, seed=3)
@@ -220,7 +281,7 @@ class TestRatioSample:
             monkeypatch.setattr(SineBasis, name, counted)
         n, nt = 3, problem.grid.n_steps
         observability_ratio_sample(problem, n_samples=n, seed=2)
-        assert calls["full"] <= n * (nt + 5)
+        assert calls["full"] <= n * (nt + 4)
         assert calls["boxed"] == n * 2 * nt
 
 

@@ -1,11 +1,14 @@
 """Grid, masks, coefficient fields, and problem validation."""
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from insens4.errors import SetupError
 from insens4.problem_setup import (
     CoefficientField,
     ProblemConfig,
+    _contained_with_margin,
+    _dilate,
     build_grid,
     build_mask,
     validate_problem,
@@ -144,6 +147,35 @@ class TestCoefficientField:
         with pytest.raises(SetupError) as exc:
             validate_problem(cfg)
         assert exc.value.code == "declared-bound-violated"
+
+
+class TestMarginDilation:
+    @pytest.mark.parametrize("shape", [(40,), (17, 23)])
+    @pytest.mark.parametrize("margin", [1, 2, 3])
+    def test_matches_binary_dilation(self, shape, margin):
+        # reference: scipy's dilation by the 3^d box, and the verdict on it
+        structure = np.ones((3,) * len(shape), dtype=bool)
+        rng = np.random.default_rng(7 * margin + len(shape))
+        verdicts = set()
+        interior = np.zeros(shape, dtype=bool)
+        interior[(slice(3, -3),) * len(shape)] = True
+        for draw in range(40):
+            inner = rng.random(shape) < rng.uniform(0.02, 0.3)
+            if draw % 2:
+                inner &= interior  # room for the margin inside the array
+            outer = ndimage.binary_dilation(
+                inner, structure=structure,
+                iterations=int(rng.integers(1, 4))) | (rng.random(shape) < 0.5)
+            want = ndimage.binary_dilation(inner, structure=structure,
+                                           iterations=margin)
+            assert np.array_equal(_dilate(inner, margin), want)
+            inner_p = np.pad(inner, margin)
+            outer_p = np.pad(outer, margin)
+            verdict = bool(np.all(outer_p[ndimage.binary_dilation(
+                inner_p, structure=structure, iterations=margin)]))
+            assert _contained_with_margin(inner, outer, margin) is verdict
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestValidateProblem:

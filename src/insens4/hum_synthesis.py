@@ -57,6 +57,10 @@ Array = np.ndarray
 
 VARIANTS = ("exact", "quadratic")
 
+# Largest record of phi's obs-box midpoints, (Nt, B, *obs box), that one
+# stack of the observability sampler holds; it sets the B rows per stack.
+RATIO_STACK_CAP_BYTES = 4 * 2**20
+
 
 @dataclass
 class HUMState:
@@ -645,34 +649,48 @@ def verify_null(result: ControlResult, constants=None,
     )
 
 
-def _ratio_for(problem: ValidatedProblem, phi0: Array, weights: Array,
-               ops: CascadeOperators) -> tuple[float, bool]:
-    """One observability ratio: weighted energy over control-window energy.
+def _ratio_stack(problem: ValidatedProblem, phi0s: Array, weights: Array,
+                 ops: CascadeOperators) -> list[tuple[float, bool]]:
+    """Observability ratios of a (B, *shape) stack of seeds, row by row.
 
-    The adjoint pair of :func:`solve_adjoint_pair`, marched on the box
-    its source reads: phi is recorded on the obs box only, psi marches
-    back from the box source chi_obs phi, and psi's ``on_step`` streams
-    the per-step sums of psi^2 and of omega psi^2 over the domain (one
-    product with both weight rows), so no (Nt, *shape) field is stored.
+    Each row is the adjoint pair of :func:`solve_adjoint_pair`, and the
+    stack marches together on the boxes its masks read.  phi's
+    ``on_step`` records chi_obs phi on the obs box, which is psi's per-row
+    box source.  psi marches back in sine coefficients and its
+    ``on_step`` streams, per row and step, the sum of psi^2 (by Parseval,
+    from the modes) and that of omega psi^2 (on omega's box).  No step
+    transforms a full grid and no (Nt, *shape) field is stored.  Returns
+    (ratio, degenerate) per row; a row whose control-window energy
+    underflows is degenerate.
     """
     grid = problem.grid
-    obs = problem.obs
-    phi = solve_forward(grid, ops.costate_schedule, phi0, record_box=obs.box)
-    energy_weights = np.stack([np.ones(grid.shape),
-                               problem.omega.values]).reshape(2, -1)
+    basis = problem.basis
+    obs, omega = problem.obs, problem.omega
+    obs_values = obs.values[obs.box]
+    omega_values = omega.values[omega.box].ravel()
+    parseval = basis.mode_volume / basis.cell_volume
 
-    def energies(j: int, mid: Array) -> Array:
-        return energy_weights @ (mid * mid).reshape(-1)
+    def observed(j: int, mid: Array) -> Array:
+        return obs_values * mid
 
-    psi = solve_backward(grid, ops.state_schedule, np.zeros(grid.shape),
-                         obs.values[obs.box] * phi.fields, on_step=energies,
-                         source_box=obs.box)
-    cell = grid.dt * problem.basis.cell_volume
-    num = cell * float(weights @ psi.fields[:, 0])
-    den = cell * float(np.sum(psi.fields[:, 1]))
-    if den <= 1e-300:
-        return math.nan, True
-    return num / den, False
+    def energies(j: int, modes: Array) -> Array:
+        rows = len(modes)
+        on_omega = basis.from_modes(modes, omega.box).reshape(rows, -1)
+        modes = modes.reshape(rows, -1)
+        return np.array([
+            parseval * np.einsum("bi,bi->b", modes, modes),
+            np.einsum("i,bi,bi->b", omega_values, on_omega, on_omega)])
+
+    phi = solve_forward(grid, ops.costate_schedule, phi0s, on_step=observed,
+                        record_box=obs.box)
+    psi = solve_backward(grid, ops.state_schedule, np.zeros(phi0s.shape),
+                         phi.fields, on_step=energies, source_box=obs.box,
+                         in_modes=True)
+    cell = grid.dt * basis.cell_volume
+    nums = cell * (weights @ psi.fields[:, 0])
+    dens = cell * np.sum(psi.fields[:, 1], axis=0)
+    return [(math.nan, True) if den <= 1e-300 else (float(num / den), False)
+            for num, den in zip(nums, dens)]
 
 
 def observability_ratio_sample(
@@ -690,13 +708,16 @@ def observability_ratio_sample(
     and reports R = int_Q e^{-M/sqrt(t)} |psi|^2 / int_{Q_omega} |psi|^2
     per draw.  ``mode_cap`` pins the number of active modes per axis so
     the same seed reproduces the same continuum seeds across grid
-    refinements.  Degenerate draws (underflowing denominator) are
-    skipped and reported, never asserted against.
+    refinements.  Degenerate draws (a zero seed or an underflowing
+    denominator) are skipped and reported, never asserted against.
 
-    Each draw transforms only what its obs mask reads: phi's midpoints on
-    the obs box and psi's source on that box; psi's two energies are
-    streamed step by step, so one midpoint transform per step is
-    full-grid and no space-time field is stored.
+    Every seed is drawn first; then consecutive draws march together in
+    stacks of as many rows as RATIO_STACK_CAP_BYTES allows for phi's
+    obs-box record (a zero seed leaves its stack).  A stack transforms
+    only what the masks read, on their boxes, and streams psi's energies
+    from its sine coefficients (see :func:`_ratio_stack`): the full-grid
+    transforms are the seeds' synthesis and each stack's start and end
+    states.
 
     Raises
     ------
@@ -718,17 +739,25 @@ def observability_ratio_sample(
     rate_m = problem.constants.rate_m
     weights = np.exp(-rate_m / np.sqrt(problem.grid.times))
 
+    decays, seeds = [], []
+    for _ in range(n_samples):
+        decays.append(rng.uniform(0.5, 2.5))
+        seeds.append(basis.random_smooth(rng, decays[-1], cap))
+    norms = [basis.norm(phi0) for phi0 in seeds]
+    record_row = 8 * problem.grid.n_steps * problem.obs.values[problem.obs.box].size
+    rows = max(1, RATIO_STACK_CAP_BYTES // record_row)
+    results: dict[int, tuple[float, bool]] = {}
+    for first in range(0, n_samples, rows):
+        live = [i for i in range(first, min(first + rows, n_samples))
+                if norms[i] != 0.0]
+        if live:
+            stack = np.array([seeds[i] / norms[i] for i in live])
+            results.update(zip(live, _ratio_stack(problem, stack, weights, ops)))
+
     samples: list[dict] = []
     ratios: list[float] = []
-    for i in range(n_samples):
-        decay = rng.uniform(0.5, 2.5)
-        phi0 = basis.random_smooth(rng, decay, cap)
-        nrm = basis.norm(phi0)
-        if nrm == 0.0:
-            samples.append({"index": i, "decay": decay, "ratio": math.nan,
-                            "status": "degenerate-psi"})
-            continue
-        ratio, degenerate = _ratio_for(problem, phi0 / nrm, weights, ops)
+    for i, decay in enumerate(decays):
+        ratio, degenerate = results.get(i, (math.nan, True))
         samples.append({"index": i, "decay": decay, "ratio": ratio,
                         "status": "degenerate-psi" if degenerate else "ok"})
         if not degenerate:

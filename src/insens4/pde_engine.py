@@ -48,14 +48,18 @@ Richardson iteration preconditioned with the bilaplacian part.
 
 All three paths run in one step loop (``_march``).  A march starts from
 one field or from a stack (B, *shape): spatial axes are trailing, so each
-row marches independently against the shared (Nt, *shape) source, which
-is transformed once per step.  A reaction F(u, grad u, hess u) enters
-that loop as one more source evaluated at the midpoint average; on the
-diagonal path that is u^_{j+1} = r u^_j + d (g^_j + F^(mid_j)).  Each step
-relaxes it by lagged iteration from F(u_j), and a row stops updating once
-its update meets RELAX_TOL (1 + |u_j|).  An ``on_step`` hook sees every
+row marches independently, against a (Nt, *shape) source shared by the
+rows or a per-row (Nt, B, *shape) one, transformed once per step either
+way.  A reaction F(u, grad u, hess u) enters that loop as one more
+source evaluated at the midpoint average; on the diagonal path that is
+u^_{j+1} = r u^_j + d (g^_j + F^(mid_j)).  Each step relaxes it by
+lagged iteration from F(u_j), and a row stops updating once its update
+meets RELAX_TOL (1 + |u_j|).  An ``on_step`` hook sees every
 midpoint average and chooses what the trajectory records, so a batched
-march can stream a reduction instead of storing every row.
+march can stream a reduction instead of storing every row.  With
+``in_modes`` the hook (and the record) sees the midpoint's sine
+coefficients: the diagonal and LU paths hand over the ones they step in,
+the Richardson path transforms its physical midpoint.
 
 A linear march can also take its source on a box of nodes (one slice per
 axis, zero outside) and record its midpoints on a box only.  The diagonal
@@ -227,7 +231,8 @@ class Trajectory:
     """Midpoint-averaged space-time field with exact end states.
 
     ``fields[j]`` is the average of the two integer-node states around
-    the midpoint node t_j; ``state0`` and ``stateT`` are the untouched
+    the midpoint node t_j (its sine coefficients for a march run with
+    ``in_modes``); ``state0`` and ``stateT`` are the untouched
     integer-node states at t = 0 and t = T.  A march from a stack
     (B, *shape) records fields (Nt, B, *shape) and end states (B, *shape);
     the norms below are those of a single field.
@@ -264,17 +269,23 @@ def _on_box(u: Array, box: tuple[slice, ...] | None = None) -> Array:
     return u if box is None else u[(...,) + box]
 
 
-def _source_fields(grid: Grid, source: Array | None,
+def _source_fields(grid: Grid, source: Array | None, start: Array,
                    box: tuple[slice, ...] | None = None) -> Array | None:
-    """The source as a float (Nt, *shape) array, or its values on ``box``."""
+    """The source as a float (Nt, *shape) array, or its values on ``box``.
+
+    A stack start (B, *shape) also takes a per-row source (Nt, B, *shape).
+    """
     if source is None:
         return None
     shape = grid.shape if box is None else \
         tuple(len(range(n)[sl]) for n, sl in zip(grid.shape, box))
-    expected = (grid.n_steps,) + shape
+    allowed = [(grid.n_steps,) + shape]
+    if start.ndim > grid.dim:
+        allowed.append((grid.n_steps, start.shape[0]) + shape)
     out = np.asarray(source)
-    if out.shape != expected:
-        raise EngineError("source-shape", f"source must have shape {expected}, got {out.shape}")
+    if out.shape not in allowed:
+        raise EngineError("source-shape", "source must have shape "
+                          f"{' or '.join(map(str, allowed))}, got {out.shape}")
     return out.astype(float, copy=False)
 
 
@@ -483,8 +494,9 @@ class _DiagonalPath:
     """Exact per-mode recurrence; the state is kept in sine coefficients.
 
     Each path steps in its own representation of the state: ``enter``
-    and ``leave`` convert the end states and ``physical(mid, box=None)``
-    a midpoint (to its values on ``box``), ``linear(j, x)`` is the part of
+    and ``leave`` convert the end states, ``physical(mid, box=None)`` a
+    midpoint (to its values on ``box``) and ``modes(mid)`` a midpoint to
+    its sine coefficients; ``linear(j, x)`` is the part of
     step j that does not depend on the reaction, and ``advance`` completes
     the step with an extra physical source, returning the new state and
     the midpoint.  ``source`` holds values on ``source_box`` when given.
@@ -500,6 +512,10 @@ class _DiagonalPath:
         self.source_box = source_box
         self.enter = basis.to_modes
         self.leave = self.physical = basis.from_modes
+
+    @staticmethod
+    def modes(mid: Array) -> Array:
+        return mid
 
     def linear(self, j: int, x: Array) -> Array:
         """r u^_j + d g^_j."""
@@ -538,6 +554,8 @@ class _LUPath:
             self.src_hat = dt * (source @ t_rows)
         self.enter = functools.partial(_sym_apply, factors.to_modes)
         self.leave = functools.partial(_sym_apply, factors.from_modes)
+
+    modes = staticmethod(_DiagonalPath.modes)
 
     def physical(self, mid: Array, box: tuple[slice, ...] | None = None) -> Array:
         if box is None:
@@ -586,6 +604,7 @@ class _RichardsonPath:
         self.pre = 1.0 + self.c * basis.bilap_modes
         self.transpose = transpose
         self.lower = _lower_apply_t if transpose else _lower_apply
+        self.modes = basis.to_modes
 
     @staticmethod
     def enter(u: Array) -> Array:
@@ -694,16 +713,18 @@ def _march(
     grid: Grid,
     schedule: Schedule,
     start: Array,
-    source: np.ndarray | None,
+    source: Array | None,
     transpose: bool,
     reaction: Callable[[Array], Array] | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
     record_box: tuple[slice, ...] | None = None,
+    in_modes: bool = False,
 ) -> Trajectory:
     """The one CN step loop behind every march (see the module notes).
 
-    ``record_box`` applies to linear marches only (``reaction`` None).
+    ``record_box`` and ``in_modes`` apply to linear marches only
+    (``reaction`` None) and exclude each other.
     """
     basis = grid.basis
     nt = grid.n_steps
@@ -714,8 +735,13 @@ def _march(
         raise EngineError(
             "start-shape", f"start must have shape {basis.shape} or "
             f"(B, *{basis.shape}), got {first.shape}")
+    if in_modes and record_box is not None:
+        raise EngineError("record-box-modes", "a march records its midpoints "
+                          "on a box or in modes, not both")
+    source = _source_fields(grid, source, first, source_box)
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
     path = _path(basis, schedule, nt, dt, source, source_box, transpose)
+    out = path.modes if in_modes else functools.partial(path.physical, box=record_box)
     defer = path.defers_fields and reaction is None and on_step is None
     fields = None
     # a zero start (y0 = 0, every costate's terminal) needs no transform
@@ -726,7 +752,7 @@ def _march(
         if reaction is None:
             x, mid = path.advance(j, x, base, None)
             if not defer:
-                mid = path.physical(mid, record_box)
+                mid = out(mid)
         else:
             x, mid = _relax(path, j, x, base, u, reaction, basis.dim)
             u = 2.0 * mid - u
@@ -735,7 +761,7 @@ def _march(
             fields = np.empty((nt,) + np.shape(rec))
         fields[j] = rec
     if defer:
-        fields = path.physical(fields, record_box)
+        fields = out(fields)
     state = path.leave(x)
     if transpose:
         return Trajectory(basis, dt, grid.times, fields, state0=state, stateT=first)
@@ -750,6 +776,7 @@ def solve_forward(
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
     record_box: tuple[slice, ...] | None = None,
+    in_modes: bool = False,
 ) -> Trajectory:
     """March the state equation from t = 0 to t = T.
 
@@ -758,13 +785,13 @@ def solve_forward(
     schedule : Schedule
         Lower-order coefficients per midpoint node (see :func:`make_schedule`).
     initial : array, shape ``shape`` or (B, *shape)
-        One initial state, or a stack marched together under the shared
-        source; the trajectory's arrays then carry the batch axis after
-        the time axis.
-    source : None or array (Nt, *shape)
-        Source values at the midpoint nodes.  With ``source_box`` it holds
-        the values on that box, (Nt, *box shape), and the source is zero
-        elsewhere.
+        One initial state, or a stack of B marched together; the
+        trajectory's arrays then carry the batch axis after the time axis.
+    source : None or array (Nt, *shape) or (Nt, B, *shape)
+        Source values at the midpoint nodes, shared by every row of a
+        stack or, with the batch axis, one source per row.  With
+        ``source_box`` it holds the values on that box, (Nt, *box shape)
+        or (Nt, B, *box shape), and the source is zero elsewhere.
     on_step : callable(j, mid) -> array, optional
         Sees each step's midpoint average and returns what ``fields[j]``
         records, so a batched march can stream a reduction instead of
@@ -773,17 +800,22 @@ def solve_forward(
         Boxes of nodes, one slice per axis.  With ``record_box`` the
         midpoints (what ``on_step`` sees and ``fields`` records) are the
         values on that box only; the end states stay whole.
+    in_modes : bool
+        When true, ``on_step`` and ``fields`` see each midpoint's sine
+        coefficients instead of its node values (no ``record_box``).  The
+        end states stay physical.
 
     Raises
     ------
     EngineError
-        ``source-shape`` when the source does not have that shape;
-        ``inner-solve-divergence`` when the preconditioned fixed point
-        for the implicit half-system stalls above tolerance.
+        ``source-shape`` when the source has none of those shapes (a
+        per-row source whose row count differs from the start's
+        included); ``inner-solve-divergence`` when the preconditioned
+        fixed point for the implicit half-system stalls above tolerance.
     """
-    src = _source_fields(grid, source, source_box)
-    return _march(grid, schedule, initial, src, False, on_step=on_step,
-                  source_box=source_box, record_box=record_box)
+    return _march(grid, schedule, initial, source, False, on_step=on_step,
+                  source_box=source_box, record_box=record_box,
+                  in_modes=in_modes)
 
 
 def solve_backward(
@@ -794,17 +826,19 @@ def solve_backward(
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
     record_box: tuple[slice, ...] | None = None,
+    in_modes: bool = False,
 ) -> Trajectory:
     """March the exact transpose steps from t = T down to t = 0.
 
     The result's ``state0`` is the adjoint state at t = 0 on the integer
     node, the quantity every duality identity below refers to.  The
-    source, ``on_step`` and the boxes are as in :func:`solve_forward`;
-    ``on_step`` sees the steps from j = Nt - 1 down to 0.
+    stack, the (shared or per-row) source, ``on_step``, the boxes and
+    ``in_modes`` are as in :func:`solve_forward`; ``on_step`` sees the
+    steps from j = Nt - 1 down to 0.
     """
-    src = _source_fields(grid, source, source_box)
-    return _march(grid, schedule, terminal, src, True, on_step=on_step,
-                  source_box=source_box, record_box=record_box)
+    return _march(grid, schedule, terminal, source, True, on_step=on_step,
+                  source_box=source_box, record_box=record_box,
+                  in_modes=in_modes)
 
 
 def solve_forward_nonlinear(
@@ -819,7 +853,7 @@ def solve_forward_nonlinear(
 
     The reaction enters the step loop of :func:`solve_forward` as a
     source at the midpoint average, relaxed per step by lagged
-    iteration; ``initial`` and ``on_step`` are as there.
+    iteration; ``initial``, ``source`` and ``on_step`` are as there.
 
     Raises
     ------
@@ -841,8 +875,7 @@ def solve_forward_nonlinear(
         def reaction(u: Array) -> Array:
             return nonlinearity.f(u, basis.gradient(u), basis.hessian(u))
 
-    src = _source_fields(grid, source)
-    return _march(grid, schedule, initial, src, False, reaction, on_step)
+    return _march(grid, schedule, initial, source, False, reaction, on_step)
 
 
 def duality_residual(

@@ -24,6 +24,9 @@ import numpy as np
 
 __all__ = ["SineBasis"]
 
+# Box objects whose slices a basis remembers by identity.
+_BOX_MEMO_SIZE = 8
+
 
 def _along(mat: np.ndarray, u: np.ndarray, axis: int,
            mat_t: np.ndarray | None = None) -> np.ndarray:
@@ -84,7 +87,8 @@ class SineBasis:
         self._mode_scale = 2.0 / n
         self._full_slices = ((self._sine, self._sine),) * self.dim
         self._box_slices: dict[tuple, tuple] = {}
-        self._last_box: tuple | None = None  # (box, slices) of the last call
+        # id(box) -> (box, slices) of the box objects seen last
+        self._box_memo: dict[int, tuple] = {}
         # positive Laplacian symbol sum_i kappa_i^2 on the mode lattice
         if self.dim == 1:
             self.lap_modes = self.kappa[0] ** 2
@@ -100,17 +104,24 @@ class SineBasis:
         """Per axis, the sine-matrix slices S[:, r] and S[r, :] of ``box``."""
         if box is None:
             return self._full_slices
-        last = self._last_box
-        if last is not None and last[0] is box:
-            # a march passes the same box object at every step
-            return last[1]
+        # a march passes the same few box objects at every step
+        hit = self._box_memo.get(id(box))
+        if hit is not None and hit[0] is box:
+            return hit[1]
+        mats = self._box_mats(box)
+        if len(self._box_memo) >= _BOX_MEMO_SIZE:
+            self._box_memo.clear()
+        self._box_memo[id(box)] = (box, mats)
+        return mats
+
+    def _box_mats(self, box: tuple[slice, ...]) -> tuple:
+        """The slices of ``box``, copied contiguous once per distinct box."""
         key = tuple(sl.indices(n) for sl, n in zip(box, self.shape))
         mats = self._box_slices.get(key)
         if mats is None:
             mats = tuple((np.ascontiguousarray(self._sine[:, sl]),
                           np.ascontiguousarray(self._sine[sl, :])) for sl in box)
             self._box_slices[key] = mats
-        self._last_box = (box, mats)
         return mats
 
     def to_modes(self, u: np.ndarray,

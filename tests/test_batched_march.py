@@ -10,7 +10,9 @@ different BLAS kernel, so single fields are compared with a tolerance).
 
 A linear march may also take its source on a box of nodes and record its
 midpoints on a box; on every path that equals the full march with the
-source embedded in zeros and the record sliced to the box.
+source embedded in zeros and the record sliced to the box.  A stack may
+take one source per row, and a march may record its midpoints in sine
+coefficients.
 """
 import dataclasses
 import functools
@@ -223,6 +225,78 @@ class TestBoxedMarch:
             solve_forward(grid, make_schedule(grid, {}), np.zeros(grid.shape),
                           lambda x, t: np.sin(x) * t)
         assert exc.value.code == "source-shape"
+
+
+class TestPerRowSource:
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("boxed", [False, True], ids=["full", "box"])
+    @SETTINGS
+    @given(draw=coefficient_draws, seed=st.integers(0, 2**16),
+           box_draw=box_draws, rows=st.integers(2, 4))
+    def test_rows_match_single_row_marches(self, path, backward, boxed, draw,
+                                           seed, box_draw, rows):
+        # row i of a march under a (Nt, B, ...) source is the march of
+        # start i under source row i
+        dim, coeffs = _coefficients(path, draw)
+        grid = _grid(dim)
+        schedule = make_schedule(grid, coeffs)
+        box = _box(box_draw, grid.shape) if boxed else None
+        on_box = (...,) + (box or ())
+        sources = np.random.default_rng(seed + 2).standard_normal(
+            (grid.n_steps, rows) + grid.shape)[on_box]
+        starts = _stack(grid.basis, seed, rows)
+        solve = functools.partial(solve_backward if backward else solve_forward,
+                                  grid, schedule, source_box=box)
+        full = solve(starts, sources)
+        scale = np.abs(full.fields).max()
+        for i in range(rows):
+            one = solve(starts[i], sources[:, i])
+            for got, want in ((full.fields[:, i], one.fields),
+                              (full.state0[i], one.state0),
+                              (full.stateT[i], one.stateT)):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("box", [None, (slice(2, 5),)], ids=["full", "box"])
+    def test_row_count_checked(self, box):
+        grid = _grid(1)
+        schedule = make_schedule(grid, {})
+        starts = _stack(grid.basis, 1, 3)
+        shape = grid.shape if box is None else (3,)
+        for start, rows in ((starts, 2), (starts, 4), (starts[0], 1)):
+            with pytest.raises(EngineError) as exc:
+                solve_forward(grid, schedule, start,
+                              np.zeros((grid.n_steps, rows) + shape),
+                              source_box=box)
+            assert exc.value.code == "source-shape"
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    def test_in_modes_records_sine_coefficients(self, path, backward):
+        dim, coeffs = _coefficients(path, (0.5, 0.1, 0.4, 0.05, 1.0))
+        grid = _grid(dim)
+        schedule = make_schedule(grid, coeffs)
+        starts = _stack(grid.basis, 7, 3)
+        solve = functools.partial(solve_backward if backward else solve_forward,
+                                  grid, schedule, starts, _source(grid, 7))
+        phys = solve()
+        modes = solve(in_modes=True)
+        want = grid.basis.to_modes(phys.fields)
+        assert np.abs(modes.fields - want).max() <= 1e-12 * np.abs(want).max()
+        # the end states stay physical
+        assert np.array_equal(modes.state0, phys.state0)
+        assert np.array_equal(modes.stateT, phys.stateT)
+        # on_step sees the recorded coefficients
+        streamed = solve(on_step=lambda j, c: c[1], in_modes=True)
+        assert np.array_equal(streamed.fields, modes.fields[:, 1])
+
+    def test_in_modes_excludes_record_box(self):
+        grid = _grid(1)
+        with pytest.raises(EngineError) as exc:
+            solve_forward(grid, make_schedule(grid, {}), np.zeros(grid.shape),
+                          record_box=(slice(2, 5),), in_modes=True)
+        assert exc.value.code == "record-box-modes"
 
 
 class TestBatchedNonlinearMarch:

@@ -224,6 +224,10 @@ class TestSecularBrent:
         assert exc.value.context["iterations"] == 2
 
 
+# problems whose marches take each path of the engine (see _ratio_problem)
+RATIO_CASES = ["1d-diagonal", "1d-lu", "2d-diagonal", "2d-richardson"]
+
+
 class TestRatioSample:
     def test_deterministic_and_shaped(self, quick_problem):
         a = observability_ratio_sample(quick_problem, n_samples=4, seed=3)
@@ -250,26 +254,29 @@ class TestRatioSample:
             observability_ratio_sample(quick_problem, n_samples=1, mode_cap=-3)
         assert exc.value.code == "mode-cap"
 
-    @pytest.mark.parametrize("case", ["1d-diagonal", "1d-lu", "2d-diagonal",
-                                      "2d-richardson"])
+    @pytest.mark.parametrize("case", RATIO_CASES)
     def test_matches_stored_pair_formula(self, case, monkeypatch):
-        # the boxed, streamed sampler against the ratio of the stored
-        # adjoint pair, draw by draw
+        # the stacked, boxed, streamed sampler against the ratio of the
+        # stored adjoint pair, draw by draw
         problem = _ratio_problem(case)
         got = observability_ratio_sample(problem, n_samples=4, seed=5)
-        monkeypatch.setattr(hum_synthesis, "_ratio_for", _stored_pair_ratio)
+        monkeypatch.setattr(hum_synthesis, "_ratio_stack", _stored_pair_ratios)
         want = observability_ratio_sample(problem, n_samples=4, seed=5)
-        for g, w in zip(got.samples, want.samples):
-            assert (g["index"], g["decay"], g["status"]) == \
-                (w["index"], w["decay"], w["status"])
-            assert g["ratio"] == pytest.approx(w["ratio"], rel=1e-13, abs=0)
+        _assert_same_draws(got, want)
 
-    def test_full_grid_transforms_pinned(self, monkeypatch):
-        # per draw: psi's midpoint is the only full-grid transform of a
-        # step; the rest are the seed's synthesis and the end states of
-        # the two marches.  phi's record and psi's source stay on the
-        # obs box.
+    @pytest.mark.parametrize("rows", [None, 1, 2], ids=["one-stack", "rows1",
+                                                         "rows2"])
+    def test_full_grid_transforms_pinned(self, rows, monkeypatch):
+        # no step of either march transforms a full grid: the full-grid
+        # transforms are the seeds' synthesis and, per stack, phi's start
+        # and the end states of the two marches.  Per step and stack,
+        # phi's record and psi's source stay on the obs box and psi's
+        # control-window energy reads omega's box.
         problem = _ratio_problem("2d-diagonal")
+        n, nt = 5, problem.grid.n_steps
+        if rows is not None:
+            _force_stack_rows(monkeypatch, problem, rows)
+        stacks = 1 if rows is None else -(-n // rows)
         calls = {"full": 0, "boxed": 0}
         for name in ("to_modes", "from_modes"):
             original = getattr(SineBasis, name)
@@ -279,10 +286,67 @@ class TestRatioSample:
                 return _original(basis, u, box)
 
             monkeypatch.setattr(SineBasis, name, counted)
-        n, nt = 3, problem.grid.n_steps
         observability_ratio_sample(problem, n_samples=n, seed=2)
-        assert calls["full"] <= n * (nt + 4)
-        assert calls["boxed"] == n * 2 * nt
+        assert calls["full"] == n + 3 * stacks
+        assert calls["boxed"] == 3 * nt * stacks
+
+    @pytest.mark.parametrize("case", RATIO_CASES)
+    def test_stack_size_does_not_move_ratios(self, case, monkeypatch):
+        problem = _ratio_problem(case)
+        assert hum_synthesis.RATIO_STACK_CAP_BYTES >= 5 * _record_row(problem)
+        one_stack = observability_ratio_sample(problem, n_samples=5, seed=8)
+        _force_stack_rows(monkeypatch, problem, 1)
+        row_by_row = observability_ratio_sample(problem, n_samples=5, seed=8)
+        _assert_same_draws(row_by_row, one_stack)
+
+    def test_zero_seed_keeps_its_place(self, monkeypatch):
+        # a zero seed mid-stack is reported degenerate at its index, and
+        # its stack-mates keep their ratios
+        problem = _ratio_problem("2d-diagonal")
+        want = observability_ratio_sample(problem, n_samples=4, seed=6)
+        original = SineBasis.random_smooth
+        drawn = []
+
+        def zero_second(basis, rng, decay, cap=None):
+            field = original(basis, rng, decay, cap)
+            drawn.append(field)
+            return 0.0 * field if len(drawn) == 2 else field
+
+        monkeypatch.setattr(SineBasis, "random_smooth", zero_second)
+        got = observability_ratio_sample(problem, n_samples=4, seed=6)
+        assert got.n_degenerate == want.n_degenerate + 1
+        bad = got.samples[1]
+        assert (bad["index"], bad["decay"], bad["status"]) == \
+            (1, want.samples[1]["decay"], "degenerate-psi")
+        assert np.isnan(bad["ratio"])
+        _assert_same_draws(got.samples[:1] + got.samples[2:],
+                           want.samples[:1] + want.samples[2:])
+
+
+def _assert_same_draws(got, want):
+    """Same indices, decays and statuses, and ratios to 1e-13 relative."""
+    got = getattr(got, "samples", got)
+    want = getattr(want, "samples", want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g["index"], g["decay"], g["status"]) == \
+            (w["index"], w["decay"], w["status"])
+        assert g["ratio"] == pytest.approx(w["ratio"], rel=1e-13, abs=0)
+
+
+def _record_row(problem):
+    """Bytes of one draw's obs-box record of phi."""
+    return 8 * problem.grid.n_steps * problem.obs.values[problem.obs.box].size
+
+
+def _force_stack_rows(monkeypatch, problem, rows):
+    """Cap the sampler's stacks at ``rows`` draws for ``problem``."""
+    monkeypatch.setattr(hum_synthesis, "RATIO_STACK_CAP_BYTES",
+                        rows * _record_row(problem))
+
+
+def _stored_pair_ratios(problem, stack, weights, ops):
+    return [_stored_pair_ratio(problem, phi0, weights, ops) for phi0 in stack]
 
 
 def _stored_pair_ratio(problem, phi0, weights, ops):

@@ -191,6 +191,35 @@ def test_unboxed_transforms_unchanged_by_box_calls(basis):
     assert np.array_equal(basis.from_modes(u), before[1])
 
 
+def test_box_slices_memoized_per_box(basis, monkeypatch):
+    # alternating two box objects (a sampler's obs and omega boxes) builds
+    # each one's slices once and hands the same arrays back every call
+    misses = []
+    original = SineBasis._box_mats
+
+    def counted(self, box):
+        if self is basis:
+            misses.append(box)
+        return original(self, box)
+
+    monkeypatch.setattr(SineBasis, "_box_mats", counted)
+    boxes = ((slice(2, 7), slice(3, 9))[:basis.dim],
+             (slice(0, 4), slice(5, 8))[:basis.dim])
+    first = [basis._slices(box) for box in boxes]
+    rng = np.random.default_rng(14)
+    fresh = SineBasis(basis.extents, basis.n_cells)
+    for _ in range(5):
+        for box, mats in zip(boxes, first):
+            assert basis._slices(box) is mats
+            index = (...,) + box
+            u = rng.standard_normal((3,) + basis.shape)
+            assert np.array_equal(basis.to_modes(u[index], box),
+                                  fresh.to_modes(u[index], box))
+            assert np.array_equal(basis.from_modes(u, box),
+                                  fresh.from_modes(u, box))
+    assert misses == list(boxes)
+
+
 @pytest.mark.parametrize("cap", [None, 4])
 def test_random_smooth_fills_the_low_mode_cube(basis, cap):
     dim = basis.dim

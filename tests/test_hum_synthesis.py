@@ -264,31 +264,18 @@ class TestRatioSample:
         want = observability_ratio_sample(problem, n_samples=4, seed=5)
         _assert_same_draws(got, want)
 
-    @pytest.mark.parametrize("rows", [None, 1, 2], ids=["one-stack", "rows1",
-                                                         "rows2"])
-    def test_full_grid_transforms_pinned(self, rows, monkeypatch):
+    def test_full_grid_transforms_pinned(self, monkeypatch):
         # no step of either march transforms a full grid: the full-grid
         # transforms are the seeds' synthesis and, per stack, phi's start
         # and the end states of the two marches.  Per step and stack,
         # phi's record and psi's source stay on the obs box and psi's
-        # control-window energy reads omega's box.
-        problem = _ratio_problem("2d-diagonal")
-        n, nt = 5, problem.grid.n_steps
-        if rows is not None:
-            _force_stack_rows(monkeypatch, problem, rows)
-        stacks = 1 if rows is None else -(-n // rows)
-        calls = {"full": 0, "boxed": 0}
-        for name in ("to_modes", "from_modes"):
-            original = getattr(SineBasis, name)
+        # control-window energy reads omega's box.  One stack of 5 draws.
+        _assert_transform_counts(monkeypatch, rows=None)
 
-            def counted(basis, u, box=None, _original=original):
-                calls["full" if box is None else "boxed"] += 1
-                return _original(basis, u, box)
-
-            monkeypatch.setattr(SineBasis, name, counted)
-        observability_ratio_sample(problem, n_samples=n, seed=2)
-        assert calls["full"] == n + 3 * stacks
-        assert calls["boxed"] == 3 * nt * stacks
+    @pytest.mark.parametrize("rows", [1, 2], ids=["rows1", "rows2"])
+    def test_full_grid_transforms_pinned_per_stack(self, rows, monkeypatch):
+        # the same counts with the stack cap forced to 1 and 2 rows
+        _assert_transform_counts(monkeypatch, rows=rows)
 
     @pytest.mark.parametrize("case", RATIO_CASES)
     def test_stack_size_does_not_move_ratios(self, case, monkeypatch):
@@ -347,6 +334,27 @@ def _force_stack_rows(monkeypatch, problem, rows):
 
 def _stored_pair_ratios(problem, stack, weights, ops):
     return [_stored_pair_ratio(problem, phi0, weights, ops) for phi0 in stack]
+
+
+def _assert_transform_counts(monkeypatch, rows):
+    """Count full-grid and boxed SineBasis transforms of a 5-draw sample."""
+    problem = _ratio_problem("2d-diagonal")
+    n, nt = 5, problem.grid.n_steps
+    if rows is not None:
+        _force_stack_rows(monkeypatch, problem, rows)
+    stacks = 1 if rows is None else -(-n // rows)
+    calls = {"full": 0, "boxed": 0}
+    for name in ("to_modes", "from_modes"):
+        original = getattr(SineBasis, name)
+
+        def counted(basis, u, box=None, _original=original):
+            calls["full" if box is None else "boxed"] += 1
+            return _original(basis, u, box)
+
+        monkeypatch.setattr(SineBasis, name, counted)
+    observability_ratio_sample(problem, n_samples=n, seed=2)
+    assert calls["full"] == n + 3 * stacks
+    assert calls["boxed"] == 3 * nt * stacks
 
 
 def _stored_pair_ratio(problem, phi0, weights, ops):

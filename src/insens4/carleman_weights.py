@@ -252,9 +252,6 @@ class CarlemanWeights:
         """sqrt(t*(T - t)); the singular time factor."""
         return np.sqrt(t * (self.t_final - t))
 
-    def alpha_grid(self, t: float) -> np.ndarray:
-        return self.alpha0 / self.sigma(t)
-
     def xi_grid(self, t: float) -> np.ndarray:
         return self.xi0 / self.sigma(t)
 

@@ -353,7 +353,7 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path, quick: bool) -> int:
     # the final linearization is not marched again: free its step factors
     # before the probes build their own
     sem.frozen.release_factors()
-    ftc = ftc_residual(problem.nonlinearity, result.y, sem.frozen)
+    ftc = sem.history[-1]["ftc_residual"]
     manifest.add_check("picard-converged", sem.converged,
                        iterations=sem.iterations,
                        increment=sem.increments[-1])

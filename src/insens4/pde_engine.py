@@ -18,7 +18,7 @@ Coefficients reach a march only as a ``Schedule`` (one ``NodeCoefficients``
 per step, built by ``make_schedule``), which also carries the factors the
 marches cache.
 
-Three paths solve the step.  When every node of a march has spatially
+Two paths solve the step.  When every node of a march has spatially
 uniform a0 and a1, a uniform diagonal b and no b0 (an all-zero schedule
 included), A is diagonal in the sine basis with symbol
 
@@ -30,44 +30,44 @@ c = dt/2: one transform of the source in and one of the midpoint average
 out per step, at any stiffness.  The symbol is symmetric, so the backward
 march is the same recurrence.
 
-Any other 1D march (b0, or x-dependent and frozen coefficients) is solved
-in sine coefficients too.  With T and F the to/from-mode matrices,
-D = 1 + c |kappa|^4 and Lo_j the lower-order part at node j, the step
-matrix in modes is D M_j with the well-conditioned M_j = I + c D^-1 T Lo_j F.
-Each distinct node's M_j is LU-factored once and the factors are cached
-on the schedule, so every march of a frozen linearization reuses them.
-A step is then the midpoint solve mid_j = 1/2 M_j^-1 D^-1 (2 u^_j + dt g^_j),
-u^_{j+1} = 2 mid_j - u^_j; the backward march solves with M_j^T
-(mid_j = 1/2 D^-1 M_j^-T (2 u^_j + dt g^_j)), the exact transpose, and no
-physical-space right-hand side (I - c A) u is formed.  A factor stack
-larger than LU_STACK_CAP_BYTES is not built.
+Every other march (b0, mixed b_ij, or x-dependent and frozen
+coefficients) is solved in sine coefficients too.  With T and F the
+to/from-mode transforms, D = 1 + c |kappa|^4 and Lo_j the lower-order
+part at node j, a step is the midpoint solve
 
-2D marches off the diagonal path, and 1D marches over that cap, form the
-right-hand side in physical space and fix the lower-order remainder by a
-Richardson iteration preconditioned with the bilaplacian part.
+    (D + c T Lo_j F) mid_j = u^_j + c g^_j,    u^_{j+1} = 2 mid_j - u^_j,
 
-All three paths run in one step loop (``_march``).  A march starts from
-one field or from a stack (B, *shape): spatial axes are trailing, so each
-row marches independently, against a (Nt, *shape) source shared by the
-rows or a per-row (Nt, B, *shape) one, transformed once per step either
-way.  A reaction F(u, grad u, hess u) enters that loop as one more
-source evaluated at the midpoint average; on the diagonal path that is
+and the backward march solves with T Lo_j^T F, the exact transpose, so no
+physical-space right-hand side (I - c A) u is formed.  In 1D each
+distinct node's M_j = I + c D^-1 T Lo_j F is LU-factored once and the
+factors are cached on the schedule, so every march of a frozen
+linearization reuses them; a factor stack larger than LU_STACK_CAP_BYTES
+is not built.  In 2D, and in 1D over that cap, the midpoint solve is a
+matrix-free GMRES right-preconditioned with the symbol of the node's mean
+coefficients, 1 + c lambda(a0-bar, a1-bar, b_ii-bar), so the Krylov
+space only has to resolve the coefficients' fluctuation about their
+means.
+
+Both paths run in one step loop (``_march``) and step in sine
+coefficients.  A march starts from one field or from a stack
+(B, *shape): spatial axes are trailing, so each row marches
+independently, against a (Nt, *shape) source shared by the rows or a
+per-row (Nt, B, *shape) one, transformed once per step either way.  A
+reaction F(u, grad u, hess u) enters that loop as one more source
+evaluated at the midpoint average; on the diagonal path that is
 u^_{j+1} = r u^_j + d (g^_j + F^(mid_j)).  Each step relaxes it by
 lagged iteration from F(u_j), and a row stops updating once its update
 meets RELAX_TOL (1 + |u_j|).  An ``on_step`` hook sees every
 midpoint average and chooses what the trajectory records, so a batched
 march can stream a reduction instead of storing every row.  With
 ``in_modes`` the hook (and the record) sees the midpoint's sine
-coefficients: the diagonal and LU paths hand over the ones they step in,
-the Richardson path transforms its physical midpoint.
+coefficients the march steps in, without a transform.
 
 A linear march can also take its source on a box of nodes (one slice per
-axis, zero outside) and record its midpoints on a box only.  The diagonal
-path then transforms the source in and the midpoints out with boxed sine
-transforms, the 1D LU path multiplies by the matching rows of its to/from
-mode matrices, and the Richardson path embeds the source into and slices
-the midpoints out of its physical-space state.  A march whose source or
-observer lives on a subdomain pays for the subdomain only.
+axis, zero outside) and record its midpoints on a box only.  The source
+then comes in and the midpoints go out through boxed sine transforms, so
+a march whose source or observer lives on a subdomain pays for the
+subdomain only.
 """
 from __future__ import annotations
 
@@ -101,11 +101,11 @@ __all__ = [
 Array = np.ndarray
 
 # Largest stack of 1D mode-space LU factors a schedule may cache; a march
-# whose stack would be bigger keeps the Richardson inner solve.
+# whose stack would be bigger solves its steps by GMRES.
 LU_STACK_CAP_BYTES = 64 * 2**20
-# Richardson inner solve: relative residual tolerance and iteration cap.
+# GMRES midpoint solve: relative residual tolerance and Krylov dimension cap.
 INNER_TOL = 1e-13
-INNER_CAP = 200
+INNER_CAP = 40
 # Per-step reaction relaxation: update tolerance relative to 1 + |u_j|, and cap.
 RELAX_TOL = 1e-11
 RELAX_CAP = 50
@@ -121,10 +121,6 @@ class NodeCoefficients:
     b0: Array | None = None   # (dim, *shape)
     b: Array | None = None    # (dim, dim, *shape)
     a1: Array | None = None
-
-    @property
-    def all_zero(self) -> bool:
-        return self.a0 is None and self.b0 is None and self.b is None and self.a1 is None
 
 
 @dataclass(eq=False)
@@ -264,11 +260,6 @@ class Trajectory:
         return float(self.dt * self.basis.cell_volume * np.sum(self.fields * other.fields))
 
 
-def _on_box(u: Array, box: tuple[slice, ...] | None = None) -> Array:
-    """The trailing spatial axes of u restricted to ``box`` (all of u for None)."""
-    return u if box is None else u[(...,) + box]
-
-
 def _source_fields(grid: Grid, source: Array | None, start: Array,
                    box: tuple[slice, ...] | None = None) -> Array | None:
     """The source as a float (Nt, *shape) array, or its values on ``box``.
@@ -317,14 +308,27 @@ def _diagonal_key(nc: NodeCoefficients, dim: int) -> tuple[float, ...] | None:
             *np.diag(b).tolist())
 
 
-def _mode_factors(basis: SineBasis, dt: float, key: tuple[float, ...],
-                  step: int) -> tuple[Array, Array]:
-    """Per-mode CN factors r = (1 - c lam)/(1 + c lam) and dt/(1 + c lam)."""
+def _mean_key(nc: NodeCoefficients, dim: int) -> tuple[float, ...]:
+    """(a0, a1, b_11, ..., b_dd) of a node's spatial-mean coefficients."""
+    means = [0.0 if arr is None else float(np.mean(arr)) for arr in (nc.a0, nc.a1)]
+    b_diag = [0.0 if nc.b is None else float(np.mean(nc.b[i, i])) for i in range(dim)]
+    return (*means, *b_diag)
+
+
+def _symbol(basis: SineBasis, key: tuple[float, ...]) -> Array:
+    """lambda = |kappa|^4 + a0 - a1 |kappa|^2 - sum_i b_ii kappa_i^2 of a key."""
     a0, a1, *b_diag = key
     lam = basis.bilap_modes + a0 - a1 * basis.lap_modes
     for i, b_ii in enumerate(b_diag):
         k2 = basis.kappa[i] ** 2
         lam = lam - b_ii * k2.reshape((-1,) + (1,) * (basis.dim - 1 - i))
+    return lam
+
+
+def _mode_factors(basis: SineBasis, dt: float, key: tuple[float, ...],
+                  step: int) -> tuple[Array, Array]:
+    """Per-mode CN factors r = (1 - c lam)/(1 + c lam) and dt/(1 + c lam)."""
+    lam = _symbol(basis, key)
     c = dt / 2
     denom = 1.0 + c * lam
     if not np.all(denom > 0):
@@ -383,8 +387,6 @@ class _ModeLU:
     """
 
     key: tuple
-    to_modes: Array = field(repr=False)     # T
-    from_modes: Array = field(repr=False)   # F
     half_inv_denom: Array = field(repr=False)  # 1 / (2 D)
     slots: Array = field(repr=False)
     lu: list[Array] = field(repr=False)     # (n, n) each, Fortran order
@@ -411,7 +413,7 @@ def _mode_lu(basis: SineBasis, schedule: Schedule, nt: int,
     """The schedule's cached mode-space LU factors, built on first use.
 
     Returns None in 2D and when the stack of factors would exceed
-    LU_STACK_CAP_BYTES; those marches take the Richardson path.
+    LU_STACK_CAP_BYTES; those marches solve their steps by GMRES.
     """
     if basis.dim != 1:
         return None
@@ -459,7 +461,7 @@ def _mode_lu(basis: SineBasis, schedule: Schedule, nt: int,
                 )
             lu.append(fac)
             piv.append(perm)
-    schedule.mode_lu = _ModeLU(key, t_mat, f_mat, 0.5 / denom, slots, lu, piv)
+    schedule.mode_lu = _ModeLU(key, 0.5 / denom, slots, lu, piv)
     return schedule.mode_lu
 
 
@@ -485,18 +487,78 @@ def _at_row(row: int | None) -> str:
     return "" if row is None else f", row {row}"
 
 
-def _sym_apply(mat: Array, u: Array) -> Array:
-    """A symmetric mode matrix applied to a 1D field or each row of a stack."""
-    return mat @ u if u.ndim == 1 else u @ mat
+def _gmres(op: Callable[[Array], Array], rhs: Array, pre: Array, dim: int,
+           step: int) -> Array:
+    """Solve op(m) = rhs for each field of a (..., *shape) block of modes.
+
+    GMRES right-preconditioned by 1/pre, started from zero and not
+    restarted: per row, Arnoldi with modified Gram-Schmidt and Givens
+    rotations (accumulated in q) for the residual estimate.  A row freezes
+    once its estimate meets INNER_TOL relative to its right-hand side; its
+    later Krylov vectors are zero, so its bits do not depend on its
+    batch-mates.
+    """
+    rows = rhs.shape[:rhs.ndim - dim]
+    b = rhs.reshape(rows + (-1,))
+    pre = pre.reshape(-1)
+    beta = _row_norms(b, 1)
+    active = beta > 0
+    r = np.zeros(rows + (INNER_CAP, INNER_CAP))
+    q = np.zeros(rows + (INNER_CAP + 1, INNER_CAP + 1))
+    q[..., 0, 0] = 1.0
+    vs = [b / np.where(active, beta, 1.0)[..., None]]
+    trail = []
+    for k in range(INNER_CAP):
+        if not active.any():
+            break
+        w = op((vs[k] / pre).reshape(rhs.shape)).reshape(b.shape)
+        col = np.empty(rows + (k + 1,))
+        for i, v in enumerate(vs):
+            col[..., i] = (w * v).sum(-1)
+            w -= col[..., i, None] * v
+        norm = _row_norms(w, 1)
+        # the earlier rotations applied to the new column, then its own;
+        # a frozen row's column is zero, so its R diagonal is set to 1 and
+        # its rotation (c = s = 0) clears the rows of q it no longer uses
+        col = (q[..., :k + 1, :k + 1] @ col[..., None])[..., 0]
+        diag = np.hypot(col[..., k], norm)
+        r[..., :k + 1, k] = col
+        r[..., k, k] = np.where(diag > 0, diag, 1.0)
+        c = (col[..., k] / r[..., k, k])[..., None]
+        s = (norm / r[..., k, k])[..., None]
+        q[..., k + 1, k + 1] = 1.0
+        qk, qk1 = q[..., k, :k + 2], q[..., k + 1, :k + 2]
+        q[..., k, :k + 2], q[..., k + 1, :k + 2] = c * qk + s * qk1, c * qk1 - s * qk
+        # |beta q[k + 1, 0]| is the residual norm; a NaN never meets the
+        # tolerance, so a row that blows up stalls loudly
+        trail.append(np.abs(q[..., k + 1, 0]))
+        active = active & ~(trail[-1] <= INNER_TOL)
+        vs.append(np.where(active[..., None],
+                           w / np.where(active, norm, 1.0)[..., None], 0.0))
+    if active.any():
+        row, idx = _first_row(active)
+        raise EngineError(
+            "inner-solve-divergence",
+            f"implicit step {step}{_at_row(row)} failed to reach "
+            f"{INNER_TOL} in {INNER_CAP} GMRES iterations (last residual "
+            f"{trail[-1][idx]:.3e} relative)",
+            step=step, row=row, residuals=[float(t[idx]) for t in trail],
+        )
+    n = len(trail)
+    y = beta[..., None] * q[..., :n, 0]
+    for i in range(n - 1, -1, -1):
+        y[..., i] /= r[..., i, i]
+        y[..., :i] -= r[..., :i, i] * y[..., i, None]
+    m = np.zeros_like(b)
+    for i in range(n):
+        m += y[..., i, None] * vs[i]
+    return (m / pre).reshape(rhs.shape)
 
 
 class _DiagonalPath:
-    """Exact per-mode recurrence; the state is kept in sine coefficients.
+    """Exact per-mode recurrence.
 
-    Each path steps in its own representation of the state: ``enter``
-    and ``leave`` convert the end states, ``physical(mid, box=None)`` a
-    midpoint (to its values on ``box``) and ``modes(mid)`` a midpoint to
-    its sine coefficients; ``linear(j, x)`` is the part of
+    Both paths step in sine coefficients: ``linear(j, x)`` is the part of
     step j that does not depend on the reaction, and ``advance`` completes
     the step with an extra physical source, returning the new state and
     the midpoint.  ``source`` holds values on ``source_box`` when given.
@@ -510,12 +572,6 @@ class _DiagonalPath:
         self.factors = factors
         self.source = source
         self.source_box = source_box
-        self.enter = basis.to_modes
-        self.leave = self.physical = basis.from_modes
-
-    @staticmethod
-    def modes(mid: Array) -> Array:
-        return mid
 
     def linear(self, j: int, x: Array) -> Array:
         """r u^_j + d g^_j."""
@@ -531,36 +587,31 @@ class _DiagonalPath:
         return new, 0.5 * (x + new)
 
 
-class _LUPath:
-    """Midpoint solves with a schedule's cached 1D mode-space LU factors.
+class _ModePath:
+    """Midpoint solves (D + c T Lo_j F) mid_j = u^_j + c g^_j.
 
-    Midpoints come out in modes; a march that records them converts the
-    whole record in one product at the end.
+    With the schedule's cached 1D LU factors (``mode_lu``) the solve is
+    direct; without them it is GMRES on the node's operator, preconditioned
+    with its mean-coefficient symbol.  Midpoints come out in modes; a march
+    that records them converts the whole record in one product at the end.
     """
 
     defers_fields = True
 
-    def __init__(self, factors: _ModeLU, source: Array | None,
+    def __init__(self, basis: SineBasis, schedule: Schedule,
+                 mode_lu: _ModeLU | None, source: Array | None,
                  source_box: tuple[slice, ...] | None, dt: float, transpose: bool):
-        self.f = factors
+        self.basis = basis
+        self.schedule = schedule
+        self.mode_lu = mode_lu
         self.dt = dt
+        self.c = dt / 2
         self.transpose = transpose
-        if source is None:
-            self.src_hat = None
-        else:
-            # T is symmetric: a boxed source meets the rows of T on its box
-            t_rows = factors.to_modes if source_box is None \
-                else factors.to_modes[source_box[0]]
-            self.src_hat = dt * (source @ t_rows)
-        self.enter = functools.partial(_sym_apply, factors.to_modes)
-        self.leave = functools.partial(_sym_apply, factors.from_modes)
-
-    modes = staticmethod(_DiagonalPath.modes)
-
-    def physical(self, mid: Array, box: tuple[slice, ...] | None = None) -> Array:
-        if box is None:
-            return self.leave(mid)
-        return mid @ self.f.from_modes[:, box[0]]
+        self.lower = _lower_apply_t if transpose else _lower_apply
+        self.denom = 1.0 + self.c * basis.bilap_modes
+        self.src_hat = None if source is None else \
+            dt * basis.to_modes(source, source_box)
+        self._node = self._pre = None
 
     def linear(self, j: int, x: Array) -> Array:
         """2 u^_j + dt g^_j."""
@@ -570,98 +621,34 @@ class _LUPath:
         return rhs
 
     def advance(self, j: int, x: Array, rhs: Array, extra: Array | None):
-        f = self.f
         if extra is not None:
-            rhs = rhs + self.dt * self.enter(extra)
-        k = f.slots[j]
-        # LAPACK takes the right-hand sides as columns
-        if self.transpose:
-            mid = f.half_inv_denom * lapack.dgetrs(f.lu[k], f.piv[k], rhs.T,
-                                                   trans=1)[0].T
+            rhs = rhs + self.dt * self.basis.to_modes(extra)
+        f = self.mode_lu
+        if f is None:
+            mid = self._krylov(j, 0.5 * rhs)
         else:
-            mid = lapack.dgetrs(f.lu[k], f.piv[k], (f.half_inv_denom * rhs).T)[0].T
+            k = f.slots[j]
+            # LAPACK takes the right-hand sides as columns
+            if self.transpose:
+                mid = f.half_inv_denom * lapack.dgetrs(f.lu[k], f.piv[k], rhs.T,
+                                                       trans=1)[0].T
+            else:
+                mid = lapack.dgetrs(f.lu[k], f.piv[k],
+                                    (f.half_inv_denom * rhs).T)[0].T
         return 2.0 * mid - x, mid
 
+    def _krylov(self, j: int, rhs: Array) -> Array:
+        basis, c = self.basis, self.c
+        nc = self.schedule.node(j)
+        if nc is not self._node:
+            pre = 1.0 + c * _symbol(basis, _mean_key(nc, basis.dim))
+            self._node, self._pre = nc, np.where(pre > 0, pre, self.denom)
 
-class _RichardsonPath:
-    """Physical-space right-hand side and a Richardson inner solve.
+        def op(m: Array) -> Array:
+            return self.denom * m + c * basis.to_modes(
+                self.lower(basis, nc, basis.from_modes(m)))
 
-    The iteration is preconditioned with the bilaplacian part; the state
-    and the midpoints stay physical.
-    """
-
-    defers_fields = False
-
-    def __init__(self, basis: SineBasis, schedule: Schedule, source: Array | None,
-                 source_box: tuple[slice, ...] | None, dt: float,
-                 transpose: bool):
-        self.basis = basis
-        self.schedule = schedule
-        self.source = source
-        self.source_box = source_box
-        self.dt = dt
-        self.c = dt / 2
-        self.pre = 1.0 + self.c * basis.bilap_modes
-        self.transpose = transpose
-        self.lower = _lower_apply_t if transpose else _lower_apply
-        self.modes = basis.to_modes
-
-    @staticmethod
-    def enter(u: Array) -> Array:
-        return u
-
-    leave = enter
-    physical = staticmethod(_on_box)
-
-    def linear(self, j: int, x: Array) -> Array:
-        """(I - c A_j) u_j + dt g_j."""
-        basis = self.basis
-        rhs = x - self.c * (basis.bilap(x) + self.lower(basis, self.schedule.node(j), x))
-        if self.source is None:
-            return rhs
-        if self.source_box is None:
-            return rhs + self.dt * self.source[j]
-        rhs[(...,) + self.source_box] += self.dt * self.source[j]
-        return rhs
-
-    def advance(self, j: int, x: Array, rhs: Array, extra: Array | None):
-        if extra is not None:
-            rhs = rhs + self.dt * extra
-        new = self._solve(rhs, self.schedule.node(j), j)
-        return new, 0.5 * (x + new)
-
-    def _solve(self, rhs: Array, nc: NodeCoefficients, step: int) -> Array:
-        """Solve (I + c (Bilap + Lo)) x = rhs for each field of ``rhs``.
-
-        A field stops updating once its own residual meets the tolerance.
-        """
-        basis = self.basis
-        dim = basis.dim
-        rhs_modes = basis.to_modes(rhs)
-        if nc.all_zero:
-            return basis.from_modes(rhs_modes / self.pre)
-        rhs_norm = np.maximum(_row_norms(rhs_modes, dim), 1e-300)
-        x_modes = rhs_modes / self.pre
-        x = basis.from_modes(x_modes)
-        active = np.ones(np.shape(rhs_norm), dtype=bool)
-        trail = []
-        for _ in range(INNER_CAP):
-            y_modes = rhs_modes - self.c * basis.to_modes(self.lower(basis, nc, x))
-            res = _row_norms(y_modes - self.pre * x_modes, dim)
-            trail.append(res / rhs_norm)
-            x_modes = np.where(_rows(active, dim), y_modes / self.pre, x_modes)
-            x = basis.from_modes(x_modes)
-            active &= res > INNER_TOL * rhs_norm
-            if not active.any():
-                return x
-        row, idx = _first_row(active)
-        raise EngineError(
-            "inner-solve-divergence",
-            f"implicit step {step}{_at_row(row)} failed to reach "
-            f"{INNER_TOL} in {INNER_CAP} iterations (last residual "
-            f"{trail[-1][idx]:.3e} relative)",
-            step=step, row=row, residuals=[float(t[idx]) for t in trail],
-        )
+        return _gmres(op, rhs, self._pre, basis.dim, j)
 
 
 def _path(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
@@ -671,27 +658,26 @@ def _path(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
     factors = _diagonal_factors(basis, schedule, nt, dt)
     if factors is not None:
         return _DiagonalPath(basis, factors, source, source_box)
-    mode_lu = _mode_lu(basis, schedule, nt, dt)
-    if mode_lu is not None:
-        return _LUPath(mode_lu, source, source_box, dt, transpose)
-    return _RichardsonPath(basis, schedule, source, source_box, dt, transpose)
+    return _ModePath(basis, schedule, _mode_lu(basis, schedule, nt, dt), source,
+                     source_box, dt, transpose)
 
 
-def _relax(path, j: int, x: Array, base: Array, u: Array, reaction,
-           dim: int) -> tuple[Array, Array]:
+def _relax(path, basis: SineBasis, j: int, x: Array, base: Array, u: Array,
+           reaction) -> tuple[Array, Array]:
     """Step j with the reaction at the midpoint, by lagged iteration.
 
     Starts from F(u_j) and re-solves with F at the latest midpoint; a
     field stops updating once its update meets RELAX_TOL (1 + |u_j|).
-    Returns the new state (path form) and the physical midpoint.
+    Returns the new state (in modes) and the physical midpoint.
     """
+    dim = basis.dim
     scale = 1.0 + _row_norms(u, dim)
     new, mid = x, u
     active = np.ones(np.shape(scale), dtype=bool)
     trail = []
     for _ in range(RELAX_CAP):
         cand, cand_mid = path.advance(j, x, base, reaction(mid))
-        cand_mid = path.physical(cand_mid)
+        cand_mid = basis.from_modes(cand_mid)
         # the state moves twice as far as the midpoint average
         trail.append(2.0 * _row_norms(cand_mid - mid, dim) / scale)
         keep = _rows(active, dim)
@@ -741,11 +727,12 @@ def _march(
     source = _source_fields(grid, source, first, source_box)
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
     path = _path(basis, schedule, nt, dt, source, source_box, transpose)
-    out = path.modes if in_modes else functools.partial(path.physical, box=record_box)
+    out = (lambda mid: mid) if in_modes else \
+        functools.partial(basis.from_modes, box=record_box)
     defer = path.defers_fields and reaction is None and on_step is None
     fields = None
     # a zero start (y0 = 0, every costate's terminal) needs no transform
-    x = path.enter(first) if first.any() else np.zeros_like(first)
+    x = basis.to_modes(first) if first.any() else np.zeros_like(first)
     u = first
     for j in order:
         base = path.linear(j, x)
@@ -754,7 +741,7 @@ def _march(
             if not defer:
                 mid = out(mid)
         else:
-            x, mid = _relax(path, j, x, base, u, reaction, basis.dim)
+            x, mid = _relax(path, basis, j, x, base, u, reaction)
             u = 2.0 * mid - u
         rec = mid if on_step is None else on_step(j, mid)
         if fields is None:
@@ -762,7 +749,7 @@ def _march(
         fields[j] = rec
     if defer:
         fields = out(fields)
-    state = path.leave(x)
+    state = basis.from_modes(x)
     if transpose:
         return Trajectory(basis, dt, grid.times, fields, state0=state, stateT=first)
     return Trajectory(basis, dt, grid.times, fields, state0=first, stateT=state)
@@ -810,8 +797,10 @@ def solve_forward(
     EngineError
         ``source-shape`` when the source has none of those shapes (a
         per-row source whose row count differs from the start's
-        included); ``inner-solve-divergence`` when the preconditioned
-        fixed point for the implicit half-system stalls above tolerance.
+        included); ``inner-solve-divergence`` when a step's GMRES
+        midpoint solve misses INNER_TOL within INNER_CAP iterations, with
+        the ``step``, the ``row`` of a batched start and the relative
+        ``residuals`` trail in its context.
     """
     return _march(grid, schedule, initial, source, False, on_step=on_step,
                   source_box=source_box, record_box=record_box,

@@ -87,7 +87,6 @@ class SemilinearResult:
     weighted_force_norm: float
     final: ControlResult = field(repr=False)
     frozen: FrozenLinearization = field(repr=False)
-    controls: list[ControlResult] = field(repr=False, default_factory=list)
     history: list[dict] = field(repr=False, default_factory=list)
 
 
@@ -291,7 +290,9 @@ def picard_insensitize(
     (a z-independent reaction converges after one solve).  The radius
     report echoes the a-priori ball: R1 = L1 (1 + weighted force norm)
     with L1 either supplied or taken from the first iterate's own
-    stability ratio, doubled as margin.
+    stability ratio, doubled as margin.  Each ``history`` entry records
+    the secant identity's ``ftc_residual`` at that iteration's z, against
+    the linearization frozen there.
 
     Raises
     ------
@@ -309,7 +310,6 @@ def picard_insensitize(
     increments: list[float] = []
     z_norms: list[float] = []
     contraction: list[float] = []
-    controls: list[ControlResult] = []
     history: list[dict] = []
     grow_count = 0
     converged = False
@@ -320,12 +320,15 @@ def picard_insensitize(
 
     for k in range(1, max_iter + 1):
         candidate = freeze_linearization(problem, z)
+        # the secant identity at z, against the linearization built at z
+        ftc = ftc_residual(nl, z, candidate)
         if prev_frozen is not None and _frozen_equal(candidate, prev_frozen):
             # the map no longer depends on z: the next state would repeat
             increments.append(0.0)
             z_norms.append(z_norms[-1] if z_norms else 0.0)
             history.append({"iteration": k, "increment": 0.0,
-                            "note": "linearization-stationary"})
+                            "note": "linearization-stationary",
+                            "ftc_residual": ftc})
             converged = True
             break
         if frozen is not None:
@@ -334,7 +337,6 @@ def picard_insensitize(
         frozen = candidate
         result = minimize_exact(problem, eps, tol=hum_tol,
                                 max_iter=hum_max_iter, frozen=frozen)
-        controls.append(result)
         z_new = result.y
         inc = _l2h2_diff(problem, z_new.fields, z.fields)
         znorm = z_new.norm_l2h2()
@@ -351,7 +353,7 @@ def picard_insensitize(
             "iteration": k, "increment": inc, "z_norm": znorm,
             "q0_norm": result.q0_norm, "v_norm": result.v_norm,
             "hum_converged": result.converged,
-            "certificate": frozen.sup_certificate,
+            "certificate": frozen.sup_certificate, "ftc_residual": ftc,
         })
         if inc <= tol * (1.0 + znorm):
             converged = True
@@ -386,7 +388,7 @@ def picard_insensitize(
     inside = all(s <= r1 for s in sizes)
     return SemilinearResult(
         converged=True,
-        iterations=len(controls),
+        iterations=len(sizes),
         epsilon=eps,
         q0_norm=result.q0_norm,
         increments=increments,
@@ -398,6 +400,5 @@ def picard_insensitize(
         weighted_force_norm=wf,
         final=result,
         frozen=frozen,
-        controls=controls,
         history=history,
     )

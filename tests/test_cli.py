@@ -55,6 +55,19 @@ class TestSubcommandsPass:
         assert by_name["ftc-identity"]["passed"]
         assert (out / "state_y.fld").is_file()
 
+    def test_semilinear_loose_tol_keeps_ftc_identity(self, tmp_path):
+        # the identity pairs each iterate with its own linearization, so a
+        # loose Picard tolerance does not show up as a secant defect
+        cfg = _ini(tmp_path, "[nonlinearity]\nkind = tanh\n"
+                             "[picard]\ntol = 1e-4\n")
+        out = tmp_path / "out"
+        assert main(["insensitize-semilinear", "--quick", "--config", cfg,
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        ftc = {c["name"]: c for c in doc["checks"]}["ftc-identity"]
+        assert ftc["passed"]
+        assert ftc["residual"] <= 1e-12
+
     def test_pass_lines_printed(self, tmp_path, capsys):
         assert main(["weights-check", "--quick", "--out", str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -231,7 +244,8 @@ class TestFailureModes:
 
 
 # scipy subpackages no command needs, each a cost of every cold start
-# (scipy.linalg, which the 1D mode-space LU needs, may load)
+# (scipy.linalg, which the 1D mode-space LU needs, may load; the GMRES
+# midpoint solve is plain numpy, so scipy.sparse stays out)
 _IMPORT_PROBE = textwrap.dedent("""
     import json, sys
     from insens4.cli import main
@@ -239,7 +253,7 @@ _IMPORT_PROBE = textwrap.dedent("""
                     "insensitize-semilinear"):
         code = main([command, "--quick", "--out", sys.argv[1] + "/" + command])
         assert code == 0, (command, code)
-    heavy = ("scipy.optimize", "scipy.ndimage", "scipy.stats")
+    heavy = ("scipy.optimize", "scipy.ndimage", "scipy.stats", "scipy.sparse")
     print(json.dumps(sorted(m for m in sys.modules if m.startswith(heavy))))
 """)
 

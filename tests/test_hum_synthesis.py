@@ -224,7 +224,8 @@ class TestSecularBrent:
         assert exc.value.context["iterations"] == 2
 
 
-# problems whose marches take each path of the engine (see _ratio_problem)
+# problems whose marches take each path of the engine (see _ratio_problem);
+# "2d-richardson" is the 2D GMRES path, under the id it has always had
 RATIO_CASES = ["1d-diagonal", "1d-lu", "2d-diagonal", "2d-richardson"]
 
 

@@ -150,21 +150,52 @@ class TestNonlinearMarch:
         want = solve_forward(grid, make_schedule(grid, {}), y0)
         assert np.array_equal(got.stateT, want.stateT)
 
-    def test_stiff_coefficient_diverges_loudly(self):
-        # an x-dependent coefficient in 2D takes the iterative half-solve,
-        # which iterates the lower-order block; a reaction coefficient with
-        # dt*a0/2 >> 1 breaks that contraction
+    @staticmethod
+    def _stiff_2d():
+        # dt*a0/2 = 5 with an x-dependent damping: the 2D GMRES midpoint
+        # solve, preconditioned with the mean damping
         grid = build_grid(2, 2.0, 12, 1.0, 40)
         y0 = np.random.default_rng(7).standard_normal(grid.basis.shape)
         a0 = CoefficientField.from_callable(
             "a0", lambda x, y, t: 400.0 * (1 + 0.1 * np.sin(np.pi * x)),
             440.0, time_constant=True)
+        return grid, make_schedule(grid, {"a0": a0}), y0
+
+    def test_stiff_coefficient_converges(self, monkeypatch):
+        grid, sched, y0 = self._stiff_2d()
+        basis = grid.basis
+        # the mean-damping preconditioner needs at most 8 Krylov vectors a
+        # step here; the bilaplacian part alone would need 16
+        monkeypatch.setattr(pde_engine, "INNER_CAP", 10)
+        traj = solve_forward(grid, sched, y0)
+        # dense physical-space CN steps on the flattened grid as the oracle
+        n = y0.size
+        eye = np.eye(n)
+        bilap = basis.bilap(eye.reshape((n,) + basis.shape)).reshape(n, n).T
+        x = np.broadcast_to(basis.mesh()[0], basis.shape).ravel()
+        a_mat = bilap + np.diag(400.0 * (1 + 0.1 * np.sin(np.pi * x)))
+        c = grid.dt / 2
+        state = y0.ravel()
+        for _ in range(grid.n_steps):
+            state = np.linalg.solve(eye + c * a_mat, state - c * a_mat @ state)
+        got = traj.stateT.ravel()
+        assert np.linalg.norm(got - state) <= 1e-10 * np.linalg.norm(state)
+        assert basis.norm(traj.stateT) < basis.norm(y0)
+
+    def test_stiff_coefficient_diverges_loudly(self, monkeypatch):
+        # one Krylov vector cannot resolve the damping's fluctuation; the
+        # zero row has a zero right-hand side and is solved without one
+        grid, sched, y0 = self._stiff_2d()
+        monkeypatch.setattr(pde_engine, "INNER_CAP", 1)
         with pytest.raises(EngineError) as exc:
-            solve_forward(grid, make_schedule(grid, {"a0": a0}), y0)
-        assert exc.value.code == "inner-solve-divergence"
-        assert exc.value.context["step"] == 0
-        assert "step 0" in str(exc.value)
-        assert len(exc.value.context["residuals"]) == 200
+            solve_forward(grid, sched, np.array([np.zeros_like(y0), y0]))
+        err = exc.value
+        assert err.code == "inner-solve-divergence"
+        assert err.context["step"] == 0
+        assert err.context["row"] == 1
+        assert len(err.context["residuals"]) == 1
+        assert err.context["residuals"][0] > pde_engine.INNER_TOL
+        assert "step 0, row 1" in str(err)
 
 
 class TestDiagonalPath:
@@ -177,8 +208,7 @@ class TestDiagonalPath:
 
     @staticmethod
     def _smooth(grid, rng):
-        # decaying mode content keeps the iterative path's physical-space
-        # right-hand side free of high-mode cancellation
+        # decaying mode content, so the paths' differences stay at rounding
         basis = grid.basis
         decay = 1.0 / (1.0 + basis.lap_modes) ** 2
         return basis.from_modes(decay * rng.standard_normal(basis.shape))
@@ -193,7 +223,7 @@ class TestDiagonalPath:
         out = {}
         for role, v in values.items():
             def fn(*mesh_t, v=v):
-                # a full array, not a broadcast: the iterative path runs
+                # a full array, not a broadcast: the non-diagonal path runs
                 shape = np.broadcast(*mesh_t[:-1]).shape
                 return v.reshape(v.shape + (1,) * dim) * np.ones(shape)
             out[role] = CoefficientField.from_callable(
@@ -307,7 +337,7 @@ class TestModeLUPath:
         }
 
     @pytest.mark.parametrize("backward", [False, True])
-    def test_agrees_with_richardson(self, monkeypatch, backward):
+    def test_agrees_with_gmres(self, monkeypatch, backward):
         grid = build_grid(1, 2.0, 64, 1.0, 200)
         rng = np.random.default_rng(50)
         smooth = TestDiagonalPath._smooth
@@ -340,7 +370,8 @@ class TestModeLUPath:
 
     @staticmethod
     def _stiff(grid):
-        # dt*a0/2 = 5: the Richardson half-solve diverges on this damping
+        # dt*a0/2 = 5: a Richardson iteration on the lower-order block
+        # diverges on this damping
         a0 = CoefficientField.from_callable(
             "a0", lambda x, t: 400.0 * (1 + 0.1 * np.sin(np.pi * x)), 440.0,
             time_constant=True)
@@ -365,19 +396,35 @@ class TestModeLUPath:
         assert np.linalg.norm(traj.stateT - state) <= 1e-10 * np.linalg.norm(state)
         assert basis.norm(traj.stateT) < basis.norm(y0)
 
-    def test_cap_falls_back_to_richardson(self, monkeypatch):
+    def test_cap_falls_back_to_gmres(self, monkeypatch):
         grid = build_grid(1, 2.0, 32, 1.0, 40)
         y0 = np.random.default_rng(7).standard_normal(grid.basis.shape)
         # one factor of a time-constant node is 31*31*8 bytes
         monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 31 * 31 * 8 - 1)
         sched = self._stiff(grid)
-        with pytest.raises(EngineError) as exc:
-            solve_forward(grid, sched, y0)
-        assert exc.value.code == "inner-solve-divergence"
+        got = solve_forward(grid, sched, y0)
         assert sched.mode_lu is None
         monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 31 * 31 * 8)
-        solve_forward(grid, sched, y0)
+        want = solve_forward(grid, sched, y0)
         assert [f.shape for f in sched.mode_lu.lu] == [(31, 31)]
+        assert np.linalg.norm(got.stateT - want.stateT) \
+            <= 1e-12 * np.linalg.norm(want.stateT)
+
+    def test_fine_grid_gmres_matches_lu(self, monkeypatch):
+        # 256 cells, 800 steps: at c*lambda_max ~ 4e7 a physical-space
+        # right-hand side would cancel about eight digits; the mode-space
+        # GMRES solve keeps the LU march's digits
+        grid = build_grid(1, 2.0, 256, 1.0, 800)
+        a0 = CoefficientField.from_callable(
+            "a0", lambda x, t: 2.0 + np.sin(np.pi * x), 3.0, time_constant=True)
+        y0 = np.random.default_rng(12).standard_normal(grid.shape)
+        want = solve_forward(grid, make_schedule(grid, {"a0": a0}), y0)
+        monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 0)
+        sched = make_schedule(grid, {"a0": a0})
+        got = solve_forward(grid, sched, y0)
+        assert sched.mode_lu is None
+        assert np.linalg.norm(got.stateT - want.stateT) \
+            <= 1e-12 * np.linalg.norm(want.stateT)
 
     def test_factors_reused_and_released(self):
         grid = build_grid(1, 2.0, 32, 0.5, 40)

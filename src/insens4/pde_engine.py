@@ -26,9 +26,8 @@ included), A is diagonal in the sine basis with symbol
 
 and the march is the exact per-mode recurrence
 u^_{j+1} = r u^_j + dt/(1 + c lambda) g^_j with r = (1 - c lambda)/(1 + c lambda),
-c = dt/2: one transform of the source in and one of the midpoint average
-out per step, at any stiffness.  The symbol is symmetric, so the backward
-march is the same recurrence.
+c = dt/2, at any stiffness.  The symbol is symmetric, so the
+backward march is the same recurrence.
 
 Every other march (b0, mixed b_ij, or x-dependent and frozen
 coefficients) is solved in sine coefficients too.  With T and F the
@@ -48,11 +47,17 @@ coefficients, 1 + c lambda(a0-bar, a1-bar, b_ii-bar), so the Krylov
 space only has to resolve the coefficients' fluctuation about their
 means.
 
-Both paths run in one step loop (``_march``) and step in sine
-coefficients.  A march starts from one field or from a stack
-(B, *shape): spatial axes are trailing, so each row marches
-independently, against a (Nt, *shape) source shared by the rows or a
-per-row (Nt, B, *shape) one, transformed once per step either way.  A
+Both paths run in one step loop (``_march``), step in sine coefficients
+and take their sources in modes from it.  A march starts from one field
+or from a stack (B, *shape): spatial axes are trailing, so each row
+marches independently, against a (Nt, *shape) source shared by the rows
+or a per-row (Nt, B, *shape) one.  The loop transforms a full-grid source
+in one product before the first step, and a linear march without an
+``on_step`` hook or a ``record_box`` records its midpoints in modes and
+converts the whole record in one product after the last.  Besides
+those, the loop transforms only a nonzero start and the end state (a
+GMRES solve and a reaction transform inside their steps).  A march with
+a hook or a record box converts each midpoint as it is made.  A
 reaction F(u, grad u, hess u) enters that loop as one more source
 evaluated at the midpoint average; on the diagonal path that is
 u^_{j+1} = r u^_j + d (g^_j + F^(mid_j)).  Each step relaxes it by
@@ -65,9 +70,10 @@ coefficients the march steps in, without a transform.
 
 A linear march can also take its source on a box of nodes (one slice per
 axis, zero outside) and record its midpoints on a box only.  The source
-then comes in and the midpoints go out through boxed sine transforms, so
-a march whose source or observer lives on a subdomain pays for the
-subdomain only.
+then comes in step by step and the midpoints go out through boxed sine
+transforms, so a march whose source or observer lives on a subdomain pays
+for the subdomain only and never holds a full (Nt, B, *shape) stack of
+source modes.
 """
 from __future__ import annotations
 
@@ -253,8 +259,7 @@ class Trajectory:
 
     def norm_l2h2(self) -> float:
         """L2-in-time norm of the order-two Sobolev norm in space."""
-        total = sum(self.basis.h2_norm_sq(f) for f in self.fields)
-        return float(np.sqrt(self.dt * total))
+        return float(np.sqrt(self.dt * self.basis.h2_norm_sq(self.fields)))
 
     def inner_l2q(self, other: "Trajectory") -> float:
         return float(self.dt * self.basis.cell_volume * np.sum(self.fields * other.fields))
@@ -558,32 +563,26 @@ def _gmres(op: Callable[[Array], Array], rhs: Array, pre: Array, dim: int,
 class _DiagonalPath:
     """Exact per-mode recurrence.
 
-    Both paths step in sine coefficients: ``linear(j, x)`` is the part of
-    step j that does not depend on the reaction, and ``advance`` completes
-    the step with an extra physical source, returning the new state and
-    the midpoint.  ``source`` holds values on ``source_box`` when given.
+    Both paths step in sine coefficients and take everything in modes from
+    the step loop: ``linear(j, x, g)`` is the part of step j that does not
+    depend on the reaction (``g`` the step's source modes or None), and
+    ``advance`` completes the step with the reaction's modes, returning
+    the new state and the midpoint.
     """
 
-    defers_fields = False
-
-    def __init__(self, basis: SineBasis, factors, source: Array | None,
-                 source_box: tuple[slice, ...] | None):
-        self.basis = basis
+    def __init__(self, factors):
         self.factors = factors
-        self.source = source
-        self.source_box = source_box
 
-    def linear(self, j: int, x: Array) -> Array:
+    def linear(self, j: int, x: Array, g: Array | None) -> Array:
         """r u^_j + d g^_j."""
         r, d = self.factors[j]
         base = r * x
-        if self.source is not None:
-            base += d * self.basis.to_modes(self.source[j], self.source_box)
+        if g is not None:
+            base += d * g
         return base
 
     def advance(self, j: int, x: Array, base: Array, extra: Array | None):
-        new = base if extra is None else \
-            base + self.factors[j][1] * self.basis.to_modes(extra)
+        new = base if extra is None else base + self.factors[j][1] * extra
         return new, 0.5 * (x + new)
 
 
@@ -592,15 +591,12 @@ class _ModePath:
 
     With the schedule's cached 1D LU factors (``mode_lu``) the solve is
     direct; without them it is GMRES on the node's operator, preconditioned
-    with its mean-coefficient symbol.  Midpoints come out in modes; a march
-    that records them converts the whole record in one product at the end.
+    with its mean-coefficient symbol.  ``linear`` and ``advance`` take
+    sources and return midpoints in modes, as on the diagonal path.
     """
 
-    defers_fields = True
-
     def __init__(self, basis: SineBasis, schedule: Schedule,
-                 mode_lu: _ModeLU | None, source: Array | None,
-                 source_box: tuple[slice, ...] | None, dt: float, transpose: bool):
+                 mode_lu: _ModeLU | None, dt: float, transpose: bool):
         self.basis = basis
         self.schedule = schedule
         self.mode_lu = mode_lu
@@ -609,20 +605,18 @@ class _ModePath:
         self.transpose = transpose
         self.lower = _lower_apply_t if transpose else _lower_apply
         self.denom = 1.0 + self.c * basis.bilap_modes
-        self.src_hat = None if source is None else \
-            dt * basis.to_modes(source, source_box)
         self._node = self._pre = None
 
-    def linear(self, j: int, x: Array) -> Array:
+    def linear(self, j: int, x: Array, g: Array | None) -> Array:
         """2 u^_j + dt g^_j."""
         rhs = 2.0 * x
-        if self.src_hat is not None:
-            rhs += self.src_hat[j]
+        if g is not None:
+            rhs += self.dt * g
         return rhs
 
     def advance(self, j: int, x: Array, rhs: Array, extra: Array | None):
         if extra is not None:
-            rhs = rhs + self.dt * self.basis.to_modes(extra)
+            rhs = rhs + self.dt * extra
         f = self.mode_lu
         if f is None:
             mid = self._krylov(j, 0.5 * rhs)
@@ -652,14 +646,13 @@ class _ModePath:
 
 
 def _path(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
-          source: Array | None, source_box: tuple[slice, ...] | None,
           transpose: bool):
     """The cheapest exact solver of the march's steps."""
     factors = _diagonal_factors(basis, schedule, nt, dt)
     if factors is not None:
-        return _DiagonalPath(basis, factors, source, source_box)
-    return _ModePath(basis, schedule, _mode_lu(basis, schedule, nt, dt), source,
-                     source_box, dt, transpose)
+        return _DiagonalPath(factors)
+    return _ModePath(basis, schedule, _mode_lu(basis, schedule, nt, dt), dt,
+                     transpose)
 
 
 def _relax(path, basis: SineBasis, j: int, x: Array, base: Array, u: Array,
@@ -676,7 +669,7 @@ def _relax(path, basis: SineBasis, j: int, x: Array, base: Array, u: Array,
     active = np.ones(np.shape(scale), dtype=bool)
     trail = []
     for _ in range(RELAX_CAP):
-        cand, cand_mid = path.advance(j, x, base, reaction(mid))
+        cand, cand_mid = path.advance(j, x, base, basis.to_modes(reaction(mid)))
         cand_mid = basis.from_modes(cand_mid)
         # the state moves twice as far as the midpoint average
         trail.append(2.0 * _row_norms(cand_mid - mid, dim) / scale)
@@ -726,16 +719,26 @@ def _march(
                           "on a box or in modes, not both")
     source = _source_fields(grid, source, first, source_box)
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
-    path = _path(basis, schedule, nt, dt, source, source_box, transpose)
+    path = _path(basis, schedule, nt, dt, transpose)
+    # a full-grid source goes to modes in one product; a boxed one goes
+    # step by step on its box, so it never grows into a full mode stack
+    full_modes = None if source is None or source_box is not None else \
+        basis.to_modes(source)
+
+    def source_at(j: int) -> Array | None:
+        if full_modes is not None:
+            return full_modes[j]
+        return None if source is None else basis.to_modes(source[j], source_box)
+
     out = (lambda mid: mid) if in_modes else \
         functools.partial(basis.from_modes, box=record_box)
-    defer = path.defers_fields and reaction is None and on_step is None
+    defer = reaction is None and on_step is None and record_box is None
     fields = None
     # a zero start (y0 = 0, every costate's terminal) needs no transform
     x = basis.to_modes(first) if first.any() else np.zeros_like(first)
     u = first
     for j in order:
-        base = path.linear(j, x)
+        base = path.linear(j, x, source_at(j))
         if reaction is None:
             x, mid = path.advance(j, x, base, None)
             if not defer:
@@ -747,6 +750,7 @@ def _march(
         if fields is None:
             fields = np.empty((nt,) + np.shape(rec))
         fields[j] = rec
+    full_modes = None  # free the source modes before the record converts
     if defer:
         fields = out(fields)
     state = basis.from_modes(x)

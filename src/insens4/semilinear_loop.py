@@ -266,12 +266,6 @@ def _frozen_equal(a: FrozenLinearization, b: FrozenLinearization) -> bool:
             and np.array_equal(a.tangent_r, b.tangent_r))
 
 
-def _l2h2_diff(problem: ValidatedProblem, a: Array, b: Array) -> float:
-    basis = problem.basis
-    acc = sum(basis.h2_norm_sq(a[j] - b[j]) for j in range(len(a)))
-    return math.sqrt(problem.grid.dt * acc)
-
-
 def picard_insensitize(
     problem: ValidatedProblem,
     eps: float | None = None,
@@ -338,7 +332,8 @@ def picard_insensitize(
         result = minimize_exact(problem, eps, tol=hum_tol,
                                 max_iter=hum_max_iter, frozen=frozen)
         z_new = result.y
-        inc = _l2h2_diff(problem, z_new.fields, z.fields)
+        inc = math.sqrt(problem.grid.dt
+                        * problem.basis.h2_norm_sq(z_new.fields - z.fields))
         znorm = z_new.norm_l2h2()
         size = znorm + result.q.norm_l2h2()
         sizes.append(size)

@@ -229,7 +229,10 @@ class SineBasis:
         return float(np.sqrt(self.cell_volume) * np.linalg.norm(u))
 
     def h2_norm_sq(self, u: np.ndarray) -> float:
-        """Squared Sobolev norm of order two via the mode symbol."""
+        """Squared Sobolev norm of order two via the mode symbol.
+
+        Of a stack (..., *shape), the sum over its fields.
+        """
         c = self.to_modes(u)
         w = 1.0 + self.lap_modes + self.bilap_modes
         return float(self.mode_volume * np.sum(w * c * c))

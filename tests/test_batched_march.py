@@ -13,9 +13,17 @@ midpoints on a box; on every path that equals the full march with the
 source embedded in zeros and the record sliced to the box.  A stack may
 take one source per row, and a march may record its midpoints in sine
 coefficients.
+
+A full-grid source goes to modes in one product before the loop and a
+record without a hook or a box comes back in one product after it, so
+such a march makes a fixed number of transforms at any step count and
+matches the recurrence that transforms every step to rounding.  A boxed
+source goes per step on its box and never grows into a full mode stack.
 """
+import collections
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +307,129 @@ class TestPerRowSource:
             solve_forward(grid, make_schedule(grid, {}), np.zeros(grid.shape),
                           record_box=(slice(2, 5),), in_modes=True)
         assert exc.value.code == "record-box-modes"
+
+
+def _count_transforms(monkeypatch):
+    """Count SineBasis transforms as (name, boxed) pairs from here on."""
+    calls = collections.Counter()
+    for name in ("to_modes", "from_modes"):
+        original = getattr(SineBasis, name)
+
+        def counted(basis, u, box=None, _name=name, _original=original):
+            calls[_name, box is not None] += 1
+            return _original(basis, u, box)
+
+        monkeypatch.setattr(SineBasis, name, counted)
+    return calls
+
+
+def _per_step_march(grid, schedule, start, source, backward):
+    """The diagonal recurrence transforming source[j] and each midpoint per step."""
+    basis = grid.basis
+    factors = pde_engine._diagonal_factors(basis, schedule, grid.n_steps, grid.dt)
+    x = basis.to_modes(start)
+    fields = np.empty((grid.n_steps,) + start.shape)
+    order = range(grid.n_steps)
+    for j in (reversed(order) if backward else order):
+        r, d = factors[j]
+        new = r * x + d * basis.to_modes(source[j])
+        fields[j] = basis.from_modes(0.5 * (x + new))
+        x = new
+    return fields, basis.from_modes(x)
+
+
+class TestSourceAndRecordTransforms:
+    @pytest.mark.parametrize("path", ["diagonal-1d", "diagonal-2d"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("case", ["single", "shared", "per-row"])
+    def test_diagonal_matches_per_step_transforms(self, path, backward, case):
+        dim, coeffs = _coefficients(path, (0.5, 0.1, 0.4, 0.05, 1.0))
+        grid = _grid(dim)
+        schedule = make_schedule(grid, coeffs)
+        starts = _stack(grid.basis, 11, 3)
+        source = np.random.default_rng(12).standard_normal(
+            (grid.n_steps,) + starts.shape)
+        if case == "single":
+            starts, source = starts[0], source[:, 0]
+        elif case == "shared":
+            source = source[:, 0]
+        solve = solve_backward if backward else solve_forward
+        traj = solve(grid, schedule, starts, source)
+        fields, end = _per_step_march(grid, schedule, starts, source, backward)
+        for got, want in ((traj.fields, fields),
+                          (traj.state0 if backward else traj.stateT, end)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n_steps", [16, 64])
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("zero_start", [False, True], ids=["start", "zero"])
+    def test_full_grid_source_transforms_pinned(self, monkeypatch, n_steps,
+                                                backward, zero_start):
+        # the source stack, a nonzero start, the record and the end state
+        grid = build_grid(1, 2.0, 16, 0.5, n_steps)
+        schedule = make_schedule(grid, {"a0": CoefficientField.constant("a0", 0.5)})
+        starts = _stack(grid.basis, 3, 2)
+        if zero_start:
+            starts = np.zeros_like(starts)
+        calls = _count_transforms(monkeypatch)
+        solve = solve_backward if backward else solve_forward
+        solve(grid, schedule, starts, _source(grid, 3))
+        assert calls == {("to_modes", False): 1 if zero_start else 2,
+                         ("from_modes", False): 2}
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    def test_hook_and_record_box_convert_per_step(self, monkeypatch, backward):
+        grid = _grid(1)
+        nt = grid.n_steps
+        schedule = make_schedule(grid, {})
+        start, source = _stack(grid.basis, 5, 1)[0], _source(grid, 5)
+        solve = functools.partial(solve_backward if backward else solve_forward,
+                                  grid, schedule, start, source)
+        calls = _count_transforms(monkeypatch)
+        solve(on_step=lambda j, mid: mid[0])
+        assert calls == {("to_modes", False): 2, ("from_modes", False): nt + 1}
+        calls.clear()
+        solve(record_box=(slice(2, 5),))
+        assert calls == {("to_modes", False): 2, ("from_modes", True): nt,
+                         ("from_modes", False): 1}
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    def test_boxed_source_transforms_per_step(self, monkeypatch, path, backward):
+        dim, coeffs = _coefficients(path, (0.5, 0.1, 0.4, 0.05, 1.0))
+        grid = _grid(dim)
+        schedule = make_schedule(grid, coeffs)
+        box = (slice(2, 5),) * dim
+        sources = _source(grid, 6)[(...,) + box]
+        solve = solve_backward if backward else solve_forward
+        # build the schedule's cached factors outside the count
+        solve(grid, schedule, np.zeros(grid.shape))
+        calls = _count_transforms(monkeypatch)
+        solve(grid, schedule, np.zeros(grid.shape), sources, source_box=box)
+        assert calls["to_modes", True] == grid.n_steps
+        assert calls["from_modes", True] == 0
+
+    def test_boxed_per_row_source_peaks_below_a_mode_stack(self):
+        # a psi march as the observability sampler runs it, on a 2D
+        # schedule with a first-order term (the GMRES path): the per-row
+        # source lives on a box and the hook streams one number per row
+        grid = build_grid(2, 2.0, 24, 0.5, 80)
+        schedule = make_schedule(grid, {"b0": CoefficientField.constant(
+            "b0", np.array([0.5, 0.0]), 2)})
+        rows, box = 4, (slice(8, 17), slice(8, 17))
+        sources = np.random.default_rng(9).standard_normal(
+            (grid.n_steps, rows, 9, 9))
+        mode_stack = grid.n_steps * rows * np.prod(grid.shape) * 8
+        tracemalloc.start()
+        try:
+            psi = solve_backward(grid, schedule, np.zeros((rows,) + grid.shape),
+                                 sources, on_step=lambda j, c: np.sum(c * c, axis=(1, 2)),
+                                 source_box=box, in_modes=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.fields.shape == (grid.n_steps, rows)
+        assert peak < mode_stack
 
 
 class TestBatchedNonlinearMarch:

@@ -136,6 +136,18 @@ class TestExactPenalty:
         # masking again must not change a premasked control
         assert np.array_equal(r.v, p.omega.values * r.v)
 
+    def test_linear_lower_work_counts_pinned(self):
+        # the insensitize-linear benchmark problem (128 cells, 400 steps,
+        # uniform a0 and a1): a three-step Lanczos warm start and 6 applies
+        cfg = default_config()
+        cfg["grid"].update(cells=128, steps=400)
+        cfg["coefficients"].update(a0=0.5, a1=0.2)
+        r = minimize_exact(problem_from_config(cfg), tol=cfg["penalty"]["tol"],
+                           max_iter=cfg["penalty"]["max_iter"])
+        assert r.converged
+        assert r.operator_applies == 6
+        assert [e["phase"] for e in r.convergence_log].count("lanczos") == 3
+
 
 class TestQuadraticPenalty:
     def test_first_order_identity(self, quick_problem):

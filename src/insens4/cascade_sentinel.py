@@ -131,8 +131,9 @@ def solve_cascade(
         if ops.reaction_offset != 0.0:
             source += ops.reaction_offset
     y = solve_forward(grid, ops.state_schedule, np.zeros(grid.shape), source)
-    q_source = problem.obs.values * y.fields
-    q = solve_backward(grid, ops.costate_schedule, np.zeros(grid.shape), q_source)
+    del source  # not held through the q march
+    q = solve_backward(grid, ops.costate_schedule, np.zeros(grid.shape),
+                       problem.obs.values * y.fields)
     return CascadeSolution(y=y, q=q, q0=q.state0)
 
 
@@ -186,7 +187,8 @@ def sentinel_sensitivity(
     Raises
     ------
     SetupError
-        ``direction-shape`` when ``yhats`` is not a stack of fields.
+        ``direction-shape`` when ``yhats`` is not a stack of fields,
+        ``probe-step`` when ``tau_probe`` is not positive and finite.
     """
     grid = problem.grid
     basis = problem.basis
@@ -198,6 +200,10 @@ def sentinel_sensitivity(
             "direction-shape",
             f"directions must stack fields of shape {grid.shape}, got "
             f"{yhats.shape}")
+    tau = float(tau_probe)
+    if not 0.0 < tau < np.inf:
+        raise SetupError("probe-step",
+                         f"tau_probe must be positive and finite, got {tau}")
     if not len(yhats):
         return []
 
@@ -207,7 +213,6 @@ def sentinel_sensitivity(
 
     # one march of every run: row 0 starts at tau = 0, then each direction
     # from +tau, -tau, +tau/2 and -tau/2 times yhat0
-    tau = float(tau_probe)
     offsets = np.array([tau, -tau, tau / 2, -tau / 2])
     starts = np.concatenate([
         np.zeros((1,) + grid.shape),

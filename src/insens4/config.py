@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import copy
+import math
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,8 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 # Smallest admissible value of integer keys that have one.
 _MINIMUM = {("sampling", "samples"): 1, ("sampling", "mode_cap"): 0}
+# Float keys that must be positive.
+_POSITIVE = {("sampling", "tau_probe")}
 
 _BOOL = {"true": True, "1": True, "yes": True, "on": True,
          "false": False, "0": False, "no": False, "off": False}
@@ -105,13 +108,19 @@ def default_config() -> dict:
     return cfg
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {value}")
+    return value
+
+
 def _coerce(section: str, key: str, kind: str, raw):
     where = f"[{section}] {key}"
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(float(raw))
         if kind == "str":
             return str(raw).strip()
         if kind == "bool":
@@ -122,7 +131,7 @@ def _coerce(section: str, key: str, kind: str, raw):
                 raise ValueError(f"not a boolean: {raw!r}")
             return _BOOL[token]
         if kind == "floats":
-            return tuple(float(tok) for tok in str(raw).split(","))
+            return tuple(_finite(float(tok)) for tok in str(raw).split(","))
         if kind == "boxes":
             return str(raw).strip()
     except (TypeError, ValueError) as exc:
@@ -138,8 +147,9 @@ def parse_config(path: str | Path | None = None) -> dict:
     SetupError
         ``config-missing`` for an unreadable path, ``config-parse`` for
         malformed syntax, ``config-unknown-key`` for keys or sections
-        outside the schema, ``config-value`` for uncoercible values and
-        for sample counts below one or negative mode caps.
+        outside the schema, ``config-value`` for uncoercible or
+        non-finite values, for sample counts below one or negative mode
+        caps, and for a probe step that is not positive.
     """
     cfg = default_config()
     if path is None:
@@ -170,6 +180,11 @@ def parse_config(path: str | Path | None = None) -> dict:
                 raise SetupError(
                     "config-value",
                     f"{path}: [{section}] {key} must be >= {floor}, "
+                    f"got {cfg[section][key]}")
+            if (section, key) in _POSITIVE and not cfg[section][key] > 0.0:
+                raise SetupError(
+                    "config-value",
+                    f"{path}: [{section}] {key} must be > 0, "
                     f"got {cfg[section][key]}")
     return cfg
 

@@ -10,8 +10,12 @@ costate collects chi_obs y back to t = 0.  Minimizing
 over seeds, with penalty P = eps ||phi0|| (exact-norm variant) or
 P = eps/2 ||phi0||^2 (quadratic surrogate), yields a control whose
 cascade satisfies ||q(0)|| <= eps up to solver tolerance.  Neither the
-operator nor the affine term is ever materialized: every product is a
-pair of forward-backward marches.
+operator nor the affine term is ever materialized: an operator apply
+marches the adjoint pair and the force-free cascade (four marches), the
+affine term the forced cascade (two).  The cascade is linear, so the
+returned control's cascade is the sum of the forced cascade and the
+homogeneous cascade of its seed, both of which the minimization has
+usually marched already.
 
 The exact-norm minimizer runs proximal gradient steps with backtracking
 line search.  Its starting point comes from a Lanczos model of the
@@ -31,6 +35,7 @@ import numpy as np
 from .cascade_sentinel import (
     AdjointPair,
     CascadeOperators,
+    CascadeSolution,
     linearized_operators,
     solve_adjoint_pair,
     solve_cascade,
@@ -143,31 +148,43 @@ def shrink(u: Array, c: float, basis) -> Array:
 
 
 class _Synthesis:
-    """Matrix-free operator and affine term, with an apply counter."""
+    """Matrix-free operator and affine term, with an apply counter.
+
+    ``last`` keeps (phi0, v, cascade) of the seed ``apply`` saw last, and
+    ``forced`` the cascade of ``affine``: :func:`_assemble` superposes
+    the two instead of marching again.
+    """
 
     def __init__(self, problem: ValidatedProblem, frozen=None,
                  ops: CascadeOperators | None = None):
         self.problem = problem
         self.ops = ops if ops is not None else linearized_operators(problem, frozen)
         self.applies = 0
+        self.last: tuple[Array, Array, CascadeSolution] | None = None
+        self.forced: CascadeSolution | None = None
 
-    def pair(self, phi0: Array) -> AdjointPair:
-        return solve_adjoint_pair(self.problem, phi0, ops=self.ops)
+    def homogeneous(self, phi0: Array) -> tuple[Array, CascadeSolution]:
+        """v = chi_omega psi of phi0's adjoint pair, and its force-free cascade."""
+        self.last = None  # drop the stored cascade before marching another
+        pair = solve_adjoint_pair(self.problem, phi0, ops=self.ops)
+        v = self.problem.omega.values * pair.psi.fields
+        del pair
+        return v, solve_cascade(self.problem, v, ops=self.ops,
+                                include_force=False, premasked=True)
 
     def apply(self, phi0: Array) -> Array:
         """Lambda phi0: costate at t = 0 of the force-free cascade."""
-        pair = self.pair(phi0)
-        casc = solve_cascade(self.problem, pair.psi.fields, ops=self.ops,
-                             include_force=False)
+        v, casc = self.homogeneous(phi0)
+        self.last = (phi0, v, casc)
         self.applies += 1
         return casc.q0
 
     def affine(self) -> Array:
         """b: costate at t = 0 with zero control and the force on."""
-        casc = solve_cascade(self.problem, None, ops=self.ops,
-                             include_force=True)
+        self.forced = solve_cascade(self.problem, None, ops=self.ops,
+                                    include_force=True)
         self.applies += 1
-        return casc.q0
+        return self.forced.q0
 
 
 def _check_variant(variant: str) -> None:
@@ -242,14 +259,38 @@ def _control_bound(problem: ValidatedProblem, constants=None) -> float:
     return 2.0 * math.sqrt(h * fw)
 
 
+def _superpose(hom: Trajectory, forced: Trajectory) -> Trajectory:
+    """hom + forced, summed into hom's record, which is not read again."""
+    hom.fields += forced.fields
+    return Trajectory(hom.basis, hom.dt, hom.times, hom.fields,
+                      state0=hom.state0 + forced.state0,
+                      stateT=hom.stateT + forced.stateT)
+
+
 def _assemble(syn: _Synthesis, state: HUMState, branch: str, converged: bool,
               optimality_residual: float, log: list[dict]) -> ControlResult:
+    """The control of state.phi0 and its forced cascade, by superposition.
+
+    The cascade of v = chi_omega psi with the force on is the forced
+    cascade of ``affine`` plus the homogeneous cascade of phi0.  The
+    latter is the stored one when phi0 is the seed applied last; it is
+    marched only otherwise (conjugate gradients, or a proximal exit that
+    stays at an earlier point).  The zero branch has v = 0 and takes the
+    forced cascade as it is.
+    """
     problem = syn.problem
     basis = problem.basis
-    pair = syn.pair(state.phi0)
-    v = problem.omega.values * pair.psi.fields
-    casc = solve_cascade(problem, v, ops=syn.ops, include_force=True,
-                         premasked=True)
+    forced = syn.forced
+    if branch == "zero":
+        v = np.zeros(forced.y.fields.shape)
+        y, q = forced.y, forced.q
+    else:
+        if syn.last is not None and syn.last[0] is state.phi0:
+            v, hom = syn.last[1:]
+        else:
+            v, hom = syn.homogeneous(state.phi0)
+        syn.last = None
+        y, q = _superpose(hom.y, forced.y), _superpose(hom.q, forced.q)
     cell = problem.grid.dt * basis.cell_volume
     return ControlResult(
         variant=state.variant,
@@ -257,10 +298,10 @@ def _assemble(syn: _Synthesis, state: HUMState, branch: str, converged: bool,
         branch=branch,
         phi0=state.phi0,
         v=v,
-        y=casc.y,
-        q=casc.q,
-        q0=casc.q0,
-        q0_norm=basis.norm(casc.q0),
+        y=y,
+        q=q,
+        q0=q.state0,
+        q0_norm=basis.norm(q.state0),
         v_norm=float(np.sqrt(cell * np.sum(v * v))),
         bound_value=_control_bound(problem),
         converged=converged,
@@ -404,8 +445,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
     A line-for-line port of scipy's C ``brentq`` (R. P. Brent,
     *Algorithms for Minimization without Derivatives*, 1973): the same
     iterates, tolerance 2 * delta = xtol + rtol |x| and return point, so
-    it gives the same bits as ``scipy.optimize.brentq``.  Running out of
-    ``maxiter`` iterations raises ``secular-no-convergence``.
+    it gives the same bits as ``scipy.optimize.brentq``.  Raises
+    ``secular-no-bracket`` when f has the same sign at both ends (a NaN
+    end included), and ``secular-no-convergence`` when ``maxiter``
+    iterations run out.
     """
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
@@ -415,7 +458,9 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
     if fcur == 0:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must have different signs")
+        raise SynthesisError(
+            "secular-no-bracket", "f(xa) and f(xb) must have different signs",
+            bracket=(xa, xb), values=(fpre, fcur))
     for _ in range(maxiter):
         if fpre != 0 and fcur != 0 and \
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
@@ -466,18 +511,23 @@ def _lanczos_warm_start(syn: _Synthesis, b: Array, bnorm: float, eps: float,
     from b with full reorthogonalization, solves the secular equation
     on the growing tridiagonal model, and stops once the shifted-system
     residual estimate drops below 1e-10 relative.  Returns the warm
-    start, the balancing weight, and the largest Ritz value.
+    start x, its image Lambda x, the balancing weight, and the largest
+    Ritz value.  x = -sum_i yhat_i v_i over the basis vectors, so Lambda x
+    is the same combination of the images Lambda v_i the basis was built
+    from, and needs no apply of its own.
     """
     basis = syn.problem.basis
     dim_total = int(np.prod(basis.shape))
     cap = min(max_dim, dim_total)
     vecs = [b / bnorm]
+    images = []  # Lambda v_i, before orthogonalization
     alphas: list[float] = []
     betas: list[float] = []
     delta = None
     yhat = None
     for m in range(1, cap + 1):
         w = syn.apply(vecs[-1])
+        images.append(w)
         if betas:
             w = w - betas[-1] * vecs[-2]
         a = basis.inner(w, vecs[-1])
@@ -505,12 +555,13 @@ def _lanczos_warm_start(syn: _Synthesis, b: Array, bnorm: float, eps: float,
             "operator is degenerate along the affine term",
             epsilon=eps, krylov_dim=len(alphas))
     x = -np.tensordot(yhat, np.asarray(vecs[:len(yhat)]), axes=(0, 0))
+    lam_x = -np.tensordot(yhat, np.asarray(images[:len(yhat)]), axes=(0, 0))
     tri = np.diag(alphas)
     if len(alphas) > 1:
         off = np.asarray(betas[:len(alphas) - 1])
         tri += np.diag(off, 1) + np.diag(off, -1)
     ritz = float(np.linalg.eigvalsh(tri).max())
-    return x, delta, ritz
+    return x, lam_x, delta, ritz
 
 
 def minimize_exact(
@@ -552,13 +603,13 @@ def minimize_exact(
                          variant="exact")
         return _assemble(syn, state, "zero", True, 0.0, log)
 
-    x, delta, ritz = _lanczos_warm_start(syn, b, bnorm, eps, krylov_dim, log)
+    x, lam_x, delta, ritz = _lanczos_warm_start(syn, b, bnorm, eps,
+                                                krylov_dim, log)
     log.append({"phase": "secular", "delta": delta,
                 "rho": basis.norm(x), "ritz_max": ritz})
     gamma0 = 1.0 / max(ritz, 1e-30)
     gamma = gamma0
 
-    lam_x = syn.apply(x)
     js_x = 0.5 * basis.inner(x, lam_x) + basis.inner(b, x)
     jhist = [js_x + eps * basis.norm(x)]
     converged = False

@@ -54,7 +54,8 @@ marches independently, against a (Nt, *shape) source shared by the rows
 or a per-row (Nt, B, *shape) one.  The loop transforms a full-grid source
 in one product before the first step, and a linear march without an
 ``on_step`` hook or a ``record_box`` records its midpoints in modes and
-converts the whole record in one product after the last.  Besides
+converts the record in place after the last, in chunks of time steps of
+at most RECORD_CHUNK_BYTES each, so it never holds two records.  Besides
 those, the loop transforms only a nonzero start and the end state (a
 GMRES solve and a reaction transform inside their steps).  A march with
 a hook or a record box converts each midpoint as it is made.  A
@@ -112,6 +113,8 @@ LU_STACK_CAP_BYTES = 64 * 2**20
 # GMRES midpoint solve: relative residual tolerance and Krylov dimension cap.
 INNER_TOL = 1e-13
 INNER_CAP = 40
+# Largest chunk of time steps in which a march converts its record to nodes.
+RECORD_CHUNK_BYTES = 2**16
 # Per-step reaction relaxation: update tolerance relative to 1 + |u_j|, and cap.
 RELAX_TOL = 1e-11
 RELAX_CAP = 50
@@ -720,10 +723,12 @@ def _march(
     source = _source_fields(grid, source, first, source_box)
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
     path = _path(basis, schedule, nt, dt, transpose)
-    # a full-grid source goes to modes in one product; a boxed one goes
-    # step by step on its box, so it never grows into a full mode stack
-    full_modes = None if source is None or source_box is not None else \
-        basis.to_modes(source)
+    # a full-grid source goes to modes in one product (and is not held
+    # after); a boxed one goes step by step on its box, so it never grows
+    # into a full mode stack
+    full_modes = None
+    if source is not None and source_box is None:
+        full_modes, source = basis.to_modes(source), None
 
     def source_at(j: int) -> Array | None:
         if full_modes is not None:
@@ -732,7 +737,8 @@ def _march(
 
     out = (lambda mid: mid) if in_modes else \
         functools.partial(basis.from_modes, box=record_box)
-    defer = reaction is None and on_step is None and record_box is None
+    defer = reaction is None and on_step is None and record_box is None \
+        and not in_modes
     fields = None
     # a zero start (y0 = 0, every costate's terminal) needs no transform
     x = basis.to_modes(first) if first.any() else np.zeros_like(first)
@@ -752,7 +758,9 @@ def _march(
         fields[j] = rec
     full_modes = None  # free the source modes before the record converts
     if defer:
-        fields = out(fields)
+        rows = max(1, RECORD_CHUNK_BYTES // fields[0].nbytes)
+        for t in range(0, nt, rows):
+            fields[t:t + rows] = basis.from_modes(fields[t:t + rows])
     state = basis.from_modes(x)
     if transpose:
         return Trajectory(basis, dt, grid.times, fields, state0=state, stateT=first)

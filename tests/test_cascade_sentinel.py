@@ -209,3 +209,11 @@ class TestSensitivity:
             sentinel_sensitivity(p, None, unit_smooth(p.basis, rng))
         assert exc.value.code == "direction-shape"
         assert sentinel_sensitivity(p, None, np.empty((0,) + p.grid.shape)) == []
+
+    @pytest.mark.parametrize("tau", [0.0, -0.01, float("nan"), float("inf")])
+    def test_probe_step_must_be_positive(self, rng, tau):
+        p = _partial_problem(rng)
+        yhat = unit_smooth(p.basis, rng)
+        with pytest.raises(SetupError) as exc:
+            sentinel_sensitivity(p, None, yhat[None], tau_probe=tau)
+        assert exc.value.code == "probe-step"

@@ -223,6 +223,21 @@ class TestFailureModes:
         assert "config-value" in err and line.split(" =")[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "[coefficients]\na0 = inf\n",
+        "[penalty]\nepsilon = nan\n",
+        "[sampling]\ntau_probe = 0\n",
+    ], ids=["a0-inf", "epsilon-nan", "tau-probe-zero"])
+    def test_bad_float_exits_1(self, tmp_path, capsys, text):
+        # non-finite input and a zero probe step are setup errors, not
+        # tracebacks or failed solves
+        cfg = _ini(tmp_path, text)
+        assert main(["insensitize-linear", "--quick", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config-value" in err and text.split("\n")[1].split(" =")[0] in err
+        assert "Traceback" not in err
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["selftest", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path)]) == 1

@@ -87,6 +87,11 @@ omega = 0.2:0.9
         "[grid]\ncells = fast\n",
         "[domains]\nsmooth = maybe\n",
         "[coefficients]\nb0 = 1,x\n",
+        # non-finite numbers, and a probe step that is not positive
+        "[coefficients]\na0 = inf\n",
+        "[penalty]\nepsilon = nan\n",
+        "[coefficients]\nb0 = 1,-inf\n",
+        "[sampling]\ntau_probe = 0\n",
     ])
     def test_uncoercible_value(self, tmp_path, text):
         with pytest.raises(SetupError) as exc:

@@ -6,13 +6,16 @@ identity plus J(0) = 0 pins the assembled objective against the
 gradient with no reference to the minimizer at all.
 """
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from insens4 import hum_synthesis
+from insens4 import hum_synthesis, pde_engine
 from insens4.cascade_sentinel import solve_adjoint_pair, solve_cascade
+from insens4.cli import main
 from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.errors import SynthesisError
 from insens4.hum_synthesis import (
@@ -24,6 +27,7 @@ from insens4.hum_synthesis import (
     shrink,
     verify_null,
 )
+from insens4.semilinear_loop import freeze_linearization
 from insens4.spectral import SineBasis
 
 
@@ -138,15 +142,202 @@ class TestExactPenalty:
 
     def test_linear_lower_work_counts_pinned(self):
         # the insensitize-linear benchmark problem (128 cells, 400 steps,
-        # uniform a0 and a1): a three-step Lanczos warm start and 6 applies
+        # uniform a0 and a1): a three-step Lanczos warm start and 5 applies
         cfg = default_config()
         cfg["grid"].update(cells=128, steps=400)
         cfg["coefficients"].update(a0=0.5, a1=0.2)
         r = minimize_exact(problem_from_config(cfg), tol=cfg["penalty"]["tol"],
                            max_iter=cfg["penalty"]["max_iter"])
         assert r.converged
-        assert r.operator_applies == 6
+        assert r.operator_applies == 5
         assert [e["phase"] for e in r.convergence_log].count("lanczos") == 3
+
+
+MARCHES = ("solve_forward", "solve_backward", "solve_forward_nonlinear")
+
+
+def _count_work(monkeypatch):
+    """Count marches and synthesis applies from here on.
+
+    Every march goes through one of the engine's march functions; they
+    are wrapped where the other modules bound them (a zero-reaction
+    ``solve_forward_nonlinear`` calling ``solve_forward`` inside the
+    engine is one march).  Applies are ``_Synthesis.apply`` and
+    ``affine`` calls, the count ``operator_applies`` reports.
+    """
+    counts = {"marches": 0, "applies": 0}
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith("insens4.") or name == "insens4.pde_engine":
+            continue
+        for fn_name in MARCHES:
+            fn = vars(mod).get(fn_name)
+            if fn is None:
+                continue
+
+            def march(*args, _fn=fn, **kwargs):
+                counts["marches"] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, fn_name, march)
+    for fn_name in ("apply", "affine"):
+        fn = getattr(hum_synthesis._Synthesis, fn_name)
+
+        def applied(self, *args, _fn=fn):
+            counts["applies"] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(hum_synthesis._Synthesis, fn_name, applied)
+    return counts
+
+
+def _count_assemble_marches(monkeypatch, counts):
+    """Marches made inside each ``_assemble`` call, in call order."""
+    inside = []
+    original = hum_synthesis._assemble
+
+    def assemble(*args, **kwargs):
+        before = counts["marches"]
+        result = original(*args, **kwargs)
+        inside.append(counts["marches"] - before)
+        return result
+
+    monkeypatch.setattr(hum_synthesis, "_assemble", assemble)
+    return inside
+
+
+def _rel(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+# the three march paths: mode-diagonal, 1D LU (a frozen tanh
+# linearization) and 2D GMRES
+PATH_CASES = ["1d-diagonal", "1d-lu-tanh", "2d-gmres"]
+
+
+def _path_problem(case):
+    """(problem, frozen, eps) whose minimization takes the interior branch."""
+    frozen = None
+    if case == "2d-gmres":
+        p = _ratio_problem("2d-richardson")
+        # the quick penalty exceeds this small problem's affine pull
+        return p, None, 0.5 * p.basis.norm(solve_cascade(p, None).q0)
+    cfg = apply_quick(default_config())
+    if case == "1d-lu-tanh":
+        cfg["nonlinearity"]["kind"] = "tanh"
+    p = problem_from_config(cfg)
+    if case == "1d-lu-tanh":
+        frozen = freeze_linearization(p, solve_cascade(p, None).y)
+    return p, frozen, p.epsilon
+
+
+def _assert_superposed(p, r):
+    """r's control and cascade against a full re-march of its seed."""
+    pair = solve_adjoint_pair(p, r.phi0, ops=r.ops)
+    v = p.omega.values * pair.psi.fields
+    ref = solve_cascade(p, v, ops=r.ops, include_force=True, premasked=True)
+    assert np.array_equal(r.v, v)
+    assert np.all(r.y.state0 == 0.0) and np.all(r.q.stateT == 0.0)
+    # on the GMRES path each midpoint solve is linear only to INNER_TOL,
+    # and q(0) is a small difference of O(||b||) terms
+    tol = 1e-13 if p.grid.dim == 1 else 10 * pde_engine.INNER_TOL
+    for got, want in [(r.y.fields, ref.y.fields), (r.y.stateT, ref.y.stateT),
+                      (r.q.fields, ref.q.fields), (r.q0, ref.q0)]:
+        assert _rel(got, want) <= tol
+    assert r.q0_norm == pytest.approx(p.basis.norm(ref.q0), rel=tol)
+
+
+class TestMarchBudget:
+    """The synthesis marches only what it has not marched already."""
+
+    @pytest.mark.parametrize("case", PATH_CASES)
+    def test_superposed_cascade_matches_remarch(self, case, monkeypatch):
+        p, frozen, eps = _path_problem(case)
+        counts = _count_work(monkeypatch)
+        inside = _count_assemble_marches(monkeypatch, counts)
+        r = minimize_exact(p, eps, frozen=frozen)
+        assert r.branch == "interior" and r.converged
+        # the stored cascade of the last applied seed, or one fresh march
+        # of the adjoint pair and the force-free cascade
+        assert inside in ([0], [4])
+        _assert_superposed(p, r)
+
+    @pytest.mark.parametrize("case", PATH_CASES)
+    def test_stored_cascade_is_reused(self, case, monkeypatch):
+        # the seed applied last comes back: its stored cascade is the
+        # homogeneous part, and _assemble marches nothing
+        p, frozen, eps = _path_problem(case)
+        syn = hum_synthesis._Synthesis(p, frozen)
+        b = syn.affine()
+        x, _, _, _ = hum_synthesis._lanczos_warm_start(
+            syn, b, p.basis.norm(b), eps, 300, [])
+        syn.apply(x)
+        state = hum_synthesis.HUMState(
+            phi0=x, gradient=b, j_value=0.0, j_history=[0.0], iterations=0,
+            epsilon=eps, variant="exact")
+        counts = _count_work(monkeypatch)
+        r = hum_synthesis._assemble(syn, state, "interior", True, 0.0, [])
+        assert counts["marches"] == 0
+        _assert_superposed(p, r)
+
+    @pytest.mark.parametrize("case", PATH_CASES)
+    def test_conjugate_gradient_marches_its_seed(self, case, monkeypatch):
+        p, frozen, eps = _path_problem(case)
+        counts = _count_work(monkeypatch)
+        inside = _count_assemble_marches(monkeypatch, counts)
+        r = minimize_quadratic(p, eps, frozen=frozen)
+        assert r.branch == "interior"
+        assert inside == [4]
+        assert counts["applies"] == r.operator_applies
+        _assert_superposed(p, r)
+
+    def test_zero_branch_marches_nothing_more(self, quick_problem, monkeypatch):
+        counts = _count_work(monkeypatch)
+        inside = _count_assemble_marches(monkeypatch, counts)
+        r = minimize_exact(quick_problem, 1.0)
+        assert r.branch == "zero"
+        assert inside == [0]
+        assert counts == {"marches": 2, "applies": 1}
+        assert r.operator_applies == 1
+
+    @pytest.mark.parametrize("case", ["1d-diagonal", "1d-lu-tanh"])
+    def test_lanczos_image_matches_apply(self, case):
+        # x = -sum yhat_i v_i, so Lambda x is the same sum of the images
+        p, frozen, eps = _path_problem(case)
+        syn = hum_synthesis._Synthesis(p, frozen)
+        b = syn.affine()
+        x, lam_x, _, _ = hum_synthesis._lanczos_warm_start(
+            syn, b, p.basis.norm(b), eps, 300, [])
+        assert _rel(lam_x, syn.apply(x)) <= 1e-13
+
+    def test_verify_null_remarches(self, quick_problem, monkeypatch):
+        r = minimize_exact(quick_problem, 1e-3)
+        counts = _count_work(monkeypatch)
+        verify_null(r)
+        assert counts == {"marches": 2, "applies": 0}
+
+    @pytest.mark.parametrize("command,ini,marches,applies,picard", [
+        ("insensitize-linear",
+         "[grid]\ncells = 128\nsteps = 400\n[coefficients]\na0 = 0.5\na1 = 0.2\n",
+         22, 5, None),
+        ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n", 76, 20, 4),
+    ], ids=["linear-lower-1d", "semilinear-tanh-1d"])
+    def test_benchmark_counts_pinned(self, command, ini, marches, applies,
+                                     picard, tmp_path, monkeypatch):
+        # per minimization: the forced cascade (2 marches), a three-vector
+        # Lanczos basis (12) and one proximal trial (4), whose cascade is
+        # the one returned; verify_null and the sentinel probes add 4 per
+        # run.  The tanh run takes 4 Picard iterations: 4 x 18 + 4 = 76.
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini, encoding="utf-8")
+        out = tmp_path / "out"
+        counts = _count_work(monkeypatch)
+        assert main([command, "--config", str(cfg), "--seed", "777",
+                     "--out", str(out)]) == 0
+        assert counts == {"marches": marches, "applies": applies}
+        if picard is not None:
+            summary = (out / "control_summary.csv").read_text().splitlines()
+            row = dict(zip(summary[0].split(","), summary[1].split(",")))
+            assert int(row["iterations"]) == picard
 
 
 class TestQuadraticPenalty:
@@ -234,6 +425,15 @@ class TestSecularBrent:
         assert exc.value.code == "secular-no-convergence"
         assert exc.value.context["bracket"] == (lo, hi)
         assert exc.value.context["iterations"] == 2
+
+    @pytest.mark.parametrize("f", [lambda x: x + 1.0, lambda x: math.nan],
+                             ids=["same-sign", "nan"])
+    def test_no_bracket_is_coded(self, f):
+        with pytest.raises(SynthesisError) as exc:
+            hum_synthesis._brentq(f, 1.0, 2.0, xtol=1e-300, rtol=1e-14,
+                                  maxiter=200)
+        assert exc.value.code == "secular-no-bracket"
+        assert exc.value.context["bracket"] == (1.0, 2.0)
 
 
 # problems whose marches take each path of the engine (see _ratio_problem);

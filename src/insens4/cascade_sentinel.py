@@ -12,6 +12,8 @@ In the frozen semilinear regime the two legs carry different operators:
 the state leg (y, psi) uses the path-averaged secant coefficients, the
 costate leg (phi, q) the pointwise tangent coefficients, which keeps the
 synthesis map self-adjoint while matching the true linearized adjoint.
+Either way the legs reach every solver as one ``CascadeOperators``, the
+``ops`` argument (None: the linear pipeline's).
 """
 from __future__ import annotations
 
@@ -53,19 +55,16 @@ class CascadeOperators:
     costate_schedule: Schedule
     reaction_offset: float = 0.0  # -F(0,0,0), added to the state source
 
+    def release_factors(self) -> None:
+        """Free the step factors both legs' marches cached."""
+        self.state_schedule.release_factors()
+        self.costate_schedule.release_factors()
 
-def linearized_operators(problem: ValidatedProblem, frozen=None) -> CascadeOperators:
-    """Operators for the linear pipeline or a frozen linearization.
 
-    With ``frozen=None`` both legs carry the problem's base coefficients
-    and the reaction term is absent entirely.
-    """
-    if frozen is None:
-        base = make_schedule(problem.grid, problem.coefficients)
-        return CascadeOperators(base, base, 0.0)
-    return CascadeOperators(
-        frozen.state_schedule, frozen.costate_schedule, -frozen.f0
-    )
+def linearized_operators(problem: ValidatedProblem) -> CascadeOperators:
+    """Operators of the linear pipeline: base coefficients, no reaction."""
+    base = make_schedule(problem.grid, problem.coefficients)
+    return CascadeOperators(base, base, 0.0)
 
 
 @dataclass
@@ -84,7 +83,6 @@ class CascadeSolution:
 def solve_adjoint_pair(
     problem: ValidatedProblem,
     phi0: Array,
-    frozen=None,
     ops: CascadeOperators | None = None,
 ) -> AdjointPair:
     """Solve the adjoint pair: phi forward from phi0, psi backward.
@@ -94,8 +92,7 @@ def solve_adjoint_pair(
     chi_obs phi at the midpoint nodes.
     """
     grid = problem.grid
-    if ops is None:
-        ops = linearized_operators(problem, frozen)
+    ops = ops or linearized_operators(problem)
     phi = solve_forward(grid, ops.costate_schedule, phi0)
     psi_source = problem.obs.values * phi.fields
     psi = solve_backward(grid, ops.state_schedule, np.zeros(grid.shape), psi_source)
@@ -105,7 +102,6 @@ def solve_adjoint_pair(
 def solve_cascade(
     problem: ValidatedProblem,
     v: np.ndarray | None,
-    frozen=None,
     ops: CascadeOperators | None = None,
     include_force: bool = True,
     premasked: bool = False,
@@ -121,8 +117,7 @@ def solve_cascade(
     mask, the form a stored control comes in.
     """
     grid = problem.grid
-    if ops is None:
-        ops = linearized_operators(problem, frozen)
+    ops = ops or linearized_operators(problem)
     source = np.zeros((grid.n_steps,) + grid.shape)
     if v is not None:
         source += v if premasked else problem.omega.values * v

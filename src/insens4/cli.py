@@ -352,7 +352,7 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path, quick: bool) -> int:
     null = verify_null(result)
     # the final linearization is not marched again: free its step factors
     # before the probes build their own
-    sem.frozen.release_factors()
+    sem.frozen.ops.release_factors()
     ftc = sem.history[-1]["ftc_residual"]
     manifest.add_check("picard-converged", sem.converged,
                        iterations=sem.iterations,

@@ -15,7 +15,8 @@ marches the adjoint pair and the force-free cascade (four marches), the
 affine term the forced cascade (two).  The cascade is linear, so the
 returned control's cascade is the sum of the forced cascade and the
 homogeneous cascade of its seed, both of which the minimization has
-usually marched already.
+usually marched already.  Every entry point takes its linearization as
+``ops``, a ``CascadeOperators`` (None: the linear pipeline's).
 
 The exact-norm minimizer runs proximal gradient steps with backtracking
 line search.  Its starting point comes from a Lanczos model of the
@@ -155,10 +156,10 @@ class _Synthesis:
     the two instead of marching again.
     """
 
-    def __init__(self, problem: ValidatedProblem, frozen=None,
+    def __init__(self, problem: ValidatedProblem,
                  ops: CascadeOperators | None = None):
         self.problem = problem
-        self.ops = ops if ops is not None else linearized_operators(problem, frozen)
+        self.ops = ops or linearized_operators(problem)
         self.applies = 0
         self.last: tuple[Array, Array, CascadeSolution] | None = None
         self.forced: CascadeSolution | None = None
@@ -206,7 +207,6 @@ def eval_j(
     phi0: Array,
     eps: float | None = None,
     variant: str = "exact",
-    frozen=None,
     ops: CascadeOperators | None = None,
 ) -> tuple[float, AdjointPair]:
     """Penalized functional value at phi0, with its adjoint pair.
@@ -218,8 +218,7 @@ def eval_j(
     _check_variant(variant)
     eps = _check_epsilon(problem.epsilon if eps is None else eps)
     grid, basis = problem.grid, problem.basis
-    if ops is None:
-        ops = linearized_operators(problem, frozen)
+    ops = ops or linearized_operators(problem)
     pair = solve_adjoint_pair(problem, phi0, ops=ops)
     cell = grid.dt * basis.cell_volume
     smooth = 0.5 * cell * float(np.sum(problem.omega.values * pair.psi.fields**2))
@@ -233,7 +232,6 @@ def eval_j(
 def grad_j_smooth(
     problem: ValidatedProblem,
     phi0: Array,
-    frozen=None,
     ops: CascadeOperators | None = None,
 ) -> Array:
     """Gradient of the smooth part of J: q(0) of the driven cascade.
@@ -241,8 +239,7 @@ def grad_j_smooth(
     The control is v = psi of the adjoint pair, the force is on, so the
     returned field equals Lambda phi0 + b by superposition.
     """
-    if ops is None:
-        ops = linearized_operators(problem, frozen)
+    ops = ops or linearized_operators(problem)
     pair = solve_adjoint_pair(problem, phi0, ops=ops)
     casc = solve_cascade(problem, pair.psi.fields, ops=ops, include_force=True)
     return casc.q0
@@ -320,7 +317,6 @@ def minimize_quadratic(
     eps: float | None = None,
     tol: float = 1e-8,
     max_iter: int = 300,
-    frozen=None,
     ops: CascadeOperators | None = None,
 ) -> ControlResult:
     """Conjugate gradient on the quadratic-penalty normal system.
@@ -338,7 +334,7 @@ def minimize_quadratic(
         last iterate rides along in the error context.
     """
     eps = _check_epsilon(problem.epsilon if eps is None else eps)
-    syn = _Synthesis(problem, frozen, ops)
+    syn = _Synthesis(problem, ops)
     basis = problem.basis
     log: list[dict] = []
 
@@ -569,7 +565,6 @@ def minimize_exact(
     eps: float | None = None,
     tol: float = 1e-8,
     max_iter: int = 2000,
-    frozen=None,
     ops: CascadeOperators | None = None,
     krylov_dim: int = 300,
 ) -> ControlResult:
@@ -589,7 +584,7 @@ def minimize_exact(
         ``prox-stall`` on backtracking exhaustion.
     """
     eps = _check_epsilon(problem.epsilon if eps is None else eps)
-    syn = _Synthesis(problem, frozen, ops)
+    syn = _Synthesis(problem, ops)
     basis = problem.basis
     log: list[dict] = []
 
@@ -705,10 +700,10 @@ def _ratio_stack(problem: ValidatedProblem, phi0s: Array, weights: Array,
     """Observability ratios of a (B, *shape) stack of seeds, row by row.
 
     Each row is the adjoint pair of :func:`solve_adjoint_pair`, and the
-    stack marches together on the boxes its masks read.  phi's
-    ``on_step`` records chi_obs phi on the obs box, which is psi's per-row
-    box source.  psi marches back in sine coefficients and its
-    ``on_step`` streams, per row and step, the sum of psi^2 (by Parseval,
+    stack marches together on the boxes its masks read.  Both marches run
+    ``in_modes``.  phi's ``on_step`` converts each midpoint on the obs box
+    only and records chi_obs phi there, which is psi's per-row box source.
+    psi's ``on_step`` streams, per row and step, the sum of psi^2 (by Parseval,
     from the modes) and that of omega psi^2 (on omega's box).  No step
     transforms a full grid and no (Nt, *shape) field is stored.  Returns
     (ratio, degenerate) per row; a row whose control-window energy
@@ -721,8 +716,8 @@ def _ratio_stack(problem: ValidatedProblem, phi0s: Array, weights: Array,
     omega_values = omega.values[omega.box].ravel()
     parseval = basis.mode_volume / basis.cell_volume
 
-    def observed(j: int, mid: Array) -> Array:
-        return obs_values * mid
+    def observed(j: int, modes: Array) -> Array:
+        return obs_values * basis.from_modes(modes, obs.box)
 
     def energies(j: int, modes: Array) -> Array:
         rows = len(modes)
@@ -733,7 +728,7 @@ def _ratio_stack(problem: ValidatedProblem, phi0s: Array, weights: Array,
             np.einsum("i,bi,bi->b", omega_values, on_omega, on_omega)])
 
     phi = solve_forward(grid, ops.costate_schedule, phi0s, on_step=observed,
-                        record_box=obs.box)
+                        in_modes=True)
     psi = solve_backward(grid, ops.state_schedule, np.zeros(phi0s.shape),
                          phi.fields, on_step=energies, source_box=obs.box,
                          in_modes=True)
@@ -749,7 +744,6 @@ def observability_ratio_sample(
     n_samples: int = 50,
     seed: int = 0,
     mode_cap: int | None = None,
-    frozen=None,
     ops: CascadeOperators | None = None,
 ) -> RatioReport:
     """Empirical spread of the weighted observability ratio.
@@ -779,8 +773,7 @@ def observability_ratio_sample(
     if n_samples < 1:
         raise SynthesisError("sample-count",
                              f"need at least one sample, got {n_samples}")
-    if ops is None:
-        ops = linearized_operators(problem, frozen)
+    ops = ops or linearized_operators(problem)
     basis = problem.basis
     shape = basis.shape
     cap = min(shape) if mode_cap is None else min(int(mode_cap), min(shape))

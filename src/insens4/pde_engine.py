@@ -15,8 +15,8 @@ the summed space-time duality identity
 holds to rounding (qbar, ybar are the stored midpoint averages).
 
 Coefficients reach a march only as a ``Schedule`` (one ``NodeCoefficients``
-per step, built by ``make_schedule``), which also carries the factors the
-marches cache.
+per step, built by ``make_schedule``), which also caches the step solver
+its first march chose: diagonal mode factors, 1D LU factors or GMRES.
 
 Two paths solve the step.  When every node of a march has spatially
 uniform a0 and a1, a uniform diagonal b and no b0 (an all-zero schedule
@@ -53,12 +53,12 @@ or from a stack (B, *shape): spatial axes are trailing, so each row
 marches independently, against a (Nt, *shape) source shared by the rows
 or a per-row (Nt, B, *shape) one.  The loop transforms a full-grid source
 in one product before the first step, and a linear march without an
-``on_step`` hook or a ``record_box`` records its midpoints in modes and
-converts the record in place after the last, in chunks of time steps of
-at most RECORD_CHUNK_BYTES each, so it never holds two records.  Besides
-those, the loop transforms only a nonzero start and the end state (a
-GMRES solve and a reaction transform inside their steps).  A march with
-a hook or a record box converts each midpoint as it is made.  A
+``on_step`` hook records its midpoints in modes and converts the record
+in place after the last, in chunks of time steps of at most
+RECORD_CHUNK_BYTES each, so it never holds two records.  Besides those,
+the loop transforms only a nonzero start and the end state (a GMRES solve
+and a reaction transform inside their steps).  A march with a hook
+converts each midpoint as it is made, unless it runs ``in_modes``.  A
 reaction F(u, grad u, hess u) enters that loop as one more source
 evaluated at the midpoint average; on the diagonal path that is
 u^_{j+1} = r u^_j + d (g^_j + F^(mid_j)).  Each step relaxes it by
@@ -70,11 +70,11 @@ march can stream a reduction instead of storing every row.  With
 coefficients the march steps in, without a transform.
 
 A linear march can also take its source on a box of nodes (one slice per
-axis, zero outside) and record its midpoints on a box only.  The source
-then comes in step by step and the midpoints go out through boxed sine
-transforms, so a march whose source or observer lives on a subdomain pays
-for the subdomain only and never holds a full (Nt, B, *shape) stack of
-source modes.
+axis, zero outside).  The source then comes in step by step through boxed
+sine transforms, and an ``in_modes`` hook that reads a box converts each
+midpoint on that box only, so a march whose source or observer lives on a
+subdomain pays for the subdomain only and never holds a full
+(Nt, B, *shape) stack of source modes.
 """
 from __future__ import annotations
 
@@ -137,22 +137,20 @@ class Schedule:
     """Lower-order coefficients at every midpoint node, plus cached factors.
 
     ``nodes[j]`` holds the coefficients of step j; steps that share a node
-    object share its factors.  ``diagonal`` is (march key, per-step mode
-    factors or None when the schedule is not diagonal) and ``mode_lu`` the
-    1D mode-space LU factors, both filled in by the first march.
+    object share its factors.  ``factors`` is (march key, the step solver
+    the first march with that key chose): the per-step diagonal mode
+    factors, the 1D mode-space LU factors, or None for GMRES.
     """
 
     nodes: list[NodeCoefficients]
-    diagonal: tuple | None = field(default=None, repr=False)
-    mode_lu: "_ModeLU | None" = field(default=None, repr=False)
+    factors: tuple | None = field(default=None, repr=False)
 
     def node(self, j: int) -> NodeCoefficients:
         return self.nodes[j]
 
     def release_factors(self) -> None:
         """Drop the cached factors; the next march rebuilds them."""
-        self.diagonal = None
-        self.mode_lu = None
+        self.factors = None
 
 
 def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None],
@@ -185,19 +183,24 @@ def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None],
     return Schedule([at(j) for j in range(grid.n_steps)])
 
 
-def _lower_apply(basis: SineBasis, nc: NodeCoefficients, u: Array) -> Array:
+def _lower_apply(basis: SineBasis, nc: NodeCoefficients, u: Array,
+                 dx: Callable[[int], Array] | None = None,
+                 d2: Callable[[int, int], Array] | None = None) -> Array:
+    """Lo u at one node; ``dx(ax)``, ``d2(i, j)`` give u's derivatives."""
+    dx = dx or functools.partial(basis.dx, u)
+    d2 = d2 or functools.partial(basis.d2, u)
     out = np.zeros_like(u)
     if nc.a0 is not None:
         out += nc.a0 * u
     if nc.b0 is not None:
         for ax in range(basis.dim):
-            out += nc.b0[ax] * basis.dx(u, ax)
+            out += nc.b0[ax] * dx(ax)
     if nc.b is not None:
         for i in range(basis.dim):
             for j in range(basis.dim):
-                out += nc.b[i, j] * basis.d2(u, i, j)
+                out += nc.b[i, j] * d2(i, j)
     if nc.a1 is not None:
-        out += nc.a1 * basis.lap(u)
+        out += nc.a1 * (d2(0, 0) if basis.dim == 1 else d2(0, 0) + d2(1, 1))
     return out
 
 
@@ -353,21 +356,9 @@ def _mode_factors(basis: SineBasis, dt: float, key: tuple[float, ...],
     return (1.0 - c * lam) / denom, dt / denom
 
 
-def _diagonal_factors(basis: SineBasis, schedule: Schedule, nt: int,
-                      dt: float) -> list[tuple[Array, Array]] | None:
-    """Per-step mode factors when every node is diagonal in the sine basis.
-
-    The result, None included, is cached on the schedule for later marches.
-    """
-    key = (dt, nt, basis.extents, basis.n_cells)
-    cached = schedule.diagonal
-    if cached is None or cached[0] != key:
-        cached = schedule.diagonal = (key, _scan_diagonal(basis, schedule, nt, dt))
-    return cached[1]
-
-
 def _scan_diagonal(basis: SineBasis, schedule: Schedule, nt: int,
                    dt: float) -> list[tuple[Array, Array]] | None:
+    """Per-step mode factors when every node is diagonal in the sine basis."""
     cache: dict[tuple[float, ...], tuple[Array, Array]] = {}
     factors = []
     last = None
@@ -394,41 +385,21 @@ class _ModeLU:
     a retired linearization's memory for the next one.
     """
 
-    key: tuple
     half_inv_denom: Array = field(repr=False)  # 1 / (2 D)
     slots: Array = field(repr=False)
     lu: list[Array] = field(repr=False)     # (n, n) each, Fortran order
     piv: list[Array] = field(repr=False)
 
 
-def _lower_matrix(nc: NodeCoefficients, f_mat: Array, dx_f: Array,
-                  dxx_f: Array) -> Array:
-    """Lo F of a 1D node: the lower-order part applied to every sine mode."""
-    out = np.zeros_like(f_mat)
-    if nc.a0 is not None:
-        out += nc.a0[:, None] * f_mat
-    if nc.b0 is not None:
-        out += nc.b0[0][:, None] * dx_f
-    if nc.b is not None:
-        out += nc.b[0, 0][:, None] * dxx_f
-    if nc.a1 is not None:
-        out += nc.a1[:, None] * dxx_f
-    return out
-
-
 def _mode_lu(basis: SineBasis, schedule: Schedule, nt: int,
              dt: float) -> _ModeLU | None:
-    """The schedule's cached mode-space LU factors, built on first use.
+    """The mode-space LU factors of the schedule's distinct nodes.
 
     Returns None in 2D and when the stack of factors would exceed
     LU_STACK_CAP_BYTES; those marches solve their steps by GMRES.
     """
     if basis.dim != 1:
         return None
-    key = (dt, nt, basis.extents, basis.n_cells)
-    cached = schedule.mode_lu
-    if cached is not None and cached.key == key:
-        return cached
     slot_of: dict[int, int] = {}
     firsts: list[tuple[int, NodeCoefficients]] = []
     slots = np.empty(nt, dtype=np.intp)
@@ -443,10 +414,9 @@ def _mode_lu(basis: SineBasis, schedule: Schedule, nt: int,
         return None
     eye = np.eye(n)
     t_mat = basis.to_modes(eye)
-    f_mat = basis.from_modes(eye)
+    f_mat = basis.from_modes(eye)  # F: the sine matrix is symmetric
     # row m of dx(f_mat) is the derivative of mode m; columns index modes below
-    dx_f = basis.dx(f_mat).T
-    dxx_f = basis.dxx(f_mat).T
+    dx_f, dxx_f = basis.dx(f_mat).T, basis.dxx(f_mat).T
     c = dt / 2
     denom = 1.0 + c * basis.bilap_modes
     scale = (c / denom)[:, None]
@@ -455,7 +425,11 @@ def _mode_lu(basis: SineBasis, schedule: Schedule, nt: int,
         # an exactly zero pivot is reported below as a coded error
         warnings.simplefilter("ignore", LinAlgWarning)
         for j, nc in firsts:
-            m = eye + scale * (t_mat @ _lower_matrix(nc, f_mat, dx_f, dxx_f))
+            # coefficients as columns: Lo acts on every mode of F at once
+            cols = NodeCoefficients(*(None if a is None else a[..., None]
+                                      for a in (nc.a0, nc.b0, nc.b, nc.a1)))
+            m = eye + scale * (t_mat @ _lower_apply(
+                basis, cols, f_mat, lambda ax: dx_f, lambda i, k: dxx_f))
             fac, perm = lu_factor(m, overwrite_a=True, check_finite=False)
             pivots = np.diagonal(fac)
             bad = np.flatnonzero(~np.isfinite(pivots) | (pivots == 0.0))
@@ -469,8 +443,7 @@ def _mode_lu(basis: SineBasis, schedule: Schedule, nt: int,
                 )
             lu.append(fac)
             piv.append(perm)
-    schedule.mode_lu = _ModeLU(key, 0.5 / denom, slots, lu, piv)
-    return schedule.mode_lu
+    return _ModeLU(0.5 / denom, slots, lu, piv)
 
 
 def _row_norms(x: Array, dim: int) -> Array:
@@ -593,7 +566,7 @@ class _ModePath:
     """Midpoint solves (D + c T Lo_j F) mid_j = u^_j + c g^_j.
 
     With the schedule's cached 1D LU factors (``mode_lu``) the solve is
-    direct; without them it is GMRES on the node's operator, preconditioned
+    direct; with None it is GMRES on the node's operator, preconditioned
     with its mean-coefficient symbol.  ``linear`` and ``advance`` take
     sources and return midpoints in modes, as on the diagonal path.
     """
@@ -650,12 +623,15 @@ class _ModePath:
 
 def _path(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
           transpose: bool):
-    """The cheapest exact solver of the march's steps."""
-    factors = _diagonal_factors(basis, schedule, nt, dt)
-    if factors is not None:
+    """The march's cheapest exact step solver, cached on the schedule."""
+    key = (dt, nt, basis.extents, basis.n_cells)
+    if schedule.factors is None or schedule.factors[0] != key:
+        schedule.factors = (key, _scan_diagonal(basis, schedule, nt, dt)
+                            or _mode_lu(basis, schedule, nt, dt))
+    factors = schedule.factors[1]
+    if isinstance(factors, list):
         return _DiagonalPath(factors)
-    return _ModePath(basis, schedule, _mode_lu(basis, schedule, nt, dt), dt,
-                     transpose)
+    return _ModePath(basis, schedule, factors, dt, transpose)
 
 
 def _relax(path, basis: SineBasis, j: int, x: Array, base: Array, u: Array,
@@ -700,13 +676,11 @@ def _march(
     reaction: Callable[[Array], Array] | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
-    record_box: tuple[slice, ...] | None = None,
     in_modes: bool = False,
 ) -> Trajectory:
     """The one CN step loop behind every march (see the module notes).
 
-    ``record_box`` and ``in_modes`` apply to linear marches only
-    (``reaction`` None) and exclude each other.
+    ``in_modes`` applies to linear marches only (``reaction`` None).
     """
     basis = grid.basis
     nt = grid.n_steps
@@ -717,9 +691,6 @@ def _march(
         raise EngineError(
             "start-shape", f"start must have shape {basis.shape} or "
             f"(B, *{basis.shape}), got {first.shape}")
-    if in_modes and record_box is not None:
-        raise EngineError("record-box-modes", "a march records its midpoints "
-                          "on a box or in modes, not both")
     source = _source_fields(grid, source, first, source_box)
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
     path = _path(basis, schedule, nt, dt, transpose)
@@ -735,10 +706,7 @@ def _march(
             return full_modes[j]
         return None if source is None else basis.to_modes(source[j], source_box)
 
-    out = (lambda mid: mid) if in_modes else \
-        functools.partial(basis.from_modes, box=record_box)
-    defer = reaction is None and on_step is None and record_box is None \
-        and not in_modes
+    defer = reaction is None and on_step is None and not in_modes
     fields = None
     # a zero start (y0 = 0, every costate's terminal) needs no transform
     x = basis.to_modes(first) if first.any() else np.zeros_like(first)
@@ -747,8 +715,8 @@ def _march(
         base = path.linear(j, x, source_at(j))
         if reaction is None:
             x, mid = path.advance(j, x, base, None)
-            if not defer:
-                mid = out(mid)
+            if not (defer or in_modes):
+                mid = basis.from_modes(mid)
         else:
             x, mid = _relax(path, basis, j, x, base, u, reaction)
             u = 2.0 * mid - u
@@ -774,7 +742,6 @@ def solve_forward(
     source: Array | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
-    record_box: tuple[slice, ...] | None = None,
     in_modes: bool = False,
 ) -> Trajectory:
     """March the state equation from t = 0 to t = T.
@@ -795,14 +762,13 @@ def solve_forward(
         Sees each step's midpoint average and returns what ``fields[j]``
         records, so a batched march can stream a reduction instead of
         storing every row.
-    source_box, record_box : tuple of slices, optional
-        Boxes of nodes, one slice per axis.  With ``record_box`` the
-        midpoints (what ``on_step`` sees and ``fields`` records) are the
-        values on that box only; the end states stay whole.
+    source_box : tuple of slices, optional
+        A box of nodes, one slice per axis, that holds the source.
     in_modes : bool
         When true, ``on_step`` and ``fields`` see each midpoint's sine
-        coefficients instead of its node values (no ``record_box``).  The
-        end states stay physical.
+        coefficients instead of its node values, so a hook that needs the
+        values on a box only converts them with ``basis.from_modes(mid,
+        box)``.  The end states stay physical.
 
     Raises
     ------
@@ -815,8 +781,7 @@ def solve_forward(
         ``residuals`` trail in its context.
     """
     return _march(grid, schedule, initial, source, False, on_step=on_step,
-                  source_box=source_box, record_box=record_box,
-                  in_modes=in_modes)
+                  source_box=source_box, in_modes=in_modes)
 
 
 def solve_backward(
@@ -826,20 +791,18 @@ def solve_backward(
     source: Array | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
-    record_box: tuple[slice, ...] | None = None,
     in_modes: bool = False,
 ) -> Trajectory:
     """March the exact transpose steps from t = T down to t = 0.
 
     The result's ``state0`` is the adjoint state at t = 0 on the integer
     node, the quantity every duality identity below refers to.  The
-    stack, the (shared or per-row) source, ``on_step``, the boxes and
+    stack, the (shared or per-row) source, ``on_step``, ``source_box`` and
     ``in_modes`` are as in :func:`solve_forward`; ``on_step`` sees the
     steps from j = Nt - 1 down to 0.
     """
     return _march(grid, schedule, terminal, source, True, on_step=on_step,
-                  source_box=source_box, record_box=record_box,
-                  in_modes=in_modes)
+                  source_box=source_box, in_modes=in_modes)
 
 
 def solve_forward_nonlinear(

@@ -350,7 +350,8 @@ def validate_problem(config: ProblemConfig, require_insensitization: bool = True
     SetupError
         ``disjoint-omega-obs``, ``omega0-margin``, ``nonzero-y0``,
         ``degenerate-perturbation``, ``declared-bound-violated``,
-        ``force-onset``, ``force-weight-divergent``, ``eta-peak-shape``.
+        ``coefficient-nonfinite``, ``force-nonfinite``, ``force-onset``,
+        ``force-weight-divergent``, ``eta-peak-shape``.
     """
     grid = config.grid
     basis = grid.basis
@@ -396,7 +397,12 @@ def validate_problem(config: ProblemConfig, require_insensitization: bool = True
         sample_times = grid.times[:1] if fld.time_constant else grid.times
         observed = 0.0
         for t in sample_times:
-            mag = fld.pointwise_magnitude(fld.eval(basis, t), grid.dim)
+            vals = fld.eval(basis, t)
+            # a NaN would pass the bound check below, which compares with >
+            if not (np.isfinite(vals).all() and np.isfinite(fld.sup_declared)):
+                raise SetupError("coefficient-nonfinite", f"{fld.label}: "
+                                 f"non-finite value or bound at t = {t}")
+            mag = fld.pointwise_magnitude(vals, grid.dim)
             observed = max(observed, float(mag.max()))
         if observed > fld.sup_declared * (1 + 1e-12) + 1e-300:
             raise SetupError(
@@ -407,6 +413,12 @@ def validate_problem(config: ProblemConfig, require_insensitization: bool = True
         sup_norms[role] = fld.sup_declared
 
     force_fields = _materialize_force(grid, config.force)
+    # min and max propagate NaN and keep +-inf without a full-size mask
+    if not np.isfinite([force_fields.min(), force_fields.max()]).all():
+        finite = np.isfinite(force_fields).reshape(grid.n_steps, -1)
+        step = int(np.argmin(finite.all(axis=1)))
+        raise SetupError("force-nonfinite", f"non-finite force at step {step}",
+                         step=step)
     onset = float(config.force_onset)
     has_force = bool(np.any(force_fields != 0))
     if has_force and onset <= 0:

@@ -18,6 +18,7 @@ completion marker of a run.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -105,7 +106,8 @@ def read_field_dump(path) -> tuple[int, int, np.ndarray]:
             f"{path}: payload is {len(payload)} bytes, header says {length}",
         )
     shape = (nt,) + (n_cells - 1,) * dim
-    expected = 8 * int(np.prod(shape))
+    # Python ints: a header's product can overflow int64 and wrap to 0
+    expected = 8 * math.prod(shape)
     if length != expected:
         raise SetupError(
             "field-dump-corrupt",

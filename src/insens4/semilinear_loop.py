@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cascade_sentinel import CascadeOperators
 from .errors import IterationError, SetupError
 from .hum_synthesis import ControlResult, minimize_exact
 from .nonlinearity import NonlinearitySpec
@@ -51,7 +52,6 @@ _TAU_W = 0.5 * _GL_W
 class FrozenLinearization:
     """Secant and tangent coefficient fields frozen at a state z."""
 
-    z_fields: Array = field(repr=False)    # (Nt, *shape) midpoint states
     g1: Array = field(repr=False)          # (Nt, *shape)
     g2: Array = field(repr=False)          # (Nt, dim, *shape)
     g3: Array = field(repr=False)          # (Nt, dim, dim, *shape)
@@ -60,14 +60,7 @@ class FrozenLinearization:
     tangent_r: Array = field(repr=False)
     f0: float                              # F(0,0,0)
     sup_certificate: float                 # max |G1| + sum|G2| + sum|G3| seen
-    state_schedule: Schedule | None = field(default=None, repr=False)
-    costate_schedule: Schedule | None = field(default=None, repr=False)
-
-    def release_factors(self) -> None:
-        """Free the step factors both legs' marches cached."""
-        for schedule in (self.state_schedule, self.costate_schedule):
-            if schedule is not None:
-                schedule.release_factors()
+    ops: CascadeOperators | None = field(default=None, repr=False)  # both legs
 
 
 @dataclass
@@ -166,7 +159,7 @@ def eval_g(nonlinearity: NonlinearitySpec, z: Trajectory) -> FrozenLinearization
         + np.abs(tr).sum(axis=(1, 2))
     cert = float(max(secant_mag.max(), tangent_mag.max())) if len(u) else 0.0
     return FrozenLinearization(
-        z_fields=z.fields, g1=g1, g2=g2, g3=g3,
+        g1=g1, g2=g2, g3=g3,
         tangent_u=tu, tangent_p=tp, tangent_r=tr,
         f0=nonlinearity.f0, sup_certificate=cert,
     )
@@ -193,13 +186,14 @@ def ftc_residual(nonlinearity: NonlinearitySpec, z: Trajectory,
 
 def freeze_linearization(problem: ValidatedProblem,
                          z: Trajectory) -> FrozenLinearization:
-    """eval_g plus the base-plus-frozen coefficient schedules of both legs."""
+    """eval_g plus both legs' operators: base plus frozen coefficients."""
     frozen = eval_g(problem.nonlinearity, z)
     grid, coeffs = problem.grid, problem.coefficients
-    frozen.state_schedule = make_schedule(grid, coeffs, frozen.g1, frozen.g2,
-                                          frozen.g3)
-    frozen.costate_schedule = make_schedule(grid, coeffs, frozen.tangent_u,
-                                            frozen.tangent_p, frozen.tangent_r)
+    frozen.ops = CascadeOperators(
+        make_schedule(grid, coeffs, frozen.g1, frozen.g2, frozen.g3),
+        make_schedule(grid, coeffs, frozen.tangent_u, frozen.tangent_p,
+                      frozen.tangent_r),
+        -frozen.f0)
     return frozen
 
 
@@ -327,10 +321,10 @@ def picard_insensitize(
             break
         if frozen is not None:
             # retire the previous linearization: keep one set of step factors
-            frozen.release_factors()
+            frozen.ops.release_factors()
         frozen = candidate
         result = minimize_exact(problem, eps, tol=hum_tol,
-                                max_iter=hum_max_iter, frozen=frozen)
+                                max_iter=hum_max_iter, ops=frozen.ops)
         z_new = result.y
         inc = math.sqrt(problem.grid.dt
                         * problem.basis.h2_norm_sq(z_new.fields - z.fields))

@@ -8,14 +8,14 @@ marched in a batch of B >= 2 gives the same bits as the same row marched
 in any other batch of B >= 2 (dense products with one row take a
 different BLAS kernel, so single fields are compared with a tolerance).
 
-A linear march may also take its source on a box of nodes and record its
-midpoints on a box; on every path that equals the full march with the
-source embedded in zeros and the record sliced to the box.  A stack may
-take one source per row, and a march may record its midpoints in sine
-coefficients.
+A linear march may also take its source on a box of nodes, and an
+``in_modes`` hook may record its midpoints on a box; on every path that
+equals the full march with the source embedded in zeros and the record
+sliced to the box.  A stack may take one source per row, and a march may
+record its midpoints in sine coefficients.
 
 A full-grid source goes to modes in one product before the loop and a
-record without a hook or a box comes back in one product after it, so
+record without a hook comes back in one product after it, so
 such a march makes a fixed number of transforms at any step count and
 matches the recurrence that transforms every step to rounding.  A boxed
 source goes per step on its box and never grows into a full mode stack.
@@ -163,6 +163,11 @@ class TestBatchedLinearMarch:
         assert exc.value.code == "start-shape"
 
 
+def _on_box(basis, box, j, modes):
+    """An in_modes hook that records each midpoint's values on ``box``."""
+    return basis.from_modes(modes, box)
+
+
 class TestBoxedMarch:
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
@@ -184,11 +189,14 @@ class TestBoxedMarch:
         solve = functools.partial(solve_backward if backward else solve_forward,
                                   grid, schedule, starts)
         full = solve(source)
+        # a hook that sees the midpoints in modes records them on the box
+        on_step = functools.partial(_on_box, grid.basis, box)
         runs = {
             "source": (solve(source[on_box], source_box=box), full.fields),
-            "record": (solve(source, record_box=box), full.fields[on_box]),
-            "both": (solve(source[on_box], source_box=box, record_box=box),
-                     full.fields[on_box]),
+            "record": (solve(source, on_step=on_step, in_modes=True),
+                       full.fields[on_box]),
+            "both": (solve(source[on_box], source_box=box, on_step=on_step,
+                           in_modes=True), full.fields[on_box]),
         }
         scale = np.abs(full.fields).max()
         for name, (traj, want) in runs.items():
@@ -205,14 +213,15 @@ class TestBoxedMarch:
         box = (slice(1, 4), slice(2, 6))
         seen = []
 
-        def norm(j, mid):
+        def norm(j, modes):
+            mid = _on_box(grid.basis, box, j, modes)
             seen.append((j, mid.shape))
             return np.sum(mid * mid)
 
         solve = solve_backward if backward else solve_forward
         start = _stack(grid.basis, 4, 1)[0]
         traj = solve(grid, make_schedule(grid, {}), start, on_step=norm,
-                     record_box=box)
+                     in_modes=True)
         order = range(grid.n_steps)
         assert seen == [(j, (3, 4)) for j in (order[::-1] if backward else order)]
         full = solve(grid, make_schedule(grid, {}), start)
@@ -301,13 +310,6 @@ class TestPerRowSource:
         streamed = solve(on_step=lambda j, c: c[1], in_modes=True)
         assert np.array_equal(streamed.fields, modes.fields[:, 1])
 
-    def test_in_modes_excludes_record_box(self):
-        grid = _grid(1)
-        with pytest.raises(EngineError) as exc:
-            solve_forward(grid, make_schedule(grid, {}), np.zeros(grid.shape),
-                          record_box=(slice(2, 5),), in_modes=True)
-        assert exc.value.code == "record-box-modes"
-
 
 def _count_transforms(monkeypatch):
     """Count SineBasis transforms as (name, boxed) pairs from here on."""
@@ -326,7 +328,7 @@ def _count_transforms(monkeypatch):
 def _per_step_march(grid, schedule, start, source, backward):
     """The diagonal recurrence transforming source[j] and each midpoint per step."""
     basis = grid.basis
-    factors = pde_engine._diagonal_factors(basis, schedule, grid.n_steps, grid.dt)
+    factors = pde_engine._scan_diagonal(basis, schedule, grid.n_steps, grid.dt)
     x = basis.to_modes(start)
     fields = np.empty((grid.n_steps,) + start.shape)
     order = range(grid.n_steps)
@@ -389,7 +391,8 @@ class TestSourceAndRecordTransforms:
         solve(on_step=lambda j, mid: mid[0])
         assert calls == {("to_modes", False): 2, ("from_modes", False): nt + 1}
         calls.clear()
-        solve(record_box=(slice(2, 5),))
+        solve(on_step=functools.partial(_on_box, grid.basis, (slice(2, 5),)),
+              in_modes=True)
         assert calls == {("to_modes", False): 2, ("from_modes", True): nt,
                          ("from_modes", False): 1}
 

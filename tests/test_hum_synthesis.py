@@ -215,8 +215,8 @@ PATH_CASES = ["1d-diagonal", "1d-lu-tanh", "2d-gmres"]
 
 
 def _path_problem(case):
-    """(problem, frozen, eps) whose minimization takes the interior branch."""
-    frozen = None
+    """(problem, ops, eps) whose minimization takes the interior branch."""
+    ops = None
     if case == "2d-gmres":
         p = _ratio_problem("2d-richardson")
         # the quick penalty exceeds this small problem's affine pull
@@ -226,8 +226,8 @@ def _path_problem(case):
         cfg["nonlinearity"]["kind"] = "tanh"
     p = problem_from_config(cfg)
     if case == "1d-lu-tanh":
-        frozen = freeze_linearization(p, solve_cascade(p, None).y)
-    return p, frozen, p.epsilon
+        ops = freeze_linearization(p, solve_cascade(p, None).y).ops
+    return p, ops, p.epsilon
 
 
 def _assert_superposed(p, r):
@@ -251,10 +251,10 @@ class TestMarchBudget:
 
     @pytest.mark.parametrize("case", PATH_CASES)
     def test_superposed_cascade_matches_remarch(self, case, monkeypatch):
-        p, frozen, eps = _path_problem(case)
+        p, ops, eps = _path_problem(case)
         counts = _count_work(monkeypatch)
         inside = _count_assemble_marches(monkeypatch, counts)
-        r = minimize_exact(p, eps, frozen=frozen)
+        r = minimize_exact(p, eps, ops=ops)
         assert r.branch == "interior" and r.converged
         # the stored cascade of the last applied seed, or one fresh march
         # of the adjoint pair and the force-free cascade
@@ -265,8 +265,8 @@ class TestMarchBudget:
     def test_stored_cascade_is_reused(self, case, monkeypatch):
         # the seed applied last comes back: its stored cascade is the
         # homogeneous part, and _assemble marches nothing
-        p, frozen, eps = _path_problem(case)
-        syn = hum_synthesis._Synthesis(p, frozen)
+        p, ops, eps = _path_problem(case)
+        syn = hum_synthesis._Synthesis(p, ops)
         b = syn.affine()
         x, _, _, _ = hum_synthesis._lanczos_warm_start(
             syn, b, p.basis.norm(b), eps, 300, [])
@@ -281,10 +281,10 @@ class TestMarchBudget:
 
     @pytest.mark.parametrize("case", PATH_CASES)
     def test_conjugate_gradient_marches_its_seed(self, case, monkeypatch):
-        p, frozen, eps = _path_problem(case)
+        p, ops, eps = _path_problem(case)
         counts = _count_work(monkeypatch)
         inside = _count_assemble_marches(monkeypatch, counts)
-        r = minimize_quadratic(p, eps, frozen=frozen)
+        r = minimize_quadratic(p, eps, ops=ops)
         assert r.branch == "interior"
         assert inside == [4]
         assert counts["applies"] == r.operator_applies
@@ -302,8 +302,8 @@ class TestMarchBudget:
     @pytest.mark.parametrize("case", ["1d-diagonal", "1d-lu-tanh"])
     def test_lanczos_image_matches_apply(self, case):
         # x = -sum yhat_i v_i, so Lambda x is the same sum of the images
-        p, frozen, eps = _path_problem(case)
-        syn = hum_synthesis._Synthesis(p, frozen)
+        p, ops, eps = _path_problem(case)
+        syn = hum_synthesis._Synthesis(p, ops)
         b = syn.affine()
         x, lam_x, _, _ = hum_synthesis._lanczos_warm_start(
             syn, b, p.basis.norm(b), eps, 300, [])

@@ -346,7 +346,7 @@ class TestModeLUPath:
         march = solve_backward if backward else solve_forward
         sched = make_schedule(grid, self._coefficients())
         got = march(grid, sched, start, source)
-        assert sched.mode_lu is not None
+        assert isinstance(sched.factors[1], pde_engine._ModeLU)
         monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 0)
         want = march(grid, make_schedule(grid, self._coefficients()), start,
                      source)
@@ -364,7 +364,7 @@ class TestModeLUPath:
         phi = solve_forward(grid, sched, rng.standard_normal(grid.shape))
         psi = solve_backward(grid, sched, np.zeros(grid.shape),
                              obs * phi.fields)
-        assert sched.mode_lu is not None
+        assert isinstance(sched.factors[1], pde_engine._ModeLU)
         res = duality_residual(y, psi, None, g, phi, np.ones(grid.shape), obs)
         assert res <= 1e-13
 
@@ -403,10 +403,12 @@ class TestModeLUPath:
         monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 31 * 31 * 8 - 1)
         sched = self._stiff(grid)
         got = solve_forward(grid, sched, y0)
-        assert sched.mode_lu is None
+        assert sched.factors[1] is None
         monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 31 * 31 * 8)
+        # the GMRES decision is cached too: drop it to decide again
+        sched.release_factors()
         want = solve_forward(grid, sched, y0)
-        assert [f.shape for f in sched.mode_lu.lu] == [(31, 31)]
+        assert [f.shape for f in sched.factors[1].lu] == [(31, 31)]
         assert np.linalg.norm(got.stateT - want.stateT) \
             <= 1e-12 * np.linalg.norm(want.stateT)
 
@@ -422,7 +424,7 @@ class TestModeLUPath:
         monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 0)
         sched = make_schedule(grid, {"a0": a0})
         got = solve_forward(grid, sched, y0)
-        assert sched.mode_lu is None
+        assert sched.factors[1] is None
         assert np.linalg.norm(got.stateT - want.stateT) \
             <= 1e-12 * np.linalg.norm(want.stateT)
 
@@ -432,13 +434,13 @@ class TestModeLUPath:
         sched = make_schedule(grid, self._coefficients())
         start = rng.standard_normal(grid.shape)
         first = solve_forward(grid, sched, start)
-        factors = sched.mode_lu
+        factors = sched.factors[1]
         # time-dependent a0 and b0: one factorization per step
         assert len(factors.lu) == grid.n_steps
         solve_backward(grid, sched, start)
-        assert sched.mode_lu is factors
+        assert sched.factors[1] is factors
         sched.release_factors()
-        assert sched.mode_lu is None
+        assert sched.factors is None
         assert np.array_equal(solve_forward(grid, sched, start).stateT,
                               first.stateT)
 
@@ -486,7 +488,7 @@ class TestMakeSchedule:
         sched = make_schedule(grid, coeffs)
         assert all(sched.node(j) is sched.node(0) for j in range(grid.n_steps))
         solve_forward(grid, sched, np.ones(grid.shape))
-        assert len(sched.mode_lu.lu) == 1
+        assert len(sched.factors[1].lu) == 1
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_additions_add_to_every_node(self, dim):
@@ -519,9 +521,64 @@ class TestMakeSchedule:
         assert all(sched.node(j) is sched.node(0) for j in range(grid.n_steps))
         y0 = np.random.default_rng(62).standard_normal(grid.shape)
         got = solve_forward(grid, sched, y0)
-        assert sched.diagonal[1] is not None and sched.mode_lu is None
+        assert isinstance(sched.factors[1], list)  # the diagonal mode factors
         want = solve_forward(grid, make_schedule(grid, coeffs), y0)
         assert np.array_equal(got.stateT, want.stateT)
+
+
+class TestFactorCache:
+    """One cache per schedule: the step solver its first march chose."""
+
+    @staticmethod
+    def _case(case):
+        """(grid, coefficients, type of the cached decision)."""
+        dim = 2 if case.endswith("2d") else 1
+        grid = build_grid(dim, 2.0, 16 if dim == 1 else 8, 0.5, 16)
+        if case.startswith("diagonal"):
+            a0 = CoefficientField.constant("a0", 0.5, dim)
+            return grid, {"a0": a0}, list
+        if dim == 2:
+            # a first-order term: not diagonal in the sine basis
+            return grid, {"b0": CoefficientField.constant(
+                "b0", np.array([0.5, 0.0]), 2)}, type(None)
+        a0 = CoefficientField.from_callable(
+            "a0", lambda x, t: 1.0 + 0.5 * np.sin(np.pi * x), 1.5,
+            time_constant=True)
+        return grid, {"a0": a0}, \
+            pde_engine._ModeLU if case == "lu-1d" else type(None)
+
+    @pytest.mark.parametrize("case", ["diagonal-1d", "diagonal-2d", "lu-1d",
+                                      "gmres-1d-over-cap", "gmres-2d"])
+    def test_second_march_reuses_the_decision(self, monkeypatch, case):
+        grid, coeffs, kind = self._case(case)
+        if case == "gmres-1d-over-cap":
+            monkeypatch.setattr(pde_engine, "LU_STACK_CAP_BYTES", 0)
+        sched = make_schedule(grid, coeffs)
+        start = np.random.default_rng(3).standard_normal(grid.shape)
+        first = solve_forward(grid, sched, start)
+        key, decision = sched.factors
+        assert key == (grid.dt, grid.n_steps, grid.basis.extents,
+                       grid.basis.n_cells)
+        assert type(decision) is kind
+        calls = []
+        for name in ("_scan_diagonal", "_mode_lu"):
+            monkeypatch.setattr(pde_engine, name,
+                                lambda *args, _name=name: calls.append(_name))
+        again = solve_forward(grid, sched, start)
+        solve_backward(grid, sched, start)
+        assert calls == []
+        assert sched.factors[1] is decision
+        assert np.array_equal(again.stateT, first.stateT)
+
+    def test_new_step_size_decides_again(self):
+        grid, coeffs, _ = self._case("diagonal-1d")
+        sched = make_schedule(grid, coeffs)
+        solve_forward(grid, sched, np.ones(grid.shape))
+        before = sched.factors
+        longer = build_grid(1, 2.0, 16, 1.0, 16)
+        solve_forward(longer, sched, np.ones(grid.shape))
+        assert sched.factors[0] == (longer.dt,) + before[0][1:]
+        assert not np.array_equal(sched.factors[1][0][0], before[1][0][0])
 
 
 class TestTrajectory:

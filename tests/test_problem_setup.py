@@ -287,6 +287,31 @@ class TestValidateProblem:
             validate_problem(cfg)
         assert exc.value.code == "force-weight-divergent"
 
+    @pytest.mark.parametrize("fld", [
+        # a NaN compares False against the declared bound
+        CoefficientField.from_callable("a0", lambda x, t: np.where(
+            x > 1.0, np.nan, 0.1), sup_declared=1.0),
+        CoefficientField.constant("a0", np.inf),
+        CoefficientField.from_callable("a0", lambda x, t: 0.1 * x,
+                                       sup_declared=np.nan),
+    ], ids=["nan-value", "inf-constant", "nan-bound"])
+    def test_nonfinite_coefficient_rejected(self, fld):
+        g = build_grid(1, 2.0, 16, 1.0, 20)
+        with pytest.raises(SetupError) as exc:
+            validate_problem(_config(g, a0=fld))
+        assert exc.value.code == "coefficient-nonfinite"
+
+    def test_nonfinite_force_rejected(self):
+        # one NaN row would drop out of the weighted integral's norms2 > 0
+        g = build_grid(1, 2.0, 32, 1.0, 40)
+        force = np.zeros((g.n_steps,) + g.basis.shape)
+        force[g.times > 0.25] = 1.0
+        force[30, 4] = np.nan
+        with pytest.raises(SetupError) as exc:
+            validate_problem(_config(g, force=force, force_onset=0.25))
+        assert exc.value.code == "force-nonfinite"
+        assert exc.value.context["step"] == 30
+
     def test_wrong_role_slot(self):
         g = build_grid(1, 2.0, 16, 1.0, 20)
         cfg = _config(g, a0=CoefficientField.constant("a1", 0.5))

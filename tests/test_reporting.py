@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from insens4.errors import SetupError
 from insens4.reporting import (
@@ -103,6 +104,8 @@ class TestFieldDump:
         lambda raw: _dump(1, 0, 0, 0),           # no cells, no records (1D)
         lambda raw: _dump(1, 1, 2, 0),           # one cell: no interior node
         lambda raw: _dump(1, 16, 0, 0),          # no records
+        # 4 (2^31)^2 records wrap to 0 in int64 and would match no payload
+        lambda raw: _dump(2, 2**31 + 1, 4, 0),
     ])
     def test_corrupt_files(self, tmp_path, mutate):
         good = write_field_dump(tmp_path / "g.fld", np.ones((2, 15)), 1, 16)
@@ -111,6 +114,30 @@ class TestFieldDump:
         with pytest.raises(SetupError) as exc:
             read_field_dump(bad)
         assert exc.value.code == "field-dump-corrupt"
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(index=st.integers(1, 5), cut=st.none() | st.integers(0, 272),
+           value=st.sampled_from([0, 1, 2, 3, 8, 15, 16, 17, 240, 2**31 + 1,
+                                  2**32 - 1, 2**63, 2**64 - 1])
+           | st.integers(0, 2**64 - 1))
+    def test_fuzzed_dump_reads_or_is_corrupt(self, tmp_path, index, cut,
+                                             value):
+        # one header field (dimension, cells, records, padding or length)
+        # replaced, then the file truncated or not
+        good = _dump(1, 16, 2, 30)
+        head = list(struct.unpack("<8sIIIIQ", good[:32]))
+        head[index] = value % (2**64 if index == 5 else 2**32)
+        raw = (struct.pack("<8sIIIIQ", *head) + good[32:])[:cut]
+        path = tmp_path / "fuzz.fld"
+        path.write_bytes(raw)
+        try:
+            dim, n_cells, fields = read_field_dump(path)
+        except SetupError as exc:
+            assert exc.code == "field-dump-corrupt"
+            return
+        assert fields.shape == (head[3],) + (n_cells - 1,) * dim
+        assert fields.nbytes == len(raw) - 32 == head[5]
 
 
 class TestManifest:

@@ -246,7 +246,7 @@ class TestTangentSchedule:
         frozen = freeze_linearization(p, z)
         for j in (0, p.grid.n_steps // 2, p.grid.n_steps - 1):
             got = sched.node(j)
-            want = frozen.costate_schedule.node(j)
+            want = frozen.ops.costate_schedule.node(j)
             assert np.array_equal(got.a0, want.a0)
 
 
@@ -271,20 +271,20 @@ class TestFactorRetention:
         p = _nl_problem("tanh", 0.1)
         seen = []
 
-        def spy(problem, eps, frozen=None, **kwargs):
+        def spy(problem, eps, ops=None, **kwargs):
             # every earlier linearization is retired before the next solve
             for old in seen:
-                assert old.state_schedule.mode_lu is None
-                assert old.costate_schedule.mode_lu is None
-            seen.append(frozen)
-            return minimize_exact(problem, eps, frozen=frozen, **kwargs)
+                assert old.state_schedule.factors is None
+                assert old.costate_schedule.factors is None
+            seen.append(ops)
+            return minimize_exact(problem, eps, ops=ops, **kwargs)
 
         monkeypatch.setattr(sl, "minimize_exact", spy)
         r = picard_insensitize(p, tol=1e-10)
         assert len(seen) == r.iterations >= 2
-        final = {id(r.frozen.state_schedule.mode_lu),
-                 id(r.frozen.costate_schedule.mode_lu)}
-        assert None not in (r.frozen.state_schedule.mode_lu,
-                            r.frozen.costate_schedule.mode_lu)
+        final = {id(r.frozen.ops.state_schedule.factors[1]),
+                 id(r.frozen.ops.costate_schedule.factors[1])}
+        assert None not in (r.frozen.ops.state_schedule.factors[1],
+                            r.frozen.ops.costate_schedule.factors[1])
         reachable = _reachable(r, _ModeLU)
         assert {id(f) for f in reachable} == final

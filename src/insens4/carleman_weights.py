@@ -72,6 +72,19 @@ class EnvelopeReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @property
+    def at_threshold(self) -> bool:
+        """s sits on the threshold, the only place the envelope is tight."""
+        return abs(self.s - self.s_threshold) <= 1e-12 * self.s_threshold
+
+    @property
+    def tight(self) -> bool:
+        """Tightness verdict: gap <= 1e-9 at the threshold, else a pass.
+
+        Above the threshold the probe is informative only.
+        """
+        return not self.at_threshold or self.tightness_gap <= 1e-9
+
 
 def _axis_profile(x, length: float, k: float):
     """eta along one axis; accepts real or complex x for step checks."""

@@ -167,15 +167,12 @@ def _cmd_weights_check(cfg: dict, out_dir: Path, quick: bool) -> int:
     for chk in props.checks + env.checks:
         rows.append((chk.name, chk.passed, chk.margin, chk.detail))
         manifest.add_check(chk.name, chk.passed, margin=chk.margin)
-    # the envelope collapses to equality only at the threshold itself
-    at_thr = abs(c.s - c.s_threshold) <= 1e-12 * c.s_threshold
-    tight_ok = env.tightness_gap <= 1e-9 if at_thr else True
     where = ";".join(format_cell(x) for x in env.tightness_location)
     note = "gap at (" + where + ")"
-    if not at_thr:
+    if not env.at_threshold:
         note += "; s above threshold, probe informative only"
-    rows.append(("envelope-tightness", tight_ok, env.tightness_gap, note))
-    manifest.add_check("envelope-tightness", tight_ok, gap=env.tightness_gap)
+    rows.append(("envelope-tightness", env.tight, env.tightness_gap, note))
+    manifest.add_check("envelope-tightness", env.tight, gap=env.tightness_gap)
     manifest.add_output(write_csv(out_dir / "weights_checks.csv", header, rows))
 
     const_header = ("s", "s_threshold", "lambda", "beta", "rate_m", "cost_h",
@@ -483,11 +480,8 @@ def _cmd_selftest(cfg: dict, out_dir: Path, quick: bool) -> int:
                                 grid.times)
     record("envelope-bounds", env.all_passed,
            min(c.margin for c in env.checks), "worst margin")
-    at_thr = abs(problem.constants.s - problem.constants.s_threshold) \
-        <= 1e-12 * problem.constants.s_threshold
-    record("envelope-tightness",
-           env.tightness_gap <= 1e-9 if at_thr else True,
-           env.tightness_gap, "relative gap at the probe point")
+    record("envelope-tightness", env.tight, env.tightness_gap,
+           "relative gap at the probe point")
 
     synth = {
         "a0": CoefficientField.constant("a0", 0.7, dim),

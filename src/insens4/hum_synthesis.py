@@ -270,10 +270,10 @@ def _assemble(syn: _Synthesis, state: HUMState, branch: str, converged: bool,
 
     The cascade of v = chi_omega psi with the force on is the forced
     cascade of ``affine`` plus the homogeneous cascade of phi0.  The
-    latter is the stored one when phi0 is the seed applied last; it is
-    marched only otherwise (conjugate gradients, or a proximal exit that
-    stays at an earlier point).  The zero branch has v = 0 and takes the
-    forced cascade as it is.
+    latter is the stored one when phi0 is the seed applied last, as it
+    is at every proximal exit; it is marched only otherwise (conjugate
+    gradients).  The zero branch has v = 0 and takes the forced cascade
+    as it is.
     """
     problem = syn.problem
     basis = problem.basis
@@ -575,8 +575,11 @@ def minimize_exact(
     phi0 <- shrink(phi0 - gamma grad, gamma eps) run with backtracking
     (halve gamma until sufficient decrease) from the Lanczos warm
     start, and stop when the proximal-mapping norm falls below
-    tol (1 + ||phi0||).  On success the optimality condition
-    q(0) + eps phi0/||phi0|| = 0 holds within the recorded residual.
+    tol (1 + ||phi0||).  A step that meets that test (a stationary one,
+    at any step size) is accepted: the result is z, the point it last
+    applied, so its cascade is superposed, never marched again.  On
+    success the optimality condition q(0) + eps phi0/||phi0|| = 0 holds
+    within the recorded residual.
 
     Raises
     ------
@@ -635,14 +638,6 @@ def minimize_exact(
             raise SynthesisError(
                 "prox-stall", "backtracking exhausted without sufficient "
                 "decrease", iteration=it, step=gamma, phi0=x)
-        if stationary and js_z + eps * basis.norm(z) > jhist[-1]:
-            # candidate is a roundoff uptick: stop where we stand
-            log.append({"phase": "ista", "iteration": it,
-                        "prox_norm": prox_norm, "objective": jhist[-1],
-                        "step": gamma})
-            converged = True
-            iterations = it
-            break
         x, lam_x, js_x = z, lam_z, js_z
         xnorm = basis.norm(x)
         jhist.append(js_x + eps * xnorm)

@@ -18,56 +18,54 @@ Coefficients reach a march only as a ``Schedule`` (one ``NodeCoefficients``
 per step, built by ``make_schedule``), which also caches the step solver
 its first march chose: diagonal mode factors, 1D LU factors or GMRES.
 
-Two paths solve the step.  When every node of a march has spatially
-uniform a0 and a1, a uniform diagonal b and no b0 (an all-zero schedule
-included), A is diagonal in the sine basis with symbol
+Every march steps in sine coefficients by the implicit midpoint rule.
+With c = dt/2, step j solves
+
+    (I + c A_j) mid_j = u^_j + c g^_j,    u^_{j+1} = 2 mid_j - u^_j,
+
+and the backward march solves with the transpose of I + c A_j.  The
+solvers differ only in how they take mid_j.  When every node of a march
+has spatially uniform a0 and a1, a uniform diagonal b and no b0 (an
+all-zero schedule included), A is diagonal in the sine basis with symbol
 
     lambda(k) = |kappa|^4 + a0 - a1 |kappa|^2 - sum_i b_ii kappa_i^2,
 
-and the march is the exact per-mode recurrence
-u^_{j+1} = r u^_j + dt/(1 + c lambda) g^_j with r = (1 - c lambda)/(1 + c lambda),
-c = dt/2, at any stiffness.  The symbol is symmetric, so the
-backward march is the same recurrence.
-
-Every other march (b0, mixed b_ij, or x-dependent and frozen
-coefficients) is solved in sine coefficients too.  With T and F the
-to/from-mode transforms, D = 1 + c |kappa|^4 and Lo_j the lower-order
-part at node j, a step is the midpoint solve
-
-    (D + c T Lo_j F) mid_j = u^_j + c g^_j,    u^_{j+1} = 2 mid_j - u^_j,
-
-and the backward march solves with T Lo_j^T F, the exact transpose, so no
-physical-space right-hand side (I - c A) u is formed.  In 1D each
-distinct node's M_j = I + c D^-1 T Lo_j F is LU-factored once and the
-factors are cached on the schedule, so every march of a frozen
+and the solve multiplies by the per-mode factor 1/(1 + c lambda), exact
+at any stiffness; the symbol is symmetric, so the backward march is the
+same product.  Every other march (b0, mixed b_ij, or x-dependent and
+frozen coefficients) solves (D + c T Lo_j F) mid_j = rhs, with T and F
+the to/from-mode transforms, D = 1 + c |kappa|^4 and Lo_j the lower-order
+part at node j; the backward march solves with T Lo_j^T F, the exact
+transpose, so no physical-space right-hand side (I - c A) u is formed.
+In 1D each distinct node's M_j = I + c D^-1 T Lo_j F is LU-factored once
+and the factors are cached on the schedule, so every march of a frozen
 linearization reuses them; a factor stack larger than LU_STACK_CAP_BYTES
-is not built.  In 2D, and in 1D over that cap, the midpoint solve is a
+is not built.  In 2D, and in 1D over that cap, the solve is a
 matrix-free GMRES right-preconditioned with the symbol of the node's mean
 coefficients, 1 + c lambda(a0-bar, a1-bar, b_ii-bar), so the Krylov
 space only has to resolve the coefficients' fluctuation about their
 means.
 
-Both paths run in one step loop (``_march``), step in sine coefficients
-and take their sources in modes from it.  A march starts from one field
-or from a stack (B, *shape): spatial axes are trailing, so each row
-marches independently, against a (Nt, *shape) source shared by the rows
-or a per-row (Nt, B, *shape) one.  The loop transforms a full-grid source
-in one product before the first step, and a linear march without an
-``on_step`` hook records its midpoints in modes and converts the record
-in place after the last, in chunks of time steps of at most
-RECORD_CHUNK_BYTES each, so it never holds two records.  Besides those,
-the loop transforms only a nonzero start and the end state (a GMRES solve
-and a reaction transform inside their steps).  A march with a hook
-converts each midpoint as it is made, unless it runs ``in_modes``.  A
-reaction F(u, grad u, hess u) enters that loop as one more source
-evaluated at the midpoint average; on the diagonal path that is
-u^_{j+1} = r u^_j + d (g^_j + F^(mid_j)).  Each step relaxes it by
-lagged iteration from F(u_j), and a row stops updating once its update
-meets RELAX_TOL (1 + |u_j|).  An ``on_step`` hook sees every
-midpoint average and chooses what the trajectory records, so a batched
-march can stream a reduction instead of storing every row.  With
-``in_modes`` the hook (and the record) sees the midpoint's sine
-coefficients the march steps in, without a transform.
+One step loop (``_march``) runs every march and takes its sources in
+modes.  A march starts from one field or from a stack (B, *shape):
+spatial axes are trailing, so each row marches independently, against a
+(Nt, *shape) source shared by the rows or a per-row (Nt, B, *shape) one.
+The loop transforms a full-grid source in one product before the first
+step, and a linear march without an ``on_step`` hook records its
+midpoints in modes and converts the record in place after the last, in
+chunks of time steps of at most RECORD_CHUNK_BYTES each, so it never
+holds two records.  Besides those, the loop transforms only a nonzero
+start and the end state (a GMRES solve and a reaction transform inside
+their steps).  A march with a hook converts each midpoint as it is made,
+unless it runs ``in_modes``.  A reaction F(u, grad u, hess u) enters that
+loop as one more source evaluated at the midpoint average, adding c
+F^(mid_j) to the right-hand side.  Each step relaxes it by lagged
+iteration from F(u_j), and a row stops updating once its update meets
+RELAX_TOL (1 + |u_j|).  An ``on_step`` hook sees every midpoint average
+and chooses what the trajectory records, so a batched march can stream a
+reduction instead of storing every row.  With ``in_modes`` the hook (and
+the record) sees the midpoint's sine coefficients the march steps in,
+without a transform.
 
 A linear march can also take its source on a box of nodes (one slice per
 axis, zero outside).  The source then comes in step by step through boxed
@@ -186,9 +184,13 @@ def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None],
 def _lower_apply(basis: SineBasis, nc: NodeCoefficients, u: Array,
                  dx: Callable[[int], Array] | None = None,
                  d2: Callable[[int, int], Array] | None = None) -> Array:
-    """Lo u at one node; ``dx(ax)``, ``d2(i, j)`` give u's derivatives."""
+    """Lo u at one node; ``dx(ax)``, ``d2(i, j)`` give u's derivatives.
+
+    Each d2(i, j) is taken once per apply: ``b`` and ``a1`` share the
+    same-axis ones.
+    """
     dx = dx or functools.partial(basis.dx, u)
-    d2 = d2 or functools.partial(basis.d2, u)
+    d2 = functools.cache(d2 or functools.partial(basis.d2, u))
     out = np.zeros_like(u)
     if nc.a0 is not None:
         out += nc.a0 * u
@@ -336,12 +338,10 @@ def _symbol(basis: SineBasis, key: tuple[float, ...]) -> Array:
     return lam
 
 
-def _mode_factors(basis: SineBasis, dt: float, key: tuple[float, ...],
-                  step: int) -> tuple[Array, Array]:
-    """Per-mode CN factors r = (1 - c lam)/(1 + c lam) and dt/(1 + c lam)."""
-    lam = _symbol(basis, key)
-    c = dt / 2
-    denom = 1.0 + c * lam
+def _mode_factor(basis: SineBasis, dt: float, key: tuple[float, ...],
+                 step: int) -> Array:
+    """The per-mode midpoint factor 1/(1 + c lam) of a diagonal node."""
+    denom = 1.0 + dt / 2 * _symbol(basis, key)
     if not np.all(denom > 0):
         worst = np.unravel_index(np.argmin(denom), denom.shape)
         mode = tuple(int(m) + 1 for m in worst)
@@ -353,13 +353,13 @@ def _mode_factors(basis: SineBasis, dt: float, key: tuple[float, ...],
             f"negative lower-order coefficients)",
             step=step, mode=mode,
         )
-    return (1.0 - c * lam) / denom, dt / denom
+    return 1.0 / denom
 
 
 def _scan_diagonal(basis: SineBasis, schedule: Schedule, nt: int,
-                   dt: float) -> list[tuple[Array, Array]] | None:
+                   dt: float) -> list[Array] | None:
     """Per-step mode factors when every node is diagonal in the sine basis."""
-    cache: dict[tuple[float, ...], tuple[Array, Array]] = {}
+    cache: dict[tuple[float, ...], Array] = {}
     factors = []
     last = None
     for j in range(nt):
@@ -369,7 +369,7 @@ def _scan_diagonal(basis: SineBasis, schedule: Schedule, nt: int,
             if key is None:
                 return None
             if key not in cache:
-                cache[key] = _mode_factors(basis, dt, key, j)
+                cache[key] = _mode_factor(basis, dt, key, j)
             last = nc
         factors.append(cache[key])
     return factors
@@ -385,7 +385,6 @@ class _ModeLU:
     a retired linearization's memory for the next one.
     """
 
-    half_inv_denom: Array = field(repr=False)  # 1 / (2 D)
     slots: Array = field(repr=False)
     lu: list[Array] = field(repr=False)     # (n, n) each, Fortran order
     piv: list[Array] = field(repr=False)
@@ -443,7 +442,7 @@ def _mode_lu(basis: SineBasis, schedule: Schedule, nt: int,
                 )
             lu.append(fac)
             piv.append(perm)
-    return _ModeLU(0.5 / denom, slots, lu, piv)
+    return _ModeLU(slots, lu, piv)
 
 
 def _row_norms(x: Array, dim: int) -> Array:
@@ -536,39 +535,12 @@ def _gmres(op: Callable[[Array], Array], rhs: Array, pre: Array, dim: int,
     return (m / pre).reshape(rhs.shape)
 
 
-class _DiagonalPath:
-    """Exact per-mode recurrence.
-
-    Both paths step in sine coefficients and take everything in modes from
-    the step loop: ``linear(j, x, g)`` is the part of step j that does not
-    depend on the reaction (``g`` the step's source modes or None), and
-    ``advance`` completes the step with the reaction's modes, returning
-    the new state and the midpoint.
-    """
-
-    def __init__(self, factors):
-        self.factors = factors
-
-    def linear(self, j: int, x: Array, g: Array | None) -> Array:
-        """r u^_j + d g^_j."""
-        r, d = self.factors[j]
-        base = r * x
-        if g is not None:
-            base += d * g
-        return base
-
-    def advance(self, j: int, x: Array, base: Array, extra: Array | None):
-        new = base if extra is None else base + self.factors[j][1] * extra
-        return new, 0.5 * (x + new)
-
-
-class _ModePath:
-    """Midpoint solves (D + c T Lo_j F) mid_j = u^_j + c g^_j.
+class _ModeSolve:
+    """mid_j from (D + c T Lo_j F) mid_j = rhs, or from its transpose.
 
     With the schedule's cached 1D LU factors (``mode_lu``) the solve is
     direct; with None it is GMRES on the node's operator, preconditioned
-    with its mean-coefficient symbol.  ``linear`` and ``advance`` take
-    sources and return midpoints in modes, as on the diagonal path.
+    with its mean-coefficient symbol.
     """
 
     def __init__(self, basis: SineBasis, schedule: Schedule,
@@ -576,36 +548,23 @@ class _ModePath:
         self.basis = basis
         self.schedule = schedule
         self.mode_lu = mode_lu
-        self.dt = dt
         self.c = dt / 2
         self.transpose = transpose
         self.lower = _lower_apply_t if transpose else _lower_apply
         self.denom = 1.0 + self.c * basis.bilap_modes
+        self.inv_denom = 1.0 / self.denom
         self._node = self._pre = None
 
-    def linear(self, j: int, x: Array, g: Array | None) -> Array:
-        """2 u^_j + dt g^_j."""
-        rhs = 2.0 * x
-        if g is not None:
-            rhs += self.dt * g
-        return rhs
-
-    def advance(self, j: int, x: Array, rhs: Array, extra: Array | None):
-        if extra is not None:
-            rhs = rhs + self.dt * extra
+    def __call__(self, j: int, rhs: Array) -> Array:
         f = self.mode_lu
         if f is None:
-            mid = self._krylov(j, 0.5 * rhs)
-        else:
-            k = f.slots[j]
-            # LAPACK takes the right-hand sides as columns
-            if self.transpose:
-                mid = f.half_inv_denom * lapack.dgetrs(f.lu[k], f.piv[k], rhs.T,
-                                                       trans=1)[0].T
-            else:
-                mid = lapack.dgetrs(f.lu[k], f.piv[k],
-                                    (f.half_inv_denom * rhs).T)[0].T
-        return 2.0 * mid - x, mid
+            return self._krylov(j, rhs)
+        k = f.slots[j]
+        # LAPACK takes the right-hand sides as columns
+        if self.transpose:
+            return self.inv_denom * lapack.dgetrs(f.lu[k], f.piv[k], rhs.T,
+                                                  trans=1)[0].T
+        return lapack.dgetrs(f.lu[k], f.piv[k], (self.inv_denom * rhs).T)[0].T
 
     def _krylov(self, j: int, rhs: Array) -> Array:
         basis, c = self.basis, self.c
@@ -621,43 +580,49 @@ class _ModePath:
         return _gmres(op, rhs, self._pre, basis.dim, j)
 
 
-def _path(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
-          transpose: bool):
-    """The march's cheapest exact step solver, cached on the schedule."""
+def _solver(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
+            transpose: bool) -> Callable[[int, Array], Array]:
+    """solve(j, rhs) -> mid_j in modes, by the march's cheapest exact solver.
+
+    The decision (diagonal factors, 1D LU factors or GMRES) is cached on
+    the schedule.
+    """
     key = (dt, nt, basis.extents, basis.n_cells)
     if schedule.factors is None or schedule.factors[0] != key:
         schedule.factors = (key, _scan_diagonal(basis, schedule, nt, dt)
                             or _mode_lu(basis, schedule, nt, dt))
     factors = schedule.factors[1]
     if isinstance(factors, list):
-        return _DiagonalPath(factors)
-    return _ModePath(basis, schedule, factors, dt, transpose)
+        return lambda j, rhs: factors[j] * rhs
+    return _ModeSolve(basis, schedule, factors, dt, transpose)
 
 
-def _relax(path, basis: SineBasis, j: int, x: Array, base: Array, u: Array,
-           reaction) -> tuple[Array, Array]:
+def _relax(solve_with: Callable[[Array], Array], basis: SineBasis, j: int,
+           x: Array, u: Array, reaction) -> tuple[Array, Array]:
     """Step j with the reaction at the midpoint, by lagged iteration.
 
-    Starts from F(u_j) and re-solves with F at the latest midpoint; a
-    field stops updating once its update meets RELAX_TOL (1 + |u_j|).
-    Returns the new state (in modes) and the physical midpoint.
+    ``solve_with(F^)`` is step j's midpoint in modes with the reaction's
+    modes F^ as one more source.  Starts from F(u_j) and re-solves with F
+    at the latest midpoint; a field stops updating once its update meets
+    RELAX_TOL (1 + |u_j|).  Returns the new state (in modes) and the
+    physical midpoint.
     """
     dim = basis.dim
     scale = 1.0 + _row_norms(u, dim)
-    new, mid = x, u
+    mid_modes, mid = x, u
     active = np.ones(np.shape(scale), dtype=bool)
     trail = []
     for _ in range(RELAX_CAP):
-        cand, cand_mid = path.advance(j, x, base, basis.to_modes(reaction(mid)))
-        cand_mid = basis.from_modes(cand_mid)
+        cand_modes = solve_with(basis.to_modes(reaction(mid)))
+        cand = basis.from_modes(cand_modes)
         # the state moves twice as far as the midpoint average
-        trail.append(2.0 * _row_norms(cand_mid - mid, dim) / scale)
+        trail.append(2.0 * _row_norms(cand - mid, dim) / scale)
         keep = _rows(active, dim)
-        new = np.where(keep, cand, new)
-        mid = np.where(keep, cand_mid, mid)
+        mid_modes = np.where(keep, cand_modes, mid_modes)
+        mid = np.where(keep, cand, mid)
         active &= trail[-1] > RELAX_TOL
         if not active.any():
-            return new, mid
+            return 2.0 * mid_modes - x, mid
     row, idx = _first_row(active)
     raise EngineError(
         "inner-solve-divergence",
@@ -693,18 +658,23 @@ def _march(
             f"(B, *{basis.shape}), got {first.shape}")
     source = _source_fields(grid, source, first, source_box)
     order = range(nt) if not transpose else range(nt - 1, -1, -1)
-    path = _path(basis, schedule, nt, dt, transpose)
-    # a full-grid source goes to modes in one product (and is not held
-    # after); a boxed one goes step by step on its box, so it never grows
-    # into a full mode stack
+    solve = _solver(basis, schedule, nt, dt, transpose)
+    c = dt / 2
+    # a full-grid source goes to modes in one product and is scaled by c
+    # there (and is not held after); a boxed one goes step by step on its
+    # box, so it never grows into a full mode stack
     full_modes = None
     if source is not None and source_box is None:
         full_modes, source = basis.to_modes(source), None
+        full_modes *= c
 
-    def source_at(j: int) -> Array | None:
+    def rhs_at(j: int, x: Array) -> Array:
+        """u^_j + c g^_j, step j's right-hand side in modes."""
         if full_modes is not None:
-            return full_modes[j]
-        return None if source is None else basis.to_modes(source[j], source_box)
+            return x + full_modes[j]
+        if source is None:
+            return x
+        return x + c * basis.to_modes(source[j], source_box)
 
     defer = reaction is None and on_step is None and not in_modes
     fields = None
@@ -712,13 +682,16 @@ def _march(
     x = basis.to_modes(first) if first.any() else np.zeros_like(first)
     u = first
     for j in order:
-        base = path.linear(j, x, source_at(j))
         if reaction is None:
-            x, mid = path.advance(j, x, base, None)
+            # the right-hand side is freed before the update allocates
+            mid = solve(j, rhs_at(j, x))
+            x = 2.0 * mid - x
             if not (defer or in_modes):
                 mid = basis.from_modes(mid)
         else:
-            x, mid = _relax(path, basis, j, x, base, u, reaction)
+            rhs = rhs_at(j, x)
+            x, mid = _relax(lambda f: solve(j, rhs + c * f), basis, j, x, u,
+                            reaction)
             u = 2.0 * mid - u
         rec = mid if on_step is None else on_step(j, mid)
         if fields is None:

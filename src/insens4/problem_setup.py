@@ -4,13 +4,14 @@ The verification pipeline wants every ingredient checked once, up front,
 and then frozen: masks are sharp node indicators built from boxes,
 coefficient fields carry declared sup bounds that must dominate their
 sampled values, the force must switch on strictly after t = 0 so its
-singular-weighted energy is finite, and the initial state is pinned to
-zero in insensitization mode.  ``validate_problem`` runs all of these
-checks, builds the Carleman weights and observability constants for the
-instance, and returns an immutable bundle.
+singular-weighted energy is finite, and the scalar parameters must be
+finite.  ``validate_problem`` runs all of these checks, builds the
+Carleman weights and observability constants for the instance, and
+returns an immutable bundle.  Every state march starts at zero.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -283,8 +284,6 @@ class ProblemConfig:
     a1: CoefficientField | None = None
     force: np.ndarray | None = None  # (Nt, *shape) values at the midpoint nodes
     force_onset: float = 0.0
-    y0: np.ndarray | None = None
-    yhat0: np.ndarray | None = None
     epsilon: float = 1e-3
     lam: float = 1.0
     s: float | None = None
@@ -306,8 +305,6 @@ class ValidatedProblem:
     sup_norms: dict
     force_fields: np.ndarray
     force_onset: float
-    y0: np.ndarray
-    yhat0: np.ndarray | None
     epsilon: float
     nonlinearity: NonlinearitySpec
     profile: cw.WeightProfile
@@ -334,27 +331,33 @@ def _materialize_force(grid: Grid, force: np.ndarray | None) -> np.ndarray:
     return out.astype(float)
 
 
-def validate_problem(config: ProblemConfig, require_insensitization: bool = True) -> ValidatedProblem:
+def validate_problem(config: ProblemConfig) -> ValidatedProblem:
     """Check, complete, and seal a problem instance.
 
-    Verifies mask geometry (omega and the observation set overlap, the
-    inner subdomain sits inside the overlap with a one-cell margin),
-    pins y0 to zero in insensitization mode, normalizes the perturbation
-    direction, asserts every declared coefficient bound against sampled
-    values on the grid, checks the force switches on strictly after
-    t = 0 and that its singular-weighted energy integral is finite, and
-    builds the Carleman weights and observability constants.
+    Verifies that the scalar parameters are finite, the mask geometry
+    (omega and the observation set overlap, the inner subdomain sits
+    inside the overlap with a one-cell margin), asserts every declared
+    coefficient bound against sampled values on the grid, checks the
+    force switches on strictly after t = 0 and that its singular-weighted
+    energy integral is finite, and builds the Carleman weights and
+    observability constants.  Every march of the state starts at y = 0.
 
     Raises
     ------
     SetupError
-        ``disjoint-omega-obs``, ``omega0-margin``, ``nonzero-y0``,
-        ``degenerate-perturbation``, ``declared-bound-violated``,
+        ``parameter-nonfinite`` (with the ``key``), ``disjoint-omega-obs``,
+        ``omega0-margin``, ``declared-bound-violated``,
         ``coefficient-nonfinite``, ``force-nonfinite``, ``force-onset``,
         ``force-weight-divergent``, ``eta-peak-shape``.
     """
     grid = config.grid
     basis = grid.basis
+    for key in ("epsilon", "lam", "s", "s_factor", "c_proxy", "force_onset"):
+        value = getattr(config, key)
+        # a NaN passes every comparison below and reaches the constants
+        if value is not None and not math.isfinite(value):
+            raise SetupError("parameter-nonfinite", f"{key} = {value} is not "
+                             "finite", key=key)
 
     overlap = config.omega.support & config.obs.support
     if not overlap.any():
@@ -367,21 +370,6 @@ def validate_problem(config: ProblemConfig, require_insensitization: bool = True
             "omega0-margin",
             "inner subdomain must sit inside omega intersect obs with a one-cell margin",
         )
-
-    if config.y0 is None:
-        y0 = np.zeros(basis.shape)
-    else:
-        y0 = np.asarray(config.y0, dtype=float)
-        if require_insensitization and np.any(y0 != 0):
-            raise SetupError("nonzero-y0", "insensitization requires y0 = 0")
-
-    yhat0 = None
-    if config.yhat0 is not None:
-        yhat0 = np.asarray(config.yhat0, dtype=float).copy()
-        nrm = basis.norm(yhat0)
-        if nrm <= 0:
-            raise SetupError("degenerate-perturbation", "perturbation direction is zero")
-        yhat0 /= nrm
 
     coefficients = {}
     sup_norms = {}
@@ -467,7 +455,6 @@ def validate_problem(config: ProblemConfig, require_insensitization: bool = True
         grid=grid, omega=config.omega, obs=config.obs, omega0=config.omega0,
         coefficients=coefficients, sup_norms=sup_norms,
         force_fields=_freeze(force_fields), force_onset=onset,
-        y0=_freeze(y0), yhat0=None if yhat0 is None else _freeze(yhat0),
         epsilon=float(config.epsilon), nonlinearity=nl,
         profile=profile, weights=weights, constants=constants,
         force_weight_integral=fw,

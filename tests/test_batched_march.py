@@ -326,17 +326,17 @@ def _count_transforms(monkeypatch):
 
 
 def _per_step_march(grid, schedule, start, source, backward):
-    """The diagonal recurrence transforming source[j] and each midpoint per step."""
+    """The diagonal midpoint step transforming source[j] and each midpoint per step."""
     basis = grid.basis
     factors = pde_engine._scan_diagonal(basis, schedule, grid.n_steps, grid.dt)
+    c = grid.dt / 2
     x = basis.to_modes(start)
     fields = np.empty((grid.n_steps,) + start.shape)
     order = range(grid.n_steps)
     for j in (reversed(order) if backward else order):
-        r, d = factors[j]
-        new = r * x + d * basis.to_modes(source[j])
-        fields[j] = basis.from_modes(0.5 * (x + new))
-        x = new
+        mid = factors[j] * (x + c * basis.to_modes(source[j]))
+        fields[j] = basis.from_modes(mid)
+        x = 2.0 * mid - x
     return fields, basis.from_modes(x)
 
 

@@ -166,6 +166,7 @@ class TestEnvelopes:
                                        grid.times)
         assert report.all_passed
         assert report.tightness_gap <= 1e-12
+        assert report.at_threshold and report.tight
         peak, tmid = report.tightness_location
         assert tmid == pytest.approx(grid.t_final / 2)
 
@@ -176,6 +177,7 @@ class TestEnvelopes:
         assert report.all_passed
         # the sup envelope is only saturated exactly at the threshold
         assert report.tightness_gap > 1e-3
+        assert not report.at_threshold and report.tight
 
     def test_below_threshold_rejected(self, grid, ln2_weights):
         thr = ln2_weights.s_threshold

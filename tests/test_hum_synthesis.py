@@ -315,24 +315,29 @@ class TestMarchBudget:
         verify_null(r)
         assert counts == {"marches": 2, "applies": 0}
 
-    @pytest.mark.parametrize("command,ini,marches,applies,picard", [
+    @pytest.mark.parametrize("command,ini,flags,marches,applies,picard", [
         ("insensitize-linear",
          "[grid]\ncells = 128\nsteps = 400\n[coefficients]\na0 = 0.5\na1 = 0.2\n",
-         22, 5, None),
-        ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n", 76, 20, 4),
-    ], ids=["linear-lower-1d", "semilinear-tanh-1d"])
-    def test_benchmark_counts_pinned(self, command, ini, marches, applies,
-                                     picard, tmp_path, monkeypatch):
+         [], 22, 5, None),
+        ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n", [], 76, 20, 4),
+        ("insensitize-linear", "", ["--quick"], 22, 5, None),
+        ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n", ["--quick"],
+         76, 20, 4),
+    ], ids=["linear-lower-1d", "semilinear-tanh-1d", "linear-quick",
+            "semilinear-tanh-quick"])
+    def test_benchmark_counts_pinned(self, command, ini, flags, marches,
+                                     applies, picard, tmp_path, monkeypatch):
         # per minimization: the forced cascade (2 marches), a three-vector
         # Lanczos basis (12) and one proximal trial (4), whose cascade is
-        # the one returned; verify_null and the sentinel probes add 4 per
-        # run.  The tanh run takes 4 Picard iterations: 4 x 18 + 4 = 76.
+        # the one returned, also when that trial is stationary; verify_null
+        # and the sentinel probes add 4 per run.  The tanh runs take 4
+        # Picard iterations: 4 x 18 + 4 = 76.
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini, encoding="utf-8")
         out = tmp_path / "out"
         counts = _count_work(monkeypatch)
         assert main([command, "--config", str(cfg), "--seed", "777",
-                     "--out", str(out)]) == 0
+                     "--out", str(out), *flags]) == 0
         assert counts == {"marches": marches, "applies": applies}
         if picard is not None:
             summary = (out / "control_summary.csv").read_text().splitlines()

@@ -26,6 +26,7 @@ from insens4.pde_engine import (
     solve_forward_nonlinear,
 )
 from insens4.problem_setup import CoefficientField, build_grid
+from insens4.spectral import SineBasis
 
 
 def _mode(grid, k):
@@ -524,6 +525,29 @@ class TestMakeSchedule:
         assert isinstance(sched.factors[1], list)  # the diagonal mode factors
         want = solve_forward(grid, make_schedule(grid, coeffs), y0)
         assert np.array_equal(got.stateT, want.stateT)
+
+
+class TestLowerApply:
+    def test_second_derivatives_taken_once(self, monkeypatch):
+        # b and a1 share the same-axis derivatives: 2 dxx calls, not 4
+        grid = build_grid(2, 2.0, 12, 0.5, 24)
+        basis = grid.basis
+        rng = np.random.default_rng(70)
+        nc = NodeCoefficients(b=rng.standard_normal((2, 2) + grid.shape),
+                              a1=rng.standard_normal(grid.shape))
+        u = rng.standard_normal(grid.shape)
+        want = np.zeros_like(u)
+        for i in range(2):
+            for j in range(2):
+                want += nc.b[i, j] * basis.d2(u, i, j)
+        want += nc.a1 * (basis.d2(u, 0, 0) + basis.d2(u, 1, 1))
+        calls = []
+        dxx = SineBasis.dxx
+        monkeypatch.setattr(SineBasis, "dxx", lambda self, v, axis=0: (
+            calls.append(axis), dxx(self, v, axis))[1])
+        got = pde_engine._lower_apply(basis, nc, u)
+        assert sorted(calls) == [0, 1]
+        assert np.array_equal(got, want)
 
 
 class TestFactorCache:

@@ -186,7 +186,7 @@ class TestValidateProblem:
         assert p.sup_norms["b"] == 0.0
         assert p.weights.s_threshold > 0
         assert p.constants.s >= p.weights.s_threshold * (1 - 1e-12)
-        assert not p.y0.flags.writeable
+        assert not p.force_fields.flags.writeable
         assert p.nonlinearity.is_zero
 
     def test_disjoint_omega_obs(self):
@@ -208,22 +208,18 @@ class TestValidateProblem:
             validate_problem(cfg)
         assert exc.value.code == "omega0-margin"
 
-    def test_nonzero_y0_rejected(self):
+    @pytest.mark.parametrize("key,value", [
+        ("epsilon", np.nan), ("lam", np.nan), ("s", np.inf),
+        ("s_factor", np.nan), ("c_proxy", np.nan), ("force_onset", np.nan),
+    ])
+    def test_nonfinite_parameter_rejected(self, key, value):
+        # each passes every later comparison; lam, s, s_factor and c_proxy
+        # would give cost_h = nan
         g = build_grid(1, 2.0, 16, 1.0, 20)
-        cfg = _config(g, y0=np.ones(g.basis.shape))
         with pytest.raises(SetupError) as exc:
-            validate_problem(cfg)
-        assert exc.value.code == "nonzero-y0"
-
-    def test_perturbation_normalized(self):
-        g = build_grid(1, 2.0, 16, 1.0, 20)
-        yhat = np.zeros(g.basis.shape)
-        yhat[3] = 7.0
-        p = validate_problem(_config(g, yhat0=yhat))
-        assert p.basis.norm(p.yhat0) == pytest.approx(1.0, rel=1e-13)
-        with pytest.raises(SetupError) as exc:
-            validate_problem(_config(g, yhat0=np.zeros(g.basis.shape)))
-        assert exc.value.code == "degenerate-perturbation"
+            validate_problem(_config(g, **{key: value}))
+        assert exc.value.code == "parameter-nonfinite"
+        assert exc.value.context["key"] == key
 
     def test_force_onset_required(self):
         g = build_grid(1, 2.0, 16, 1.0, 20)

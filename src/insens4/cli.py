@@ -294,7 +294,7 @@ def _cmd_insensitize_linear(cfg: dict, out_dir: Path, quick: bool) -> int:
                result.converged, result.iterations, result.operator_applies,
                result.q0_norm, result.v_norm, result.bound_value,
                null.bound_within, result.optimality_residual,
-               result.state.j_value)
+               result.objective)
     manifest.add_output(write_csv(out_dir / "control_summary.csv",
                                   summary_header, [summary]))
 
@@ -370,7 +370,7 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path, quick: bool) -> int:
     summary = (sem.converged, sem.iterations, sem.epsilon, sem.q0_norm,
                result.v_norm, sem.increments[-1], contraction, sem.r1_radius,
                sem.inside_ball, sem.weighted_force_norm, ftc,
-               result.state.j_value)
+               result.objective)
     manifest.add_output(write_csv(out_dir / "control_summary.csv",
                                   summary_header, [summary]))
 

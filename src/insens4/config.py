@@ -91,9 +91,10 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 }
 
 # Smallest admissible value of integer keys that have one.
-_MINIMUM = {("sampling", "samples"): 1, ("sampling", "mode_cap"): 0}
+_MINIMUM = {("sampling", "samples"): 1, ("sampling", "mode_cap"): 0,
+            ("penalty", "max_iter"): 1, ("picard", "max_iter"): 1}
 # Float keys that must be positive.
-_POSITIVE = {("sampling", "tau_probe")}
+_POSITIVE = {("sampling", "tau_probe"), ("penalty", "tol"), ("picard", "tol")}
 
 _BOOL = {"true": True, "1": True, "yes": True, "on": True,
          "false": False, "0": False, "no": False, "off": False}
@@ -148,8 +149,9 @@ def parse_config(path: str | Path | None = None) -> dict:
         ``config-missing`` for an unreadable path, ``config-parse`` for
         malformed syntax, ``config-unknown-key`` for keys or sections
         outside the schema, ``config-value`` for uncoercible or
-        non-finite values, for sample counts below one or negative mode
-        caps, and for a probe step that is not positive.
+        non-finite values, for sample counts and iteration budgets below
+        one or negative mode caps, and for a probe step or tolerance that
+        is not positive.
     """
     cfg = default_config()
     if path is None:

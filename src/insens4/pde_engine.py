@@ -245,7 +245,7 @@ class Trajectory:
     ``in_modes``); ``state0`` and ``stateT`` are the untouched
     integer-node states at t = 0 and t = T.  A march from a stack
     (B, *shape) records fields (Nt, B, *shape) and end states (B, *shape);
-    the norms below are those of a single field.
+    ``norm_l2h2`` is that of a single field.
     """
 
     basis: SineBasis
@@ -255,22 +255,9 @@ class Trajectory:
     state0: np.ndarray = field(repr=False)
     stateT: np.ndarray = field(repr=False)
 
-    def norm_l2q(self) -> float:
-        """L2 norm over space-time by midpoint quadrature."""
-        return float(np.sqrt(self.dt * self.basis.cell_volume * np.sum(self.fields**2)))
-
-    def sup_l2(self) -> float:
-        n2 = self.basis.cell_volume * np.sum(
-            self.fields.reshape(self.fields.shape[0], -1) ** 2, axis=1
-        )
-        return float(np.sqrt(n2.max()))
-
     def norm_l2h2(self) -> float:
         """L2-in-time norm of the order-two Sobolev norm in space."""
         return float(np.sqrt(self.dt * self.basis.h2_norm_sq(self.fields)))
-
-    def inner_l2q(self, other: "Trajectory") -> float:
-        return float(self.dt * self.basis.cell_volume * np.sum(self.fields * other.fields))
 
 
 def _source_fields(grid: Grid, source: Array | None, start: Array,

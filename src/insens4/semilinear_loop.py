@@ -74,7 +74,6 @@ class SemilinearResult:
     increments: list[float]
     z_norms: list[float]
     contraction_factors: list[float]
-    l1_proxy: float
     r1_radius: float
     inside_ball: bool
     weighted_force_norm: float
@@ -267,7 +266,6 @@ def picard_insensitize(
     max_iter: int = 25,
     hum_tol: float = 1e-8,
     hum_max_iter: int = 2000,
-    l1_proxy: float | None = None,
 ) -> SemilinearResult:
     """Successive substitution on the frozen control problems.
 
@@ -275,10 +273,10 @@ def picard_insensitize(
     exact-norm penalized control, and advances z to the controlled
     state, stopping when the increment falls below tol (1 + ||z||) in
     the discrete L2(0,T;H2) norm or the linearization stops changing
-    (a z-independent reaction converges after one solve).  The radius
-    report echoes the a-priori ball: R1 = L1 (1 + weighted force norm)
-    with L1 either supplied or taken from the first iterate's own
-    stability ratio, doubled as margin.  Each ``history`` entry records
+    (a z-independent reaction converges after one solve, so a converged
+    loop has always solved at least once).  The radius report echoes the
+    a-priori ball: R1 is the first iterate's size ||z||_{L2H2} +
+    ||q||_{L2H2}, doubled as margin.  Each ``history`` entry records
     the secant identity's ``ftc_residual`` at that iteration's z, against
     the linearization frozen there.
 
@@ -302,8 +300,6 @@ def picard_insensitize(
     grow_count = 0
     converged = False
 
-    wf = math.sqrt(problem.force_weight_integral)
-    r1 = math.inf if l1_proxy is None else l1_proxy * (1.0 + wf)
     sizes: list[float] = []
 
     for k in range(1, max_iter + 1):
@@ -329,11 +325,7 @@ def picard_insensitize(
         inc = math.sqrt(problem.grid.dt
                         * problem.basis.h2_norm_sq(z_new.fields - z.fields))
         znorm = z_new.norm_l2h2()
-        size = znorm + result.q.norm_l2h2()
-        sizes.append(size)
-        if l1_proxy is None and k == 1:
-            # first-iterate stability constant, doubled as ball margin
-            r1 = 2.0 * size
+        sizes.append(znorm + result.q.norm_l2h2())
         increments.append(inc)
         z_norms.append(znorm)
         if len(increments) >= 2 and increments[-2] > 0.0:
@@ -366,15 +358,8 @@ def picard_insensitize(
             increments=increments, history=history, epsilon=eps,
             q0_norm=None if result is None else result.q0_norm)
 
-    if result is None or frozen is None:
-        # zero reaction short-circuits before any solve only if max_iter
-        # admitted none; guard for the k = 1 stationary impossibility
-        raise IterationError("maxIter-exceeded",
-                             "iteration budget admitted no control solve",
-                             increments=increments, history=history)
-
-    l1 = (r1 / (1.0 + wf)) if l1_proxy is None else l1_proxy
-    inside = all(s <= r1 for s in sizes)
+    # first-iterate stability constant, doubled as ball margin
+    r1 = 2.0 * sizes[0]
     return SemilinearResult(
         converged=True,
         iterations=len(sizes),
@@ -383,10 +368,9 @@ def picard_insensitize(
         increments=increments,
         z_norms=z_norms,
         contraction_factors=contraction,
-        l1_proxy=l1,
         r1_radius=r1,
-        inside_ball=inside,
-        weighted_force_norm=wf,
+        inside_ball=all(s <= r1 for s in sizes),
+        weighted_force_norm=math.sqrt(problem.force_weight_integral),
         final=result,
         frozen=frozen,
         history=history,

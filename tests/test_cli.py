@@ -238,6 +238,22 @@ class TestFailureModes:
         assert "config-value" in err and text.split("\n")[1].split(" =")[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,text", [
+        ("insensitize-linear", "[penalty]\nmax_iter = 0\n"),
+        ("insensitize-linear", "[penalty]\ntol = 0\n"),
+        ("insensitize-semilinear", "[picard]\nmax_iter = -3\n"),
+        ("insensitize-semilinear", "[picard]\ntol = -1\n"),
+    ], ids=["penalty-max-iter", "penalty-tol", "picard-max-iter", "picard-tol"])
+    def test_bad_iteration_budget_exits_1(self, tmp_path, capsys, command, text):
+        # an iteration budget below one or a tolerance that is not positive
+        # is a setup error, not a failed convergence check
+        cfg = _ini(tmp_path, text)
+        assert main([command, "--quick", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config-value" in err and text.split("\n")[1].split(" =")[0] in err
+        assert "Traceback" not in err
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["selftest", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path)]) == 1

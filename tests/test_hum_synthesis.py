@@ -205,6 +205,16 @@ def _count_assemble_marches(monkeypatch, counts):
     return inside
 
 
+def _exact_model(syn, basis, eps):
+    """The exact variant's Lanczos warm start x and its image Lambda x."""
+    b = syn.affine()
+    bnorm = basis.norm(b)
+    x, lam_x, _, _ = hum_synthesis._lanczos(
+        syn, b, bnorm, lambda t: hum_synthesis._secular_solve(t, bnorm, eps),
+        1e-10, hum_synthesis.KRYLOV_CAP, [])
+    return x, lam_x
+
+
 def _rel(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
@@ -267,20 +277,18 @@ class TestMarchBudget:
         # homogeneous part, and _assemble marches nothing
         p, ops, eps = _path_problem(case)
         syn = hum_synthesis._Synthesis(p, ops)
-        b = syn.affine()
-        x, _, _, _ = hum_synthesis._lanczos_warm_start(
-            syn, b, p.basis.norm(b), eps, 300, [])
+        x, _ = _exact_model(syn, p.basis, eps)
         syn.apply(x)
-        state = hum_synthesis.HUMState(
-            phi0=x, gradient=b, j_value=0.0, j_history=[0.0], iterations=0,
-            epsilon=eps, variant="exact")
         counts = _count_work(monkeypatch)
-        r = hum_synthesis._assemble(syn, state, "interior", True, 0.0, [])
+        r = hum_synthesis._assemble(syn, x, "interior", variant="exact",
+                                    epsilon=eps, converged=True)
         assert counts["marches"] == 0
         _assert_superposed(p, r)
 
     @pytest.mark.parametrize("case", PATH_CASES)
-    def test_conjugate_gradient_marches_its_seed(self, case, monkeypatch):
+    def test_quadratic_variant_marches_its_seed(self, case, monkeypatch):
+        # the returned seed combines the Lanczos basis and was never
+        # applied: _assemble applies it once
         p, ops, eps = _path_problem(case)
         counts = _count_work(monkeypatch)
         inside = _count_assemble_marches(monkeypatch, counts)
@@ -304,9 +312,7 @@ class TestMarchBudget:
         # x = -sum yhat_i v_i, so Lambda x is the same sum of the images
         p, ops, eps = _path_problem(case)
         syn = hum_synthesis._Synthesis(p, ops)
-        b = syn.affine()
-        x, lam_x, _, _ = hum_synthesis._lanczos_warm_start(
-            syn, b, p.basis.norm(b), eps, 300, [])
+        x, lam_x = _exact_model(syn, p.basis, eps)
         assert _rel(lam_x, syn.apply(x)) <= 1e-13
 
     def test_verify_null_remarches(self, quick_problem, monkeypatch):
@@ -315,29 +321,35 @@ class TestMarchBudget:
         verify_null(r)
         assert counts == {"marches": 2, "applies": 0}
 
-    @pytest.mark.parametrize("command,ini,flags,marches,applies,picard", [
+    @pytest.mark.parametrize("command,ini,flags,marches,applies,picard,rc", [
         ("insensitize-linear",
          "[grid]\ncells = 128\nsteps = 400\n[coefficients]\na0 = 0.5\na1 = 0.2\n",
-         [], 22, 5, None),
-        ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n", [], 76, 20, 4),
-        ("insensitize-linear", "", ["--quick"], 22, 5, None),
+         [], 22, 5, None, 0),
+        ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n", [], 76, 20, 4,
+         0),
+        ("insensitize-linear", "", ["--quick"], 22, 5, None, 0),
         ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n", ["--quick"],
-         76, 20, 4),
+         76, 20, 4, 0),
+        ("insensitize-linear", "[penalty]\nvariant = quadratic\n", ["--quick"],
+         18, 4, None, 2),
     ], ids=["linear-lower-1d", "semilinear-tanh-1d", "linear-quick",
-            "semilinear-tanh-quick"])
+            "semilinear-tanh-quick", "linear-quadratic-quick"])
     def test_benchmark_counts_pinned(self, command, ini, flags, marches,
-                                     applies, picard, tmp_path, monkeypatch):
-        # per minimization: the forced cascade (2 marches), a three-vector
-        # Lanczos basis (12) and one proximal trial (4), whose cascade is
-        # the one returned, also when that trial is stationary; verify_null
-        # and the sentinel probes add 4 per run.  The tanh runs take 4
-        # Picard iterations: 4 x 18 + 4 = 76.
+                                     applies, picard, rc, tmp_path,
+                                     monkeypatch):
+        # per exact minimization: the forced cascade (2 marches), a
+        # three-vector Lanczos basis (12) and one proximal trial (4), whose
+        # cascade is the one returned, also when that trial is stationary;
+        # verify_null and the sentinel probes add 4 per run.  The tanh runs
+        # take 4 Picard iterations: 4 x 18 + 4 = 76.  The quadratic run
+        # builds a two-vector basis (8) and applies its seed once (4); its
+        # null-condition check fails (rc 2), as ||q0|| = eps ||phi0||.
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini, encoding="utf-8")
         out = tmp_path / "out"
         counts = _count_work(monkeypatch)
         assert main([command, "--config", str(cfg), "--seed", "777",
-                     "--out", str(out), *flags]) == 0
+                     "--out", str(out), *flags]) == rc
         assert counts == {"marches": marches, "applies": applies}
         if picard is not None:
             summary = (out / "control_summary.csv").read_text().splitlines()
@@ -365,11 +377,39 @@ class TestQuadraticPenalty:
         # verify_null and the minimizers share one control-bound formula;
         # scaling H by 4 doubles the bound
         r = minimize_quadratic(quick_problem, 1e-3)
-        assert verify_null(r).bound_value == r.bound_value
-        constants = dataclasses.replace(
-            quick_problem.constants, cost_h=4 * quick_problem.constants.cost_h)
-        rep = verify_null(r, constants=constants)
-        assert rep.bound_value == pytest.approx(2 * r.bound_value, rel=1e-15)
+        assert hum_synthesis._control_bound(quick_problem) == r.bound_value
+
+        def scaled(factor):
+            constants = dataclasses.replace(
+                quick_problem.constants,
+                cost_h=factor * quick_problem.constants.cost_h)
+            return dataclasses.replace(quick_problem, constants=constants)
+
+        assert hum_synthesis._control_bound(scaled(4.0)) == \
+            pytest.approx(2 * r.bound_value, rel=1e-15)
+        # bound_within reads the bound of the result's own problem: one
+        # whose bound is half of ||v|| fails it
+        assert verify_null(r).bound_within
+        half = scaled((0.5 * r.v_norm / r.bound_value) ** 2)
+        assert not verify_null(dataclasses.replace(r, problem=half)).bound_within
+
+    def test_zero_budget_returns_zero_seed(self, quick_problem):
+        r = minimize_quadratic(quick_problem, 1e-3, max_iter=0)
+        assert not r.converged
+        assert r.branch == "interior" and r.iterations == 0
+        assert np.all(r.phi0 == 0.0) and np.all(r.v == 0.0)
+        b = solve_cascade(quick_problem, None).q0
+        assert r.optimality_residual == quick_problem.basis.norm(b)
+
+    def test_indefinite_model_is_coded(self, quick_problem, monkeypatch):
+        # an operator that lost positivity: Lambda = -I makes the model of
+        # Lambda + eps I negative definite at the first Krylov vector
+        monkeypatch.setattr(hum_synthesis._Synthesis, "apply",
+                            lambda self, phi0: -phi0)
+        with pytest.raises(SynthesisError) as exc:
+            minimize_quadratic(quick_problem, 1e-3)
+        assert exc.value.code == "cg-stall"
+        assert exc.value.context["krylov_dim"] == 1
 
 
 def _secular_brackets(monkeypatch, n_problems, seed=11):
@@ -397,8 +437,8 @@ def _secular_brackets(monkeypatch, n_problems, seed=11):
             alphas = off + np.abs(betas) + scale * 10.0 ** rng.uniform(-4, 1, m)
             beta0 = 10.0 ** rng.uniform(-2, 2)
             eps = beta0 * 10.0 ** rng.uniform(-8, -0.001)
-            assert hum_synthesis._secular_solve(alphas, betas, beta0, eps) \
-                is not None
+            tri = hum_synthesis._tridiagonal(alphas, betas)
+            assert hum_synthesis._secular_solve(tri, beta0, eps) is not None
     return calls
 
 

@@ -233,7 +233,7 @@ def _sensitivity_block(problem, result, cfg, manifest, out_dir, rng,
     tau = cfg["sampling"]["tau_probe"]
     gap_tol = cfg["sampling"]["gap_tol"]
     rows = []
-    yhats = np.empty((max(n_dir, 0),) + problem.basis.shape)
+    yhats = np.empty((n_dir,) + problem.basis.shape)
     for yhat in yhats:
         yhat[...] = _smooth_unit(problem.basis, rng)
     reports = sentinel_sensitivity(problem, result.v, yhats, tau_probe=tau,
@@ -261,16 +261,12 @@ def _cmd_insensitize_linear(cfg: dict, out_dir: Path, quick: bool) -> int:
             "config-value",
             "insensitize-linear requires [nonlinearity] kind = zero; use "
             "insensitize-semilinear when a reaction term is configured")
-    variant = cfg["penalty"]["variant"]
-    if variant not in ("exact", "quadratic"):
-        raise SetupError("config-value",
-                         f"[penalty] variant must be exact or quadratic, "
-                         f"got {variant!r}")
     problem = problem_from_config(cfg)
     manifest.timings["build"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    solver = minimize_exact if variant == "exact" else minimize_quadratic
+    solver = minimize_exact if cfg["penalty"]["variant"] == "exact" \
+        else minimize_quadratic
     result = solver(problem, tol=cfg["penalty"]["tol"],
                     max_iter=cfg["penalty"]["max_iter"])
     manifest.timings["minimize"] = time.perf_counter() - t1

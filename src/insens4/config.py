@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SetupError
+from .hum_synthesis import VARIANTS
 from .nonlinearity import make_nonlinearity
 from .problem_setup import (
     CoefficientField,
@@ -92,9 +93,12 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 # Smallest admissible value of integer keys that have one.
 _MINIMUM = {("sampling", "samples"): 1, ("sampling", "mode_cap"): 0,
+            ("sampling", "directions"): 0,
             ("penalty", "max_iter"): 1, ("picard", "max_iter"): 1}
 # Float keys that must be positive.
 _POSITIVE = {("sampling", "tau_probe"), ("penalty", "tol"), ("picard", "tol")}
+# String keys with a fixed set of values.
+_CHOICES = {("penalty", "variant"): VARIANTS}
 
 _BOOL = {"true": True, "1": True, "yes": True, "on": True,
          "false": False, "0": False, "no": False, "off": False}
@@ -150,8 +154,9 @@ def parse_config(path: str | Path | None = None) -> dict:
         malformed syntax, ``config-unknown-key`` for keys or sections
         outside the schema, ``config-value`` for uncoercible or
         non-finite values, for sample counts and iteration budgets below
-        one or negative mode caps, and for a probe step or tolerance that
-        is not positive.
+        one or negative mode caps and direction counts, for a probe step
+        or tolerance that is not positive, and for a penalty variant
+        outside ``hum_synthesis.VARIANTS``.
     """
     cfg = default_config()
     if path is None:
@@ -188,6 +193,12 @@ def parse_config(path: str | Path | None = None) -> dict:
                     "config-value",
                     f"{path}: [{section}] {key} must be > 0, "
                     f"got {cfg[section][key]}")
+            choices = _CHOICES.get((section, key))
+            if choices is not None and cfg[section][key] not in choices:
+                raise SetupError(
+                    "config-value",
+                    f"{path}: [{section}] {key} must be one of "
+                    f"{', '.join(choices)}, got {cfg[section][key]!r}")
     return cfg
 
 

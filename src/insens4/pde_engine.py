@@ -17,6 +17,11 @@ holds to rounding (qbar, ybar are the stored midpoint averages).
 Coefficients reach a march only as a ``Schedule`` (one ``NodeCoefficients``
 per step, built by ``make_schedule``), which also caches the step solver
 its first march chose: diagonal mode factors, 1D LU factors or GMRES.
+Steps share one node when every coefficient field is time-constant and
+every added linearization has equal rows in time; an added role that is
+also the same at every point is stored as a broadcast over space, like a
+constant field, so a linearization frozen at z = 0 (F'(0), one number per
+component) marches as a constant coefficient does.
 
 Every march steps in sine coefficients by the implicit midpoint rule.
 With c = dt/2, step j solves
@@ -32,8 +37,8 @@ all-zero schedule included), A is diagonal in the sine basis with symbol
 
 and the solve multiplies by the per-mode factor 1/(1 + c lambda), exact
 at any stiffness; the symbol is symmetric, so the backward march is the
-same product.  Every other march (b0, mixed b_ij, or x-dependent and
-frozen coefficients) solves (D + c T Lo_j F) mid_j = rhs, with T and F
+same product.  Every other march (b0, mixed b_ij, or x-dependent or
+time-varying coefficients) solves (D + c T Lo_j F) mid_j = rhs, with T and F
 the to/from-mode transforms, D = 1 + c |kappa|^4 and Lo_j the lower-order
 part at node j; the backward march solves with T Lo_j^T F, the exact
 transpose, so no physical-space right-hand side (I - c A) u is formed.
@@ -158,8 +163,11 @@ def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None],
 
     ``add_a0``, ``add_b0`` and ``add_b`` are (Nt, ...) stacks added to the
     matching role at every node (a frozen linearization); an all-zero one
-    is dropped.  When every field is time-constant and nothing is added,
-    all steps share one node, so a march factors it once.
+    is dropped.  When every field is time-constant and every addition's
+    rows are equal, all steps share one node, so a march factors it once.
+    A role of that node that got an addition and is the same at every
+    point (per component) is stored as a zero-stride broadcast, as a
+    constant field is, so a march can take the diagonal solve.
     """
     basis = grid.basis
     fields = {role: coefficients.get(role) for role in _ROLES}
@@ -176,9 +184,23 @@ def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None],
             vals[role] = val
         return NodeCoefficients(**vals)
 
-    if not adds and all(f is None or f.time_constant for f in fields.values()):
-        return Schedule([at(0)] * grid.n_steps)
+    if all(f is None or f.time_constant for f in fields.values()) \
+            and all(np.all(add == add[0]) for add in adds.values()):
+        node = at(0)
+        for role in adds:
+            setattr(node, role, _broadcast_if_uniform(getattr(node, role),
+                                                      grid.dim))
+        return Schedule([node] * grid.n_steps)
     return Schedule([at(j) for j in range(grid.n_steps)])
+
+
+def _broadcast_if_uniform(arr: Array, dim: int) -> Array:
+    """``arr`` as a zero-stride broadcast over space when its components
+    are the same at every point, else ``arr``."""
+    first = arr[(...,) + (slice(0, 1),) * dim]
+    if not np.all(arr == first):
+        return arr
+    return np.broadcast_to(first, arr.shape)
 
 
 def _lower_apply(basis: SineBasis, nc: NodeCoefficients, u: Array,
@@ -284,8 +306,10 @@ def _uniform_value(arr: Array, dim: int) -> Array | None:
     """Component values of a coefficient stored as a broadcast over space.
 
     Constant coefficient fields evaluate to views with zero strides along
-    the spatial axes.  A materialized array (a callable's or a frozen
-    linearization's) returns None even when its entries agree.
+    the spatial axes, and so does a role to which ``make_schedule`` added
+    a linearization that is constant in space and time.  A materialized
+    array (a callable's, or a role with a varying addition) returns None
+    even when its entries agree.
     """
     if any(arr.strides[arr.ndim - dim:]):
         return None
@@ -604,9 +628,12 @@ def _relax(solve_with: Callable[[Array], Array], basis: SineBasis, j: int,
         cand = basis.from_modes(cand_modes)
         # the state moves twice as far as the midpoint average
         trail.append(2.0 * _row_norms(cand - mid, dim) / scale)
-        keep = _rows(active, dim)
-        mid_modes = np.where(keep, cand_modes, mid_modes)
-        mid = np.where(keep, cand, mid)
+        if active.all():
+            mid_modes, mid = cand_modes, cand
+        else:
+            keep = _rows(active, dim)
+            mid_modes = np.where(keep, cand_modes, mid_modes)
+            mid = np.where(keep, cand, mid)
         active &= trail[-1] > RELAX_TOL
         if not active.any():
             return 2.0 * mid_modes - x, mid
@@ -791,10 +818,13 @@ def solve_forward_nonlinear(
     basis = grid.basis
 
     if nonlinearity.state_only:
+        # F ignores p and r: zero-stride placeholders of their shapes
+        shape = np.shape(initial)
+        p0 = np.broadcast_to(0.0, (basis.dim,) + shape)
+        r0 = np.broadcast_to(0.0, (basis.dim,) * 2 + shape)
+
         def reaction(u: Array) -> Array:
-            # F ignores p and r: zero-stride placeholders of their shapes
-            return nonlinearity.f(u, np.broadcast_to(0.0, (basis.dim,) + u.shape),
-                                  np.broadcast_to(0.0, (basis.dim,) * 2 + u.shape))
+            return nonlinearity.f(u, p0, r0)
     else:
         def reaction(u: Array) -> Array:
             return nonlinearity.f(u, basis.gradient(u), basis.hessian(u))

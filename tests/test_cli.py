@@ -167,10 +167,16 @@ class TestFailureModes:
                      "--out", str(tmp_path / "o")]) == 1
         assert "insensitize-semilinear" in capsys.readouterr().err
 
-    def test_unknown_variant_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("command", ["insensitize-linear",
+                                         "insensitize-semilinear"])
+    def test_unknown_variant_exits_1(self, tmp_path, capsys, command):
+        # the semilinear command always runs the exact variant, but an
+        # unknown one is still a malformed config
         cfg = _ini(tmp_path, "[penalty]\nvariant = cubic\n")
-        assert main(["insensitize-linear", "--quick", "--config", cfg,
+        assert main([command, "--quick", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config-value" in err and "variant" in err
 
     def test_quadratic_variant_exit_matches_manifest(self, tmp_path):
         # the relaxed penalty is not required to satisfy the null check;
@@ -213,7 +219,8 @@ class TestFailureModes:
         assert main(["weights-check", "--config", full,
                      "--out", str(tmp_path / "o2")]) == 0
 
-    @pytest.mark.parametrize("line", ["samples = 0", "mode_cap = -3"])
+    @pytest.mark.parametrize("line", ["samples = 0", "mode_cap = -3",
+                                      "directions = -3"])
     def test_bad_sampling_value_exits_1(self, tmp_path, capsys, line):
         # a malformed value is a setup error (exit 1), not a failed check
         cfg = _ini(tmp_path, "[sampling]\n%s\n" % line)

@@ -526,6 +526,60 @@ class TestMakeSchedule:
         want = solve_forward(grid, make_schedule(grid, coeffs), y0)
         assert np.array_equal(got.stateT, want.stateT)
 
+    @staticmethod
+    def _marches(grid, a, b, rng):
+        """Forward and backward marches of schedules ``a`` and ``b``."""
+        start = rng.standard_normal(grid.shape)
+        source = rng.standard_normal((grid.n_steps,) + grid.shape)
+        for march in (solve_forward, solve_backward):
+            yield march(grid, a, start, source), march(grid, b, start, source)
+
+    def test_time_constant_addition_shares_one_node(self):
+        grid = build_grid(1, 2.0, 32, 0.5, 40)
+        coeffs = {"a0": CoefficientField.constant("a0", 0.7),
+                  "b0": CoefficientField.constant("b0", [0.4])}
+        rng = np.random.default_rng(63)
+        row = rng.standard_normal(grid.shape)
+        sched = make_schedule(grid, coeffs,
+                              add_a0=np.tile(row, (grid.n_steps, 1)))
+        assert all(sched.node(j) is sched.node(0) for j in range(grid.n_steps))
+        # distinct per-step copies of the shared node: one factor per step
+        copies = Schedule([dataclasses.replace(sched.node(0))
+                           for _ in grid.times])
+        for got, want in self._marches(grid, sched, copies, rng):
+            for a, b in ((got.fields, want.fields), (got.state0, want.state0),
+                         (got.stateT, want.stateT)):
+                assert np.array_equal(a, b)
+        assert len(sched.factors[1].lu) == 1
+        assert len(copies.factors[1].lu) == grid.n_steps
+
+    def test_constant_addition_decides_diagonal(self):
+        grid = TestDiagonalPath._grid(1)
+        coeffs = TestDiagonalPath._coefficients(1, False)
+        sched = make_schedule(grid, coeffs,
+                              add_a0=np.full((grid.n_steps,) + grid.shape, 0.25))
+        assert sched.node(0).a0.strides == (0,)
+        # per-step copies with a materialized a0 take the LU path
+        node = sched.node(0)
+        copies = Schedule([dataclasses.replace(node, a0=np.array(node.a0))
+                           for _ in grid.times])
+        rng = np.random.default_rng(64)
+        for got, want in self._marches(grid, sched, copies, rng):
+            for a, b in ((got.fields, want.fields), (got.state0, want.state0),
+                         (got.stateT, want.stateT)):
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        assert isinstance(sched.factors[1], list)
+        assert len(copies.factors[1].lu) == grid.n_steps
+
+    def test_one_differing_row_keeps_a_node_per_step(self):
+        grid = TestDiagonalPath._grid(1)
+        add = np.full((grid.n_steps,) + grid.shape, 0.25)
+        add[5, 3] = 0.5
+        sched = make_schedule(grid, TestDiagonalPath._coefficients(1, False),
+                              add_a0=add)
+        assert len({id(sched.node(j)) for j in range(grid.n_steps)}) \
+            == grid.n_steps
+
 
 class TestLowerApply:
     def test_second_derivatives_taken_once(self, monkeypatch):

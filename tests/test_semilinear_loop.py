@@ -269,7 +269,7 @@ def _reachable(root, cls):
 class TestFactorRetention:
     def test_one_linearization_keeps_factors(self, monkeypatch):
         p = _nl_problem("tanh", 0.1)
-        seen = []
+        seen, decisions = [], []
 
         def spy(problem, eps, ops=None, **kwargs):
             # every earlier linearization is retired before the next solve
@@ -277,11 +277,18 @@ class TestFactorRetention:
                 assert old.state_schedule.factors is None
                 assert old.costate_schedule.factors is None
             seen.append(ops)
-            return minimize_exact(problem, eps, ops=ops, **kwargs)
+            result = minimize_exact(problem, eps, ops=ops, **kwargs)
+            decisions.append([type(s.factors[1]) for s in
+                              (ops.state_schedule, ops.costate_schedule)])
+            return result
 
         monkeypatch.setattr(sl, "minimize_exact", spy)
         r = picard_insensitize(p, tol=1e-10)
         assert len(seen) == r.iterations >= 2
+        # the first linearization, frozen at z = 0, is constant in space
+        # and time: both legs take the diagonal mode factors
+        assert decisions[0] == [list, list]
+        assert decisions[1] == [_ModeLU, _ModeLU]
         final = {id(r.frozen.ops.state_schedule.factors[1]),
                  id(r.frozen.ops.costate_schedule.factors[1])}
         assert None not in (r.frozen.ops.state_schedule.factors[1],

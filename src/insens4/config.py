@@ -93,7 +93,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 # Smallest admissible value of integer keys that have one.
 _MINIMUM = {("sampling", "samples"): 1, ("sampling", "mode_cap"): 0,
-            ("sampling", "directions"): 0,
+            ("sampling", "directions"): 1,
             ("penalty", "max_iter"): 1, ("picard", "max_iter"): 1}
 # Float keys that must be positive.
 _POSITIVE = {("sampling", "tau_probe"), ("penalty", "tol"), ("picard", "tol")}

@@ -16,7 +16,7 @@ holds to rounding (qbar, ybar are the stored midpoint averages).
 
 Coefficients reach a march only as a ``Schedule`` (one ``NodeCoefficients``
 per step, built by ``make_schedule``), which also caches the step solver
-its first march chose: diagonal mode factors, 1D LU factors or GMRES.
+its first march chose: diagonal mode factors, 1D inverses or GMRES.
 Steps share one node when every coefficient field is time-constant and
 every added linearization has equal rows in time; an added role that is
 also the same at every point is stored as a broadcast over space, like a
@@ -42,14 +42,17 @@ time-varying coefficients) solves (D + c T Lo_j F) mid_j = rhs, with T and F
 the to/from-mode transforms, D = 1 + c |kappa|^4 and Lo_j the lower-order
 part at node j; the backward march solves with T Lo_j^T F, the exact
 transpose, so no physical-space right-hand side (I - c A) u is formed.
-In 1D each distinct node's M_j = I + c D^-1 T Lo_j F is LU-factored once
-and the factors are cached on the schedule, so every march of a frozen
-linearization reuses them; a factor stack larger than LU_STACK_CAP_BYTES
-is not built.  In 2D, and in 1D over that cap, the solve is a
-matrix-free GMRES right-preconditioned with the symbol of the node's mean
-coefficients, 1 + c lambda(a0-bar, a1-bar, b_ii-bar), so the Krylov
-space only has to resolve the coefficients' fluctuation about their
-means.
+In 1D the distinct nodes' step matrices D + c T Lo_j F are built in
+closed form (Toeplitz plus Hankel in the modes) and inverted in stacks,
+chunk by chunk, in one NumPy call per chunk.  The inverses
+P_j = M_j^-1 D^-1, with M_j = I + c D^-1 T Lo_j F, are cached on the
+schedule, so every march of a frozen linearization reuses them: a forward
+step is rhs @ P_j^T and a backward step rhs @ P_j.  A stack of inverses
+larger than INVERSE_STACK_CAP_BYTES is not built.  In 2D, and in 1D over
+that cap, the solve is a matrix-free GMRES right-preconditioned with the
+symbol of the node's mean coefficients, 1 + c lambda(a0-bar, a1-bar,
+b_ii-bar), so the Krylov space only has to resolve the coefficients'
+fluctuation about their means.
 
 One step loop (``_march``) runs every march and takes its sources in
 modes.  A march starts from one field or from a stack (B, *shape):
@@ -82,12 +85,10 @@ subdomain pays for the subdomain only and never holds a full
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lapack, lu_factor
 
 from .errors import EngineError
 from .nonlinearity import NonlinearitySpec
@@ -110,9 +111,12 @@ __all__ = [
 
 Array = np.ndarray
 
-# Largest stack of 1D mode-space LU factors a schedule may cache; a march
-# whose stack would be bigger solves its steps by GMRES.
-LU_STACK_CAP_BYTES = 64 * 2**20
+# Largest stack of inverted 1D mode-space step matrices (n^2 * 8 bytes
+# each) a schedule may cache; a march whose stack would be bigger solves its
+# steps by GMRES.  The stack is built and inverted in chunks of at most
+# INVERSE_CHUNK_BYTES of matrices.
+INVERSE_STACK_CAP_BYTES = 64 * 2**20
+INVERSE_CHUNK_BYTES = 2**20
 # GMRES midpoint solve: relative residual tolerance and Krylov dimension cap.
 INNER_TOL = 1e-13
 INNER_CAP = 40
@@ -142,7 +146,7 @@ class Schedule:
     ``nodes[j]`` holds the coefficients of step j; steps that share a node
     object share its factors.  ``factors`` is (march key, the step solver
     the first march with that key chose): the per-step diagonal mode
-    factors, the 1D mode-space LU factors, or None for GMRES.
+    factors, the inverted 1D mode-space step matrices, or None for GMRES.
     """
 
     nodes: list[NodeCoefficients]
@@ -387,26 +391,116 @@ def _scan_diagonal(basis: SineBasis, schedule: Schedule, nt: int,
 
 
 @dataclass
-class _ModeLU:
-    """LU factors of the 1D mode-space step matrices M_j of one schedule.
+class _ModeInverse:
+    """Inverted 1D mode-space step matrices of one schedule.
 
-    ``lu[slots[j]]`` and ``piv[slots[j]]`` are the LAPACK factors of
+    ``inv[slots[j]]`` is P_j = (D + c T Lo_j F)^-1 = M_j^-1 D^-1, with
     M_j = I + c D^-1 T Lo_j F; nodes shared between steps share a slot.
-    One small array per factor, not one stack, lets the allocator reuse
-    a retired linearization's memory for the next one.
+    A forward step is ``rhs @ P_j.T`` and a backward step ``rhs @ P_j``,
+    the exact transpose.
     """
 
     slots: Array = field(repr=False)
-    lu: list[Array] = field(repr=False)     # (n, n) each, Fortran order
-    piv: list[Array] = field(repr=False)
+    inv: list[Array] = field(repr=False)   # (n, n) per distinct node
 
 
-def _mode_lu(basis: SineBasis, schedule: Schedule, nt: int,
-             dt: float) -> _ModeLU | None:
-    """The mode-space LU factors of the schedule's distinct nodes.
+def _hankel(vals: Array, n: int) -> Array:
+    """(..., n, n) view with [i, k] = vals[..., i + k]."""
+    return np.lib.stride_tricks.sliding_window_view(vals, n, axis=-1)
 
-    Returns None in 2D and when the stack of factors would exceed
-    LU_STACK_CAP_BYTES; those marches solve their steps by GMRES.
+
+def _toeplitz(vals: Array, n: int) -> Array:
+    """(..., n, n) view with [i, k] = vals[..., n - 1 + i - k]."""
+    return _hankel(vals[..., ::-1], n)[..., ::-1, :]
+
+
+def _node_matrices(basis: SineBasis, dt: float,
+                   terms: list[tuple[Array, bool, Array | None]],
+                   out: Array) -> Array:
+    """D + c T Lo_j F for a stack of 1D nodes, in closed form, into ``out``.
+
+    With N cells, C_a(p) = sum_x a_x cos(pi p x / N) and S_a its sine
+    analogue, each lower-order role is Toeplitz plus Hankel in the modes
+    m, k:
+
+        T diag(a0) F      = [C_a0(|m - k|) - C_a0(m + k)] / N,
+        T diag(b0) dx F   = [S_b0(m - k) + S_b0(m + k)] kappa_k / N,
+        T diag(e) dxx F   = [C_e(|m - k|) - C_e(m + k)] (-kappa_k^2) / N,
+
+    with e = b + a1.  Each of the (one or more) terms is (c/N times C or S
+    at p = 0 .. 2n, one row per node; whether it is the odd sine sum; its
+    column scale or None).
+    """
+    n = basis.shape[0]
+    for i, (vals, odd, col) in enumerate(terms):
+        # by offset m - k = -(n - 1) .. n - 1: C is even, S is odd
+        near = vals[:, n - 1:0:-1]
+        by_offset = np.concatenate([-near if odd else near, vals[:, :n]],
+                                   axis=1)
+        term = out if i == 0 else np.empty_like(out)
+        (np.add if odd else np.subtract)(_toeplitz(by_offset, n),
+                                         _hankel(vals[:, 2:], n), out=term)
+        if col is not None:
+            term *= col
+        if i:
+            out += term
+    diag = np.arange(n)
+    out[:, diag, diag] += 1.0 + dt / 2 * basis.bilap_modes
+    return out
+
+
+def _invert(mats: Array) -> Array:
+    """The inverses of a stack of node matrices.
+
+    Every node inversion of the engine is one matrix of one call here.
+    """
+    return np.linalg.inv(mats)
+
+
+def _node_inverses(mats: Array, steps: Array, finite: Array) -> Array:
+    """The inverses of a stack of node matrices, first used at ``steps``.
+
+    ``finite`` flags the nodes whose matrices are finite.  Raises
+    ``implicit-step-singular`` naming the first step whose matrix is not
+    finite or, when all are, the first that is singular or has a
+    non-finite inverse.
+    """
+    ok = finite
+    inv = None
+    if ok.all():
+        try:
+            inv = _invert(mats)
+        except np.linalg.LinAlgError:
+            # numpy names no matrix; a zero pivot zeroes the determinant's sign
+            ok = np.linalg.slogdet(mats)[0] != 0
+        else:
+            ok = np.isfinite(inv).all(axis=(1, 2))
+    if inv is None or not ok.all():
+        j = int(steps[np.argmin(ok)])
+        raise EngineError(
+            "implicit-step-singular",
+            f"implicit step {j} is singular: its mode-space step matrix has "
+            f"no finite inverse (reduce dt or the lower-order coefficients)",
+            step=j,
+        )
+    return inv
+
+
+def _node_rows(arrays: list[Array | None], n: int) -> Array | None:
+    """One row per node, zeros where a node lacks the role; None if all do."""
+    if all(a is None for a in arrays):
+        return None
+    return np.stack([np.zeros(n) if a is None else a for a in arrays])
+
+
+def _mode_inverse(basis: SineBasis, schedule: Schedule, nt: int,
+                  dt: float) -> _ModeInverse | None:
+    """The inverted mode-space step matrices of the schedule's distinct nodes.
+
+    Returns None in 2D and when the stack of inverses would exceed
+    INVERSE_STACK_CAP_BYTES; those marches solve their steps by GMRES.
+    The matrices are built and inverted in chunks of at most
+    INVERSE_CHUNK_BYTES.
     """
     if basis.dim != 1:
         return None
@@ -420,40 +514,41 @@ def _mode_lu(basis: SineBasis, schedule: Schedule, nt: int,
             firsts.append((j, nc))
         slots[j] = slot_of[id(nc)]
     n = basis.shape[0]
-    if len(firsts) * n * n * 8 > LU_STACK_CAP_BYTES:
+    if len(firsts) * n * n * 8 > INVERSE_STACK_CAP_BYTES:
         return None
-    eye = np.eye(n)
-    t_mat = basis.to_modes(eye)
-    f_mat = basis.from_modes(eye)  # F: the sine matrix is symmetric
-    # row m of dx(f_mat) is the derivative of mode m; columns index modes below
-    dx_f, dxx_f = basis.dx(f_mat).T, basis.dxx(f_mat).T
-    c = dt / 2
-    denom = 1.0 + c * basis.bilap_modes
-    scale = (c / denom)[:, None]
-    lu, piv = [], []
-    with warnings.catch_warnings():
-        # an exactly zero pivot is reported below as a coded error
-        warnings.simplefilter("ignore", LinAlgWarning)
-        for j, nc in firsts:
-            # coefficients as columns: Lo acts on every mode of F at once
-            cols = NodeCoefficients(*(None if a is None else a[..., None]
-                                      for a in (nc.a0, nc.b0, nc.b, nc.a1)))
-            m = eye + scale * (t_mat @ _lower_apply(
-                basis, cols, f_mat, lambda ax: dx_f, lambda i, k: dxx_f))
-            fac, perm = lu_factor(m, overwrite_a=True, check_finite=False)
-            pivots = np.diagonal(fac)
-            bad = np.flatnonzero(~np.isfinite(pivots) | (pivots == 0.0))
-            if bad.size:
-                raise EngineError(
-                    "implicit-step-singular",
-                    f"implicit step {j} is singular: pivot {bad[0] + 1} of its "
-                    f"mode-space LU factorization is {pivots[bad[0]]:.3e} "
-                    f"(reduce dt or the lower-order coefficients)",
-                    step=j, pivot=int(bad[0]) + 1,
-                )
-            lu.append(fac)
-            piv.append(perm)
-    return _ModeLU(slots, lu, piv)
+    steps = np.array([j for j, _ in firsts])
+    nodes = [nc for _, nc in firsts]
+    a0 = _node_rows([nc.a0 for nc in nodes], n)
+    b0 = _node_rows([None if nc.b0 is None else nc.b0[0] for nc in nodes], n)
+    b = _node_rows([None if nc.b is None else nc.b[0, 0] for nc in nodes], n)
+    a1 = _node_rows([nc.a1 for nc in nodes], n)
+    e = a1 if b is None else b if a1 is None else b + a1
+    big_n = basis.n_cells
+    angles = np.pi / big_n * np.outer(np.arange(1, big_n),
+                                      np.arange(2 * n + 1))
+    kappa = basis.kappa[0]
+    terms = []
+    # a node that is not diagonal has at least one role
+    for rows, table, odd, col in ((a0, np.cos, False, None),
+                                  (e, np.cos, False, -kappa**2),
+                                  (b0, np.sin, True, kappa)):
+        if rows is not None:
+            # one product per node, so equal nodes get equal bits anywhere
+            sums = (rows[:, None, :] * (dt / 2 / big_n)) @ table(angles)
+            terms.append((sums[:, 0], odd, col))
+    # every matrix entry is a sum times finite factors
+    finite = np.logical_and.reduce([np.isfinite(v).all(axis=1)
+                                    for v, _, _ in terms])
+    chunk = max(1, INVERSE_CHUNK_BYTES // (n * n * 8))
+    buf = np.empty((min(chunk, len(nodes)), n, n))
+    inv = []
+    for i in range(0, len(nodes), chunk):
+        part = slice(i, i + chunk)
+        mats = _node_matrices(basis, dt, [(v[part], odd, col)
+                                          for v, odd, col in terms],
+                              buf[:len(steps[part])])
+        inv.extend(_node_inverses(mats, steps[part], finite[part]))
+    return _ModeInverse(slots, inv)
 
 
 def _row_norms(x: Array, dim: int) -> Array:
@@ -546,38 +641,21 @@ def _gmres(op: Callable[[Array], Array], rhs: Array, pre: Array, dim: int,
     return (m / pre).reshape(rhs.shape)
 
 
-class _ModeSolve:
-    """mid_j from (D + c T Lo_j F) mid_j = rhs, or from its transpose.
+class _KrylovSolve:
+    """mid_j from (D + c T Lo_j F) mid_j = rhs, or from its transpose, by
+    GMRES on the node's operator preconditioned with its mean-coefficient
+    symbol."""
 
-    With the schedule's cached 1D LU factors (``mode_lu``) the solve is
-    direct; with None it is GMRES on the node's operator, preconditioned
-    with its mean-coefficient symbol.
-    """
-
-    def __init__(self, basis: SineBasis, schedule: Schedule,
-                 mode_lu: _ModeLU | None, dt: float, transpose: bool):
+    def __init__(self, basis: SineBasis, schedule: Schedule, dt: float,
+                 transpose: bool):
         self.basis = basis
         self.schedule = schedule
-        self.mode_lu = mode_lu
         self.c = dt / 2
-        self.transpose = transpose
         self.lower = _lower_apply_t if transpose else _lower_apply
         self.denom = 1.0 + self.c * basis.bilap_modes
-        self.inv_denom = 1.0 / self.denom
         self._node = self._pre = None
 
     def __call__(self, j: int, rhs: Array) -> Array:
-        f = self.mode_lu
-        if f is None:
-            return self._krylov(j, rhs)
-        k = f.slots[j]
-        # LAPACK takes the right-hand sides as columns
-        if self.transpose:
-            return self.inv_denom * lapack.dgetrs(f.lu[k], f.piv[k], rhs.T,
-                                                  trans=1)[0].T
-        return lapack.dgetrs(f.lu[k], f.piv[k], (self.inv_denom * rhs).T)[0].T
-
-    def _krylov(self, j: int, rhs: Array) -> Array:
         basis, c = self.basis, self.c
         nc = self.schedule.node(j)
         if nc is not self._node:
@@ -595,17 +673,22 @@ def _solver(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
             transpose: bool) -> Callable[[int, Array], Array]:
     """solve(j, rhs) -> mid_j in modes, by the march's cheapest exact solver.
 
-    The decision (diagonal factors, 1D LU factors or GMRES) is cached on
-    the schedule.
+    The decision (diagonal factors, 1D inverses or GMRES) is cached on the
+    schedule.
     """
     key = (dt, nt, basis.extents, basis.n_cells)
     if schedule.factors is None or schedule.factors[0] != key:
         schedule.factors = (key, _scan_diagonal(basis, schedule, nt, dt)
-                            or _mode_lu(basis, schedule, nt, dt))
+                            or _mode_inverse(basis, schedule, nt, dt))
     factors = schedule.factors[1]
     if isinstance(factors, list):
         return lambda j, rhs: factors[j] * rhs
-    return _ModeSolve(basis, schedule, factors, dt, transpose)
+    if factors is None:
+        return _KrylovSolve(basis, schedule, dt, transpose)
+    inv, slots = factors.inv, factors.slots
+    if transpose:
+        return lambda j, rhs: rhs @ inv[slots[j]]
+    return lambda j, rhs: rhs @ inv[slots[j]].T
 
 
 def _relax(solve_with: Callable[[Array], Array], basis: SineBasis, j: int,

@@ -210,7 +210,7 @@ def lipschitz_bound(nonlinearity: NonlinearitySpec,
                     n_samples: int = 10_000, seed: int = 0) -> float:
     """Sampled sup of |F_u| + sum|F_p| + sum|F_r| over a box.
 
-    Uses a scrambled Halton sample of the (u, p, r) box plus its center
+    Uses a uniform random sample of the (u, p, r) box plus its center
     and asserts the result against the declared Lipschitz payload.
 
     Raises
@@ -221,12 +221,9 @@ def lipschitz_bound(nonlinearity: NonlinearitySpec,
     """
     if box is None:
         box = nonlinearity.box if nonlinearity.box is not None else (5.0, 5.0, 5.0)
-    from scipy.stats import qmc  # heavy import, needed by this check only
-
     dim = nonlinearity.dim
     d = 1 + dim + dim * dim
-    halton = qmc.Halton(d=d, scramble=True, seed=seed)
-    pts = halton.random(n_samples)
+    pts = np.random.default_rng(seed).random((n_samples, d))
     widths = np.concatenate([
         np.full(1, box[0]), np.full(dim, box[1]), np.full(dim * dim, box[2]),
     ])

@@ -230,6 +230,18 @@ class TestFailureModes:
         assert "config-value" in err and line.split(" =")[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["insensitize-linear",
+                                         "insensitize-semilinear"])
+    def test_zero_directions_exits_1(self, tmp_path, capsys, command):
+        # with no direction the sentinel probe checks nothing, so the
+        # returned control's insensitivity would go unchecked behind exit 0
+        cfg = _ini(tmp_path, "[sampling]\ndirections = 0\n")
+        assert main([command, "--quick", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config-value" in err and "directions must be >= 1" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("text", [
         "[coefficients]\na0 = inf\n",
         "[penalty]\nepsilon = nan\n",
@@ -306,3 +318,32 @@ def test_cli_runs_without_optimize_ndimage_or_stats(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+# no command loads scipy at all: the runtime is numpy only, and scipy is a
+# test oracle (brentq, ndimage) installed with the test extra
+_SCIPY_PROBE = textwrap.dedent("""
+    import json, sys
+    from insens4.cli import _COMMANDS, main
+    loaded = {}
+    for command, _, _ in _COMMANDS:
+        code = main([command, "--quick", "--out", sys.argv[1] + "/" + command])
+        assert code == 0, (command, code)
+        loaded[command] = sorted(m for m in sys.modules
+                                 if m.startswith("scipy"))
+    print(json.dumps(loaded))
+""")
+
+
+def test_no_command_loads_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-s", "-c", _SCIPY_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert len(loaded) == 6
+    assert loaded == {command: [] for command in loaded}

@@ -157,24 +157,24 @@ MARCHES = ("solve_forward", "solve_backward", "solve_forward_nonlinear")
 
 
 def _count_work(monkeypatch):
-    """Count marches, synthesis applies and LU factors from here on.
+    """Count marches, synthesis applies and node inverses from here on.
 
     Every march goes through one of the engine's march functions; they
     are wrapped where the other modules bound them (a zero-reaction
     ``solve_forward_nonlinear`` calling ``solve_forward`` inside the
     engine is one march).  Applies are ``_Synthesis.apply`` and
-    ``affine`` calls, the count ``operator_applies`` reports.  LU factors
-    are the engine's ``lu_factor`` calls, one per distinct node of a 1D
-    schedule that is not diagonal.
+    ``affine`` calls, the count ``operator_applies`` reports.  Node
+    inverses are the matrices of the engine's ``_invert`` calls, one per
+    distinct node of a 1D schedule that is not diagonal.
     """
-    counts = {"marches": 0, "applies": 0, "lu_factors": 0}
-    lu_factor = pde_engine.lu_factor
+    counts = {"marches": 0, "applies": 0, "inverses": 0}
+    invert = pde_engine._invert
 
-    def factored(*args, **kwargs):
-        counts["lu_factors"] += 1
-        return lu_factor(*args, **kwargs)
+    def counted(mats):
+        counts["inverses"] += len(mats)
+        return invert(mats)
 
-    monkeypatch.setattr(pde_engine, "lu_factor", factored)
+    monkeypatch.setattr(pde_engine, "_invert", counted)
     for name, mod in list(sys.modules.items()):
         if not name.startswith("insens4.") or name == "insens4.pde_engine":
             continue
@@ -313,7 +313,7 @@ class TestMarchBudget:
         r = minimize_exact(quick_problem, 1.0)
         assert r.branch == "zero"
         assert inside == [0]
-        assert counts == {"marches": 2, "applies": 1, "lu_factors": 0}
+        assert counts == {"marches": 2, "applies": 1, "inverses": 0}
         assert r.operator_applies == 1
 
     @pytest.mark.parametrize("case", ["1d-diagonal", "1d-lu-tanh"])
@@ -328,7 +328,7 @@ class TestMarchBudget:
         r = minimize_exact(quick_problem, 1e-3)
         counts = _count_work(monkeypatch)
         verify_null(r)
-        assert counts == {"marches": 2, "applies": 0, "lu_factors": 0}
+        assert counts == {"marches": 2, "applies": 0, "inverses": 0}
 
     @pytest.mark.parametrize(
         "command,ini,flags,marches,applies,factors,picard,rc", [
@@ -353,11 +353,11 @@ class TestMarchBudget:
         # take 4 Picard iterations: 4 x 18 + 4 = 76.  The quadratic run
         # builds a two-vector basis (8) and applies its seed once (4); its
         # null-condition check fails (rc 2), as ||q0|| = eps ||phi0||.
-        # The linear runs march diagonal schedules and factor nothing.  A
+        # The linear runs march diagonal schedules and invert nothing.  A
         # tanh run's first linearization, frozen at z = 0, is diagonal on
-        # both legs; each later one factors one LU per step on each leg,
-        # and the sentinel probes' tangent schedule one more stack:
-        # 7 x Nt factors (Nt = 200 by default, 64 with --quick).
+        # both legs; each later one inverts one step matrix per step on
+        # each leg, and the sentinel probes' tangent schedule one more
+        # stack: 7 x Nt inverses (Nt = 200 by default, 64 with --quick).
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini, encoding="utf-8")
         out = tmp_path / "out"
@@ -365,7 +365,7 @@ class TestMarchBudget:
         assert main([command, "--config", str(cfg), "--seed", "777",
                      "--out", str(out), *flags]) == rc
         assert counts == {"marches": marches, "applies": applies,
-                          "lu_factors": factors}
+                          "inverses": factors}
         if picard is not None:
             summary = (out / "control_summary.csv").read_text().splitlines()
             row = dict(zip(summary[0].split(","), summary[1].split(",")))

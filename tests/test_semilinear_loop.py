@@ -17,7 +17,7 @@ from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.errors import IterationError, SetupError
 from insens4.hum_synthesis import minimize_exact
 from insens4.nonlinearity import NonlinearitySpec, make_nonlinearity
-from insens4.pde_engine import Trajectory, _ModeLU
+from insens4.pde_engine import Trajectory, _ModeInverse
 from insens4.semilinear_loop import (
     eval_g,
     freeze_linearization,
@@ -288,10 +288,10 @@ class TestFactorRetention:
         # the first linearization, frozen at z = 0, is constant in space
         # and time: both legs take the diagonal mode factors
         assert decisions[0] == [list, list]
-        assert decisions[1] == [_ModeLU, _ModeLU]
+        assert decisions[1] == [_ModeInverse, _ModeInverse]
         final = {id(r.frozen.ops.state_schedule.factors[1]),
                  id(r.frozen.ops.costate_schedule.factors[1])}
         assert None not in (r.frozen.ops.state_schedule.factors[1],
                             r.frozen.ops.costate_schedule.factors[1])
-        reachable = _reachable(r, _ModeLU)
+        reachable = _reachable(r, _ModeInverse)
         assert {id(f) for f in reachable} == final

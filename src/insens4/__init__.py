@@ -60,7 +60,6 @@ from .nonlinearity import NonlinearitySpec, make_nonlinearity
 from .pde_engine import (
     Schedule,
     Trajectory,
-    check_energy_growth,
     duality_residual,
     make_schedule,
     solve_backward,
@@ -83,7 +82,6 @@ from .semilinear_loop import (
     eval_g,
     freeze_linearization,
     ftc_residual,
-    lipschitz_bound,
     picard_insensitize,
 )
 from .spectral import SineBasis
@@ -123,7 +121,6 @@ __all__ = [
     "build_grid",
     "build_mask",
     "build_weights",
-    "check_energy_growth",
     "check_envelope_bounds",
     "check_weight_properties",
     "default_config",
@@ -134,7 +131,6 @@ __all__ = [
     "ftc_residual",
     "grad_j_smooth",
     "linearized_operators",
-    "lipschitz_bound",
     "make_nonlinearity",
     "make_schedule",
     "minimize_exact",

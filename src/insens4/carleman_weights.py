@@ -103,7 +103,6 @@ class WeightProfile:
     peak: tuple[float, ...]
     steepness: tuple[float, ...]
     values: np.ndarray = field(repr=False)
-    grad_values: np.ndarray = field(repr=False)
     sup: float
     min_grad_outside: float
 
@@ -229,7 +228,7 @@ def build_eta(
 
     return WeightProfile(
         basis=basis, peak=peak, steepness=steepness, values=values,
-        grad_values=grad, sup=sup, min_grad_outside=min_grad_outside,
+        sup=sup, min_grad_outside=min_grad_outside,
     )
 
 

@@ -148,13 +148,8 @@ class InsensitivityReport:
     gap: float
     gap_rel: float
     q0_norm: float
-    yhat_norm: float
     phi_plus: float
     phi_minus: float
-
-    @property
-    def cauchy_schwarz_bound(self) -> float:
-        return self.q0_norm * self.yhat_norm
 
 
 def sentinel_sensitivity(
@@ -246,13 +241,11 @@ def sentinel_sensitivity(
         d_fd = (phi_plus - phi_minus) / (2 * tau)
         d_fd_half = (phi_half - phi_mhalf) / tau
         d_dual = basis.inner(q.state0, yhat0)
-        yhat_norm = basis.norm(yhat0)
         gap = abs(d_fd - d_dual)
-        scale = q0_norm * yhat_norm + abs(d_dual)
+        scale = q0_norm * basis.norm(yhat0) + abs(d_dual)
         reports.append(InsensitivityReport(
             tau=tau, d_fd=d_fd, d_fd_half=d_fd_half, d_dual=d_dual,
             gap=gap, gap_rel=gap / (scale + 1e-300),
-            q0_norm=q0_norm, yhat_norm=yhat_norm,
-            phi_plus=phi_plus, phi_minus=phi_minus,
+            q0_norm=q0_norm, phi_plus=phi_plus, phi_minus=phi_minus,
         ))
     return reports

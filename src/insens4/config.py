@@ -96,7 +96,8 @@ _MINIMUM = {("sampling", "samples"): 1, ("sampling", "mode_cap"): 0,
             ("sampling", "directions"): 1,
             ("penalty", "max_iter"): 1, ("picard", "max_iter"): 1}
 # Float keys that must be positive.
-_POSITIVE = {("sampling", "tau_probe"), ("penalty", "tol"), ("picard", "tol")}
+_POSITIVE = {("sampling", "tau_probe"), ("sampling", "gap_tol"),
+             ("penalty", "tol"), ("picard", "tol")}
 # String keys with a fixed set of values.
 _CHOICES = {("penalty", "variant"): VARIANTS}
 

@@ -1,10 +1,10 @@
 """Semilinear reaction terms F(u, grad u, hess u) with analytic partials.
 
 Each catalog entry bundles the scalar evaluator with its partial
-derivatives in the state, gradient, and Hessian slots, a declared
-Lipschitz payload, and a smoothness flag.  Partials are cross-checked
-against central finite differences at construction, so a mistyped
-derivative fails fast instead of corrupting a linearization downstream.
+derivatives in the state, gradient, and Hessian slots.  Partials are
+cross-checked against central finite differences at construction, so a
+mistyped derivative fails fast instead of corrupting a linearization
+downstream.
 """
 from __future__ import annotations
 
@@ -39,11 +39,6 @@ class NonlinearitySpec:
     f_u: Callable[[Array, Array, Array], Array]
     f_p: Callable[[Array, Array, Array], Array]
     f_r: Callable[[Array, Array, Array], Array]
-    lipschitz_declared: float
-    smooth: bool = True
-    # box (u_max, p_max, r_max) on which the declared constant is claimed;
-    # None means the claim is global.
-    box: tuple[float, float, float] | None = None
     # True when F reads only u, so callers may skip computing p and r
     state_only: bool = False
     f0: float = field(init=False)
@@ -107,7 +102,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
     linear     F = c*u
     tanh       F = c*tanh(u), globally Lipschitz with constant c
     sin        F = c*sin(u), globally Lipschitz with constant c
-    quadratic  F = c*u^2, Lipschitz only on a box |u| <= 3
+    quadratic  F = c*u^2, Lipschitz only on bounded sets
     mixed      F = c*(tanh(u) + sin(p_1) + tanh(r_11))
     """
     c = float(scale)
@@ -126,7 +121,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             f_u=lambda u, p, r: np.zeros_like(u),
             f_p=lambda u, p, r: zeros_like_p(p),
             f_r=lambda u, p, r: zeros_like_r(r),
-            lipschitz_declared=0.0, state_only=True,
+            state_only=True,
         )
     elif kind == "linear":
         spec = NonlinearitySpec(
@@ -135,7 +130,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             f_u=lambda u, p, r: np.full_like(u, c),
             f_p=lambda u, p, r: zeros_like_p(p),
             f_r=lambda u, p, r: zeros_like_r(r),
-            lipschitz_declared=abs(c), state_only=True,
+            state_only=True,
         )
     elif kind == "tanh":
         spec = NonlinearitySpec(
@@ -144,7 +139,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             f_u=lambda u, p, r: c / np.cosh(u) ** 2,
             f_p=lambda u, p, r: zeros_like_p(p),
             f_r=lambda u, p, r: zeros_like_r(r),
-            lipschitz_declared=abs(c), state_only=True,
+            state_only=True,
         )
     elif kind == "sin":
         spec = NonlinearitySpec(
@@ -153,18 +148,16 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             f_u=lambda u, p, r: c * np.cos(u),
             f_p=lambda u, p, r: zeros_like_p(p),
             f_r=lambda u, p, r: zeros_like_r(r),
-            lipschitz_declared=abs(c), state_only=True,
+            state_only=True,
         )
     elif kind == "quadratic":
-        u_max = 3.0
         spec = NonlinearitySpec(
             "quadratic", n,
             f=lambda u, p, r: c * u * u,
             f_u=lambda u, p, r: 2 * c * u,
             f_p=lambda u, p, r: zeros_like_p(p),
             f_r=lambda u, p, r: zeros_like_r(r),
-            lipschitz_declared=2 * abs(c) * u_max,
-            box=(u_max, 0.0, 0.0), state_only=True,
+            state_only=True,
         )
     elif kind == "mixed":
         def f(u, p, r):
@@ -183,11 +176,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             out[0, 0] = c / np.cosh(r[0, 0]) ** 2
             return out
 
-        # |F_u| + |F_p| + sum |F_r| <= 3c pointwise
-        spec = NonlinearitySpec(
-            "mixed", n, f=f, f_u=f_u, f_p=f_p, f_r=f_r,
-            lipschitz_declared=3 * abs(c),
-        )
+        spec = NonlinearitySpec("mixed", n, f=f, f_u=f_u, f_p=f_p, f_r=f_r)
     else:
         raise SetupError("unknown-nonlinearity", f"no catalog entry named {kind!r}")
 

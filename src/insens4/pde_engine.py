@@ -105,8 +105,6 @@ __all__ = [
     "solve_backward",
     "solve_forward_nonlinear",
     "duality_residual",
-    "check_energy_growth",
-    "EnergyReport",
 ]
 
 Array = np.ndarray
@@ -944,34 +942,3 @@ def duality_residual(
         rhs += dt * basis.cell_volume * float(np.sum(f * psi.fields))
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
-
-@dataclass
-class EnergyReport:
-    passed: bool
-    worst_margin: float
-    beta: float
-    detail: str = ""
-
-
-def check_energy_growth(traj: Trajectory, beta: float, rtol: float = 1e-3) -> EnergyReport:
-    """Discrete echo of the homogeneous energy growth estimate.
-
-    Checks ||z(t2)||^2 <= exp(2 beta (t2 - t1)) ||z(t1)||^2 for every
-    midpoint-node pair t1 < t2 of a source-free trajectory.  The CN
-    half-step geometry can exceed the continuum factor by O((beta dt)^3)
-    per step, hence the relative tolerance.
-    """
-    n2 = traj.basis.cell_volume * np.sum(
-        traj.fields.reshape(traj.fields.shape[0], -1) ** 2, axis=1
-    )
-    m = n2 * np.exp(-2 * beta * traj.times)
-    # condition: m nonincreasing up to tolerance
-    suffix_max = np.maximum.accumulate(m[::-1])[::-1]
-    scale = m + 1e-300
-    worst = float(((m - suffix_max) / scale).min())
-    return EnergyReport(
-        passed=bool(worst >= -rtol),
-        worst_margin=worst,
-        beta=float(beta),
-        detail="suffix check of exp(-2 beta t) ||z(t)||^2 monotonicity",
-    )

@@ -109,15 +109,10 @@ class SubdomainMask:
     """
 
     label: str
-    boxes: tuple
     values: np.ndarray = field(repr=False)
     support: np.ndarray = field(repr=False)
     smooth: bool
     box: tuple[slice, ...]
-
-    @property
-    def n_support(self) -> int:
-        return int(self.support.sum())
 
 
 def _normalize_boxes(boxes, dim: int):
@@ -188,7 +183,7 @@ def build_mask(grid: Grid, boxes, label: str = "", smooth: bool = False) -> Subd
         hit = np.flatnonzero(support.any(axis=others))
         box.append(slice(int(hit[0]), int(hit[-1]) + 1))
     return SubdomainMask(
-        label=label, boxes=norm, values=_freeze(values),
+        label=label, values=_freeze(values),
         support=_freeze(support), smooth=bool(smooth), box=tuple(box),
     )
 
@@ -304,7 +299,6 @@ class ValidatedProblem:
     coefficients: dict
     sup_norms: dict
     force_fields: np.ndarray
-    force_onset: float
     epsilon: float
     nonlinearity: NonlinearitySpec
     profile: cw.WeightProfile
@@ -334,21 +328,23 @@ def _materialize_force(grid: Grid, force: np.ndarray | None) -> np.ndarray:
 def validate_problem(config: ProblemConfig) -> ValidatedProblem:
     """Check, complete, and seal a problem instance.
 
-    Verifies that the scalar parameters are finite, the mask geometry
-    (omega and the observation set overlap, the inner subdomain sits
-    inside the overlap with a one-cell margin), asserts every declared
-    coefficient bound against sampled values on the grid, checks the
-    force switches on strictly after t = 0 and that its singular-weighted
-    energy integral is finite, and builds the Carleman weights and
-    observability constants.  Every march of the state starts at y = 0.
+    Verifies that the scalar parameters are finite and epsilon and
+    c_proxy positive, the mask geometry (omega and the observation set
+    overlap, the inner subdomain sits inside the overlap with a one-cell
+    margin), asserts every declared coefficient bound against sampled
+    values on the grid, checks the force switches on strictly after t = 0
+    and that its singular-weighted energy integral is finite, and builds
+    the Carleman weights and observability constants.  Every march of the
+    state starts at y = 0.
 
     Raises
     ------
     SetupError
-        ``parameter-nonfinite`` (with the ``key``), ``disjoint-omega-obs``,
-        ``omega0-margin``, ``declared-bound-violated``,
-        ``coefficient-nonfinite``, ``force-nonfinite``, ``force-onset``,
-        ``force-weight-divergent``, ``eta-peak-shape``.
+        ``parameter-nonfinite`` and ``parameter-nonpositive`` (with the
+        ``key``), ``disjoint-omega-obs``, ``omega0-margin``,
+        ``declared-bound-violated``, ``coefficient-nonfinite``,
+        ``force-nonfinite``, ``force-onset``, ``force-weight-divergent``,
+        ``eta-peak-shape``.
     """
     grid = config.grid
     basis = grid.basis
@@ -358,6 +354,9 @@ def validate_problem(config: ProblemConfig) -> ValidatedProblem:
         if value is not None and not math.isfinite(value):
             raise SetupError("parameter-nonfinite", f"{key} = {value} is not "
                              "finite", key=key)
+        if key in ("epsilon", "c_proxy") and value <= 0:
+            raise SetupError("parameter-nonpositive", f"{key} = {value} must "
+                             "be positive", key=key)
 
     overlap = config.omega.support & config.obs.support
     if not overlap.any():
@@ -454,7 +453,7 @@ def validate_problem(config: ProblemConfig) -> ValidatedProblem:
     return ValidatedProblem(
         grid=grid, omega=config.omega, obs=config.obs, omega0=config.omega0,
         coefficients=coefficients, sup_norms=sup_norms,
-        force_fields=_freeze(force_fields), force_onset=onset,
+        force_fields=_freeze(force_fields),
         epsilon=float(config.epsilon), nonlinearity=nl,
         profile=profile, weights=weights, constants=constants,
         force_weight_integral=fw,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade_sentinel import CascadeOperators
-from .errors import IterationError, SetupError
+from .errors import IterationError
 from .hum_synthesis import ControlResult, minimize_exact
 from .nonlinearity import NonlinearitySpec
 from .pde_engine import Schedule, Trajectory, make_schedule
@@ -36,7 +36,6 @@ __all__ = [
     "ftc_residual",
     "freeze_linearization",
     "tangent_schedule",
-    "lipschitz_bound",
     "picard_insensitize",
 ]
 
@@ -203,47 +202,6 @@ def tangent_schedule(problem: ValidatedProblem, z: Trajectory) -> Schedule:
     """
     tangent = _eval_tangent(problem.nonlinearity, *_jet(z))
     return make_schedule(problem.grid, problem.coefficients, *tangent)
-
-
-def lipschitz_bound(nonlinearity: NonlinearitySpec,
-                    box: tuple[float, float, float] | None = None,
-                    n_samples: int = 10_000, seed: int = 0) -> float:
-    """Sampled sup of |F_u| + sum|F_p| + sum|F_r| over a box.
-
-    Uses a uniform random sample of the (u, p, r) box plus its center
-    and asserts the result against the declared Lipschitz payload.
-
-    Raises
-    ------
-    SetupError
-        ``declared-bound-violated`` when the sampled bound exceeds the
-        declaration.
-    """
-    if box is None:
-        box = nonlinearity.box if nonlinearity.box is not None else (5.0, 5.0, 5.0)
-    dim = nonlinearity.dim
-    d = 1 + dim + dim * dim
-    pts = np.random.default_rng(seed).random((n_samples, d))
-    widths = np.concatenate([
-        np.full(1, box[0]), np.full(dim, box[1]), np.full(dim * dim, box[2]),
-    ])
-    pts = (2.0 * pts - 1.0) * widths
-    pts = np.vstack([pts, np.zeros(d)])  # the center carries many extrema
-    u = pts[:, 0]
-    p = np.ascontiguousarray(pts[:, 1:1 + dim].T)
-    r = np.ascontiguousarray(pts[:, 1 + dim:].T.reshape(dim, dim, -1))
-    mag = np.abs(nonlinearity.f_u(u, p, r)) \
-        + np.abs(nonlinearity.f_p(u, p, r)).sum(axis=0) \
-        + np.abs(nonlinearity.f_r(u, p, r)).sum(axis=(0, 1))
-    bound = float(mag.max())
-    if bound > nonlinearity.lipschitz_declared * (1.0 + 1e-9) + 1e-12:
-        raise SetupError(
-            "declared-bound-violated",
-            f"{nonlinearity.name}: sampled Lipschitz bound {bound} exceeds "
-            f"declared {nonlinearity.lipschitz_declared}",
-            sampled=bound, declared=nonlinearity.lipschitz_declared,
-        )
-    return bound
 
 
 def _frozen_equal(a: FrozenLinearization, b: FrozenLinearization) -> bool:

@@ -178,6 +178,20 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "config-value" in err and "variant" in err
 
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("observability", "weights", "c_proxy", "0"),
+        ("weights-check", "weights", "c_proxy", "-1"),
+        ("insensitize-linear", "penalty", "epsilon", "0"),
+        ("insensitize-linear", "sampling", "gap_tol", "-1"),
+    ])
+    def test_nonpositive_value_exits_1(self, tmp_path, capsys, command,
+                                       section, key, value):
+        cfg = _ini(tmp_path, f"[{section}]\n{key} = {value}\n")
+        assert main([command, "--quick", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
     def test_quadratic_variant_exit_matches_manifest(self, tmp_path):
         # the relaxed penalty is not required to satisfy the null check;
         # the exit code just has to tell the truth about it

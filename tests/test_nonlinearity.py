@@ -74,7 +74,6 @@ def test_f0_is_value_at_origin():
         f_u=lambda u, p, r: np.zeros_like(u),
         f_p=lambda u, p, r: np.zeros_like(p),
         f_r=lambda u, p, r: np.zeros_like(r),
-        lipschitz_declared=0.0,
     )
     assert shifted.f0 == pytest.approx(0.5)
 
@@ -82,14 +81,6 @@ def test_f0_is_value_at_origin():
 def test_is_zero_flag():
     assert make_nonlinearity("zero").is_zero
     assert not make_nonlinearity("tanh").is_zero
-
-
-def test_declared_constants():
-    assert make_nonlinearity("tanh", scale=3.0).lipschitz_declared == 3.0
-    assert make_nonlinearity("mixed", scale=2.0).lipschitz_declared == 6.0
-    quad = make_nonlinearity("quadratic", scale=1.5)
-    assert quad.lipschitz_declared == pytest.approx(2 * 1.5 * 3.0)
-    assert quad.box == (3.0, 0.0, 0.0)
 
 
 def test_inconsistent_partials_fail_fast():
@@ -102,7 +93,6 @@ def test_inconsistent_partials_fail_fast():
         f_u=lambda u, p, r: np.full_like(u, 7.0),
         f_p=lambda u, p, r: np.zeros_like(p),
         f_r=lambda u, p, r: np.zeros_like(r),
-        lipschitz_declared=10.0,
     )
     with pytest.raises(SetupError) as exc:
         _fd_check(broken, np.random.default_rng(0))

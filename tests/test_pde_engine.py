@@ -18,7 +18,6 @@ from insens4.pde_engine import (
     Schedule,
     SpatialOperator,
     Trajectory,
-    check_energy_growth,
     duality_residual,
     make_schedule,
     solve_backward,
@@ -677,21 +676,3 @@ class TestTrajectory:
             u = 2.0 * f - u
         assert np.allclose(u, traj.stateT, rtol=0, atol=1e-12)
 
-
-class TestEnergyGrowth:
-    def test_dissipative_march_passes(self):
-        grid = build_grid(1, 2.0, 32, 1.0, 50)
-        coeffs = {"a0": CoefficientField.constant("a0", 0.5)}
-        y0 = np.random.default_rng(10).standard_normal(grid.basis.shape)
-        traj = solve_forward(grid, make_schedule(grid, coeffs), y0)
-        report = check_energy_growth(traj, beta=2.0 + 0.25)
-        assert report.passed
-
-    def test_fabricated_growth_fails(self):
-        grid = build_grid(1, 2.0, 16, 1.0, 24)
-        u = _mode(grid, 1)
-        fields = np.array([np.exp(5.0 * t) * u for t in grid.times])
-        traj = Trajectory(grid.basis, grid.dt, grid.times, fields,
-                          state0=u, stateT=np.exp(5.0) * u)
-        report = check_energy_growth(traj, beta=0.1)
-        assert not report.passed

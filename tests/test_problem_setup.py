@@ -60,7 +60,7 @@ class TestMask:
         expected = ((x > 0.5) & (x < 1.25)).astype(float)
         assert np.array_equal(m.values, expected)
         assert np.array_equal(m.support, expected > 0)
-        assert m.n_support == int(expected.sum())
+        assert int(m.support.sum()) == int(expected.sum())
 
     def test_union_of_boxes(self):
         g = build_grid(1, 2.0, 16, 1.0, 20)
@@ -219,6 +219,15 @@ class TestValidateProblem:
         with pytest.raises(SetupError) as exc:
             validate_problem(_config(g, **{key: value}))
         assert exc.value.code == "parameter-nonfinite"
+        assert exc.value.context["key"] == key
+
+    @pytest.mark.parametrize("key,value", [("epsilon", 0.0), ("c_proxy", -1.0)])
+    def test_nonpositive_parameter_rejected(self, key, value):
+        # c_proxy = 0 divides by zero in cost_h, c_proxy < 0 gives nan
+        g = build_grid(1, 2.0, 16, 1.0, 20)
+        with pytest.raises(SetupError) as exc:
+            validate_problem(_config(g, **{key: value}))
+        assert exc.value.code == "parameter-nonpositive"
         assert exc.value.context["key"] == key
 
     def test_force_onset_required(self):

@@ -14,7 +14,7 @@ import pytest
 
 import insens4.semilinear_loop as sl
 from insens4.config import apply_quick, default_config, problem_from_config
-from insens4.errors import IterationError, SetupError
+from insens4.errors import IterationError
 from insens4.hum_synthesis import minimize_exact
 from insens4.nonlinearity import NonlinearitySpec, make_nonlinearity
 from insens4.pde_engine import Trajectory, _ModeInverse
@@ -22,7 +22,6 @@ from insens4.semilinear_loop import (
     eval_g,
     freeze_linearization,
     ftc_residual,
-    lipschitz_bound,
     picard_insensitize,
     tangent_schedule,
 )
@@ -142,34 +141,10 @@ class TestSecantCoefficients:
             f_u=lambda u, p, r: np.where(u > 0, np.nan, 1.0),
             f_p=lambda u, p, r: np.zeros_like(p),
             f_r=lambda u, p, r: np.zeros_like(r),
-            lipschitz_declared=1.0,
         )
         with pytest.raises(IterationError) as exc:
             eval_g(bad, z)
         assert exc.value.code == "nonlinearity-eval-failure"
-
-
-class TestLipschitzBound:
-    def test_tanh_attains_scale_at_center(self):
-        assert lipschitz_bound(make_nonlinearity("tanh", scale=2.5)) \
-            == pytest.approx(2.5, rel=1e-12)
-
-    def test_mixed_attains_triple_scale(self):
-        assert lipschitz_bound(make_nonlinearity("mixed", scale=1.2, dim=2)) \
-            == pytest.approx(3.6, rel=1e-12)
-
-    def test_violated_declaration(self):
-        lying = NonlinearitySpec(
-            "lying", 1,
-            f=lambda u, p, r: 5.0 * u,
-            f_u=lambda u, p, r: np.full_like(u, 5.0),
-            f_p=lambda u, p, r: np.zeros_like(p),
-            f_r=lambda u, p, r: np.zeros_like(r),
-            lipschitz_declared=1.0,
-        )
-        with pytest.raises(SetupError) as exc:
-            lipschitz_bound(lying)
-        assert exc.value.code == "declared-bound-violated"
 
 
 class TestPicard:

@@ -178,7 +178,8 @@ def sentinel_sensitivity(
     ------
     SetupError
         ``direction-shape`` when ``yhats`` is not a stack of fields,
-        ``probe-step`` when ``tau_probe`` is not positive and finite.
+        ``probe-step`` when ``tau_probe`` is not positive, or so large
+        that the sum of the probes' squared start values overflows.
     """
     grid = problem.grid
     basis = problem.basis
@@ -191,9 +192,13 @@ def sentinel_sensitivity(
             f"directions must stack fields of shape {grid.shape}, got "
             f"{yhats.shape}")
     tau = float(tau_probe)
-    if not 0.0 < tau < np.inf:
-        raise SetupError("probe-step",
-                         f"tau_probe must be positive and finite, got {tau}")
+    # the sentinel sums squares of the probes' states, which start as
+    # tau times the directions
+    peak = tau * float(np.abs(yhats).max(initial=0.0))
+    if not (0.0 < tau and peak * peak * yhats.size < np.inf):
+        raise SetupError("probe-step", f"tau_probe must be positive, and "
+                         f"small enough that the squares of the probes' "
+                         f"start values sum to a finite number; got {tau}")
     if not len(yhats):
         return []
 

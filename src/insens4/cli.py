@@ -420,6 +420,9 @@ def _mms_error(dim: int, extent: float, cells: int, t_final: float,
 def _cmd_convergence(cfg: dict, out_dir: Path, quick: bool) -> int:
     t0 = time.perf_counter()
     manifest = RunManifest("convergence", cfg["run"]["seed"], cfg)
+    # the study reads only the grid and coefficients, but a configuration
+    # that fails validation is an error here too
+    problem_from_config(cfg)
     g = cfg["grid"]
     dim, extent, cells, t_final = (g["dimension"], g["extent"], g["cells"],
                                    g["t_final"])

@@ -44,7 +44,10 @@ part at node j; the backward march solves with T Lo_j^T F, the exact
 transpose, so no physical-space right-hand side (I - c A) u is formed.
 In 1D the distinct nodes' step matrices D + c T Lo_j F are built in
 closed form (Toeplitz plus Hankel in the modes) and inverted in stacks,
-chunk by chunk, in one NumPy call per chunk.  The inverses
+chunk by chunk.  A matrix that is strictly column diagonally dominant,
+the usual case unless c times the lower-order coefficients is large, is
+inverted by recursive Schur complements in stacked matrix products, any
+other by LAPACK (``np.linalg.inv``).  The inverses
 P_j = M_j^-1 D^-1, with M_j = I + c D^-1 T Lo_j F, are cached on the
 schedule, so every march of a frozen linearization reuses them: a forward
 step is rhs @ P_j^T and a backward step rhs @ P_j.  A stack of inverses
@@ -112,9 +115,10 @@ Array = np.ndarray
 # Largest stack of inverted 1D mode-space step matrices (n^2 * 8 bytes
 # each) a schedule may cache; a march whose stack would be bigger solves its
 # steps by GMRES.  The stack is built and inverted in chunks of at most
-# INVERSE_CHUNK_BYTES of matrices.
+# INVERSE_CHUNK_BYTES of matrices; inverting a chunk by Schur complements
+# peaks at about 2.4 chunks of memory, its result included.
 INVERSE_STACK_CAP_BYTES = 64 * 2**20
-INVERSE_CHUNK_BYTES = 2**20
+INVERSE_CHUNK_BYTES = 2**19
 # GMRES midpoint solve: relative residual tolerance and Krylov dimension cap.
 INNER_TOL = 1e-13
 INNER_CAP = 40
@@ -447,21 +451,68 @@ def _node_matrices(basis: SineBasis, dt: float,
     return out
 
 
+def _block_inverse(mats: Array) -> Array:
+    """The inverses of a stack of strictly column diagonally dominant
+    matrices, by recursive 2 x 2 Schur complements in stacked products.
+
+    With M = [[A, B], [C, D]], X = A^-1 B, Y = C A^-1 and the Schur
+    complement S = D - C X,
+
+        M^-1 = [[A^-1 + X S^-1 Y, -X S^-1], [-S^-1 Y, S^-1]].
+
+    A and S are again strictly column dominant, so no step pivots
+    (elimination without pivoting is then as stable as with it); matrices
+    of at most 16 rows go to ``np.linalg.inv``.
+    """
+    n = mats.shape[-1]
+    if n <= 16:
+        return np.linalg.inv(mats)
+    k = n // 2
+    out = np.empty_like(mats)
+    a_inv = _block_inverse(mats[..., :k, :k])
+    x = a_inv @ mats[..., :k, k:]
+    y = mats[..., k:, :k] @ a_inv
+    # S is formed where S^-1 goes
+    s = np.matmul(mats[..., k:, :k], x, out=out[..., k:, k:])
+    np.subtract(mats[..., k:, k:], s, out=s)
+    s_inv = _block_inverse(s)
+    out[..., k:, k:] = s_inv
+    np.matmul(x, s_inv, out=out[..., :k, k:])
+    np.matmul(s_inv, y, out=out[..., k:, :k])
+    np.matmul(out[..., :k, k:], y, out=out[..., :k, :k])
+    out[..., :k, :k] += a_inv
+    np.negative(out[..., :k, k:], out=out[..., :k, k:])
+    np.negative(out[..., k:, :k], out=out[..., k:, :k])
+    return out
+
+
 def _invert(mats: Array) -> Array:
     """The inverses of a stack of node matrices.
 
-    Every node inversion of the engine is one matrix of one call here.
+    Every node inversion of the engine is one matrix of one call here.  A
+    node whose matrix is strictly column diagonally dominant (2 |m_jj| >
+    sum_i |m_ij| for every column j), and so nonsingular, is inverted by
+    ``_block_inverse``; every other node by ``np.linalg.inv``.  A node's
+    inverse does not depend on the other nodes of the stack.
     """
-    return np.linalg.inv(mats)
+    diag = np.abs(np.diagonal(mats, axis1=1, axis2=2))
+    dominant = (2 * diag > np.abs(mats).sum(axis=1)).all(axis=1)
+    if dominant.all():
+        return _block_inverse(mats)
+    inv = np.empty_like(mats)
+    inv[dominant] = _block_inverse(mats[dominant])
+    inv[~dominant] = np.linalg.inv(mats[~dominant])
+    return inv
 
 
 def _node_inverses(mats: Array, steps: Array, finite: Array) -> Array:
     """The inverses of a stack of node matrices, first used at ``steps``.
 
-    ``finite`` flags the nodes whose matrices are finite.  Raises
-    ``implicit-step-singular`` naming the first step whose matrix is not
-    finite or, when all are, the first that is singular or has a
-    non-finite inverse.
+    ``finite`` flags the nodes whose matrices are finite; a finite stack
+    goes to ``_invert``.  Raises ``implicit-step-singular`` naming the
+    first step whose matrix is not finite or, when all are, the first that
+    is singular (only a matrix that is not column dominant can be, and
+    LAPACK then refuses the stack) or has a non-finite inverse.
     """
     ok = finite
     inv = None

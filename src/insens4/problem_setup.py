@@ -108,10 +108,8 @@ class SubdomainMask:
     per axis: every nonzero value lies in ``values[box]``.
     """
 
-    label: str
     values: np.ndarray = field(repr=False)
     support: np.ndarray = field(repr=False)
-    smooth: bool
     box: tuple[slice, ...]
 
 
@@ -139,7 +137,7 @@ def build_mask(grid: Grid, boxes, label: str = "", smooth: bool = False) -> Subd
 
     Sharp masks (default) are exactly one at nodes strictly inside a box
     and zero elsewhere.  With ``smooth=True`` each box edge carries a
-    one-cell quintic ramp instead.
+    one-cell quintic ramp instead.  ``label`` names the mask in errors.
 
     Raises
     ------
@@ -182,10 +180,8 @@ def build_mask(grid: Grid, boxes, label: str = "", smooth: bool = False) -> Subd
         others = tuple(a for a in range(grid.dim) if a != ax)
         hit = np.flatnonzero(support.any(axis=others))
         box.append(slice(int(hit[0]), int(hit[-1]) + 1))
-    return SubdomainMask(
-        label=label, values=_freeze(values),
-        support=_freeze(support), smooth=bool(smooth), box=tuple(box),
-    )
+    return SubdomainMask(values=_freeze(values), support=_freeze(support),
+                         box=tuple(box))
 
 
 def _dilate(mask: np.ndarray, margin: int) -> np.ndarray:
@@ -235,7 +231,9 @@ class CoefficientField:
                 "coefficient-shape",
                 f"role {role!r} expects shape {expected}, got {value.shape}",
             )
-        sup = float(np.sqrt(np.sum(value**2)))
+        # a norm that overflows is infinite, which validate_problem rejects
+        with np.errstate(over="ignore"):
+            sup = float(np.sqrt(np.sum(value**2)))
         return CoefficientField(role, value, sup, True, label or f"{role}-const")
 
     @staticmethod
@@ -434,7 +432,9 @@ def validate_problem(config: ProblemConfig) -> ValidatedProblem:
     # singular-weighted force energy, in log space to make divergence loud
     fw = 0.0
     if has_force:
-        norms2 = np.array([basis.inner(f, f) for f in force_fields])
+        # a square that overflows is infinite, and the check below reports it
+        with np.errstate(over="ignore"):
+            norms2 = np.array([basis.inner(f, f) for f in force_fields])
         active = norms2 > 0
         exponents = constants.rate_m / np.sqrt(grid.times[active]) + np.log(norms2[active])
         if exponents.size and exponents.max() > 700.0 - np.log(grid.dt):

@@ -20,6 +20,8 @@ transform.  Unboxed calls run exactly the products they always have.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["SineBasis"]
@@ -75,7 +77,7 @@ class SineBasis:
         self.nodes = tuple(
             np.arange(1, n) * (L / n) for L in self.extents
         )
-        self.cell_volume = float(np.prod([L / n for L in self.extents]))
+        self.cell_volume = math.prod(L / n for L in self.extents)
         # mode wavenumbers kappa_m = m*pi/L per axis
         self.kappa = tuple(
             np.arange(1, n) * (np.pi / L) for L in self.extents
@@ -96,7 +98,7 @@ class SineBasis:
             self.lap_modes = self.kappa[0][:, None] ** 2 + self.kappa[1][None, :] ** 2
         self.bilap_modes = self.lap_modes**2
         # Parseval factor: ||u||^2 = mode_volume * sum(c^2)
-        self.mode_volume = float(np.prod([L / 2 for L in self.extents]))
+        self.mode_volume = math.prod(L / 2 for L in self.extents)
 
     # -- transforms ------------------------------------------------------
 

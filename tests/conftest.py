@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from insens4 import pde_engine
 from insens4.config import apply_quick, default_config, problem_from_config
 
 
@@ -17,6 +18,37 @@ def unit_smooth(basis, rng, decay=1.5):
     modes = rng.standard_normal(shape) / rank**decay
     u = basis.from_modes(modes)
     return u / basis.norm(u)
+
+
+def count_inverse_paths(monkeypatch):
+    """Count node inverses by the path ``pde_engine._invert`` sends them.
+
+    ``block`` counts the matrices of outermost ``_block_inverse`` calls and
+    ``lapack`` those ``np.linalg.inv`` gets outside one (the recursion's
+    sub-blocks and base cases are not nodes).
+    """
+    counts = {"block": 0, "lapack": 0}
+    block, lapack = pde_engine._block_inverse, np.linalg.inv
+    depth = 0
+
+    def blocked(mats):
+        nonlocal depth
+        if not depth:
+            counts["block"] += len(mats)
+        depth += 1
+        try:
+            return block(mats)
+        finally:
+            depth -= 1
+
+    def inverted(mats):
+        if not depth:
+            counts["lapack"] += len(mats)
+        return lapack(mats)
+
+    monkeypatch.setattr(pde_engine, "_block_inverse", blocked)
+    monkeypatch.setattr(np.linalg, "inv", inverted)
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -211,7 +211,8 @@ class TestSensitivity:
         assert exc.value.code == "direction-shape"
         assert sentinel_sensitivity(p, None, np.empty((0,) + p.grid.shape)) == []
 
-    @pytest.mark.parametrize("tau", [0.0, -0.01, float("nan"), float("inf")])
+    @pytest.mark.parametrize("tau", [0.0, -0.01, float("nan"), float("inf"),
+                                     1e300])
     def test_probe_step_must_be_positive(self, rng, tau):
         p = _partial_problem(rng)
         yhat = unit_smooth(p.basis, rng)

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from insens4.cli import main
+from insens4.cli import _COMMANDS, main
+from insens4.config import SCHEMA
 from insens4.reporting import FIELD_MAGIC
 
 
@@ -361,3 +363,76 @@ def test_no_command_loads_scipy(tmp_path):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert len(loaded) == 6
     assert loaded == {command: [] for command in loaded}
+
+
+# every configuration key but [grid] dimension and [run], at edge values
+_FUZZ_KEYS = [(section, key, kind) for section, keys in SCHEMA.items()
+              if section != "run" for key, (kind, _) in keys.items()
+              if (section, key) != ("grid", "dimension")]
+_EDGES = ("0", "-1", "1e300", "nan", "abc")
+# keys that must be positive (mode_cap must not be negative)
+_POSITIVE = {("grid", "extent"), ("grid", "cells"), ("grid", "t_final"),
+             ("grid", "steps"), ("penalty", "epsilon"), ("penalty", "tol"),
+             ("penalty", "max_iter"), ("picard", "tol"),
+             ("picard", "max_iter"), ("weights", "c_proxy"),
+             ("sampling", "samples"), ("sampling", "tau_probe"),
+             ("sampling", "directions"), ("sampling", "gap_tol")}
+_BASE_2D = {"grid": {"dimension": "2"},
+            "domains": {"omega": "0.6:1.4,0.6:1.4", "obs": "1.0:1.8,1.0:1.8"}}
+
+
+@st.composite
+def _fuzz_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    section, key, kind = draw(st.sampled_from(_FUZZ_KEYS))
+    values = list(_EDGES)
+    if kind == "boxes":
+        # reversed, degenerate and whole-domain intervals on the first axis
+        rest = ",0.6:1.4" if dim == 2 else ""
+        values += [iv + rest for iv in ("1.4:0.6", "1.0:1.0", "0:2")]
+    value = draw(st.sampled_from(values))
+    command = draw(st.sampled_from([name for name, _, _ in _COMMANDS]))
+    return dim, section, key, kind, value, command
+
+
+def _out_of_range(section, key, kind, value):
+    """Whether the documented rules make ``value`` a usage error."""
+    if value in ("nan", "abc"):
+        return True                          # non-finite or not a number
+    if kind == "boxes":
+        return not value.startswith("0:2")   # all but the whole domain
+    if kind == "str":
+        return True                          # no variant or reaction kind
+    if kind == "bool":
+        return value != "0"
+    if kind == "int" and value == "1e300":
+        return True                          # not an integer
+    if value == "-1" and (section, key) == ("sampling", "mode_cap"):
+        return True
+    return value in ("0", "-1") and (section, key) in _POSITIVE
+
+
+class TestConfigFuzz:
+    """Every command, in 1D and 2D, on one configuration key at an edge
+    value: a coded exit, never a traceback, and exit 1 for input outside
+    the documented ranges."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_fuzz_cases())
+    def test_edge_values_exit_coded(self, tmp_path, capsys, case):
+        dim, section, key, kind, value, command = case
+        sections = {name: dict(keys) for name, keys in
+                    (_BASE_2D if dim == 2 else {}).items()}
+        sections.setdefault(section, {})[key] = value
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                                for k, v in keys.items())
+                       for name, keys in sections.items())
+        cfg = _ini(tmp_path, text)
+        code = main([command, "--quick", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if _out_of_range(section, key, kind, value):
+            assert code == 1, (text, err)

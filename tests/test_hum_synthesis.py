@@ -29,6 +29,7 @@ from insens4.hum_synthesis import (
 )
 from insens4.semilinear_loop import freeze_linearization
 from insens4.spectral import SineBasis
+from conftest import count_inverse_paths
 
 
 class TestShrink:
@@ -358,14 +359,18 @@ class TestMarchBudget:
         # both legs; each later one inverts one step matrix per step on
         # each leg, and the sentinel probes' tangent schedule one more
         # stack: 7 x Nt inverses (Nt = 200 by default, 64 with --quick).
+        # Every one of those step matrices is strictly column diagonally
+        # dominant, so all go through the block path and none to LAPACK.
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini, encoding="utf-8")
         out = tmp_path / "out"
         counts = _count_work(monkeypatch)
+        paths = count_inverse_paths(monkeypatch)
         assert main([command, "--config", str(cfg), "--seed", "777",
                      "--out", str(out), *flags]) == rc
         assert counts == {"marches": marches, "applies": applies,
                           "inverses": factors}
+        assert paths == {"block": factors, "lapack": 0}
         if picard is not None:
             summary = (out / "control_summary.csv").read_text().splitlines()
             row = dict(zip(summary[0].split(","), summary[1].split(",")))

@@ -26,6 +26,7 @@ from insens4.pde_engine import (
 )
 from insens4.problem_setup import CoefficientField, build_grid
 from insens4.spectral import SineBasis
+from conftest import count_inverse_paths
 
 
 def _mode(grid, k):
@@ -473,6 +474,92 @@ class TestModeLUPath:
                           np.ones(grid.shape))
         assert exc.value.code == "implicit-step-singular"
         assert exc.value.context["step"] == 2
+
+
+def _node_stacks(monkeypatch, grid, coefficients):
+    """The node matrix stacks a forward march hands to ``_invert``."""
+    stacks = []
+    real = pde_engine._invert
+
+    def captured(mats):
+        stacks.append(mats.copy())
+        return real(mats)
+
+    monkeypatch.setattr(pde_engine, "_invert", captured)
+    solve_forward(grid, make_schedule(grid, coefficients), np.ones(grid.shape))
+    monkeypatch.setattr(pde_engine, "_invert", real)
+    return np.concatenate(stacks)
+
+
+def _column_ratio(mats):
+    """Per node, the largest off-diagonal column sum over its diagonal."""
+    absm = np.abs(mats)
+    diag = np.diagonal(absm, axis1=1, axis2=2)
+    return ((absm.sum(axis=1) - diag) / diag).max(axis=1)
+
+
+class TestBlockInverse:
+    """Dominant node matrices are inverted by Schur complements in matmuls,
+    every other one by LAPACK."""
+
+    ROLES = {
+        "a0": lambda: {"a0": CoefficientField.from_callable(
+            "a0", lambda x, t: 2.0 + np.sin(np.pi * x) * np.cos(t), 3.0)},
+        "b0": lambda: {"b0": CoefficientField.from_callable(
+            "b0", lambda x, t: (0.5 * np.cos(np.pi * x / 2) * (1 + t))[None],
+            1.0)},
+        "a1": lambda: {"a1": CoefficientField.from_callable(
+            "a1", lambda x, t: 0.3 * x * (2.0 - x) * (1 + t), 0.6)},
+    }
+
+    @staticmethod
+    def _advected():
+        # b0 = 100 t cos(pi x / 2): the later nodes' columns are not
+        # dominant, and advection keeps every step matrix nonsingular
+        return {"b0": CoefficientField.from_callable(
+            "b0", lambda x, t: (100.0 * t * np.cos(np.pi * x / 2))[None],
+            100.0)}
+
+    # n = 63 (odd), 32 (even) and 16 (the base case)
+    @pytest.mark.parametrize("cells", [64, 33, 17])
+    @pytest.mark.parametrize("role", ["a0", "b0", "a1"])
+    def test_matches_lapack(self, monkeypatch, cells, role):
+        grid = build_grid(1, 2.0, cells, 1.0, 40)
+        mats = _node_stacks(monkeypatch, grid, self.ROLES[role]())
+        assert mats.shape == (grid.n_steps, cells - 1, cells - 1)
+        assert np.all(_column_ratio(mats) < 1)
+        paths = count_inverse_paths(monkeypatch)
+        got = pde_engine._invert(mats)
+        assert paths == {"block": grid.n_steps, "lapack": 0}
+        want = np.linalg.inv(mats)
+        err = np.linalg.norm(got - want, axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+
+    def test_nondominant_node_takes_lapack(self, monkeypatch):
+        grid = build_grid(1, 2.0, 32, 1.0, 40)
+        mats = _node_stacks(monkeypatch, grid, self._advected())
+        dominant = int(np.sum(_column_ratio(mats) < 1))
+        assert 0 < dominant < grid.n_steps
+        y0 = np.random.default_rng(7).standard_normal(grid.shape)
+        paths = count_inverse_paths(monkeypatch)
+        sched = make_schedule(grid, self._advected())
+        got = solve_forward(grid, sched, y0)
+        assert isinstance(sched.factors[1], pde_engine._ModeInverse)
+        assert paths == {"block": dominant, "lapack": grid.n_steps - dominant}
+        monkeypatch.setattr(pde_engine, "INVERSE_STACK_CAP_BYTES", 0)
+        want = solve_forward(grid, make_schedule(grid, self._advected()), y0)
+        assert np.linalg.norm(got.stateT - want.stateT) \
+            <= 1e-12 * np.linalg.norm(want.stateT)
+
+    def test_node_inverse_ignores_chunk_mates(self, monkeypatch):
+        grid = build_grid(1, 2.0, 32, 1.0, 40)
+        mats = _node_stacks(monkeypatch, grid, self._advected())
+        dominant = _column_ratio(mats) < 1
+        mixed = pde_engine._invert(mats)
+        alone = pde_engine._invert(mats[dominant])
+        assert np.array_equal(mixed[dominant], alone)
+        j = int(np.flatnonzero(dominant)[-1])
+        assert np.array_equal(mixed[j], pde_engine._invert(mats[j:j + 1])[0])
 
 
 class TestMakeSchedule:

@@ -70,16 +70,19 @@ class TestMask:
         assert np.array_equal(m.support, expected)
 
     def test_smooth_mask_ramps(self):
+        # edges between nodes, so each one-cell ramp holds a node
         g = build_grid(1, 2.0, 32, 1.0, 20)
-        m = build_mask(g, [(0.5, 1.5)], "m", smooth=True)
-        assert m.smooth
+        lo, hi = 0.53, 1.47
+        m = build_mask(g, [(lo, hi)], "m", smooth=True)
+        assert np.any((m.values > 0) & (m.values < 1))
         assert np.all(m.values >= 0) and np.all(m.values <= 1)
         # plateau one cell in from each edge, strict ramp just inside it
         x = g.basis.nodes[0]
-        core = (x >= 0.5 + 2.0 / 32) & (x <= 1.5 - 2.0 / 32)
+        core = (x >= lo + 2.0 / 32) & (x <= hi - 2.0 / 32)
         assert np.allclose(m.values[core], 1.0)
-        edge = (x > 0.5) & (x < 0.5 + 2.0 / 32)
-        assert np.all(m.values[edge] < 1.0)
+        edge = ((x > lo) & (x < lo + 2.0 / 32)) | ((x < hi) & (x > hi - 2.0 / 32))
+        assert edge.sum() == 2
+        assert np.all((m.values[edge] > 0) & (m.values[edge] < 1.0))
 
     def test_2d_box(self):
         g = build_grid(2, 2.0, 12, 1.0, 20)

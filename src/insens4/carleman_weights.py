@@ -18,6 +18,7 @@ off-grid points (the peak, t = T/2) can be probed exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,24 +107,21 @@ class WeightProfile:
     sup: float
     min_grad_outside: float
 
-    def value_at(self, point) -> float | complex:
-        out = 1.0
-        for ax, x in enumerate(np.atleast_1d(point)):
-            out = out * _axis_profile(x, self.basis.extents[ax], self.steepness[ax])
-        return out
+    def _axes(self, fn, coords) -> list:
+        return [fn(x, length, k)
+                for x, length, k in zip(coords, self.basis.extents, self.steepness)]
 
-    def grad_at(self, point) -> np.ndarray:
-        point = np.atleast_1d(point)
-        axes = [
-            _axis_profile(x, self.basis.extents[ax], self.steepness[ax])
-            for ax, x in enumerate(point)
-        ]
-        out = []
-        for ax, x in enumerate(point):
-            d = _axis_profile_d1(x, self.basis.extents[ax], self.steepness[ax])
-            others = np.prod([a for j, a in enumerate(axes) if j != ax]) if len(axes) > 1 else 1.0
-            out.append(d * others)
-        return np.asarray(out)
+    def value_at(self, coords):
+        """eta at per-axis coordinates that broadcast: a point, a
+        complex-step point or ``basis.mesh()``."""
+        return math.prod(self._axes(_axis_profile, coords))
+
+    def grad_at(self, coords) -> np.ndarray:
+        """grad eta, components first, at coordinates as in ``value_at``."""
+        vals = self._axes(_axis_profile, coords)
+        d1 = self._axes(_axis_profile_d1, coords)
+        return np.array([math.prod(vals[:ax] + [d] + vals[ax + 1:])
+                         for ax, d in enumerate(d1)])
 
 
 def build_eta(
@@ -190,28 +188,12 @@ def build_eta(
         steepness.append(k)
     steepness = tuple(steepness)
 
+    profile = WeightProfile(basis=basis, peak=peak, steepness=steepness,
+                            values=None, sup=math.nan, min_grad_outside=math.nan)
     mesh = basis.mesh()
-    axis_vals = [
-        _axis_profile(basis.nodes[ax], basis.extents[ax], steepness[ax])
-        for ax in range(dim)
-    ]
-    axis_d1 = [
-        _axis_profile_d1(basis.nodes[ax], basis.extents[ax], steepness[ax])
-        for ax in range(dim)
-    ]
-    if dim == 1:
-        values = axis_vals[0].copy()
-        grad = axis_d1[0][None, :].copy()
-    else:
-        values = axis_vals[0][:, None] * axis_vals[1][None, :]
-        grad = np.stack([
-            axis_d1[0][:, None] * axis_vals[1][None, :],
-            axis_vals[0][:, None] * axis_d1[1][None, :],
-        ])
-    sup = float(np.prod([
-        _axis_profile(peak[ax], basis.extents[ax], steepness[ax])
-        for ax in range(dim)
-    ]))
+    values = profile.value_at(mesh)
+    grad = profile.grad_at(mesh)
+    sup = float(profile.value_at(peak))
 
     if np.any(values <= 0):
         raise WeightError("eta-degenerate", "profile not positive on interior nodes")
@@ -226,10 +208,9 @@ def build_eta(
             "gradient vanishes at a node outside the inner subdomain",
         )
 
-    return WeightProfile(
-        basis=basis, peak=peak, steepness=steepness, values=values,
-        sup=sup, min_grad_outside=min_grad_outside,
-    )
+    profile.values, profile.sup = values, sup
+    profile.min_grad_outside = min_grad_outside
+    return profile
 
 
 @dataclass
@@ -364,12 +345,8 @@ def check_weight_properties(weights: CarlemanWeights, times: np.ndarray) -> Prop
     # gradient identity at a spread of probe points (grid nodes and peak)
     basis = w.profile.basis
     probes = [w.profile.peak]
-    idx = [1, basis.shape[0] // 3, basis.shape[0] - 2]
-    for i in idx:
-        if basis.dim == 1:
-            probes.append((basis.nodes[0][i],))
-        else:
-            probes.append((basis.nodes[0][i], basis.nodes[1][i]))
+    for i in (1, basis.shape[0] // 3, basis.shape[0] - 2):
+        probes.append(tuple(nodes[i] for nodes in basis.nodes))
     worst = 0.0
     for pt in probes:
         eta_v = w.profile.value_at(pt)
@@ -412,6 +389,18 @@ def check_weight_properties(weights: CarlemanWeights, times: np.ndarray) -> Prop
     return PropertyReport(checks)
 
 
+def _admissible_threshold(w: CarlemanWeights, s: float) -> float:
+    """The threshold 4T/|M0|; raises ``s-below-threshold`` when s is below it."""
+    thr = w.s_threshold
+    if s < thr * (1 - 1e-12):
+        raise WeightError(
+            "s-below-threshold",
+            f"s = {s} is below the admissibility threshold 4*T/|M0| = {thr}",
+            threshold=thr,
+        )
+    return thr
+
+
 def _log_envelope_parts(w: CarlemanWeights, s: float, times: np.ndarray):
     """Log-space values of s*xi, 2*s*alpha on the grid, per time node."""
     log_s_xi = np.log(s) + np.log(w.xi0)
@@ -443,13 +432,7 @@ def check_envelope_bounds(weights: CarlemanWeights, s: float, times: np.ndarray)
     """
     w = weights
     T = w.t_final
-    thr = w.s_threshold
-    if s < thr * (1 - 1e-12):
-        raise WeightError(
-            "s-below-threshold",
-            f"s = {s} is below the admissibility threshold 4*T/|M0| = {thr}",
-            threshold=thr,
-        )
+    thr = _admissible_threshold(w, s)
     tol = 1e-12
     m0 = abs(w.ext_alpha_min)
     n0 = w.ext_xi_min
@@ -560,13 +543,7 @@ def observability_constants(
     """
     w = weights
     T = w.t_final
-    thr = w.s_threshold
-    if s < thr * (1 - 1e-12):
-        raise WeightError(
-            "s-below-threshold",
-            f"s = {s} is below the admissibility threshold 4*T/|M0| = {thr}",
-            threshold=thr,
-        )
+    thr = _admissible_threshold(w, s)
     beta = 2.0 + sum(float(sup_norms.get(k, 0.0)) ** 2 for k in ("a0", "b0", "b", "a1"))
     m0 = abs(w.ext_alpha_min)
     rate_m = 2 * m0 * s / np.sqrt(T)

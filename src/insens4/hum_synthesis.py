@@ -661,14 +661,14 @@ def _ratio_stack(problem: ValidatedProblem, phi0s: Array, weights: Array,
     """Observability ratios of a (B, *shape) stack of seeds, row by row.
 
     Each row is the adjoint pair of :func:`solve_adjoint_pair`, and the
-    stack marches together on the boxes its masks read.  Both marches run
-    ``in_modes``.  phi's ``on_step`` converts each midpoint on the obs box
-    only and records chi_obs phi there, which is psi's per-row box source.
-    psi's ``on_step`` streams, per row and step, the sum of psi^2 (by Parseval,
-    from the modes) and that of omega psi^2 (on omega's box).  No step
-    transforms a full grid and no (Nt, *shape) field is stored.  Returns
-    (ratio, degenerate) per row; a row whose control-window energy
-    underflows is degenerate.
+    stack marches together on the boxes its masks read.  Each march's
+    ``on_step`` sees its midpoints' sine coefficients.  phi's converts each
+    midpoint on the obs box only and records chi_obs phi there, which is
+    psi's per-row box source.  psi's streams, per row and step, the sum of
+    psi^2 (by Parseval, from the modes) and that of omega psi^2 (on omega's
+    box).  No step transforms a full grid and no (Nt, *shape) field is
+    stored.  Returns (ratio, degenerate) per row; a row whose
+    control-window energy underflows is degenerate.
     """
     grid = problem.grid
     basis = problem.basis
@@ -688,11 +688,9 @@ def _ratio_stack(problem: ValidatedProblem, phi0s: Array, weights: Array,
             parseval * np.einsum("bi,bi->b", modes, modes),
             np.einsum("i,bi,bi->b", omega_values, on_omega, on_omega)])
 
-    phi = solve_forward(grid, ops.costate_schedule, phi0s, on_step=observed,
-                        in_modes=True)
+    phi = solve_forward(grid, ops.costate_schedule, phi0s, on_step=observed)
     psi = solve_backward(grid, ops.state_schedule, np.zeros(phi0s.shape),
-                         phi.fields, on_step=energies, source_box=obs.box,
-                         in_modes=True)
+                         phi.fields, on_step=energies, source_box=obs.box)
     cell = grid.dt * basis.cell_volume
     nums = cell * (weights @ psi.fields[:, 0])
     dens = cell * np.sum(psi.fields[:, 1], axis=0)

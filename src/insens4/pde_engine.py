@@ -67,21 +67,21 @@ midpoints in modes and converts the record in place after the last, in
 chunks of time steps of at most RECORD_CHUNK_BYTES each, so it never
 holds two records.  Besides those, the loop transforms only a nonzero
 start and the end state (a GMRES solve and a reaction transform inside
-their steps).  A march with a hook converts each midpoint as it is made,
-unless it runs ``in_modes``.  A reaction F(u, grad u, hess u) enters that
-loop as one more source evaluated at the midpoint average, adding c
-F^(mid_j) to the right-hand side.  Each step relaxes it by lagged
-iteration from F(u_j), and a row stops updating once its update meets
-RELAX_TOL (1 + |u_j|).  An ``on_step`` hook sees every midpoint average
-and chooses what the trajectory records, so a batched march can stream a
-reduction instead of storing every row.  With ``in_modes`` the hook (and
-the record) sees the midpoint's sine coefficients the march steps in,
-without a transform.
+their steps).  A reaction F(u, grad u, hess u) enters that loop as one
+more source evaluated at the midpoint average, adding c F^(mid_j) to the
+right-hand side.  Each step relaxes it by lagged iteration from F(u_j),
+and a row stops updating once its update meets RELAX_TOL (1 + |u_j|).
+
+An ``on_step`` hook sees every midpoint average and chooses what the
+trajectory records, so a batched march can stream a reduction instead of
+storing every row.  A linear march's hook sees the midpoint's sine
+coefficients, the form the march steps in, and converts only what it
+reads (``basis.from_modes(mid, box)`` on a box); a nonlinear march's hook
+sees node values, which its relaxation already holds.
 
 A linear march can also take its source on a box of nodes (one slice per
 axis, zero outside).  The source then comes in step by step through boxed
-sine transforms, and an ``in_modes`` hook that reads a box converts each
-midpoint on that box only, so a march whose source or observer lives on a
+sine transforms, so a march whose source or observer lives on a
 subdomain pays for the subdomain only and never holds a full
 (Nt, B, *shape) stack of source modes.
 """
@@ -209,22 +209,19 @@ def _broadcast_if_uniform(arr: Array, dim: int) -> Array:
     return np.broadcast_to(first, arr.shape)
 
 
-def _lower_apply(basis: SineBasis, nc: NodeCoefficients, u: Array,
-                 dx: Callable[[int], Array] | None = None,
-                 d2: Callable[[int, int], Array] | None = None) -> Array:
-    """Lo u at one node; ``dx(ax)``, ``d2(i, j)`` give u's derivatives.
+def _lower_apply(basis: SineBasis, nc: NodeCoefficients, u: Array) -> Array:
+    """Lo u at one node.
 
-    Each d2(i, j) is taken once per apply: ``b`` and ``a1`` share the
-    same-axis ones.
+    Each second derivative d2(i, j) of u is taken once per apply: ``b``
+    and ``a1`` share the same-axis ones.
     """
-    dx = dx or functools.partial(basis.dx, u)
-    d2 = functools.cache(d2 or functools.partial(basis.d2, u))
+    d2 = functools.cache(functools.partial(basis.d2, u))
     out = np.zeros_like(u)
     if nc.a0 is not None:
         out += nc.a0 * u
     if nc.b0 is not None:
         for ax in range(basis.dim):
-            out += nc.b0[ax] * dx(ax)
+            out += nc.b0[ax] * basis.dx(u, ax)
     if nc.b is not None:
         for i in range(basis.dim):
             for j in range(basis.dim):
@@ -269,11 +266,11 @@ class Trajectory:
     """Midpoint-averaged space-time field with exact end states.
 
     ``fields[j]`` is the average of the two integer-node states around
-    the midpoint node t_j (its sine coefficients for a march run with
-    ``in_modes``); ``state0`` and ``stateT`` are the untouched
-    integer-node states at t = 0 and t = T.  A march from a stack
-    (B, *shape) records fields (Nt, B, *shape) and end states (B, *shape);
-    ``norm_l2h2`` is that of a single field.
+    the midpoint node t_j, or what an ``on_step`` hook returned for it;
+    ``state0`` and ``stateT`` are the untouched integer-node states at
+    t = 0 and t = T.  A march from a stack (B, *shape) records fields
+    (Nt, B, *shape) and end states (B, *shape); ``norm_l2h2`` is that of a
+    single field.
     """
 
     basis: SineBasis
@@ -787,12 +784,8 @@ def _march(
     reaction: Callable[[Array], Array] | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
-    in_modes: bool = False,
 ) -> Trajectory:
-    """The one CN step loop behind every march (see the module notes).
-
-    ``in_modes`` applies to linear marches only (``reaction`` None).
-    """
+    """The one CN step loop behind every march (see the module notes)."""
     basis = grid.basis
     nt = grid.n_steps
     dt = grid.dt
@@ -822,7 +815,7 @@ def _march(
             return x
         return x + c * basis.to_modes(source[j], source_box)
 
-    defer = reaction is None and on_step is None and not in_modes
+    defer = reaction is None and on_step is None
     fields = None
     # a zero start (y0 = 0, every costate's terminal) needs no transform
     x = basis.to_modes(first) if first.any() else np.zeros_like(first)
@@ -832,8 +825,6 @@ def _march(
             # the right-hand side is freed before the update allocates
             mid = solve(j, rhs_at(j, x))
             x = 2.0 * mid - x
-            if not (defer or in_modes):
-                mid = basis.from_modes(mid)
         else:
             rhs = rhs_at(j, x)
             x, mid = _relax(lambda f: solve(j, rhs + c * f), basis, j, x, u,
@@ -861,7 +852,6 @@ def solve_forward(
     source: Array | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
-    in_modes: bool = False,
 ) -> Trajectory:
     """March the state equation from t = 0 to t = T.
 
@@ -878,16 +868,13 @@ def solve_forward(
         ``source_box`` it holds the values on that box, (Nt, *box shape)
         or (Nt, B, *box shape), and the source is zero elsewhere.
     on_step : callable(j, mid) -> array, optional
-        Sees each step's midpoint average and returns what ``fields[j]``
-        records, so a batched march can stream a reduction instead of
-        storing every row.
+        Sees each step's midpoint average as sine coefficients and returns
+        what ``fields[j]`` records, so a batched march can stream a
+        reduction instead of storing every row.  A hook that needs node
+        values converts them, on a box only with ``basis.from_modes(mid,
+        box)``.  The end states stay physical.
     source_box : tuple of slices, optional
         A box of nodes, one slice per axis, that holds the source.
-    in_modes : bool
-        When true, ``on_step`` and ``fields`` see each midpoint's sine
-        coefficients instead of its node values, so a hook that needs the
-        values on a box only converts them with ``basis.from_modes(mid,
-        box)``.  The end states stay physical.
 
     Raises
     ------
@@ -900,7 +887,7 @@ def solve_forward(
         ``residuals`` trail in its context.
     """
     return _march(grid, schedule, initial, source, False, on_step=on_step,
-                  source_box=source_box, in_modes=in_modes)
+                  source_box=source_box)
 
 
 def solve_backward(
@@ -910,18 +897,17 @@ def solve_backward(
     source: Array | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
     source_box: tuple[slice, ...] | None = None,
-    in_modes: bool = False,
 ) -> Trajectory:
     """March the exact transpose steps from t = T down to t = 0.
 
     The result's ``state0`` is the adjoint state at t = 0 on the integer
     node, the quantity every duality identity below refers to.  The
-    stack, the (shared or per-row) source, ``on_step``, ``source_box`` and
-    ``in_modes`` are as in :func:`solve_forward`; ``on_step`` sees the
-    steps from j = Nt - 1 down to 0.
+    stack, the (shared or per-row) source, ``on_step`` and ``source_box``
+    are as in :func:`solve_forward`; ``on_step`` sees the steps from
+    j = Nt - 1 down to 0.
     """
     return _march(grid, schedule, terminal, source, True, on_step=on_step,
-                  source_box=source_box, in_modes=in_modes)
+                  source_box=source_box)
 
 
 def solve_forward_nonlinear(
@@ -936,7 +922,8 @@ def solve_forward_nonlinear(
 
     The reaction enters the step loop of :func:`solve_forward` as a
     source at the midpoint average, relaxed per step by lagged
-    iteration; ``initial``, ``source`` and ``on_step`` are as there.
+    iteration; ``initial`` and ``source`` are as there, and ``on_step``
+    sees each midpoint's node values.
 
     Raises
     ------
@@ -945,9 +932,11 @@ def solve_forward_nonlinear(
         context names the ``step``, the ``row`` of a batched start and the
         relative ``updates`` trail.
     """
-    if nonlinearity.is_zero:
-        return solve_forward(grid, schedule, initial, source, on_step=on_step)
     basis = grid.basis
+    if nonlinearity.is_zero:
+        # a linear march's hook sees modes
+        hook = on_step and (lambda j, mid: on_step(j, basis.from_modes(mid)))
+        return solve_forward(grid, schedule, initial, source, on_step=hook)
 
     if nonlinearity.state_only:
         # F ignores p and r: zero-stride placeholders of their shapes

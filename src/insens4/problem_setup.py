@@ -137,7 +137,10 @@ def build_mask(grid: Grid, boxes, label: str = "", smooth: bool = False) -> Subd
 
     Sharp masks (default) are exactly one at nodes strictly inside a box
     and zero elsewhere.  With ``smooth=True`` each box edge carries a
-    one-cell quintic ramp instead.  ``label`` names the mask in errors.
+    quintic ramp over two cells (or half the box, if that is shorter)
+    instead, so at least one node lies strictly inside each ramp even when
+    the edge is a node; the support is the sharp mask's.  ``label`` names
+    the mask in errors.
 
     Raises
     ------
@@ -163,7 +166,7 @@ def build_mask(grid: Grid, boxes, label: str = "", smooth: bool = False) -> Subd
         for ax, (lo, hi) in enumerate(box):
             x = basis.nodes[ax]
             h = basis.extents[ax] / basis.n_cells
-            ramp = min(h, (hi - lo) / 2)
+            ramp = min(2 * h, (hi - lo) / 2)
             if smooth:
                 ax_vals = _smoothstep((x - lo) / ramp) * _smoothstep((hi - x) / ramp)
             else:

@@ -8,11 +8,12 @@ marched in a batch of B >= 2 gives the same bits as the same row marched
 in any other batch of B >= 2 (dense products with one row take a
 different BLAS kernel, so single fields are compared with a tolerance).
 
-A linear march may also take its source on a box of nodes, and an
-``in_modes`` hook may record its midpoints on a box; on every path that
-equals the full march with the source embedded in zeros and the record
-sliced to the box.  A stack may take one source per row, and a march may
-record its midpoints in sine coefficients.
+A linear march may also take its source on a box of nodes, and its
+``on_step`` hook, which sees each midpoint's sine coefficients, may record
+the midpoint on a box; on every path that equals the full march with the
+source embedded in zeros and the record sliced to the box.  A stack may
+take one source per row, and a hook may record the sine coefficients
+themselves.
 
 A full-grid source goes to modes in one product before the loop and a
 record without a hook comes back in one product after it, so
@@ -147,9 +148,9 @@ class TestBatchedLinearMarch:
         full = solve_forward(grid, schedule, starts)
         seen = []
 
-        def keep_last(j, mid):
+        def keep_last(j, modes):
             seen.append(j)
-            return mid[-1]
+            return grid.basis.from_modes(modes)[-1]
 
         streamed = solve_forward(grid, schedule, starts, on_step=keep_last)
         assert seen == list(range(grid.n_steps))
@@ -164,7 +165,7 @@ class TestBatchedLinearMarch:
 
 
 def _on_box(basis, box, j, modes):
-    """An in_modes hook that records each midpoint's values on ``box``."""
+    """A linear march's hook that records each midpoint's values on ``box``."""
     return basis.from_modes(modes, box)
 
 
@@ -193,10 +194,9 @@ class TestBoxedMarch:
         on_step = functools.partial(_on_box, grid.basis, box)
         runs = {
             "source": (solve(source[on_box], source_box=box), full.fields),
-            "record": (solve(source, on_step=on_step, in_modes=True),
-                       full.fields[on_box]),
-            "both": (solve(source[on_box], source_box=box, on_step=on_step,
-                           in_modes=True), full.fields[on_box]),
+            "record": (solve(source, on_step=on_step), full.fields[on_box]),
+            "both": (solve(source[on_box], source_box=box, on_step=on_step),
+                     full.fields[on_box]),
         }
         scale = np.abs(full.fields).max()
         for name, (traj, want) in runs.items():
@@ -220,8 +220,7 @@ class TestBoxedMarch:
 
         solve = solve_backward if backward else solve_forward
         start = _stack(grid.basis, 4, 1)[0]
-        traj = solve(grid, make_schedule(grid, {}), start, on_step=norm,
-                     in_modes=True)
+        traj = solve(grid, make_schedule(grid, {}), start, on_step=norm)
         order = range(grid.n_steps)
         assert seen == [(j, (3, 4)) for j in (order[::-1] if backward else order)]
         full = solve(grid, make_schedule(grid, {}), start)
@@ -292,7 +291,7 @@ class TestPerRowSource:
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
-    def test_in_modes_records_sine_coefficients(self, path, backward):
+    def test_hook_records_sine_coefficients(self, path, backward):
         dim, coeffs = _coefficients(path, (0.5, 0.1, 0.4, 0.05, 1.0))
         grid = _grid(dim)
         schedule = make_schedule(grid, coeffs)
@@ -300,14 +299,14 @@ class TestPerRowSource:
         solve = functools.partial(solve_backward if backward else solve_forward,
                                   grid, schedule, starts, _source(grid, 7))
         phys = solve()
-        modes = solve(in_modes=True)
+        modes = solve(on_step=lambda j, c: c)
         want = grid.basis.to_modes(phys.fields)
         assert np.abs(modes.fields - want).max() <= 1e-12 * np.abs(want).max()
         # the end states stay physical
         assert np.array_equal(modes.state0, phys.state0)
         assert np.array_equal(modes.stateT, phys.stateT)
         # on_step sees the recorded coefficients
-        streamed = solve(on_step=lambda j, c: c[1], in_modes=True)
+        streamed = solve(on_step=lambda j, c: c[1])
         assert np.array_equal(streamed.fields, modes.fields[:, 1])
 
 
@@ -388,11 +387,10 @@ class TestSourceAndRecordTransforms:
         solve = functools.partial(solve_backward if backward else solve_forward,
                                   grid, schedule, start, source)
         calls = _count_transforms(monkeypatch)
-        solve(on_step=lambda j, mid: mid[0])
+        solve(on_step=lambda j, modes: grid.basis.from_modes(modes)[0])
         assert calls == {("to_modes", False): 2, ("from_modes", False): nt + 1}
         calls.clear()
-        solve(on_step=functools.partial(_on_box, grid.basis, (slice(2, 5),)),
-              in_modes=True)
+        solve(on_step=functools.partial(_on_box, grid.basis, (slice(2, 5),)))
         assert calls == {("to_modes", False): 2, ("from_modes", True): nt,
                          ("from_modes", False): 1}
 
@@ -427,7 +425,7 @@ class TestSourceAndRecordTransforms:
         try:
             psi = solve_backward(grid, schedule, np.zeros((rows,) + grid.shape),
                                  sources, on_step=lambda j, c: np.sum(c * c, axis=(1, 2)),
-                                 source_box=box, in_modes=True)
+                                 source_box=box)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

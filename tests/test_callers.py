@@ -1,5 +1,7 @@
-"""Every public function and class of the package has a caller in src/."""
+"""Every public function and class of the package has a caller in src/, and
+is imported from the module that defines it."""
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "insens4"
@@ -46,3 +48,21 @@ def test_every_exported_definition_has_a_src_caller():
             if not called:
                 uncalled.append(f"{stem}.{name}")
     assert uncalled == []
+
+
+def test_package_root_is_its_docstring():
+    # one import path per name: callers import from the defining module
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1
+
+
+def test_every_exported_name_exists():
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"insens4.{path.stem}")
+        missing += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []

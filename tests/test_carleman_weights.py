@@ -74,6 +74,23 @@ class TestProfile:
         prod = ax0 * ax1 / eta2.sup
         assert eta2.value_at(x) == pytest.approx(prod, rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_mesh_evaluation_matches_points(self, dim):
+        # value_at and grad_at broadcast over basis.mesh(); build_eta's grid
+        # values are those of the point evaluations at every node
+        g = build_grid(dim, 1.0, 12, 1.0, 20)
+        m = build_mask(g, [(0.4, 0.7)] if dim == 1 else [((0.4, 0.7), (0.3, 0.6))],
+                       "omega0")
+        eta_d = build_eta(g.basis, m.support)
+        grad = eta_d.grad_at(g.basis.mesh())
+        assert grad.shape == (dim,) + g.shape
+        assert np.array_equal(eta_d.value_at(g.basis.mesh()), eta_d.values)
+        for idx in np.ndindex(g.shape):
+            point = tuple(nodes[i] for nodes, i in zip(g.basis.nodes, idx))
+            assert eta_d.value_at(point) == pytest.approx(eta_d.values[idx], rel=1e-14)
+            assert np.allclose(eta_d.grad_at(point), grad[(slice(None),) + idx],
+                               rtol=1e-14, atol=0)
+
 
 class TestSteepnessGuard:
     @pytest.fixture(scope="class")

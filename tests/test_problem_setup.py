@@ -69,20 +69,25 @@ class TestMask:
         expected = ((x > 0.2) & (x < 0.5)) | ((x > 1.5) & (x < 1.8))
         assert np.array_equal(m.support, expected)
 
-    def test_smooth_mask_ramps(self):
-        # edges between nodes, so each one-cell ramp holds a node
+    # edges between nodes, and edges on nodes (nodes 8 and 24), where a
+    # one-cell ramp would hold no node and equal the sharp mask
+    @pytest.mark.parametrize("lo,hi,ramp_nodes", [(0.53, 1.47, 4),
+                                                  (0.5, 1.5, 2)])
+    def test_smooth_mask_ramps(self, lo, hi, ramp_nodes):
         g = build_grid(1, 2.0, 32, 1.0, 20)
-        lo, hi = 0.53, 1.47
         m = build_mask(g, [(lo, hi)], "m", smooth=True)
         assert np.any((m.values > 0) & (m.values < 1))
         assert np.all(m.values >= 0) and np.all(m.values <= 1)
-        # plateau one cell in from each edge, strict ramp just inside it
+        # plateau two cells in from each edge, strict ramp just inside it
         x = g.basis.nodes[0]
-        core = (x >= lo + 2.0 / 32) & (x <= hi - 2.0 / 32)
+        ramp = 2 * 2.0 / 32
+        core = (x >= lo + ramp) & (x <= hi - ramp)
         assert np.allclose(m.values[core], 1.0)
-        edge = ((x > lo) & (x < lo + 2.0 / 32)) | ((x < hi) & (x > hi - 2.0 / 32))
-        assert edge.sum() == 2
+        edge = ((x > lo) & (x < lo + ramp)) | ((x < hi) & (x > hi - ramp))
+        assert edge.sum() == ramp_nodes
         assert np.all((m.values[edge] > 0) & (m.values[edge] < 1.0))
+        # the support is the sharp mask's
+        assert np.array_equal(m.support, build_mask(g, [(lo, hi)], "m").support)
 
     def test_2d_box(self):
         g = build_grid(2, 2.0, 12, 1.0, 20)

@@ -42,20 +42,20 @@ time-varying coefficients) solves (D + c T Lo_j F) mid_j = rhs, with T and F
 the to/from-mode transforms, D = 1 + c |kappa|^4 and Lo_j the lower-order
 part at node j; the backward march solves with T Lo_j^T F, the exact
 transpose, so no physical-space right-hand side (I - c A) u is formed.
-In 1D the distinct nodes' step matrices D + c T Lo_j F are built in
-closed form (Toeplitz plus Hankel in the modes) and inverted in stacks,
-chunk by chunk.  A matrix that is strictly column diagonally dominant,
-the usual case unless c times the lower-order coefficients is large, is
-inverted by recursive Schur complements in stacked matrix products, any
-other by LAPACK (``np.linalg.inv``).  The inverses
-P_j = M_j^-1 D^-1, with M_j = I + c D^-1 T Lo_j F, are cached on the
-schedule, so every march of a frozen linearization reuses them: a forward
-step is rhs @ P_j^T and a backward step rhs @ P_j.  A stack of inverses
-larger than INVERSE_STACK_CAP_BYTES is not built.  In 2D, and in 1D over
-that cap, the solve is a matrix-free GMRES right-preconditioned with the
-symbol of the node's mean coefficients, 1 + c lambda(a0-bar, a1-bar,
-b_ii-bar), so the Krylov space only has to resolve the coefficients'
-fluctuation about their means.
+In 1D the distinct nodes' step matrices D + c T Lo_j F are built in closed
+form (Toeplitz plus Hankel in the modes) into one stack and inverted
+there, chunk by chunk.  A matrix whose off-diagonal column sums are at
+most half its diagonal entries, the usual case unless c times the
+lower-order coefficients is large, is inverted by a Neumann series on its
+own diagonal in Euler's product form, any other by LAPACK
+(``np.linalg.inv``).  The inverses P_j = (D + c T Lo_j F)^-1 are cached
+on the schedule, so every march of a frozen linearization reuses them: a
+forward step is rhs @ P_j^T and a backward step rhs @ P_j.  A stack of
+inverses larger than INVERSE_STACK_CAP_BYTES is not built.  In 2D, and in
+1D over that cap, the solve is a matrix-free GMRES right-preconditioned
+with the symbol of the node's mean coefficients, 1 + c lambda(a0-bar,
+a1-bar, b_ii-bar), so the Krylov space only has to resolve the
+coefficients' fluctuation about their means.
 
 One step loop (``_march``) runs every march and takes its sources in
 modes.  A march starts from one field or from a stack (B, *shape):
@@ -114,11 +114,11 @@ Array = np.ndarray
 
 # Largest stack of inverted 1D mode-space step matrices (n^2 * 8 bytes
 # each) a schedule may cache; a march whose stack would be bigger solves its
-# steps by GMRES.  The stack is built and inverted in chunks of at most
-# INVERSE_CHUNK_BYTES of matrices; inverting a chunk by Schur complements
-# peaks at about 2.4 chunks of memory, its result included.
+# steps by GMRES.  The stack is built and inverted in place in chunks of at
+# most INVERSE_CHUNK_BYTES (12 matrices of 63 x 63), each inverted with two
+# more chunks of memory, so a build peaks at its stack plus 0.75 MiB.
 INVERSE_STACK_CAP_BYTES = 64 * 2**20
-INVERSE_CHUNK_BYTES = 2**19
+INVERSE_CHUNK_BYTES = 3 * 2**17
 # GMRES midpoint solve: relative residual tolerance and Krylov dimension cap.
 INNER_TOL = 1e-13
 INNER_CAP = 40
@@ -393,14 +393,13 @@ def _scan_diagonal(basis: SineBasis, schedule: Schedule, nt: int,
 class _ModeInverse:
     """Inverted 1D mode-space step matrices of one schedule.
 
-    ``inv[slots[j]]`` is P_j = (D + c T Lo_j F)^-1 = M_j^-1 D^-1, with
-    M_j = I + c D^-1 T Lo_j F; nodes shared between steps share a slot.
-    A forward step is ``rhs @ P_j.T`` and a backward step ``rhs @ P_j``,
-    the exact transpose.
+    ``inv[slots[j]]`` is P_j = (D + c T Lo_j F)^-1 in one (nodes, n, n)
+    stack; nodes shared between steps share a slot.  A forward step is
+    ``rhs @ P_j.T`` and a backward step ``rhs @ P_j``, the exact transpose.
     """
 
     slots: Array = field(repr=False)
-    inv: list[Array] = field(repr=False)   # (n, n) per distinct node
+    inv: Array = field(repr=False)   # (nodes, n, n)
 
 
 def _hankel(vals: Array, n: int) -> Array:
@@ -448,57 +447,59 @@ def _node_matrices(basis: SineBasis, dt: float,
     return out
 
 
-def _block_inverse(mats: Array) -> Array:
-    """The inverses of a stack of strictly column diagonally dominant
-    matrices, by recursive 2 x 2 Schur complements in stacked products.
+def _neumann_inverse(mats: Array, terms: Array, free: Array) -> Array:
+    """The inverses of a stack of matrices M = (I + R) D, D the diagonal
+    of M, by the first 2^K terms of the Neumann series of (I + R)^-1 in
+    Euler's product form, K = ``terms`` per node, in 2 (K - 1) products:
 
-    With M = [[A, B], [C, D]], X = A^-1 B, Y = C A^-1 and the Schur
-    complement S = D - C X,
+        M^-1 = D^-1 (I - R) (I + R^2) (I + R^4) ... (I + R^(2^(K-1))).
 
-        M^-1 = [[A^-1 + X S^-1 Y, -X S^-1], [-S^-1 Y, S^-1]].
-
-    A and S are again strictly column dominant, so no step pivots
-    (elimination without pivoting is then as stable as with it); matrices
-    of at most 16 rows go to ``np.linalg.inv``.
+    A node past its own K takes zero for its later powers, which leaves
+    its product unchanged to the bit, so its inverse does not depend on
+    its stack-mates.  Overwrites ``mats`` and the work array ``free``.
     """
-    n = mats.shape[-1]
-    if n <= 16:
-        return np.linalg.inv(mats)
-    k = n // 2
-    out = np.empty_like(mats)
-    a_inv = _block_inverse(mats[..., :k, :k])
-    x = a_inv @ mats[..., :k, k:]
-    y = mats[..., k:, :k] @ a_inv
-    # S is formed where S^-1 goes
-    s = np.matmul(mats[..., k:, :k], x, out=out[..., k:, k:])
-    np.subtract(mats[..., k:, k:], s, out=s)
-    s_inv = _block_inverse(s)
-    out[..., k:, k:] = s_inv
-    np.matmul(x, s_inv, out=out[..., :k, k:])
-    np.matmul(s_inv, y, out=out[..., k:, :k])
-    np.matmul(out[..., :k, k:], y, out=out[..., :k, :k])
-    out[..., :k, :k] += a_inv
-    np.negative(out[..., :k, k:], out=out[..., :k, k:])
-    np.negative(out[..., k:, :k], out=out[..., k:, :k])
-    return out
+    idx = np.arange(mats.shape[-1])
+    inv_d = 1.0 / mats[:, idx, idx]
+    acc = np.multiply(mats, -inv_d[:, None, :], out=mats)
+    acc[:, idx, idx] = 0.0     # -R
+    power = acc @ acc          # R^2
+    acc[:, idx, idx] = 1.0     # I - R
+    last = int(terms.max(initial=2))
+    for i in range(1, last):
+        power[terms <= i] = 0.0
+        # acc (I + power) = acc + acc power
+        np.add(acc, np.matmul(acc, power, out=free), out=free)
+        acc, free = free, acc
+        if i + 1 < last:
+            power, free = np.matmul(power, power, out=free), power
+    return np.multiply(acc, inv_d[:, :, None], out=acc)
 
 
 def _invert(mats: Array) -> Array:
-    """The inverses of a stack of node matrices.
+    """The inverses of a finite stack of node matrices; may overwrite ``mats``.
 
     Every node inversion of the engine is one matrix of one call here.  A
-    node whose matrix is strictly column diagonally dominant (2 |m_jj| >
-    sum_i |m_ij| for every column j), and so nonsingular, is inverted by
-    ``_block_inverse``; every other node by ``np.linalg.inv``.  A node's
-    inverse does not depend on the other nodes of the stack.
+    node whose remainder R = (M - D) D^-1 off its diagonal D has
+    rho = ||R||_1 <= 1/2 goes to ``_neumann_inverse`` with the least K >= 2
+    for which rho^(2^K) (1 + rho) / (1 - rho) <= 2^-53, every other node
+    to ``np.linalg.inv``.  A node's inverse does not depend on the other
+    nodes of the stack.
     """
-    diag = np.abs(np.diagonal(mats, axis1=1, axis2=2))
-    dominant = (2 * diag > np.abs(mats).sum(axis=1)).all(axis=1)
-    if dominant.all():
-        return _block_inverse(mats)
+    absm = np.abs(mats)
+    diag = np.diagonal(absm, axis1=1, axis2=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero diagonal gives inf or nan, which fails the test below
+        rho = ((absm.sum(axis=1) - diag) / diag).max(axis=1)
+    neumann = rho <= 0.5
+    rho = rho[neumann, None]
+    # K - 2 counts the k = 2 .. 5 with rho^(2^k) (1 + rho) / (1 - rho) > 2^-53
+    terms = 2 + np.count_nonzero(
+        rho ** [4, 8, 16, 32] * ((1 + rho) / (1 - rho)) > 2**-53, axis=1)
+    if neumann.all():
+        return _neumann_inverse(mats, terms, absm)   # |M| is spent
     inv = np.empty_like(mats)
-    inv[dominant] = _block_inverse(mats[dominant])
-    inv[~dominant] = np.linalg.inv(mats[~dominant])
+    inv[neumann] = _neumann_inverse(mats[neumann], terms, absm[neumann])
+    inv[~neumann] = np.linalg.inv(mats[~neumann])
     return inv
 
 
@@ -508,7 +509,7 @@ def _node_inverses(mats: Array, steps: Array, finite: Array) -> Array:
     ``finite`` flags the nodes whose matrices are finite; a finite stack
     goes to ``_invert``.  Raises ``implicit-step-singular`` naming the
     first step whose matrix is not finite or, when all are, the first that
-    is singular (only a matrix that is not column dominant can be, and
+    is singular (only a matrix that ``_invert`` hands to LAPACK can be, and
     LAPACK then refuses the stack) or has a non-finite inverse.
     """
     ok = finite
@@ -545,8 +546,8 @@ def _mode_inverse(basis: SineBasis, schedule: Schedule, nt: int,
 
     Returns None in 2D and when the stack of inverses would exceed
     INVERSE_STACK_CAP_BYTES; those marches solve their steps by GMRES.
-    The matrices are built and inverted in chunks of at most
-    INVERSE_CHUNK_BYTES.
+    The matrices are built into the stack of inverses and inverted there,
+    chunk by chunk, each chunk with at most two temporaries of its size.
     """
     if basis.dim != 1:
         return None
@@ -586,14 +587,13 @@ def _mode_inverse(basis: SineBasis, schedule: Schedule, nt: int,
     finite = np.logical_and.reduce([np.isfinite(v).all(axis=1)
                                     for v, _, _ in terms])
     chunk = max(1, INVERSE_CHUNK_BYTES // (n * n * 8))
-    buf = np.empty((min(chunk, len(nodes)), n, n))
-    inv = []
+    inv = np.empty((len(nodes), n, n))
     for i in range(0, len(nodes), chunk):
         part = slice(i, i + chunk)
         mats = _node_matrices(basis, dt, [(v[part], odd, col)
                                           for v, odd, col in terms],
-                              buf[:len(steps[part])])
-        inv.extend(_node_inverses(mats, steps[part], finite[part]))
+                              inv[part])
+        inv[part] = _node_inverses(mats, steps[part], finite[part])
     return _ModeInverse(slots, inv)
 
 
@@ -732,9 +732,9 @@ def _solver(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
     if factors is None:
         return _KrylovSolve(basis, schedule, dt, transpose)
     inv, slots = factors.inv, factors.slots
-    if transpose:
-        return lambda j, rhs: rhs @ inv[slots[j]]
-    return lambda j, rhs: rhs @ inv[slots[j]].T
+    if not transpose:
+        inv = inv.transpose(0, 2, 1)
+    return lambda j, rhs: rhs @ inv[slots[j]]
 
 
 def _relax(solve_with: Callable[[Array], Array], basis: SineBasis, j: int,

@@ -329,8 +329,9 @@ def _materialize_force(grid: Grid, force: np.ndarray | None) -> np.ndarray:
 def validate_problem(config: ProblemConfig) -> ValidatedProblem:
     """Check, complete, and seal a problem instance.
 
-    Verifies that the scalar parameters are finite and epsilon and
-    c_proxy positive, the mask geometry (omega and the observation set
+    Verifies that the scalar parameters are finite, epsilon, lam, s_factor
+    and c_proxy positive and s not negative (None or 0 picks it from the
+    threshold), the mask geometry (omega and the observation set
     overlap, the inner subdomain sits inside the overlap with a one-cell
     margin), asserts every declared coefficient bound against sampled
     values on the grid, checks the force switches on strictly after t = 0
@@ -351,12 +352,16 @@ def validate_problem(config: ProblemConfig) -> ValidatedProblem:
     basis = grid.basis
     for key in ("epsilon", "lam", "s", "s_factor", "c_proxy", "force_onset"):
         value = getattr(config, key)
+        name = "lambda" if key == "lam" else key   # as the config spells it
         # a NaN passes every comparison below and reaches the constants
         if value is not None and not math.isfinite(value):
-            raise SetupError("parameter-nonfinite", f"{key} = {value} is not "
+            raise SetupError("parameter-nonfinite", f"{name} = {value} is not "
                              "finite", key=key)
-        if key in ("epsilon", "c_proxy") and value <= 0:
-            raise SetupError("parameter-nonpositive", f"{key} = {value} must "
+        if key == "s" and value is not None and value < 0:
+            raise SetupError("parameter-nonpositive", f"s = {value} must not "
+                             "be negative (0 picks the threshold)", key=key)
+        if key in ("epsilon", "lam", "s_factor", "c_proxy") and value <= 0:
+            raise SetupError("parameter-nonpositive", f"{name} = {value} must "
                              "be positive", key=key)
 
     overlap = config.omega.support & config.obs.support

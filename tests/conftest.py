@@ -1,4 +1,6 @@
 """Shared fixtures: the default desk problem and a shrunk quick variant."""
+import collections
+
 import numpy as np
 import pytest
 
@@ -23,30 +25,22 @@ def unit_smooth(basis, rng, decay=1.5):
 def count_inverse_paths(monkeypatch):
     """Count node inverses by the path ``pde_engine._invert`` sends them.
 
-    ``block`` counts the matrices of outermost ``_block_inverse`` calls and
-    ``lapack`` those ``np.linalg.inv`` gets outside one (the recursion's
-    sub-blocks and base cases are not nodes).
+    ``neumann`` counts the matrices of ``_neumann_inverse`` calls by their
+    term count K (a ``Counter``), and ``lapack`` those of ``np.linalg.inv``
+    calls.
     """
-    counts = {"block": 0, "lapack": 0}
-    block, lapack = pde_engine._block_inverse, np.linalg.inv
-    depth = 0
+    counts = {"neumann": collections.Counter(), "lapack": 0}
+    neumann, lapack = pde_engine._neumann_inverse, np.linalg.inv
 
-    def blocked(mats):
-        nonlocal depth
-        if not depth:
-            counts["block"] += len(mats)
-        depth += 1
-        try:
-            return block(mats)
-        finally:
-            depth -= 1
+    def product(mats, terms, free):
+        counts["neumann"].update(terms.tolist())
+        return neumann(mats, terms, free)
 
     def inverted(mats):
-        if not depth:
-            counts["lapack"] += len(mats)
+        counts["lapack"] += len(mats)
         return lapack(mats)
 
-    monkeypatch.setattr(pde_engine, "_block_inverse", blocked)
+    monkeypatch.setattr(pde_engine, "_neumann_inverse", product)
     monkeypatch.setattr(np.linalg, "inv", inverted)
     return counts
 

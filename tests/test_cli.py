@@ -183,6 +183,9 @@ class TestFailureModes:
     @pytest.mark.parametrize("command,section,key,value", [
         ("observability", "weights", "c_proxy", "0"),
         ("weights-check", "weights", "c_proxy", "-1"),
+        ("weights-check", "weights", "lambda", "0"),
+        ("observability", "weights", "s_factor", "-1"),
+        ("weights-check", "weights", "s", "-1"),
         ("insensitize-linear", "penalty", "epsilon", "0"),
         ("insensitize-linear", "sampling", "gap_tol", "-1"),
     ])
@@ -374,7 +377,8 @@ _EDGES = ("0", "-1", "1e300", "nan", "abc")
 _POSITIVE = {("grid", "extent"), ("grid", "cells"), ("grid", "t_final"),
              ("grid", "steps"), ("penalty", "epsilon"), ("penalty", "tol"),
              ("penalty", "max_iter"), ("picard", "tol"),
-             ("picard", "max_iter"), ("weights", "c_proxy"),
+             ("picard", "max_iter"), ("weights", "lambda"),
+             ("weights", "s_factor"), ("weights", "c_proxy"),
              ("sampling", "samples"), ("sampling", "tau_probe"),
              ("sampling", "directions"), ("sampling", "gap_tol")}
 _BASE_2D = {"grid": {"dimension": "2"},
@@ -407,8 +411,9 @@ def _out_of_range(section, key, kind, value):
         return value != "0"
     if kind == "int" and value == "1e300":
         return True                          # not an integer
-    if value == "-1" and (section, key) == ("sampling", "mode_cap"):
-        return True
+    if value == "-1" and (section, key) in (("sampling", "mode_cap"),
+                                            ("weights", "s")):
+        return True                          # 0 means automatic
     return value in ("0", "-1") and (section, key) in _POSITIVE
 
 

@@ -498,9 +498,17 @@ def _column_ratio(mats):
     return ((absm.sum(axis=1) - diag) / diag).max(axis=1)
 
 
-class TestBlockInverse:
-    """Dominant node matrices are inverted by Schur complements in matmuls,
-    every other one by LAPACK."""
+def _terms(rho):
+    """The least K >= 2 with rho^(2^K) (1 + rho) / (1 - rho) <= 2^-53."""
+    k = 2
+    while rho ** 2**k * (1 + rho) / (1 - rho) > 2.0**-53:
+        k += 1
+    return k
+
+
+class TestNeumannInverse:
+    """Node matrices with rho <= 1/2 are inverted by a Neumann product on
+    their own diagonal, every other one by LAPACK."""
 
     ROLES = {
         "a0": lambda: {"a0": CoefficientField.from_callable(
@@ -510,42 +518,65 @@ class TestBlockInverse:
             1.0)},
         "a1": lambda: {"a1": CoefficientField.from_callable(
             "a1", lambda x, t: 0.3 * x * (2.0 - x) * (1 + t), 0.6)},
+        # tanh'(z) at a small state z, as a Picard linearization adds it
+        "tanh": lambda: {"a0": CoefficientField.from_callable(
+            "a0", lambda x, t: 1.0 - np.tanh(
+                0.05 * np.sin(np.pi * x / 2) * (1 + t)) ** 2, 1.0)},
     }
 
     @staticmethod
     def _advected():
-        # b0 = 100 t cos(pi x / 2): the later nodes' columns are not
-        # dominant, and advection keeps every step matrix nonsingular
+        # b0 = 100 t cos(pi x / 2): the later nodes' rho exceeds 1/2, and
+        # advection keeps every step matrix nonsingular
         return {"b0": CoefficientField.from_callable(
             "b0", lambda x, t: (100.0 * t * np.cos(np.pi * x / 2))[None],
             100.0)}
 
-    # n = 63 (odd), 32 (even) and 16 (the base case)
+    # n = 63 (odd), 32 (even) and 16
     @pytest.mark.parametrize("cells", [64, 33, 17])
     @pytest.mark.parametrize("role", ["a0", "b0", "a1"])
     def test_matches_lapack(self, monkeypatch, cells, role):
         grid = build_grid(1, 2.0, cells, 1.0, 40)
         mats = _node_stacks(monkeypatch, grid, self.ROLES[role]())
         assert mats.shape == (grid.n_steps, cells - 1, cells - 1)
-        assert np.all(_column_ratio(mats) < 1)
-        paths = count_inverse_paths(monkeypatch)
-        got = pde_engine._invert(mats)
-        assert paths == {"block": grid.n_steps, "lapack": 0}
+        assert np.all(_column_ratio(mats) <= 0.5)
         want = np.linalg.inv(mats)
+        paths = count_inverse_paths(monkeypatch)
+        got = pde_engine._invert(mats.copy())
+        assert sum(paths["neumann"].values()) == grid.n_steps
+        assert paths["lapack"] == 0
         err = np.linalg.norm(got - want, axis=(1, 2))
         assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+
+    @pytest.mark.parametrize("role,terms", [("tanh", 2), ("b0", 4)])
+    def test_terms_follow_own_rho(self, monkeypatch, role, terms):
+        grid = build_grid(1, 2.0, 64, 1.0, 40)
+        mats = _node_stacks(monkeypatch, grid, self.ROLES[role]())
+        want = [_terms(rho) for rho in _column_ratio(mats)]
+        assert set(want) == {terms}
+        seen = []
+        product = pde_engine._neumann_inverse
+
+        def recorded(m, k, free):
+            seen.extend(k.tolist())
+            return product(m, k, free)
+
+        monkeypatch.setattr(pde_engine, "_neumann_inverse", recorded)
+        pde_engine._invert(mats.copy())
+        assert seen == want
 
     def test_nondominant_node_takes_lapack(self, monkeypatch):
         grid = build_grid(1, 2.0, 32, 1.0, 40)
         mats = _node_stacks(monkeypatch, grid, self._advected())
-        dominant = int(np.sum(_column_ratio(mats) < 1))
-        assert 0 < dominant < grid.n_steps
+        eligible = int(np.sum(_column_ratio(mats) <= 0.5))
+        assert 0 < eligible < grid.n_steps
         y0 = np.random.default_rng(7).standard_normal(grid.shape)
         paths = count_inverse_paths(monkeypatch)
         sched = make_schedule(grid, self._advected())
         got = solve_forward(grid, sched, y0)
         assert isinstance(sched.factors[1], pde_engine._ModeInverse)
-        assert paths == {"block": dominant, "lapack": grid.n_steps - dominant}
+        assert sum(paths["neumann"].values()) == eligible
+        assert paths["lapack"] == grid.n_steps - eligible
         monkeypatch.setattr(pde_engine, "INVERSE_STACK_CAP_BYTES", 0)
         want = solve_forward(grid, make_schedule(grid, self._advected()), y0)
         assert np.linalg.norm(got.stateT - want.stateT) \
@@ -554,12 +585,20 @@ class TestBlockInverse:
     def test_node_inverse_ignores_chunk_mates(self, monkeypatch):
         grid = build_grid(1, 2.0, 32, 1.0, 40)
         mats = _node_stacks(monkeypatch, grid, self._advected())
-        dominant = _column_ratio(mats) < 1
-        mixed = pde_engine._invert(mats)
-        alone = pde_engine._invert(mats[dominant])
-        assert np.array_equal(mixed[dominant], alone)
-        j = int(np.flatnonzero(dominant)[-1])
+        eligible = _column_ratio(mats) <= 0.5
+        mixed = pde_engine._invert(mats.copy())
+        alone = pde_engine._invert(mats[eligible])
+        assert np.array_equal(mixed[eligible], alone)
+        j = int(np.flatnonzero(eligible)[-1])
         assert np.array_equal(mixed[j], pde_engine._invert(mats[j:j + 1])[0])
+        # nodes of K = 2 and K = 4 in one stack
+        small, large = (_node_stacks(monkeypatch, grid, self.ROLES[role]())
+                        for role in ("tanh", "b0"))
+        both = pde_engine._invert(np.concatenate([small, large]))
+        assert np.array_equal(both[:len(small)],
+                              pde_engine._invert(small.copy()))
+        assert np.array_equal(both[len(small):],
+                              pde_engine._invert(large.copy()))
 
 
 class TestMakeSchedule:

@@ -229,9 +229,14 @@ class TestValidateProblem:
         assert exc.value.code == "parameter-nonfinite"
         assert exc.value.context["key"] == key
 
-    @pytest.mark.parametrize("key,value", [("epsilon", 0.0), ("c_proxy", -1.0)])
+    @pytest.mark.parametrize("key,value", [
+        ("epsilon", 0.0), ("c_proxy", -1.0), ("lam", 0.0), ("lam", -1.0),
+        ("s_factor", 0.0), ("s_factor", -1.0), ("s", -1.0),
+    ])
     def test_nonpositive_parameter_rejected(self, key, value):
-        # c_proxy = 0 divides by zero in cost_h, c_proxy < 0 gives nan
+        # c_proxy = 0 divides by zero in cost_h, c_proxy < 0 gives nan; a
+        # weight parameter at or below zero is a usage error, not a failed
+        # admissibility check
         g = build_grid(1, 2.0, 16, 1.0, 20)
         with pytest.raises(SetupError) as exc:
             validate_problem(_config(g, **{key: value}))

@@ -396,7 +396,7 @@ def _admissible_threshold(w: CarlemanWeights, s: float) -> float:
         raise WeightError(
             "s-below-threshold",
             f"s = {s} is below the admissibility threshold 4*T/|M0| = {thr}",
-            threshold=thr,
+            threshold=thr, s=s,
         )
     return thr
 

@@ -40,7 +40,6 @@ __all__ = [
     "linearized_operators",
     "solve_adjoint_pair",
     "solve_cascade",
-    "sentinel",
     "sentinel_sensitivity",
 ]
 
@@ -130,11 +129,6 @@ def solve_cascade(
     q = solve_backward(grid, ops.costate_schedule, np.zeros(grid.shape),
                        problem.obs.values * y.fields)
     return CascadeSolution(y=y, q=q, q0=q.state0)
-
-
-def sentinel(y: Trajectory, obs_values: Array) -> float:
-    """Phi(y) = 1/2 int_Q chi_obs |y|^2 by midpoint quadrature."""
-    return float(0.5 * y.dt * y.basis.cell_volume * np.sum(obs_values * y.fields**2))
 
 
 @dataclass

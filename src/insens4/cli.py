@@ -149,7 +149,7 @@ def _cmd_weights_check(cfg: dict, out_dir: Path, quick: bool) -> int:
             raise
         # surface the admissibility threshold instead of dying on it
         thr = float(exc.context.get("threshold", math.nan))
-        s_req = cfg["weights"]["s"]
+        s_req = exc.context["s"]
         detail = (f"s = {format_cell(s_req)} is below the admissibility "
                   f"threshold 4*T/|M0| = {format_cell(thr)}")
         path = write_csv(out_dir / "weights_checks.csv", header,
@@ -401,7 +401,7 @@ def _mms_error(dim: int, extent: float, cells: int, t_final: float,
     seed_modes[(0,) * dim] = 1.0
     p = basis.from_modes(seed_modes)
     schedule = make_schedule(grid, coeffs)
-    ap = SpatialOperator(basis, schedule.node(0)).apply(p)
+    ap = SpatialOperator(basis, schedule.nodes[0]).apply(p)
 
     def g(t: float) -> float:
         return math.exp(-t) * (1.0 + 0.5 * math.sin(3.0 * t))
@@ -488,7 +488,7 @@ def _cmd_selftest(cfg: dict, out_dir: Path, quick: bool) -> int:
         "b": CoefficientField.constant("b", np.full((dim, dim), 0.3), dim),
         "a1": CoefficientField.constant("a1", 0.2, dim),
     }
-    op = SpatialOperator(basis, make_schedule(grid, synth).node(0))
+    op = SpatialOperator(basis, make_schedule(grid, synth).nodes[0])
     u = rng.standard_normal(basis.shape)
     w = rng.standard_normal(basis.shape)
     au = op.apply(u)

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cascade_sentinel import (
-    AdjointPair,
     CascadeOperators,
     CascadeSolution,
     linearized_operators,
@@ -52,8 +51,6 @@ __all__ = [
     "NullReport",
     "RatioReport",
     "shrink",
-    "eval_j",
-    "grad_j_smooth",
     "minimize_quadratic",
     "minimize_exact",
     "verify_null",
@@ -172,61 +169,12 @@ class _Synthesis:
         return self.forced.q0
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise SynthesisError("unknown-variant",
-                             f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
 def _check_epsilon(eps: float) -> float:
     eps = float(eps)
     if not eps > 0.0:
         raise SynthesisError("penalty-nonpositive",
                              f"penalty weight must be positive, got {eps}")
     return eps
-
-
-def eval_j(
-    problem: ValidatedProblem,
-    phi0: Array,
-    eps: float | None = None,
-    variant: str = "exact",
-    ops: CascadeOperators | None = None,
-) -> tuple[float, AdjointPair]:
-    """Penalized functional value at phi0, with its adjoint pair.
-
-    J = 1/2 int_{Q_omega} |psi|^2 + P(phi0) + int_Q f psi, where f is
-    the full affine state source (the forcing plus, in the frozen
-    regime, the constant reaction offset).
-    """
-    _check_variant(variant)
-    eps = _check_epsilon(problem.epsilon if eps is None else eps)
-    grid, basis = problem.grid, problem.basis
-    ops = ops or linearized_operators(problem)
-    pair = solve_adjoint_pair(problem, phi0, ops=ops)
-    cell = grid.dt * basis.cell_volume
-    smooth = 0.5 * cell * float(np.sum(problem.omega.values * pair.psi.fields**2))
-    forcing = cell * float(np.sum((problem.force_fields + ops.reaction_offset)
-                                  * pair.psi.fields))
-    n = basis.norm(phi0)
-    penalty = eps * n if variant == "exact" else 0.5 * eps * n * n
-    return smooth + forcing + penalty, pair
-
-
-def grad_j_smooth(
-    problem: ValidatedProblem,
-    phi0: Array,
-    ops: CascadeOperators | None = None,
-) -> Array:
-    """Gradient of the smooth part of J: q(0) of the driven cascade.
-
-    The control is v = psi of the adjoint pair, the force is on, so the
-    returned field equals Lambda phi0 + b by superposition.
-    """
-    ops = ops or linearized_operators(problem)
-    pair = solve_adjoint_pair(problem, phi0, ops=ops)
-    casc = solve_cascade(problem, pair.psi.fields, ops=ops, include_force=True)
-    return casc.q0
 
 
 def _control_bound(problem: ValidatedProblem) -> float:

@@ -1,10 +1,10 @@
 """Semilinear reaction terms F(u, grad u, hess u) with analytic partials.
 
 Each catalog entry bundles the scalar evaluator with its partial
-derivatives in the state, gradient, and Hessian slots.  Partials are
-cross-checked against central finite differences at construction, so a
-mistyped derivative fails fast instead of corrupting a linearization
-downstream.
+derivatives in the state slot and in whichever of the gradient and
+Hessian slots it reads.  Partials are cross-checked against central
+finite differences at construction, so a mistyped derivative fails fast
+instead of corrupting a linearization downstream.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SetupError
+from .spectral import SineBasis
 
 __all__ = ["NonlinearitySpec", "make_nonlinearity", "CATALOG_KINDS"]
 
@@ -29,18 +30,17 @@ class NonlinearitySpec:
     ``f(u, p, r)`` takes the state u with shape S, the gradient stack p
     with shape (dim, *S) and the Hessian stack r with shape (dim, dim, *S),
     and returns an array of shape S.  ``f_u``, ``f_p``, ``f_r`` return the
-    partials with shapes S, (dim, *S) and (dim, dim, *S).  An entry with
-    ``state_only`` set never reads the values of p and r.
+    partials with shapes S, (dim, *S) and (dim, dim, *S).  An absent
+    ``f_p`` or ``f_r`` says that F does not read that slot: callers pass
+    None there and compute neither the slot nor its coefficients.
     """
 
     name: str
     dim: int
     f: Callable[[Array, Array, Array], Array]
     f_u: Callable[[Array, Array, Array], Array]
-    f_p: Callable[[Array, Array, Array], Array]
-    f_r: Callable[[Array, Array, Array], Array]
-    # True when F reads only u, so callers may skip computing p and r
-    state_only: bool = False
+    f_p: Callable[[Array, Array, Array], Array] | None = None
+    f_r: Callable[[Array, Array, Array], Array] | None = None
     f0: float = field(init=False)
 
     def __post_init__(self):
@@ -53,9 +53,23 @@ class NonlinearitySpec:
     def is_zero(self) -> bool:
         return self.name == "zero"
 
+    def jet(self, basis: SineBasis,
+            u: Array) -> tuple[Array, Array | None, Array | None]:
+        """(u, grad u, hess u) with each slot F does not read left None.
+
+        The gradient and Hessian stacks put their component axes first,
+        ahead of any leading axes of u.
+        """
+        return (u, None if self.f_p is None else basis.gradient(u),
+                None if self.f_r is None else basis.hessian(u))
+
 
 def _fd_check(spec: NonlinearitySpec, rng: np.random.Generator, tol: float = 1e-6):
-    """Cross-check analytic partials against central differences."""
+    """Cross-check analytic partials against central differences.
+
+    An absent partial is checked as zero, so a spec that drops one for a
+    slot its F reads fails here.
+    """
     n = spec.dim
     h = 1e-6
     for _ in range(8):
@@ -69,7 +83,7 @@ def _fd_check(spec: NonlinearitySpec, rng: np.random.Generator, tol: float = 1e-
                 "partials-inconsistent",
                 f"{spec.name}: state partial {fu} vs finite difference {fd}",
             )
-        fp = spec.f_p(u, p, r)
+        fp = np.zeros_like(p) if spec.f_p is None else spec.f_p(u, p, r)
         for i in range(n):
             e = np.zeros_like(p)
             e[i] = h
@@ -79,7 +93,7 @@ def _fd_check(spec: NonlinearitySpec, rng: np.random.Generator, tol: float = 1e-
                     "partials-inconsistent",
                     f"{spec.name}: gradient partial {i} ({fp[i, 0]} vs {fd})",
                 )
-        fr = spec.f_r(u, p, r)
+        fr = np.zeros_like(r) if spec.f_r is None else spec.f_r(u, p, r)
         for i in range(n):
             for j in range(n):
                 e = np.zeros_like(r)
@@ -108,56 +122,35 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
     c = float(scale)
     n = int(dim)
 
-    def zeros_like_p(p):
-        return np.zeros_like(p)
-
-    def zeros_like_r(r):
-        return np.zeros_like(r)
-
     if kind == "zero":
         spec = NonlinearitySpec(
             "zero", n,
             f=lambda u, p, r: np.zeros_like(u),
             f_u=lambda u, p, r: np.zeros_like(u),
-            f_p=lambda u, p, r: zeros_like_p(p),
-            f_r=lambda u, p, r: zeros_like_r(r),
-            state_only=True,
         )
     elif kind == "linear":
         spec = NonlinearitySpec(
             "linear", n,
             f=lambda u, p, r: c * u,
             f_u=lambda u, p, r: np.full_like(u, c),
-            f_p=lambda u, p, r: zeros_like_p(p),
-            f_r=lambda u, p, r: zeros_like_r(r),
-            state_only=True,
         )
     elif kind == "tanh":
         spec = NonlinearitySpec(
             "tanh", n,
             f=lambda u, p, r: c * np.tanh(u),
             f_u=lambda u, p, r: c / np.cosh(u) ** 2,
-            f_p=lambda u, p, r: zeros_like_p(p),
-            f_r=lambda u, p, r: zeros_like_r(r),
-            state_only=True,
         )
     elif kind == "sin":
         spec = NonlinearitySpec(
             "sin", n,
             f=lambda u, p, r: c * np.sin(u),
             f_u=lambda u, p, r: c * np.cos(u),
-            f_p=lambda u, p, r: zeros_like_p(p),
-            f_r=lambda u, p, r: zeros_like_r(r),
-            state_only=True,
         )
     elif kind == "quadratic":
         spec = NonlinearitySpec(
             "quadratic", n,
             f=lambda u, p, r: c * u * u,
             f_u=lambda u, p, r: 2 * c * u,
-            f_p=lambda u, p, r: zeros_like_p(p),
-            f_r=lambda u, p, r: zeros_like_r(r),
-            state_only=True,
         )
     elif kind == "mixed":
         def f(u, p, r):

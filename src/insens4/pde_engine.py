@@ -154,9 +154,6 @@ class Schedule:
     nodes: list[NodeCoefficients]
     factors: tuple | None = field(default=None, repr=False)
 
-    def node(self, j: int) -> NodeCoefficients:
-        return self.nodes[j]
-
     def release_factors(self) -> None:
         """Drop the cached factors; the next march rebuilds them."""
         self.factors = None
@@ -377,7 +374,7 @@ def _scan_diagonal(basis: SineBasis, schedule: Schedule, nt: int,
     factors = []
     last = None
     for j in range(nt):
-        nc = schedule.node(j)
+        nc = schedule.nodes[j]
         if nc is not last:
             key = _diagonal_key(nc, basis.dim)
             if key is None:
@@ -555,7 +552,7 @@ def _mode_inverse(basis: SineBasis, schedule: Schedule, nt: int,
     firsts: list[tuple[int, NodeCoefficients]] = []
     slots = np.empty(nt, dtype=np.intp)
     for j in range(nt):
-        nc = schedule.node(j)
+        nc = schedule.nodes[j]
         if id(nc) not in slot_of:
             slot_of[id(nc)] = len(firsts)
             firsts.append((j, nc))
@@ -703,7 +700,7 @@ class _KrylovSolve:
 
     def __call__(self, j: int, rhs: Array) -> Array:
         basis, c = self.basis, self.c
-        nc = self.schedule.node(j)
+        nc = self.schedule.nodes[j]
         if nc is not self._node:
             pre = 1.0 + c * _symbol(basis, _mean_key(nc, basis.dim))
             self._node, self._pre = nc, np.where(pre > 0, pre, self.denom)
@@ -922,8 +919,9 @@ def solve_forward_nonlinear(
 
     The reaction enters the step loop of :func:`solve_forward` as a
     source at the midpoint average, relaxed per step by lagged
-    iteration; ``initial`` and ``source`` are as there, and ``on_step``
-    sees each midpoint's node values.
+    iteration; it takes only the jet slots F reads.  ``initial`` and
+    ``source`` are as there, and ``on_step`` sees each midpoint's node
+    values.
 
     Raises
     ------
@@ -938,17 +936,8 @@ def solve_forward_nonlinear(
         hook = on_step and (lambda j, mid: on_step(j, basis.from_modes(mid)))
         return solve_forward(grid, schedule, initial, source, on_step=hook)
 
-    if nonlinearity.state_only:
-        # F ignores p and r: zero-stride placeholders of their shapes
-        shape = np.shape(initial)
-        p0 = np.broadcast_to(0.0, (basis.dim,) + shape)
-        r0 = np.broadcast_to(0.0, (basis.dim,) * 2 + shape)
-
-        def reaction(u: Array) -> Array:
-            return nonlinearity.f(u, p0, r0)
-    else:
-        def reaction(u: Array) -> Array:
-            return nonlinearity.f(u, basis.gradient(u), basis.hessian(u))
+    def reaction(u: Array) -> Array:
+        return nonlinearity.f(*nonlinearity.jet(basis, u))
 
     return _march(grid, schedule, initial, source, False, reaction, on_step)
 

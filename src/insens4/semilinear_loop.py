@@ -49,14 +49,18 @@ _TAU_W = 0.5 * _GL_W
 
 @dataclass
 class FrozenLinearization:
-    """Secant and tangent coefficient fields frozen at a state z."""
+    """Secant and tangent coefficient fields frozen at a state z.
+
+    ``g2`` and ``tangent_p`` are None when F does not read the gradient,
+    ``g3`` and ``tangent_r`` when it does not read the Hessian.
+    """
 
     g1: Array = field(repr=False)          # (Nt, *shape)
-    g2: Array = field(repr=False)          # (Nt, dim, *shape)
-    g3: Array = field(repr=False)          # (Nt, dim, dim, *shape)
+    g2: Array | None = field(repr=False)   # (Nt, dim, *shape)
+    g3: Array | None = field(repr=False)   # (Nt, dim, dim, *shape)
     tangent_u: Array = field(repr=False)   # F_u at (z, grad z, hess z)
-    tangent_p: Array = field(repr=False)
-    tangent_r: Array = field(repr=False)
+    tangent_p: Array | None = field(repr=False)
+    tangent_r: Array | None = field(repr=False)
     f0: float                              # F(0,0,0)
     sup_certificate: float                 # max |G1| + sum|G2| + sum|G3| seen
     ops: CascadeOperators | None = field(default=None, repr=False)  # both legs
@@ -91,38 +95,42 @@ def _zero_trajectory(problem: ValidatedProblem) -> Trajectory:
     )
 
 
-def _jet(z: Trajectory) -> tuple[Array, Array, Array]:
-    """(z, grad z, hess z) over all midpoint nodes, component axes leading.
-
-    Shapes (Nt, *shape), (dim, Nt, *shape) and (dim, dim, Nt, *shape):
-    the layout the partials take, with the time axis as one more
-    pointwise axis.
-    """
-    return z.fields, z.basis.gradient(z.fields), z.basis.hessian(z.fields)
-
-
-def _time_leading(fu: Array, fp: Array, fr: Array) -> tuple[Array, Array, Array]:
+def _time_leading(fu: Array, fp: Array | None,
+                  fr: Array | None) -> tuple[Array, Array | None, Array | None]:
     """Partials of a stack reordered to (Nt, ...) node-major layout."""
-    return (fu, np.ascontiguousarray(np.moveaxis(fp, 0, 1)),
-            np.ascontiguousarray(np.moveaxis(fr, 2, 0)))
+    return (fu, None if fp is None else np.ascontiguousarray(np.moveaxis(fp, 0, 1)),
+            None if fr is None else np.ascontiguousarray(np.moveaxis(fr, 2, 0)))
 
 
-def _require_finite(nonlinearity: NonlinearitySpec, *arrays: Array) -> None:
+def _require_finite(nonlinearity: NonlinearitySpec, *arrays: Array | None) -> None:
     for arr in arrays:
-        if not np.all(np.isfinite(arr)):
+        if arr is not None and not np.all(np.isfinite(arr)):
             raise IterationError(
                 "nonlinearity-eval-failure",
                 f"{nonlinearity.name}: non-finite linearization coefficients",
             )
 
 
-def _eval_tangent(nonlinearity: NonlinearitySpec, u: Array, p: Array,
-                  r: Array) -> tuple[Array, Array, Array]:
+def _partials(nonlinearity: NonlinearitySpec, u: Array, p: Array | None,
+              r: Array | None) -> tuple[Array, Array | None, Array | None]:
+    """F_u, F_p, F_r at the jet (u, p, r); None for a slot F does not read."""
+    return (nonlinearity.f_u(u, p, r),
+            None if p is None else nonlinearity.f_p(u, p, r),
+            None if r is None else nonlinearity.f_r(u, p, r))
+
+
+def _eval_tangent(nonlinearity: NonlinearitySpec,
+                  *jet: Array | None) -> tuple[Array, Array | None, Array | None]:
     """Pointwise tangent coefficients F_u, F_p, F_r at the jet (u, p, r)."""
-    tangent = _time_leading(nonlinearity.f_u(u, p, r), nonlinearity.f_p(u, p, r),
-                            nonlinearity.f_r(u, p, r))
+    tangent = _time_leading(*_partials(nonlinearity, *jet))
     _require_finite(nonlinearity, *tangent)
     return tangent
+
+
+def _l1(fu: Array, fp: Array | None, fr: Array | None) -> Array:
+    """Pointwise l1 magnitude |F_u| + sum |F_p| + sum |F_r| of a family."""
+    return np.abs(fu) + (0.0 if fp is None else np.abs(fp).sum(axis=1)) \
+        + (0.0 if fr is None else np.abs(fr).sum(axis=(1, 2)))
 
 
 def eval_g(nonlinearity: NonlinearitySpec, z: Trajectory) -> FrozenLinearization:
@@ -131,8 +139,11 @@ def eval_g(nonlinearity: NonlinearitySpec, z: Trajectory) -> FrozenLinearization
     The secant fields come from 16-node Gauss-Legendre quadrature of
     the partials along the ray tau (z, grad z, hess z), tau in [0, 1];
     the tangent fields are the partials at tau = 1.  Each partial runs
-    once per quadrature node on the whole space-time stack.  The
-    certificate is the largest pointwise l1 magnitude over both families.
+    once per quadrature node on the whole space-time stack.  The jet and
+    both families carry only the slots F reads: a kind without ``f_p``
+    or ``f_r`` computes no gradient or Hessian, and its G2, G3 and
+    tangent fields for them are None.  The certificate is the largest
+    pointwise l1 magnitude over both families.
 
     Raises
     ------
@@ -140,22 +151,18 @@ def eval_g(nonlinearity: NonlinearitySpec, z: Trajectory) -> FrozenLinearization
         ``nonlinearity-eval-failure`` when any evaluation returns a
         non-finite value.
     """
-    u, p, r = _jet(z)
-    g1 = np.zeros(u.shape)
-    g2 = np.zeros(p.shape)
-    g3 = np.zeros(r.shape)
+    jet = nonlinearity.jet(z.basis, z.fields)
+    secant = [None if a is None else np.zeros(a.shape) for a in jet]
     for tau, w in zip(_TAU, _TAU_W):
-        g1 += w * nonlinearity.f_u(tau * u, tau * p, tau * r)
-        g2 += w * nonlinearity.f_p(tau * u, tau * p, tau * r)
-        g3 += w * nonlinearity.f_r(tau * u, tau * p, tau * r)
-    g1, g2, g3 = _time_leading(g1, g2, g3)
+        ray = [None if a is None else tau * a for a in jet]
+        for acc, val in zip(secant, _partials(nonlinearity, *ray)):
+            if acc is not None:
+                acc += w * val
+    g1, g2, g3 = _time_leading(*secant)
     _require_finite(nonlinearity, g1, g2, g3)
-    tu, tp, tr = _eval_tangent(nonlinearity, u, p, r)
-    secant_mag = np.abs(g1) + np.abs(g2).sum(axis=1) \
-        + np.abs(g3).sum(axis=(1, 2))
-    tangent_mag = np.abs(tu) + np.abs(tp).sum(axis=1) \
-        + np.abs(tr).sum(axis=(1, 2))
-    cert = float(max(secant_mag.max(), tangent_mag.max())) if len(u) else 0.0
+    tu, tp, tr = _eval_tangent(nonlinearity, *jet)
+    cert = float(max(_l1(g1, g2, g3).max(), _l1(tu, tp, tr).max())) \
+        if len(z.fields) else 0.0
     return FrozenLinearization(
         g1=g1, g2=g2, g3=g3,
         tangent_u=tu, tangent_p=tp, tangent_r=tr,
@@ -170,15 +177,16 @@ def ftc_residual(nonlinearity: NonlinearitySpec, z: Trajectory,
     This identity is what makes the frozen state equation agree with
     the semilinear one at a fixed point; quadrature is its only error
     source, so the residual sits at 1e-10 or below for smooth entries.
+    A slot F does not read contributes no term.
     """
     if frozen is None:
         frozen = eval_g(nonlinearity, z)
-    u, p, r = _jet(z)
+    u, p, r = nonlinearity.jet(z.basis, z.fields)
     direct = nonlinearity.f(u, p, r) - nonlinearity.f0
     # the frozen fields are time-leading; the jet puts components first
     recon = frozen.g1 * u \
-        + np.einsum("ti...,it...->t...", frozen.g2, p) \
-        + np.einsum("tij...,ijt...->t...", frozen.g3, r)
+        + (0.0 if p is None else np.einsum("ti...,it...->t...", frozen.g2, p)) \
+        + (0.0 if r is None else np.einsum("tij...,ijt...->t...", frozen.g3, r))
     return float(np.abs(direct - recon).max(initial=0.0))
 
 
@@ -200,7 +208,8 @@ def tangent_schedule(problem: ValidatedProblem, z: Trajectory) -> Schedule:
 
     Evaluates only the partials at z, not the secant quadrature.
     """
-    tangent = _eval_tangent(problem.nonlinearity, *_jet(z))
+    nl = problem.nonlinearity
+    tangent = _eval_tangent(nl, *nl.jet(z.basis, z.fields))
     return make_schedule(problem.grid, problem.coefficients, *tangent)
 
 

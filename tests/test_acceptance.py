@@ -25,8 +25,6 @@ from insens4.cascade_sentinel import (
 from insens4.cli import _mms_error
 from insens4.config import default_config, problem_from_config
 from insens4.hum_synthesis import (
-    eval_j,
-    grad_j_smooth,
     minimize_exact,
     observability_ratio_sample,
     verify_null,
@@ -40,6 +38,7 @@ from insens4.problem_setup import (
     validate_problem,
 )
 from insens4.semilinear_loop import picard_insensitize
+from oracles import eval_j, grad_j_smooth
 
 
 def _line(cap, num: int, name: str, ok: bool, detail: str) -> None:

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from insens4 import pde_engine
-from insens4.cascade_sentinel import sentinel, sentinel_sensitivity
+from insens4.cascade_sentinel import sentinel_sensitivity
 from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.errors import EngineError
 from insens4.nonlinearity import make_nonlinearity
@@ -45,6 +45,7 @@ from insens4.pde_engine import (
 from insens4.problem_setup import CoefficientField, build_grid
 from insens4.spectral import SineBasis
 from conftest import unit_smooth
+from oracles import sentinel
 
 SETTINGS = settings(max_examples=8, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -461,9 +462,10 @@ class TestBatchedNonlinearMarch:
         nl = make_nonlinearity(kind, scale=0.5)
         starts = 2.0 * _stack(grid.basis, 9, 2)
         source = _source(grid, 9)
-        want = solve_forward_nonlinear(grid, schedule,
-                                       dataclasses.replace(nl, state_only=False),
-                                       starts, source)
+        # the same F with its zero partials declared takes the full jet
+        full = dataclasses.replace(nl, f_p=lambda u, p, r: np.zeros_like(p),
+                                   f_r=lambda u, p, r: np.zeros_like(r))
+        want = solve_forward_nonlinear(grid, schedule, full, starts, source)
         calls = []
         for name in ("dx", "dxx"):
             original = getattr(SineBasis, name)
@@ -474,8 +476,8 @@ class TestBatchedNonlinearMarch:
 
             monkeypatch.setattr(SineBasis, name, counted)
         got = solve_forward_nonlinear(grid, schedule, nl, starts, source)
-        assert nl.state_only == (kind == "tanh")
-        assert (len(calls) == 0) == nl.state_only
+        assert (nl.f_p is None) == (nl.f_r is None) == (kind == "tanh")
+        assert (len(calls) == 0) == (nl.f_p is None)
         assert np.array_equal(got.fields, want.fields)
         assert np.array_equal(got.stateT, want.stateT)
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from insens4.cascade_sentinel import (
-    sentinel,
     sentinel_sensitivity,
     solve_adjoint_pair,
     solve_cascade,
@@ -25,6 +24,7 @@ from insens4.problem_setup import (
     validate_problem,
 )
 from conftest import unit_smooth
+from oracles import sentinel
 
 
 def _full_mask_problem(a0=0.6):

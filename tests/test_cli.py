@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from insens4.cli import _COMMANDS, main
 from insens4.config import SCHEMA
-from insens4.reporting import FIELD_MAGIC
+from insens4.reporting import FIELD_MAGIC, format_cell
 
 
 def _ini(tmp_path, text, name="cli.ini"):
@@ -162,6 +162,23 @@ class TestFailureModes:
         assert 0.0 < chk["threshold"] and chk["s"] == 1e-9
         table = (out / "weights_checks.csv").read_text()
         assert "s-admissible,false" in table
+
+    def test_inadmissible_s_factor_reports_the_s_it_rejected(self, tmp_path,
+                                                            capsys):
+        # s = 0 takes threshold * s_factor, and that is the s rejected
+        cfg = _ini(tmp_path, "[weights]\ns_factor = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["weights-check", "--quick", "--config", cfg,
+                     "--out", str(out)]) == 2
+        chk = json.loads((out / "manifest.json").read_text())["checks"][0]
+        thr = chk["threshold"]
+        assert chk["name"] == "s-admissible" and chk["s"] == 0.5 * thr > 0.0
+        err = capsys.readouterr().err
+        assert f"s = {format_cell(0.5 * thr)} is below the admissibility" in err
+        row = (out / "weights_checks.csv").read_text().splitlines()[1]
+        name, passed, margin, _ = row.split(",")
+        assert (name, passed) == ("s-admissible", "false")
+        assert float(margin) == -0.5 * thr
 
     def test_reaction_rejected_by_linear_command(self, tmp_path, capsys):
         cfg = _ini(tmp_path, "[nonlinearity]\nkind = tanh\n")

@@ -19,8 +19,6 @@ from insens4.cli import main
 from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.errors import SynthesisError
 from insens4.hum_synthesis import (
-    eval_j,
-    grad_j_smooth,
     minimize_exact,
     minimize_quadratic,
     observability_ratio_sample,
@@ -30,6 +28,7 @@ from insens4.hum_synthesis import (
 from insens4.semilinear_loop import freeze_linearization
 from insens4.spectral import SineBasis
 from conftest import count_inverse_paths
+from oracles import eval_j, grad_j_smooth
 
 
 class TestShrink:

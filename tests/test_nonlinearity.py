@@ -39,9 +39,8 @@ def test_state_only_values(kind, expected):
     spec = make_nonlinearity(kind, scale=c)
     u, p, r = _point(1)
     assert np.allclose(spec.f(u, p, r), expected(u, c), rtol=1e-14, atol=1e-14)
-    # no gradient or Hessian dependence
-    assert np.all(spec.f_p(u, p, r) == 0.0)
-    assert np.all(spec.f_r(u, p, r) == 0.0)
+    # no gradient or Hessian dependence: neither partial is declared
+    assert spec.f_p is None and spec.f_r is None
 
 
 def test_mixed_uses_all_slots():
@@ -72,8 +71,6 @@ def test_f0_is_value_at_origin():
         "shifted", 1,
         f=lambda u, p, r: 0.5 + 0.0 * u,
         f_u=lambda u, p, r: np.zeros_like(u),
-        f_p=lambda u, p, r: np.zeros_like(p),
-        f_r=lambda u, p, r: np.zeros_like(r),
     )
     assert shifted.f0 == pytest.approx(0.5)
 
@@ -84,26 +81,33 @@ def test_is_zero_flag():
 
 
 def test_inconsistent_partials_fail_fast():
-    # the catalog builder cross-checks partials before handing a spec out
+    # the catalog builder cross-checks partials before handing a spec out;
+    # an absent partial is checked as zero, so dropping f_p from an F that
+    # reads p fails as a wrong f_p does
     from insens4.nonlinearity import _fd_check
 
-    broken = NonlinearitySpec(
+    wrong_state = NonlinearitySpec(
         "broken", 1,
         f=lambda u, p, r: u * u,
         f_u=lambda u, p, r: np.full_like(u, 7.0),
-        f_p=lambda u, p, r: np.zeros_like(p),
-        f_r=lambda u, p, r: np.zeros_like(r),
     )
-    with pytest.raises(SetupError) as exc:
-        _fd_check(broken, np.random.default_rng(0))
-    assert exc.value.code == "partials-inconsistent"
+    reads_p = NonlinearitySpec(
+        "reads-p", 1,
+        f=lambda u, p, r: np.sin(p[0]),
+        f_u=lambda u, p, r: np.zeros_like(u),
+    )
+    for broken, slot in ((wrong_state, "state"), (reads_p, "gradient")):
+        with pytest.raises(SetupError) as exc:
+            _fd_check(broken, np.random.default_rng(0))
+        assert exc.value.code == "partials-inconsistent"
+        assert f"{broken.name}: {slot} partial" in str(exc.value)
 
 
 @pytest.mark.parametrize("kind", CATALOG_KINDS)
 def test_state_only_declaration_is_truthful(kind):
-    # entries that declare state_only must not read p or r
+    # entries that declare no gradient or Hessian partial must not read p or r
     spec = make_nonlinearity(kind, scale=0.7, dim=2)
-    assert spec.state_only == (kind != "mixed")
+    assert (spec.f_p is None) == (spec.f_r is None) == (kind != "mixed")
     rng = np.random.default_rng(3)
     u = rng.uniform(-2, 2, (4,))
     p, r = rng.uniform(-2, 2, (2, 4)), rng.uniform(-2, 2, (2, 2, 4))

@@ -115,7 +115,7 @@ class TestTemporalOrder:
             basis = grid.basis
             p = _mode(grid, 1)
             coeffs = {"a0": CoefficientField.constant("a0", 0.3)}
-            ap = SpatialOperator(basis, make_schedule(grid, coeffs).node(0)).apply(p)
+            ap = SpatialOperator(basis, make_schedule(grid, coeffs).nodes[0]).apply(p)
             g = lambda t: np.exp(-t) * (1 + 0.5 * np.sin(3 * t))
             gp = lambda t: np.exp(-t) * (1.5 * np.cos(3 * t) - 1 - 0.5 * np.sin(3 * t))
             source = np.array([gp(t) * p + g(t) * ap for t in grid.times])
@@ -271,7 +271,7 @@ class TestDiagonalPath:
         march = solve_backward if backward else solve_forward
         static = make_schedule(grid, self._coefficients(dim, False))
         # distinct per-step copies of the shared node
-        copies = [dataclasses.replace(static.node(0)) for _ in grid.times]
+        copies = [dataclasses.replace(static.nodes[0]) for _ in grid.times]
         for a, b in ((make_schedule(grid, {}),
                       Schedule([NodeCoefficients()] * grid.n_steps)),
                      (static, Schedule(copies))):
@@ -609,7 +609,7 @@ class TestMakeSchedule:
         coeffs = {"a0": CoefficientField.constant("a0", 0.7),
                   "b0": CoefficientField.constant("b0", [0.4])}
         sched = make_schedule(grid, coeffs)
-        assert all(sched.node(j) is sched.node(0) for j in range(grid.n_steps))
+        assert all(sched.nodes[j] is sched.nodes[0] for j in range(grid.n_steps))
         solve_forward(grid, sched, np.ones(grid.shape))
         assert len(sched.factors[1].inv) == 1
 
@@ -630,7 +630,7 @@ class TestMakeSchedule:
         base = make_schedule(grid, coeffs)
         sched = make_schedule(grid, coeffs, add_a0, add_b0, add_b)
         for j in range(grid.n_steps):
-            want, got = base.node(j), sched.node(j)
+            want, got = base.nodes[j], sched.nodes[j]
             assert np.array_equal(got.a0, want.a0 + add_a0[j])
             assert np.array_equal(got.b0, add_b0[j])
             assert np.array_equal(got.b, want.b + add_b[j])
@@ -641,7 +641,7 @@ class TestMakeSchedule:
         coeffs = TestDiagonalPath._coefficients(1, False)
         zero = np.zeros((grid.n_steps,) + grid.shape)
         sched = make_schedule(grid, coeffs, add_a0=zero)
-        assert all(sched.node(j) is sched.node(0) for j in range(grid.n_steps))
+        assert all(sched.nodes[j] is sched.nodes[0] for j in range(grid.n_steps))
         y0 = np.random.default_rng(62).standard_normal(grid.shape)
         got = solve_forward(grid, sched, y0)
         assert isinstance(sched.factors[1], list)  # the diagonal mode factors
@@ -664,9 +664,9 @@ class TestMakeSchedule:
         row = rng.standard_normal(grid.shape)
         sched = make_schedule(grid, coeffs,
                               add_a0=np.tile(row, (grid.n_steps, 1)))
-        assert all(sched.node(j) is sched.node(0) for j in range(grid.n_steps))
+        assert all(sched.nodes[j] is sched.nodes[0] for j in range(grid.n_steps))
         # distinct per-step copies of the shared node: one factor per step
-        copies = Schedule([dataclasses.replace(sched.node(0))
+        copies = Schedule([dataclasses.replace(sched.nodes[0])
                            for _ in grid.times])
         for got, want in self._marches(grid, sched, copies, rng):
             for a, b in ((got.fields, want.fields), (got.state0, want.state0),
@@ -680,9 +680,9 @@ class TestMakeSchedule:
         coeffs = TestDiagonalPath._coefficients(1, False)
         sched = make_schedule(grid, coeffs,
                               add_a0=np.full((grid.n_steps,) + grid.shape, 0.25))
-        assert sched.node(0).a0.strides == (0,)
+        assert sched.nodes[0].a0.strides == (0,)
         # per-step copies with a materialized a0 take the LU path
-        node = sched.node(0)
+        node = sched.nodes[0]
         copies = Schedule([dataclasses.replace(node, a0=np.array(node.a0))
                            for _ in grid.times])
         rng = np.random.default_rng(64)
@@ -699,7 +699,7 @@ class TestMakeSchedule:
         add[5, 3] = 0.5
         sched = make_schedule(grid, TestDiagonalPath._coefficients(1, False),
                               add_a0=add)
-        assert len({id(sched.node(j)) for j in range(grid.n_steps)}) \
+        assert len({id(sched.nodes[j]) for j in range(grid.n_steps)}) \
             == grid.n_steps
 
 

@@ -100,38 +100,50 @@ class TestSecantCoefficients:
                                     (hessians[:, :, j], basis.hessian(u))):
                 assert np.abs(stacked - single).max() \
                     <= 1e-12 * np.abs(single).max()
+        # a family F does not read (no partial) is None, the rest match
+        partials = (nl.f_u, nl.f_p, nl.f_r)
+        assert (nl.f_p is None) == (nl.f_r is None) == (kind != "mixed")
         want = {name: [] for name in ("g1", "g2", "g3", "tangent_u",
                                       "tangent_p", "tangent_r")}
         for j, u in enumerate(z.fields):
             p, r = grads[:, j], hessians[:, :, j]
             acc = [np.zeros_like(u), np.zeros_like(p), np.zeros_like(r)]
             for tau, w in zip(sl._TAU, sl._TAU_W):
-                for k, f in enumerate((nl.f_u, nl.f_p, nl.f_r)):
-                    acc[k] += w * f(tau * u, tau * p, tau * r)
-            for name, val in zip(want, acc + [nl.f_u(u, p, r),
-                                              nl.f_p(u, p, r),
-                                              nl.f_r(u, p, r)]):
+                for k, f in enumerate(partials):
+                    if f is not None:
+                        acc[k] += w * f(tau * u, tau * p, tau * r)
+            for name, val in zip(want, acc + [f and f(u, p, r)
+                                              for f in partials]):
                 want[name].append(val)
         got = eval_g(nl, z)
-        for name, vals in want.items():
-            assert np.array_equal(getattr(got, name), np.array(vals)), name
+        for (name, vals), f in zip(want.items(), partials * 2):
+            if f is None:
+                assert getattr(got, name) is None, name
+            else:
+                assert np.array_equal(getattr(got, name), np.array(vals)), name
 
-    def test_jet_is_one_derivative_call_per_order(self, quick_problem, rng,
-                                                  monkeypatch):
-        basis = quick_problem.basis
+    @pytest.mark.parametrize("kind", ["mixed", "tanh"])
+    def test_jet_is_one_derivative_call_per_order(self, rng, monkeypatch, kind):
+        # each jet takes one gradient and one Hessian call on the whole
+        # stack, and none for a kind that reads only u
+        problem = _nl_problem(kind, 0.5)
+        basis = problem.basis
         calls = []
         for name in ("gradient", "hessian"):
             real = getattr(SineBasis, name)
             monkeypatch.setattr(
                 SineBasis, name,
                 lambda self, u, real=real: calls.append(u.shape) or real(self, u))
-        grid = quick_problem.grid
+        grid = problem.grid
         fields = np.array([unit_smooth(basis, rng, decay=3.0) for _ in grid.times])
         z = Trajectory(basis, grid.dt, grid.times, fields, fields[0], fields[-1])
-        nl = make_nonlinearity("mixed", scale=0.5)
+        nl = problem.nonlinearity
         frozen = eval_g(nl, z)
         ftc_residual(nl, z, frozen)
-        assert calls == [z.fields.shape] * 4
+        per_jet = 2 if kind == "mixed" else 0
+        assert calls == [z.fields.shape] * (2 * per_jet)
+        tangent_schedule(problem, z)
+        assert calls == [z.fields.shape] * (3 * per_jet)
 
     def test_nonfinite_linearization_is_loud(self, quick_problem, rng):
         z = _trajectory(quick_problem, rng)
@@ -139,8 +151,6 @@ class TestSecantCoefficients:
             "bad", 1,
             f=lambda u, p, r: u,
             f_u=lambda u, p, r: np.where(u > 0, np.nan, 1.0),
-            f_p=lambda u, p, r: np.zeros_like(p),
-            f_r=lambda u, p, r: np.zeros_like(r),
         )
         with pytest.raises(IterationError) as exc:
             eval_g(bad, z)
@@ -220,8 +230,8 @@ class TestTangentSchedule:
         sched = tangent_schedule(p, z)
         frozen = freeze_linearization(p, z)
         for j in (0, p.grid.n_steps // 2, p.grid.n_steps - 1):
-            got = sched.node(j)
-            want = frozen.ops.costate_schedule.node(j)
+            got = sched.nodes[j]
+            want = frozen.ops.costate_schedule.nodes[j]
             assert np.array_equal(got.a0, want.a0)
 
 

@@ -18,14 +18,15 @@ homogeneous cascade of its seed, both of which the minimization has
 usually marched already.  Every entry point takes its linearization as
 ``ops``, a ``CascadeOperators`` (None: the linear pipeline's).
 
-Both variants solve on one Lanczos model of the synthesis operator,
-built from b.  The quadratic variant solves the shifted model
-(T + eps I) y = ||b|| e1, which is conjugate gradients in another basis.
-The exact-norm variant takes the penalty weight that balances the norm
-from a one-dimensional secular equation on the same model, which costs
-one Krylov basis instead of one linear solve per candidate weight, and
-starts proximal gradient steps with backtracking line search there; the
-proximal phase certifies optimality against the true operator.
+Both variants solve on one Lanczos model T of the synthesis operator,
+built from b and diagonalized once per dimension into its Ritz pairs.
+The quadratic variant solves the shifted model (T + eps I) y = ||b|| e1,
+which is conjugate gradients in another basis.  The exact-norm variant
+takes the shift delta that balances the norm, delta ||y(delta)|| = eps,
+by Newton's method on the same Ritz pairs, which costs one Krylov basis
+instead of one linear solve per candidate weight, and starts proximal
+gradient steps with backtracking line search there; the proximal phase
+certifies optimality against the true operator.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ VARIANTS = ("exact", "quadratic")
 
 # Largest Lanczos basis either variant builds.
 KRYLOV_CAP = 300
+
+# Most Newton steps one secular solve takes.
+SECULAR_STEP_CAP = 64
 
 # Largest record of phi's obs-box midpoints, (Nt, B, *obs box), that one
 # stack of the observability sampler holds; it sets the B rows per stack.
@@ -254,7 +258,8 @@ def minimize_quadratic(
     min(max_iter, KRYLOV_CAP) vectors; the result converged when the
     true residual ||(Lambda + eps) phi0 + b||, the recorded optimality
     residual, is below tol ||b||.  The logged objective is the model
-    value 1/2 <phi0, (Lambda + eps) phi0> + <b, phi0> = -1/2 ||b|| y_1.
+    value 1/2 <phi0, (Lambda + eps) phi0> + <b, phi0> = -1/2 ||b|| y_1,
+    read from the Ritz pairs as -1/2 g^T (g / (theta + eps)).
     With ``max_iter = 0`` no basis is built and phi0 = 0.  The returned
     phi0 is a combination of the basis, not a seed the model applied,
     so its cascade costs one more apply.
@@ -281,25 +286,23 @@ def minimize_quadratic(
 
     objectives: list[float] = []
 
-    def model(tri: Array) -> tuple[float, Array]:
-        ritz_min = float(np.linalg.eigvalsh(tri)[0])
-        if ritz_min + eps <= 0.0:
+    def shift(theta: Array, g: Array) -> float:
+        if theta[0] + eps <= 0.0:
             raise SynthesisError(
                 "cg-stall", "the Lanczos model of Lambda + eps I is not "
                 "positive definite; the operator lost symmetry or positivity",
-                krylov_dim=len(tri), ritz_min=ritz_min, epsilon=eps)
-        y = _shifted(tri, bnorm)(eps)
-        objectives.append(-0.5 * bnorm * float(y[0]))
-        return eps, y
+                krylov_dim=len(theta), ritz_min=float(theta[0]), epsilon=eps)
+        objectives.append(-0.5 * float(g @ (g / (theta + eps))))
+        return eps
 
-    x, lam_x, _, tri = _lanczos(syn, b, bnorm, model, tol,
-                                min(max_iter, KRYLOV_CAP), log)
+    x, lam_x, _, theta = _lanczos(syn, b, bnorm, shift, tol,
+                                  min(max_iter, KRYLOV_CAP), log)
     for entry, objective in zip(log, objectives):
         entry["objective"] = objective
     optimality = basis.norm(lam_x + eps * x + b)
     return _assemble(syn, x, "interior", variant="quadratic", epsilon=eps,
                      converged=optimality <= tol * bnorm,
-                     iterations=len(tri), optimality_residual=optimality,
+                     iterations=len(theta), optimality_residual=optimality,
                      objective=objectives[-1] if objectives else 0.0,
                      convergence_log=log)
 
@@ -313,125 +316,51 @@ def _tridiagonal(alphas, betas) -> Array:
     return t
 
 
-def _shifted(t: Array, beta0: float):
-    """The map delta -> y with (T + delta I) y = beta0 e1."""
-    rhs = np.zeros(len(t))
-    rhs[0] = beta0
-    eye = np.eye(len(t))
-    return lambda delta: np.linalg.solve(t + delta * eye, rhs)
+def _secular_solve(theta: Array, g: Array, eps: float) -> float | None:
+    """Penalty weight delta with delta ||y(delta)|| = eps on the model.
 
-
-def _secular_solve(t: Array, beta0: float, eps: float):
-    """Penalty weight delta with delta ||x(delta)|| = eps on the model.
-
-    x(delta) solves (T + delta I) x = beta0 e1 for the tridiagonal T;
-    the product delta ||x(delta)|| grows from 0 to beta0, so a root
-    exists exactly when beta0 > eps and T is nonsingular along e1.
-    Returns (delta, x) or None when no bracket exists.
+    ||y(delta)|| = ||g / (theta + delta)|| on the Ritz pairs.  Newton's
+    method on psi(delta) = 1/||y(delta)|| - delta/eps, concave for delta
+    > -theta_min (Hebden; More and Sorensen), starts at delta_0 = eps
+    theta_max / (||b|| - eps), where psi <= 0 as ||y|| >= ||b|| /
+    (theta_max + delta), so the iterates descend monotonically to the
+    root; it stops once a step no longer shrinks.  None when theta_max
+    <= 0, ||b|| <= eps or the root is not above max(0, -theta_min).
     """
-    solve = _shifted(t, beta0)
-
-    def gap(delta: float) -> float:
-        return delta * float(np.linalg.norm(solve(delta))) - eps
-
-    lo = hi = max(eps, 1e-12)
-    glo = gap(lo)
-    while glo > 0.0 and lo > 1e-280:
-        lo /= 32.0
-        glo = gap(lo)
-    if glo > 0.0:
+    bnorm = float(np.linalg.norm(g))
+    if not (theta[-1] > 0.0 and bnorm > eps):
         return None
-    ghi = gap(hi)
-    while ghi < 0.0 and hi < 1e280:
-        hi *= 32.0
-        ghi = gap(hi)
-    if ghi < 0.0:
-        return None
-    if glo == 0.0:
-        delta = lo
-    else:
-        delta = _brentq(gap, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
-    return float(delta), solve(float(delta))
+    delta = eps * theta[-1] / (bnorm - eps)
+    last = math.inf
+    for _ in range(SECULAR_STEP_CAP):
+        shifted = theta + delta
+        r = g / shifted
+        norm = math.sqrt(r @ r)
+        slope = (r @ (r / shifted)) / norm**3 - 1.0 / eps
+        step = (1.0 / norm - delta / eps) / slope
+        if not abs(step) < last:
+            break
+        delta -= step
+        last = abs(step)
+    return float(delta) if delta > max(0.0, -theta[0]) else None
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int) -> float:
-    """Root of f in the sign-change bracket [xa, xb] by Brent's method.
-
-    A line-for-line port of scipy's C ``brentq`` (R. P. Brent,
-    *Algorithms for Minimization without Derivatives*, 1973): the same
-    iterates, tolerance 2 * delta = xtol + rtol |x| and return point, so
-    it gives the same bits as ``scipy.optimize.brentq``.  Raises
-    ``secular-no-bracket`` when f has the same sign at both ends (a NaN
-    end included), and ``secular-no-convergence`` when ``maxiter``
-    iterations run out.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise SynthesisError(
-            "secular-no-bracket", "f(xa) and f(xb) must have different signs",
-            bracket=(xa, xb), values=(fpre, fcur))
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise SynthesisError(
-        "secular-no-convergence",
-        f"Brent's method did not converge in {maxiter} iterations",
-        bracket=(xa, xb), iterations=maxiter, last=xcur)
-
-
-def _lanczos(syn: _Synthesis, b: Array, bnorm: float, model, rtol: float,
+def _lanczos(syn: _Synthesis, b: Array, bnorm: float, shift, rtol: float,
              max_dim: int, log: list[dict]):
-    """Krylov model of the operator from b, solved by ``model``.
+    """Krylov model of the operator from b, solved on its Ritz pairs.
 
     Builds an orthonormal (in the domain inner product) Lanczos basis
-    from b with full reorthogonalization.  At each dimension
-    ``model(T)`` takes the tridiagonal model T and returns (delta, y)
-    with (T + delta I) y = ||b|| e1, or None when it has no solution
-    there; the basis stops growing once the residual estimate of the
-    shifted system drops below rtol ||b||, at an invariant subspace, or
-    at ``max_dim`` vectors.  Returns x = -sum_i y_i v_i from the last
-    solved model, its image Lambda x, that delta and the full T.  Lambda x
-    is the same combination of the images Lambda v_i the basis was built
+    from b with full reorthogonalization.  At each dimension the
+    tridiagonal model is diagonalized once, T = Q diag(theta) Q^T, and
+    ``shift(theta, g)`` with g = ||b|| Q^T e1 returns the shift delta, or
+    None when the model has no solution there; the model solution of
+    (T + delta I) y = ||b|| e1 is y = Q (g / (theta + delta)).  The basis
+    stops growing once the residual estimate of the shifted system drops
+    below rtol ||b||, at an invariant subspace, or at ``max_dim``
+    vectors.  Returns x = -sum_i y_i v_i from the last solved model, its
+    image Lambda x, that delta and the Ritz values theta of the full
+    model (ascending; its length is the Krylov dimension).  Lambda x is
+    the same combination of the images Lambda v_i the basis was built
     from, and needs no apply of its own.  When no model was solved, x
     and Lambda x are zero and delta is None.
     """
@@ -442,6 +371,7 @@ def _lanczos(syn: _Synthesis, b: Array, bnorm: float, model, rtol: float,
     images = []  # Lambda v_i, before orthogonalization
     alphas: list[float] = []
     betas: list[float] = []
+    theta = np.zeros(0)
     delta = None
     yhat = None
     for m in range(1, cap + 1):
@@ -455,9 +385,11 @@ def _lanczos(syn: _Synthesis, b: Array, bnorm: float, model, rtol: float,
         for u in vecs:
             w = w - basis.inner(w, u) * u
         bm = math.sqrt(basis.inner(w, w))
-        sol = model(_tridiagonal(alphas, betas))
+        theta, q = np.linalg.eigh(_tridiagonal(alphas, betas))
+        g = bnorm * q[0]
+        sol = shift(theta, g)
         if sol is not None:
-            delta, yhat = sol
+            delta, yhat = sol, q @ (g / (theta + sol))
             resid = bm * abs(yhat[-1])
             log.append({"phase": "lanczos", "dimension": m, "residual": resid,
                         "delta": delta})
@@ -467,12 +399,11 @@ def _lanczos(syn: _Synthesis, b: Array, bnorm: float, model, rtol: float,
             break  # invariant subspace: the model is exact
         betas.append(bm)
         vecs.append(w / bm)
-    tri = _tridiagonal(alphas, betas)
     if yhat is None:
-        return np.zeros(basis.shape), np.zeros(basis.shape), None, tri
+        return np.zeros(basis.shape), np.zeros(basis.shape), None, theta
     x = -np.tensordot(yhat, np.asarray(vecs[:len(yhat)]), axes=(0, 0))
     lam_x = -np.tensordot(yhat, np.asarray(images[:len(yhat)]), axes=(0, 0))
-    return x, lam_x, delta, tri
+    return x, lam_x, delta, theta
 
 
 def minimize_exact(
@@ -488,12 +419,13 @@ def minimize_exact(
     the zero branch with v = 0.  Otherwise proximal gradient steps
     phi0 <- shrink(phi0 - gamma grad, gamma eps) run with backtracking
     (halve gamma until sufficient decrease) from the Lanczos warm
-    start, and stop when the proximal-mapping norm falls below
-    tol (1 + ||phi0||).  A step that meets that test (a stationary one,
-    at any step size) is accepted: the result is z, the point it last
-    applied, so its cascade is superposed, never marched again.  On
-    success the optimality condition q(0) + eps phi0/||phi0|| = 0 holds
-    within the recorded residual.
+    start, the model solution at the delta of :func:`_secular_solve`,
+    with first step 1/theta_max, and stop when the proximal-mapping
+    norm falls below tol (1 + ||phi0||).  A step that meets that test
+    (a stationary one, at any step size) is accepted: the result is z,
+    the point it last applied, so its cascade is superposed, never
+    marched again.  On success the optimality condition
+    q(0) + eps phi0/||phi0|| = 0 holds within the recorded residual.
 
     Raises
     ------
@@ -514,16 +446,16 @@ def minimize_exact(
         return _assemble(syn, np.zeros(basis.shape), "zero", variant="exact",
                          epsilon=eps, converged=True, convergence_log=log)
 
-    x, lam_x, delta, tri = _lanczos(
-        syn, b, bnorm, lambda t: _secular_solve(t, bnorm, eps), 1e-10,
+    x, lam_x, delta, theta = _lanczos(
+        syn, b, bnorm, lambda theta, g: _secular_solve(theta, g, eps), 1e-10,
         KRYLOV_CAP, log)
     if delta is None:
         raise SynthesisError(
             "synthesis-degenerate",
             "no positive penalty weight balances the norm; the synthesis "
             "operator is degenerate along the affine term",
-            epsilon=eps, krylov_dim=len(tri))
-    ritz = float(np.linalg.eigvalsh(tri).max())
+            epsilon=eps, krylov_dim=len(theta))
+    ritz = float(theta[-1])
     log.append({"phase": "secular", "delta": delta,
                 "rho": basis.norm(x), "ritz_max": ritz})
     gamma0 = 1.0 / max(ritz, 1e-30)

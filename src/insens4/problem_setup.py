@@ -346,7 +346,7 @@ def validate_problem(config: ProblemConfig) -> ValidatedProblem:
         ``key``), ``disjoint-omega-obs``, ``omega0-margin``,
         ``declared-bound-violated``, ``coefficient-nonfinite``,
         ``force-nonfinite``, ``force-onset``, ``force-weight-divergent``,
-        ``eta-peak-shape``.
+        ``eta-peak-shape``, ``eta-peak-outside-domain``.
     """
     grid = config.grid
     basis = grid.basis
@@ -426,12 +426,18 @@ def validate_problem(config: ProblemConfig) -> ValidatedProblem:
             "force must vanish before its declared onset time",
         )
 
-    if config.eta_peak is not None and np.size(config.eta_peak) != grid.dim:
+    peak = () if config.eta_peak is None else np.atleast_1d(config.eta_peak)
+    if config.eta_peak is not None and np.size(peak) != grid.dim:
         raise SetupError(
             "eta-peak-shape",
             f"eta_peak needs {grid.dim} coordinates, one per axis; "
             f"got {config.eta_peak}",
         )
+    for ax, c in enumerate(peak):
+        if not 0.0 < c < grid.extents[ax]:
+            raise SetupError("eta-peak-outside-domain", f"eta_peak = {c} lies "
+                             f"outside (0, {grid.extents[ax]}) on axis {ax}",
+                             axis=ax)
     profile = cw.build_eta(basis, config.omega0.support, peak=config.eta_peak)
     weights = cw.build_weights(profile, config.lam, grid.t_final)
     s = config.s if config.s is not None else weights.s_threshold * config.s_factor

@@ -7,7 +7,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -255,6 +254,19 @@ class TestFailureModes:
         assert main(["weights-check", "--config", full,
                      "--out", str(tmp_path / "o2")]) == 0
 
+    @pytest.mark.parametrize("peak,code,rc", [
+        ("5.0", "eta-peak-outside-domain", 1),
+        ("0.2", "critical-point-outside-omega0", 2),
+    ], ids=["outside-domain", "outside-omega0-hull"])
+    def test_eta_peak_outside(self, tmp_path, capsys, peak, code, rc):
+        # a peak off the domain is malformed input (exit 1); one inside
+        # the domain but off omega0's hull fails the weights check (exit 2)
+        cfg = _ini(tmp_path, "[weights]\neta_peak = %s\n" % peak)
+        assert main(["weights-check", "--quick", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == rc
+        err = capsys.readouterr().err
+        assert code in err and "Traceback" not in err
+
     @pytest.mark.parametrize("line", ["samples = 0", "mode_cap = -3",
                                       "directions = -3"])
     def test_bad_sampling_value_exits_1(self, tmp_path, capsys, line):
@@ -431,6 +443,8 @@ def _out_of_range(section, key, kind, value):
     if value == "-1" and (section, key) in (("sampling", "mode_cap"),
                                             ("weights", "s")):
         return True                          # 0 means automatic
+    if value in ("-1", "1e300") and (section, key) == ("weights", "eta_peak"):
+        return True                          # off the domain
     return value in ("0", "-1") and (section, key) in _POSITIVE
 
 

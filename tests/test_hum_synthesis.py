@@ -8,6 +8,7 @@ gradient with no reference to the minimizer at all.
 import dataclasses
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -219,7 +220,8 @@ def _exact_model(syn, basis, eps):
     b = syn.affine()
     bnorm = basis.norm(b)
     x, lam_x, _, _ = hum_synthesis._lanczos(
-        syn, b, bnorm, lambda t: hum_synthesis._secular_solve(t, bnorm, eps),
+        syn, b, bnorm,
+        lambda theta, g: hum_synthesis._secular_solve(theta, g, eps),
         1e-10, hum_synthesis.KRYLOV_CAP, [])
     return x, lam_x
 
@@ -386,6 +388,18 @@ class TestQuadraticPenalty:
         scale = np.abs(r.q0).max()
         assert np.allclose(r.q0, -1e-3 * r.phi0, rtol=0, atol=1e-6 * scale)
 
+    def test_logged_objective_is_model_value(self, quick_problem):
+        # -1/2 g^T (g / (theta + eps)) on the Ritz pairs is the model value
+        # 1/2 <phi0, (Lambda + eps) phi0> + <b, phi0>, with Lambda phi0 =
+        # q0 - b
+        p = quick_problem
+        r = minimize_quadratic(p, 1e-3)
+        b = solve_cascade(p, None).q0
+        inner = p.basis.inner
+        want = 0.5 * inner(r.phi0, r.q0 - b + 1e-3 * r.phi0) + inner(b, r.phi0)
+        assert r.objective == pytest.approx(want, rel=1e-12)
+        assert r.convergence_log[-1]["objective"] == r.objective
+
     def test_null_check_reports_honestly(self, quick_problem):
         # ||q0|| = eps ||phi0|| generally exceeds 1.01 eps, and the
         # report must say so rather than relabel the bound
@@ -433,73 +447,73 @@ class TestQuadraticPenalty:
         assert exc.value.context["krylov_dim"] == 1
 
 
-def _secular_brackets(monkeypatch, n_problems, seed=11):
-    """(f, lo, hi, delta) of every root solve of n random secular problems.
+def _secular_models(n_models, seed=11):
+    """(theta, g, eps) of n random secular problems on SPD models.
 
-    Each problem is a tridiagonal SPD model with a random right-hand side
-    norm beta0 above eps; ``_secular_solve`` expands the bracket itself.
+    Each model is a diagonally dominant tridiagonal T, given by its Ritz
+    pairs, with a random right-hand side norm beta0 above eps.
     """
-    calls = []
-    port = hum_synthesis._brentq
-
-    def recording(f, lo, hi, **kw):
-        delta = port(f, lo, hi, **kw)
-        calls.append((f, lo, hi, delta))
-        return delta
-
     rng = np.random.default_rng(seed)
-    with monkeypatch.context() as patch:
-        patch.setattr(hum_synthesis, "_brentq", recording)
-        for _ in range(n_problems):
-            m = int(rng.integers(1, 13))
-            scale = 10.0 ** rng.uniform(-3, 3)
-            betas = scale * rng.uniform(-1, 1, m)
-            off = np.abs(np.concatenate(([0.0], betas[:m - 1])))
-            alphas = off + np.abs(betas) + scale * 10.0 ** rng.uniform(-4, 1, m)
-            beta0 = 10.0 ** rng.uniform(-2, 2)
-            eps = beta0 * 10.0 ** rng.uniform(-8, -0.001)
-            tri = hum_synthesis._tridiagonal(alphas, betas)
-            assert hum_synthesis._secular_solve(tri, beta0, eps) is not None
-    return calls
+    models = []
+    for _ in range(n_models):
+        m = int(rng.integers(1, 13))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        betas = scale * rng.uniform(-1, 1, m)
+        off = np.abs(np.concatenate(([0.0], betas[:m - 1])))
+        alphas = off + np.abs(betas) + scale * 10.0 ** rng.uniform(-4, 1, m)
+        beta0 = 10.0 ** rng.uniform(-2, 2)
+        eps = beta0 * 10.0 ** rng.uniform(-8, -0.001)
+        theta, q = np.linalg.eigh(hum_synthesis._tridiagonal(alphas, betas))
+        models.append((theta, beta0 * q[0], eps))
+    return models
 
 
-class TestSecularBrent:
-    def test_port_matches_scipy_bitwise(self, monkeypatch):
-        calls = _secular_brackets(monkeypatch, 520)
-        assert len(calls) >= 500
-        for f, lo, hi, delta in calls:
-            # the same points are evaluated in the same order
-            seen = {"port": [], "scipy": []}
+def _secular_gap(theta, g, eps):
+    """delta -> delta ||y(delta)|| - eps in closed form on the Ritz pairs."""
+    return lambda delta: delta * float(np.linalg.norm(g / (theta + delta))) - eps
 
-            def logged(x, key):
-                seen[key].append(x)
-                return f(x)
 
-            got = hum_synthesis._brentq(lambda x: logged(x, "port"), lo, hi,
-                                        xtol=1e-300, rtol=1e-14, maxiter=200)
-            want = optimize.brentq(lambda x: logged(x, "scipy"), lo, hi,
-                                   xtol=1e-300, rtol=1e-14, maxiter=200)
-            assert got == want == delta
-            assert seen["port"] == seen["scipy"]
+class TestSecularNewton:
+    def test_root_balances_norm(self, monkeypatch):
+        # each Newton step takes one square root, that of ||y(delta)||^2
+        steps = []
 
-    def test_iteration_cap_is_coded(self, monkeypatch):
-        f, lo, hi, _ = _secular_brackets(monkeypatch, 1)[0]
-        with pytest.raises(RuntimeError):
-            optimize.brentq(f, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=2)
+        def sqrt(x):
+            steps[-1] += 1
+            return math.sqrt(x)
+
+        monkeypatch.setattr(hum_synthesis, "math",
+                            types.SimpleNamespace(sqrt=sqrt, inf=math.inf))
+        for theta, g, eps in _secular_models(520):
+            steps.append(0)
+            delta = hum_synthesis._secular_solve(theta, g, eps)
+            gap = _secular_gap(theta, g, eps)
+            assert abs(gap(delta)) <= 1e-13 * eps
+            # delta_0 of the solver is a bracket end with gap >= 0
+            hi = eps * theta[-1] / (np.linalg.norm(g) - eps)
+            want = optimize.brentq(gap, 0.0, hi * (1 + 1e-12), xtol=1e-300,
+                                   rtol=1e-15, maxiter=500)
+            assert delta == pytest.approx(want, rel=1e-12)
+        # counting the last step, which no longer shrank and was not taken
+        assert max(steps) <= 12 < hum_synthesis.SECULAR_STEP_CAP
+
+    @pytest.mark.parametrize("theta", [[-2.0, -1.0], [-1.0, 0.0], [-1.0, 2.0]],
+                             ids=["negative", "zero", "indefinite"])
+    def test_model_without_root(self, theta):
+        # indefinite: delta ||y(delta)|| >= 0.8 delta / (delta + 2) > 0.1
+        # for every delta > -theta_min = 1, so no shift balances the norm
+        g = np.array([0.6, 0.8])
+        assert hum_synthesis._secular_solve(np.array(theta), g, 0.1) is None
+
+    def test_degenerate_operator_is_coded(self, quick_problem, monkeypatch):
+        # Lambda = 0 makes T = 0: delta ||y(delta)|| = ||b|| > eps for
+        # every delta, so no penalty weight balances the norm
+        monkeypatch.setattr(hum_synthesis._Synthesis, "apply",
+                            lambda self, phi0: np.zeros_like(phi0))
         with pytest.raises(SynthesisError) as exc:
-            hum_synthesis._brentq(f, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=2)
-        assert exc.value.code == "secular-no-convergence"
-        assert exc.value.context["bracket"] == (lo, hi)
-        assert exc.value.context["iterations"] == 2
-
-    @pytest.mark.parametrize("f", [lambda x: x + 1.0, lambda x: math.nan],
-                             ids=["same-sign", "nan"])
-    def test_no_bracket_is_coded(self, f):
-        with pytest.raises(SynthesisError) as exc:
-            hum_synthesis._brentq(f, 1.0, 2.0, xtol=1e-300, rtol=1e-14,
-                                  maxiter=200)
-        assert exc.value.code == "secular-no-bracket"
-        assert exc.value.context["bracket"] == (1.0, 2.0)
+            minimize_exact(quick_problem, 1e-3)
+        assert exc.value.code == "synthesis-degenerate"
+        assert exc.value.context["krylov_dim"] == 1
 
 
 # problems whose marches take each path of the engine (see _ratio_problem);

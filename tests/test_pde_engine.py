@@ -17,7 +17,6 @@ from insens4.pde_engine import (
     NodeCoefficients,
     Schedule,
     SpatialOperator,
-    Trajectory,
     duality_residual,
     make_schedule,
     solve_backward,

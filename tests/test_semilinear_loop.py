@@ -5,7 +5,6 @@ int_0^1 F_u(theta z) dtheta equals s*z for F = s*u^2, s*sin(z)/z for
 F = s*sin(u), and s*tanh(z)/z for F = s*tanh(u).  The quadrature is
 exact for polynomials and at rounding level for the analytic kinds.
 """
-import copy
 import gc
 import types
 

@@ -525,8 +525,8 @@ def observability_constants(
     Parameters
     ----------
     sup_norms : dict
-        Sup norms of the lower-order coefficients under keys
-        ``a0``, ``b0``, ``b``, ``a1`` (missing keys count as zero).
+        Sup norms of the lower-order coefficients by role, ``a0``,
+        ``b0``, ``b``, ``a1`` (a missing role counts as zero).
 
     Notes
     -----
@@ -544,7 +544,7 @@ def observability_constants(
     w = weights
     T = w.t_final
     thr = _admissible_threshold(w, s)
-    beta = 2.0 + sum(float(sup_norms.get(k, 0.0)) ** 2 for k in ("a0", "b0", "b", "a1"))
+    beta = 2.0 + sum(float(v) ** 2 for v in sup_norms.values())
     m0 = abs(w.ext_alpha_min)
     rate_m = 2 * m0 * s / np.sqrt(T)
 

@@ -10,11 +10,13 @@ convergence             manufactured-solution temporal order study
 selftest                cross-module invariant battery
 
 Exit codes: 0 when every asserted check passes, 1 on usage or
-configuration errors, 2 when a check fails.  Each run writes CSV tables
-and field dumps into the output directory and finishes with
-manifest.json enumerating them; the manifest is written last, so its
-presence marks a complete run.  All randomness flows from the single
-[run] seed through a counter-based Philox generator.
+configuration errors, 2 when a check fails or the computation stops on a
+coded error.  Each run writes CSV tables and field dumps into the output
+directory and finishes with manifest.json enumerating them.  A coded error
+raised once the output directory exists still writes the manifest, with an
+``error`` entry (code, message, context), so a manifest without ``error``
+marks a complete run.  All randomness flows from the single [run] seed
+through a counter-based Philox generator.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import copy
 import math
 import struct
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -118,14 +119,10 @@ def _log_rows(log: list[dict]) -> list[tuple]:
     return rows
 
 
-def _finish(manifest: RunManifest, out_dir: Path, t0: float) -> int:
-    manifest.timings["total"] = time.perf_counter() - t0
-    write_manifest(out_dir / "manifest.json", manifest)
-    for chk in manifest.checks:
-        print(("PASS" if chk["passed"] else "FAIL") + f" {chk['name']}")
-    ok = manifest.all_passed
-    print(f"{manifest.command}: {'ok' if ok else 'FAILED'} (artifacts in {out_dir})")
-    return 0 if ok else 2
+def _csv(manifest: RunManifest, out_dir: Path, name: str, header, rows) -> Path:
+    path = write_csv(out_dir / name, header, rows)
+    manifest.add_output(path)
+    return path
 
 
 def _dump(manifest: RunManifest, out_dir: Path, name: str, fields, problem) -> None:
@@ -138,9 +135,8 @@ def _dump(manifest: RunManifest, out_dir: Path, name: str, fields, problem) -> N
 # weights-check
 
 
-def _cmd_weights_check(cfg: dict, out_dir: Path, quick: bool) -> int:
-    t0 = time.perf_counter()
-    manifest = RunManifest("weights-check", cfg["run"]["seed"], cfg)
+def _cmd_weights_check(cfg: dict, out_dir: Path, manifest: RunManifest,
+                       quick: bool) -> None:
     header = ("check", "passed", "margin", "detail")
     try:
         problem = problem_from_config(cfg)
@@ -152,12 +148,11 @@ def _cmd_weights_check(cfg: dict, out_dir: Path, quick: bool) -> int:
         s_req = exc.context["s"]
         detail = (f"s = {format_cell(s_req)} is below the admissibility "
                   f"threshold 4*T/|M0| = {format_cell(thr)}")
-        path = write_csv(out_dir / "weights_checks.csv", header,
-                         [("s-admissible", False, s_req - thr, detail)])
-        manifest.add_output(path)
+        _csv(manifest, out_dir, "weights_checks.csv", header,
+             [("s-admissible", False, s_req - thr, detail)])
         manifest.add_check("s-admissible", False, s=s_req, threshold=thr)
         print(f"insens4 weights-check: {detail}", file=sys.stderr)
-        return _finish(manifest, out_dir, t0)
+        return
 
     c = problem.constants
     times = problem.grid.times
@@ -173,46 +168,37 @@ def _cmd_weights_check(cfg: dict, out_dir: Path, quick: bool) -> int:
         note += "; s above threshold, probe informative only"
     rows.append(("envelope-tightness", env.tight, env.tightness_gap, note))
     manifest.add_check("envelope-tightness", env.tight, gap=env.tightness_gap)
-    manifest.add_output(write_csv(out_dir / "weights_checks.csv", header, rows))
+    _csv(manifest, out_dir, "weights_checks.csv", header, rows)
 
     const_header = ("s", "s_threshold", "lambda", "beta", "rate_m", "cost_h",
                     "c_proxy", "term_sup", "term_window", "overflowed")
     const_row = (c.s, c.s_threshold, c.lam, c.beta, c.rate_m, c.cost_h,
                  c.c_proxy, c.term_sup, c.term_window, c.overflowed)
-    manifest.add_output(write_csv(out_dir / "observability_constants.csv",
-                                  const_header, [const_row]))
-    return _finish(manifest, out_dir, t0)
+    _csv(manifest, out_dir, "observability_constants.csv", const_header,
+         [const_row])
 
 
 # ---------------------------------------------------------------------------
 # observability
 
 
-def _cmd_observability(cfg: dict, out_dir: Path, quick: bool) -> int:
-    t0 = time.perf_counter()
-    seed = cfg["run"]["seed"]
-    manifest = RunManifest("observability", seed, cfg)
-    problem = problem_from_config(cfg)
-    manifest.timings["build"] = time.perf_counter() - t0
+def _cmd_observability(cfg: dict, out_dir: Path, manifest: RunManifest,
+                       quick: bool) -> None:
+    with manifest.timed("build"):
+        problem = problem_from_config(cfg)
+    with manifest.timed("sampling"):
+        report = observability_ratio_sample(
+            problem, n_samples=cfg["sampling"]["samples"],
+            seed=cfg["run"]["seed"],
+            mode_cap=cfg["sampling"]["mode_cap"] or None)
 
-    cap = cfg["sampling"]["mode_cap"] or None
-    t1 = time.perf_counter()
-    report = observability_ratio_sample(
-        problem, n_samples=cfg["sampling"]["samples"], seed=seed, mode_cap=cap)
-    manifest.timings["sampling"] = time.perf_counter() - t1
-
-    rows = [(s["index"], s["decay"], s["ratio"], s["status"])
-            for s in report.samples]
-    manifest.add_output(write_csv(out_dir / "ratio_samples.csv",
-                                  ("index", "decay", "ratio", "status"), rows))
-    summary_header = ("n_samples", "n_degenerate", "mode_cap", "seed",
-                      "rate_m", "h_value", "max_ratio", "median_ratio",
-                      "empirical_c")
-    summary = (report.n_samples, report.n_degenerate, report.mode_cap or 0,
-               report.seed, report.rate_m, report.h_value, report.max_ratio,
-               report.median_ratio, report.empirical_c)
-    manifest.add_output(write_csv(out_dir / "ratio_summary.csv",
-                                  summary_header, [summary]))
+    header = ("index", "decay", "ratio", "status")
+    _csv(manifest, out_dir, "ratio_samples.csv", header,
+         [[s[k] for k in header] for s in report.samples])
+    header = ("n_samples", "n_degenerate", "mode_cap", "seed", "rate_m",
+              "h_value", "max_ratio", "median_ratio", "empirical_c")
+    _csv(manifest, out_dir, "ratio_summary.csv", header,
+         [[getattr(report, k) for k in header]])
 
     valid = report.n_samples - report.n_degenerate
     finite = valid > 0 and math.isfinite(report.max_ratio)
@@ -220,56 +206,50 @@ def _cmd_observability(cfg: dict, out_dir: Path, quick: bool) -> int:
                        max_ratio=report.max_ratio)
     # no hard bound on the unknown constant: the ratio is reported, not
     # asserted against h_value
-    return _finish(manifest, out_dir, t0)
 
 
 # ---------------------------------------------------------------------------
 # control synthesis
 
 
-def _sensitivity_block(problem, result, cfg, manifest, out_dir, rng,
+def _sensitivity_block(problem, result, cfg, manifest, out_dir,
                        bound: float, assert_gap: bool) -> None:
-    n_dir = cfg["sampling"]["directions"]
-    tau = cfg["sampling"]["tau_probe"]
     gap_tol = cfg["sampling"]["gap_tol"]
-    rows = []
-    yhats = np.empty((n_dir,) + problem.basis.shape)
+    rng = _rng(cfg["run"]["seed"])
+    yhats = np.empty((cfg["sampling"]["directions"],) + problem.basis.shape)
     for yhat in yhats:
         yhat[...] = _smooth_unit(problem.basis, rng)
-    reports = sentinel_sensitivity(problem, result.v, yhats, tau_probe=tau,
-                                   premasked=True)
+    with manifest.timed("sensitivity"):
+        reports = sentinel_sensitivity(problem, result.v, yhats,
+                                       tau_probe=cfg["sampling"]["tau_probe"],
+                                       premasked=True)
     for i, rep in enumerate(reports):
-        rows.append((i, rep.tau, rep.d_fd, rep.d_fd_half, rep.d_dual,
-                     rep.gap, rep.gap_rel, rep.q0_norm))
         manifest.add_check(f"sentinel-derivative-{i}",
                            abs(rep.d_fd) <= bound, d_fd=rep.d_fd, bound=bound)
         if assert_gap:
             manifest.add_check(f"duality-gap-{i}", rep.gap_rel <= gap_tol,
                                gap_rel=rep.gap_rel, tol=gap_tol)
-    manifest.add_output(write_csv(
-        out_dir / "sensitivity.csv",
-        ("direction", "tau", "d_fd", "d_fd_half", "d_dual", "gap", "gap_rel",
-         "q0_norm"), rows))
+    header = ("direction", "tau", "d_fd", "d_fd_half", "d_dual", "gap",
+              "gap_rel", "q0_norm")
+    _csv(manifest, out_dir, "sensitivity.csv", header,
+         [[i] + [getattr(rep, k) for k in header[1:]]
+          for i, rep in enumerate(reports)])
 
 
-def _cmd_insensitize_linear(cfg: dict, out_dir: Path, quick: bool) -> int:
-    t0 = time.perf_counter()
-    seed = cfg["run"]["seed"]
-    manifest = RunManifest("insensitize-linear", seed, cfg)
+def _cmd_insensitize_linear(cfg: dict, out_dir: Path, manifest: RunManifest,
+                            quick: bool) -> None:
     if cfg["nonlinearity"]["kind"] != "zero":
         raise SetupError(
             "config-value",
             "insensitize-linear requires [nonlinearity] kind = zero; use "
             "insensitize-semilinear when a reaction term is configured")
-    problem = problem_from_config(cfg)
-    manifest.timings["build"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
+    with manifest.timed("build"):
+        problem = problem_from_config(cfg)
     solver = minimize_exact if cfg["penalty"]["variant"] == "exact" \
         else minimize_quadratic
-    result = solver(problem, tol=cfg["penalty"]["tol"],
-                    max_iter=cfg["penalty"]["max_iter"])
-    manifest.timings["minimize"] = time.perf_counter() - t1
+    with manifest.timed("minimize"):
+        result = solver(problem, tol=cfg["penalty"]["tol"],
+                        max_iter=cfg["penalty"]["max_iter"])
     null = verify_null(result)
 
     manifest.add_check("hum-converged", result.converged,
@@ -278,68 +258,48 @@ def _cmd_insensitize_linear(cfg: dict, out_dir: Path, quick: bool) -> int:
     manifest.add_check("null-condition", null.passed, q0_norm=null.q0_norm,
                        epsilon=null.epsilon)
 
-    manifest.add_output(write_csv(
-        out_dir / "hum_convergence.csv",
-        ("phase", "step", "value", "objective", "detail"),
-        _log_rows(result.convergence_log)))
-    summary_header = ("variant", "epsilon", "branch", "converged",
-                      "iterations", "operator_applies", "q0_norm", "v_norm",
-                      "bound_value", "bound_within", "optimality_residual",
-                      "objective")
-    summary = (result.variant, result.epsilon, result.branch,
-               result.converged, result.iterations, result.operator_applies,
-               result.q0_norm, result.v_norm, result.bound_value,
-               null.bound_within, result.optimality_residual,
-               result.objective)
-    manifest.add_output(write_csv(out_dir / "control_summary.csv",
-                                  summary_header, [summary]))
+    _csv(manifest, out_dir, "hum_convergence.csv",
+         ("phase", "step", "value", "objective", "detail"),
+         _log_rows(result.convergence_log))
+    header = ("variant", "epsilon", "branch", "converged", "iterations",
+              "operator_applies", "q0_norm", "v_norm", "bound_value",
+              "bound_within", "optimality_residual", "objective")
+    summary = vars(result) | {"bound_within": null.bound_within}
+    _csv(manifest, out_dir, "control_summary.csv", header,
+         [[summary[k] for k in header]])
 
-    t2 = time.perf_counter()
-    _sensitivity_block(problem, result, cfg, manifest, out_dir, _rng(seed),
+    _sensitivity_block(problem, result, cfg, manifest, out_dir,
                        bound=10.0 * result.epsilon, assert_gap=True)
-    manifest.timings["sensitivity"] = time.perf_counter() - t2
-
     _dump(manifest, out_dir, "control_v.fld", result.v, problem)
     _dump(manifest, out_dir, "costate_q0.fld", result.q0, problem)
     _dump(manifest, out_dir, "seed_phi0.fld", result.phi0, problem)
-    return _finish(manifest, out_dir, t0)
 
 
 _PICARD_HEADER = ("iteration", "increment", "z_norm", "q0_norm", "v_norm",
                   "hum_converged", "certificate", "note")
 
 
-def _picard_row(h: dict) -> tuple:
-    return (h.get("iteration", ""), h.get("increment", ""),
-            h.get("z_norm", ""), h.get("q0_norm", ""), h.get("v_norm", ""),
-            h.get("hum_converged", ""), h.get("certificate", ""),
-            h.get("note", ""))
+def _picard_row(h: dict) -> list:
+    return [h.get(k, "") for k in _PICARD_HEADER]
 
 
-def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path, quick: bool) -> int:
-    t0 = time.perf_counter()
-    seed = cfg["run"]["seed"]
-    manifest = RunManifest("insensitize-semilinear", seed, cfg)
-    problem = problem_from_config(cfg)
-    manifest.timings["build"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
+def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path,
+                                manifest: RunManifest, quick: bool) -> None:
+    with manifest.timed("build"):
+        problem = problem_from_config(cfg)
     try:
-        sem = picard_insensitize(problem, tol=cfg["picard"]["tol"],
-                                 max_iter=cfg["picard"]["max_iter"],
-                                 hum_tol=cfg["penalty"]["tol"],
-                                 hum_max_iter=cfg["penalty"]["max_iter"])
+        with manifest.timed("picard"):
+            sem = picard_insensitize(problem, tol=cfg["picard"]["tol"],
+                                     max_iter=cfg["picard"]["max_iter"],
+                                     hum_tol=cfg["penalty"]["tol"],
+                                     hum_max_iter=cfg["penalty"]["max_iter"])
     except IterationError as exc:
         # honest failure: keep the iterate history on disk
-        manifest.timings["picard"] = time.perf_counter() - t1
-        history = exc.context.get("history", [])
-        manifest.add_output(write_csv(out_dir / "picard_history.csv",
-                                      _PICARD_HEADER,
-                                      [_picard_row(h) for h in history]))
+        _csv(manifest, out_dir, "picard_history.csv", _PICARD_HEADER,
+             [_picard_row(h) for h in exc.context.get("history", [])])
         manifest.add_check("picard-converged", False, code=exc.code)
         print(f"insens4 insensitize-semilinear: {exc}", file=sys.stderr)
-        return _finish(manifest, out_dir, t0)
-    manifest.timings["picard"] = time.perf_counter() - t1
+        return
 
     result = sem.final
     null = verify_null(result)
@@ -355,9 +315,8 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path, quick: bool) -> int:
     manifest.add_check("ftc-identity", ftc <= 1e-8, residual=ftc)
     manifest.add_check("inside-ball", sem.inside_ball, r1=sem.r1_radius)
 
-    manifest.add_output(write_csv(out_dir / "picard_history.csv",
-                                  _PICARD_HEADER,
-                                  [_picard_row(h) for h in sem.history]))
+    _csv(manifest, out_dir, "picard_history.csv", _PICARD_HEADER,
+         [_picard_row(h) for h in sem.history])
     contraction = sem.contraction_factors[-1] if sem.contraction_factors else ""
     summary_header = ("converged", "iterations", "epsilon", "q0_norm",
                       "v_norm", "increment_last", "contraction_last",
@@ -367,20 +326,15 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path, quick: bool) -> int:
                result.v_norm, sem.increments[-1], contraction, sem.r1_radius,
                sem.inside_ball, sem.weighted_force_norm, ftc,
                result.objective)
-    manifest.add_output(write_csv(out_dir / "control_summary.csv",
-                                  summary_header, [summary]))
+    _csv(manifest, out_dir, "control_summary.csv", summary_header, [summary])
 
-    t2 = time.perf_counter()
     tau = cfg["sampling"]["tau_probe"]
-    bound = 10.0 * result.epsilon + 10.0 * tau * tau
-    _sensitivity_block(problem, result, cfg, manifest, out_dir, _rng(seed),
-                       bound=bound, assert_gap=False)
-    manifest.timings["sensitivity"] = time.perf_counter() - t2
-
+    _sensitivity_block(problem, result, cfg, manifest, out_dir,
+                       bound=10.0 * result.epsilon + 10.0 * tau * tau,
+                       assert_gap=False)
     _dump(manifest, out_dir, "control_v.fld", result.v, problem)
     _dump(manifest, out_dir, "costate_q0.fld", result.q0, problem)
     _dump(manifest, out_dir, "state_y.fld", result.y.fields, problem)
-    return _finish(manifest, out_dir, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +371,8 @@ def _mms_error(dim: int, extent: float, cells: int, t_final: float,
     return basis.norm(traj.stateT - g(t_final) * p)
 
 
-def _cmd_convergence(cfg: dict, out_dir: Path, quick: bool) -> int:
-    t0 = time.perf_counter()
-    manifest = RunManifest("convergence", cfg["run"]["seed"], cfg)
+def _cmd_convergence(cfg: dict, out_dir: Path, manifest: RunManifest,
+                     quick: bool) -> None:
     # the study reads only the grid and coefficients, but a configuration
     # that fails validation is an error here too
     problem_from_config(cfg)
@@ -441,25 +394,21 @@ def _cmd_convergence(cfg: dict, out_dir: Path, quick: bool) -> int:
         errors.append(err)
     dts = np.log([t_final / n for n in ladder])
     slope = float(np.polyfit(dts, np.log(errors), 1)[0])
-    manifest.add_output(write_csv(out_dir / "time_order.csv",
-                                  ("steps", "dt", "error", "observed_order"),
-                                  rows))
+    _csv(manifest, out_dir, "time_order.csv",
+         ("steps", "dt", "error", "observed_order"), rows)
     manifest.add_check("time-order", slope >= 1.9, slope=slope)
     manifest.add_check("errors-decreasing",
                        all(b < a for a, b in zip(errors, errors[1:])),
                        errors=errors)
-    return _finish(manifest, out_dir, t0)
 
 
 # ---------------------------------------------------------------------------
 # selftest
 
 
-def _cmd_selftest(cfg: dict, out_dir: Path, quick: bool) -> int:
-    t0 = time.perf_counter()
-    seed = cfg["run"]["seed"]
-    manifest = RunManifest("selftest", seed, cfg)
-    rng = _rng(seed)
+def _cmd_selftest(cfg: dict, out_dir: Path, manifest: RunManifest,
+                  quick: bool) -> None:
+    rng = _rng(cfg["run"]["seed"])
     rows = []
 
     def record(name: str, passed: bool, value: float, detail: str = "") -> None:
@@ -576,19 +525,15 @@ def _cmd_selftest(cfg: dict, out_dir: Path, quick: bool) -> int:
 
     det_rows = [(k, math.sin(1.0 + k) * 10.0 ** (3 - 2 * k), k % 2 == 0)
                 for k in range(6)]
-    pa = write_csv(out_dir / "selftest_det_a.csv", ("k", "x", "even"),
-                   det_rows)
-    pb = write_csv(out_dir / "selftest_det_b.csv", ("k", "x", "even"),
-                   det_rows)
-    manifest.add_output(pa)
-    manifest.add_output(pb)
+    pa = _csv(manifest, out_dir, "selftest_det_a.csv", ("k", "x", "even"),
+              det_rows)
+    pb = _csv(manifest, out_dir, "selftest_det_b.csv", ("k", "x", "even"),
+              det_rows)
     record("csv-determinism", pa.read_bytes() == pb.read_bytes(),
            pa.stat().st_size, "identical rows, identical bytes")
 
-    manifest.add_output(write_csv(out_dir / "selftest.csv",
-                                  ("check", "passed", "value", "detail"),
-                                  rows))
-    return _finish(manifest, out_dir, t0)
+    _csv(manifest, out_dir, "selftest.csv",
+         ("check", "passed", "value", "detail"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +588,7 @@ def main(argv=None) -> int:
         code = 0 if exc.code is None else exc.code
         return 1 if code == 2 else int(code)
     command = args.command
+    manifest = None
     try:
         cfg = parse_config(args.config)
         if args.quick:
@@ -659,14 +605,24 @@ def main(argv=None) -> int:
         cfg["run"]["threads_applied"] = _apply_threads(cfg["run"]["threads"])
         out_dir = Path(cfg["run"]["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
+        manifest = RunManifest(command, cfg["run"]["seed"], cfg)
         handler = {name: fn for name, fn, _ in _COMMANDS}[command]
-        return handler(cfg, out_dir, bool(args.quick))
-    except SetupError as exc:
-        print(f"insens4 {command}: {exc}", file=sys.stderr)
-        return 1
+        with manifest.timed("total"):
+            handler(cfg, out_dir, manifest, bool(args.quick))
     except Insens4Error as exc:
+        if manifest is not None:
+            # the run stopped after it began: leave what it knew
+            manifest.error = {"code": exc.code, "message": exc.message,
+                              "context": exc.context}
+            write_manifest(out_dir / "manifest.json", manifest)
         print(f"insens4 {command}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, SetupError) else 2
+    write_manifest(out_dir / "manifest.json", manifest)
+    for chk in manifest.checks:
+        print(("PASS" if chk["passed"] else "FAIL") + f" {chk['name']}")
+    ok = manifest.all_passed
+    print(f"{command}: {'ok' if ok else 'FAILED'} (artifacts in {out_dir})")
+    return 0 if ok else 2
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .errors import SetupError
 from .hum_synthesis import VARIANTS
 from .nonlinearity import make_nonlinearity
 from .problem_setup import (
+    ROLE_AXES,
     CoefficientField,
     ProblemConfig,
     ValidatedProblem,
@@ -264,13 +265,14 @@ def _auto_omega0(omega_boxes, obs_boxes, grid):
 
 
 def _coefficient(role: str, cfg: dict, dim: int) -> CoefficientField | None:
-    if role in ("a0", "a1"):
+    axes = ROLE_AXES[role]
+    if axes == 0:
         value = cfg["coefficients"][role]
         if value == 0.0:
             return None
         return CoefficientField.constant(role, value, dim)
     values = cfg["coefficients"][role]
-    expected = dim if role == "b0" else dim * dim
+    expected = dim ** axes
     if len(values) == 1 and values[0] == 0.0:
         return None
     if len(values) != expected:
@@ -281,14 +283,12 @@ def _coefficient(role: str, cfg: dict, dim: int) -> CoefficientField | None:
     arr = np.asarray(values, dtype=float)
     if not np.any(arr):
         return None
-    if role == "b":
-        arr = arr.reshape(dim, dim)
-    return CoefficientField.constant(role, arr, dim)
+    return CoefficientField.constant(role, arr.reshape((dim,) * axes), dim)
 
 
 def coefficients_from_config(cfg: dict, dim: int) -> dict[str, CoefficientField | None]:
     """Lower-order coefficient fields for the configured operator."""
-    return {role: _coefficient(role, cfg, dim) for role in ("a0", "b0", "b", "a1")}
+    return {role: _coefficient(role, cfg, dim) for role in ROLE_AXES}
 
 
 def _force_fields(cfg: dict, grid) -> tuple[np.ndarray | None, float]:
@@ -333,10 +333,7 @@ def problem_from_config(cfg: dict) -> ValidatedProblem:
     w = cfg["weights"]
     problem = ProblemConfig(
         grid=grid, omega=omega, obs=obs, omega0=omega0,
-        a0=_coefficient("a0", cfg, dim),
-        b0=_coefficient("b0", cfg, dim),
-        b=_coefficient("b", cfg, dim),
-        a1=_coefficient("a1", cfg, dim),
+        **coefficients_from_config(cfg, dim),
         force=force, force_onset=onset,
         epsilon=cfg["penalty"]["epsilon"],
         lam=w["lambda"],

@@ -21,6 +21,7 @@ class Insens4Error(Exception):
     def __init__(self, code: str, message: str, **context):
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.message = message
         self.context = context
 
 

@@ -95,7 +95,7 @@ import numpy as np
 
 from .errors import EngineError
 from .nonlinearity import NonlinearitySpec
-from .problem_setup import CoefficientField, Grid
+from .problem_setup import ROLE_AXES, CoefficientField, Grid
 from .spectral import SineBasis
 
 __all__ = [
@@ -127,9 +127,6 @@ RECORD_CHUNK_BYTES = 2**16
 # Per-step reaction relaxation: update tolerance relative to 1 + |u_j|, and cap.
 RELAX_TOL = 1e-11
 RELAX_CAP = 50
-
-_ROLES = ("a0", "b0", "b", "a1")
-
 
 @dataclass
 class NodeCoefficients:
@@ -173,7 +170,7 @@ def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None],
     constant field is, so a march can take the diagonal solve.
     """
     basis = grid.basis
-    fields = {role: coefficients.get(role) for role in _ROLES}
+    fields = {role: coefficients.get(role) for role in ROLE_AXES}
     adds = {role: add for role, add in (("a0", add_a0), ("b0", add_b0), ("b", add_b))
             if add is not None and np.any(add)}
 
@@ -319,7 +316,7 @@ def _uniform_value(arr: Array, dim: int) -> Array | None:
 def _diagonal_key(nc: NodeCoefficients, dim: int) -> tuple[float, ...] | None:
     """(a0, a1, b_11, ..., b_dd) of a node diagonal in the sine basis, else None."""
     vals = {}
-    for role in _ROLES:
+    for role in ROLE_AXES:
         arr = getattr(nc, role)
         if arr is not None:
             vals[role] = _uniform_value(arr, dim)

@@ -34,7 +34,10 @@ __all__ = [
 ]
 
 Array = np.ndarray
-_ROLES = ("a0", "b0", "b", "a1")
+# The lower-order coefficient roles in operator order, each with the number
+# of component axes it carries: a0 and a1 are scalars, b0 a vector of length
+# dim, b a dim-by-dim matrix.
+ROLE_AXES = {"a0": 0, "b0": 1, "b": 2, "a1": 0}
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -214,8 +217,7 @@ def _contained_with_margin(inner: np.ndarray, outer: np.ndarray, margin: int = 1
 class CoefficientField:
     """One lower-order coefficient with a declared sup bound.
 
-    Roles and shapes: ``a0``/``a1`` map to scalars, ``b0`` to a vector of
-    length dim, ``b`` to a dim-by-dim matrix; evaluators return the
+    ``ROLE_AXES`` gives each role's component axes; evaluators return the
     component stack with spatial axes last.
     """
 
@@ -228,7 +230,7 @@ class CoefficientField:
     @staticmethod
     def constant(role: str, value, dim: int = 1, label: str = "") -> "CoefficientField":
         value = np.asarray(value, dtype=float)
-        expected = {"a0": (), "a1": (), "b0": (dim,), "b": (dim, dim)}[role]
+        expected = (dim,) * ROLE_AXES[role]
         if value.shape != expected:
             raise SetupError(
                 "coefficient-shape",
@@ -249,7 +251,7 @@ class CoefficientField:
 
     def eval(self, basis: SineBasis, t: float) -> np.ndarray:
         dim = basis.dim
-        lead = {"a0": (), "a1": (), "b0": (dim,), "b": (dim, dim)}[self.role]
+        lead = (dim,) * ROLE_AXES[self.role]
         if callable(self.evaluator):
             out = np.asarray(self.evaluator(*basis.mesh(), t), dtype=float)
             target = lead + basis.shape
@@ -260,7 +262,7 @@ class CoefficientField:
         ).astype(float, copy=False)
 
     def pointwise_magnitude(self, values: np.ndarray, dim: int) -> np.ndarray:
-        lead = {"a0": 0, "a1": 0, "b0": 1, "b": 2}[self.role]
+        lead = ROLE_AXES[self.role]
         if lead == 0:
             return np.abs(values)
         return np.sqrt(np.sum(values**2, axis=tuple(range(lead))))
@@ -378,7 +380,7 @@ def validate_problem(config: ProblemConfig) -> ValidatedProblem:
 
     coefficients = {}
     sup_norms = {}
-    for role in _ROLES:
+    for role in ROLE_AXES:
         fld: CoefficientField | None = getattr(config, role)
         if fld is None:
             sup_norms[role] = 0.0

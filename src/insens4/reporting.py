@@ -11,8 +11,9 @@ Field dumps are raw little-endian float64 payloads behind a fixed
     bytes 20..23  u32 zero padding
     bytes 24..31  u64 payload length in bytes
 
-The manifest is JSON, written after every other file as the atomic
-completion marker of a run.
+The manifest is JSON, written after every other file.  A manifest without
+an ``error`` entry marks a complete run; one with it names the coded error
+that ended the run and lists the files written before it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import json
 import math
 import struct
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,6 +130,8 @@ class RunManifest:
     outputs: list[dict] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     checks: list[dict] = field(default_factory=list)
+    # {code, message, context} of the coded error that ended the run
+    error: dict | None = field(default=None, init=False)
 
     def add_output(self, path: Path) -> None:
         path = Path(path)
@@ -137,9 +142,18 @@ class RunManifest:
         entry.update(extra)
         self.checks.append(entry)
 
+    @contextmanager
+    def timed(self, name: str):
+        """Record the phase's wall time under ``name``, also when it raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = time.perf_counter() - t0
+
     @property
     def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        return self.error is None and all(c["passed"] for c in self.checks)
 
 
 def _jsonable(value):
@@ -158,6 +172,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
     return value
 
 
@@ -173,6 +189,8 @@ def write_manifest(path, manifest: RunManifest) -> Path:
         "checks": _jsonable(manifest.checks),
         "all_passed": manifest.all_passed,
     }
+    if manifest.error is not None:
+        doc["error"] = _jsonable(manifest.error)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path

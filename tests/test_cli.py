@@ -1,9 +1,11 @@
 """End-to-end command line runs through the in-process entry point."""
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
@@ -241,6 +243,32 @@ class TestFailureModes:
         assert "sine mode 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text,rc,code,context,outputs,checks", [
+        ("[coefficients]\na0 = -1e6\n", 2,
+         "implicit-denominator-nonpositive", {"step": 0, "mode": [1]}, [], []),
+        ("[sampling]\ntau_probe = 1e300\n", 1, "probe-step", {},
+         ["hum_convergence.csv", "control_summary.csv"],
+         ["hum-converged", "null-condition"]),
+    ], ids=["engine-error", "setup-error-after-synthesis"])
+    def test_coded_error_leaves_manifest(self, tmp_path, capsys, text, rc,
+                                         code, context, outputs, checks):
+        # a run a coded error ends still records what failed, where, and
+        # what it wrote before
+        cfg = _ini(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["insensitize-linear", "--quick", "--config", cfg,
+                     "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        assert f"insensitize-linear: {code}: " in err and "Traceback" not in err
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["error"]["code"] == code
+        assert doc["error"]["context"] == context
+        assert doc["error"]["message"] in err
+        assert doc["all_passed"] is False and "total" in doc["timings"]
+        assert [o["path"] for o in doc["outputs"]] == outputs
+        assert all((out / name).is_file() for name in outputs)
+        assert [c["name"] for c in doc["checks"]] == checks
+
     def test_2d_eta_peak_per_axis(self, tmp_path, capsys):
         text = ("[grid]\ndimension = 2\ncells = 32\nsteps = 16\n"
                 "[domains]\nomega = 0.6:1.4,0.6:1.4\nobs = 1.0:1.8,1.0:1.8\n"
@@ -464,11 +492,24 @@ class TestConfigFuzz:
         text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
                                                 for k, v in keys.items())
                        for name, keys in sections.items())
-        cfg = _ini(tmp_path, text)
-        code = main([command, "--quick", "--config", cfg,
-                     "--out", str(tmp_path / "o")])
+        # a fresh directory per example, so no earlier manifest can answer
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        out = work / "o"
+        code = main([command, "--quick", "--config", _ini(work, text),
+                     "--out", str(out)])
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         if _out_of_range(section, key, kind, value):
             assert code == 1, (text, err)
+        coded = re.match(rf"insens4 {command}: ([\w-]+): ", err)
+        if coded and out.is_dir():
+            # a coded error after the run began leaves its manifest; the
+            # Picard failure is a failed check that carries the code
+            doc = json.loads((out / "manifest.json").read_text())
+            if "error" in doc:
+                assert doc["error"]["code"] == coded[1], (text, err)
+                assert doc["all_passed"] is False
+            else:
+                picard = {c["name"]: c for c in doc["checks"]}["picard-converged"]
+                assert picard["code"] == coded[1] and not picard["passed"]

@@ -171,3 +171,22 @@ class TestManifest:
         doc = json.loads(write_manifest(tmp_path / "n.json", m).read_text())
         assert doc["checks"][0]["cost"] == "inf"
         assert doc["checks"][0]["gap"] == "nan"
+
+    def test_error_entry_is_valid_json(self, tmp_path):
+        # a coded error's context may hold a whole field and non-finite
+        # values; the manifest must still be strict JSON, and not passed
+        m = RunManifest(command="run", seed=0, config={})
+        m.add_check("hum-converged", True)
+        m.error = {"code": "prox-stall", "message": "no decrease",
+                   "context": {"phi0": np.array([[0.5, np.nan]]),
+                               "residual": np.float64(np.nan)}}
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        text = write_manifest(tmp_path / "e.json", m).read_text()
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["all_passed"] is False and not m.all_passed
+        assert doc["error"] == {"code": "prox-stall", "message": "no decrease",
+                                "context": {"phi0": [[0.5, "nan"]],
+                                            "residual": "nan"}}

@@ -15,7 +15,8 @@ marches the adjoint pair and the force-free cascade (four marches), the
 affine term the forced cascade (two).  The cascade is linear, so the
 returned control's cascade is the sum of the forced cascade and the
 homogeneous cascade of its seed, both of which the minimization has
-usually marched already.  Every entry point takes its linearization as
+usually marched already.  Every entry point but the observability
+sampler, which samples the linear pipeline, takes its linearization as
 ``ops``, a ``CascadeOperators`` (None: the linear pipeline's).
 
 Both variants solve on one Lanczos model T of the synthesis operator,
@@ -583,7 +584,6 @@ def observability_ratio_sample(
     n_samples: int = 50,
     seed: int = 0,
     mode_cap: int | None = None,
-    ops: CascadeOperators | None = None,
 ) -> RatioReport:
     """Empirical spread of the weighted observability ratio.
 
@@ -612,7 +612,7 @@ def observability_ratio_sample(
     if n_samples < 1:
         raise SynthesisError("sample-count",
                              f"need at least one sample, got {n_samples}")
-    ops = ops or linearized_operators(problem)
+    ops = linearized_operators(problem)
     basis = problem.basis
     shape = basis.shape
     cap = min(shape) if mode_cap is None else min(int(mode_cap), min(shape))

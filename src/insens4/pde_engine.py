@@ -17,11 +17,12 @@ holds to rounding (qbar, ybar are the stored midpoint averages).
 Coefficients reach a march only as a ``Schedule`` (one ``NodeCoefficients``
 per step, built by ``make_schedule``), which also caches the step solver
 its first march chose: diagonal mode factors, 1D inverses or GMRES.
-Steps share one node when every coefficient field is time-constant and
-every added linearization has equal rows in time; an added role that is
-also the same at every point is stored as a broadcast over space, like a
-constant field, so a linearization frozen at z = 0 (F'(0), one number per
-component) marches as a constant coefficient does.
+Steps share one node when every callable field and every added
+linearization has equal rows in time.  Whether a role is the same at
+every point is read off its values, however it is stored, so a
+linearization frozen at z = 0 (F'(0), one number per component) or a
+callable that returns a uniform array marches as a constant coefficient
+does.
 
 Every march steps in sine coefficients by the implicit midpoint rule.
 With c = dt/2, step j solves
@@ -37,8 +38,8 @@ all-zero schedule included), A is diagonal in the sine basis with symbol
 
 and the solve multiplies by the per-mode factor 1/(1 + c lambda), exact
 at any stiffness; the symbol is symmetric, so the backward march is the
-same product.  Every other march (b0, mixed b_ij, or x-dependent or
-time-varying coefficients) solves (D + c T Lo_j F) mid_j = rhs, with T and F
+same product.  Every other march (b0, mixed b_ij, or x-dependent
+coefficients) solves (D + c T Lo_j F) mid_j = rhs, with T and F
 the to/from-mode transforms, D = 1 + c |kappa|^4 and Lo_j the lower-order
 part at node j; the backward march solves with T Lo_j^T F, the exact
 transpose, so no physical-space right-hand side (I - c A) u is formed.
@@ -161,46 +162,40 @@ def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None],
                   add_b: Array | None = None) -> Schedule:
     """The coefficient fields at each midpoint node, plus per-node additions.
 
+    A callable field is evaluated at every node into an (Nt, ...) stack
+    (kept as one row when its rows are equal), a constant one once.
     ``add_a0``, ``add_b0`` and ``add_b`` are (Nt, ...) stacks added to the
     matching role at every node (a frozen linearization); an all-zero one
-    is dropped.  When every field is time-constant and every addition's
-    rows are equal, all steps share one node, so a march factors it once.
-    A role of that node that got an addition and is the same at every
-    point (per component) is stored as a zero-stride broadcast, as a
-    constant field is, so a march can take the diagonal solve.
+    is dropped.  When every stack's rows are equal, all steps share one
+    node, so a march factors it once.
     """
     basis = grid.basis
-    fields = {role: coefficients.get(role) for role in ROLE_AXES}
-    adds = {role: add for role, add in (("a0", add_a0), ("b0", add_b0), ("b", add_b))
-            if add is not None and np.any(add)}
+    fixed, stacks = {}, {}
+    for role, add in zip(ROLE_AXES, (add_a0, add_b0, add_b, None)):
+        f = coefficients.get(role)
+        stacks[role] = [] if add is None or not np.any(add) else [add]
+        if f is not None and callable(f.evaluator):
+            stack = np.stack([f.eval(basis, t) for t in grid.times])
+            if np.all(stack == stack[0]):
+                # a copy of its one row, so that the stack is freed
+                fixed[role] = stack[0].copy()
+            else:
+                stacks[role].insert(0, stack)
+        elif f is not None:
+            fixed[role] = f.eval(basis, grid.times[0])
 
     def at(j: int) -> NodeCoefficients:
         vals = {}
-        for role, f in fields.items():
-            val = None if f is None else f.eval(basis, grid.times[j])
-            add = adds.get(role)
-            if add is not None:
-                val = add[j] if val is None else val + add[j]
+        for role, rows in stacks.items():
+            val = fixed.get(role)
+            for stack in rows:
+                val = stack[j] if val is None else val + stack[j]
             vals[role] = val
         return NodeCoefficients(**vals)
 
-    if all(f is None or f.time_constant for f in fields.values()) \
-            and all(np.all(add == add[0]) for add in adds.values()):
-        node = at(0)
-        for role in adds:
-            setattr(node, role, _broadcast_if_uniform(getattr(node, role),
-                                                      grid.dim))
-        return Schedule([node] * grid.n_steps)
+    if all(np.all(s == s[0]) for rows in stacks.values() for s in rows):
+        return Schedule([at(0)] * grid.n_steps)
     return Schedule([at(j) for j in range(grid.n_steps)])
-
-
-def _broadcast_if_uniform(arr: Array, dim: int) -> Array:
-    """``arr`` as a zero-stride broadcast over space when its components
-    are the same at every point, else ``arr``."""
-    first = arr[(...,) + (slice(0, 1),) * dim]
-    if not np.all(arr == first):
-        return arr
-    return np.broadcast_to(first, arr.shape)
 
 
 def _lower_apply(basis: SineBasis, nc: NodeCoefficients, u: Array) -> Array:
@@ -300,17 +295,17 @@ def _source_fields(grid: Grid, source: Array | None, start: Array,
 
 
 def _uniform_value(arr: Array, dim: int) -> Array | None:
-    """Component values of a coefficient stored as a broadcast over space.
+    """Component values of a coefficient that is the same at every point.
 
-    Constant coefficient fields evaluate to views with zero strides along
-    the spatial axes, and so does a role to which ``make_schedule`` added
-    a linearization that is constant in space and time.  A materialized
-    array (a callable's, or a role with a varying addition) returns None
-    even when its entries agree.
+    Each component is compared with its value at the first point, so a
+    constant field, a callable's full array and a role with an addition
+    are judged by their values alike; returns None when some point
+    differs.
     """
-    if any(arr.strides[arr.ndim - dim:]):
+    first = arr[(...,) + (slice(0, 1),) * dim]
+    if not np.all(arr == first):
         return None
-    return arr[(...,) + (0,) * dim]
+    return first[(...,) + (0,) * dim]
 
 
 def _diagonal_key(nc: NodeCoefficients, dim: int) -> tuple[float, ...] | None:

@@ -218,17 +218,15 @@ class CoefficientField:
     """One lower-order coefficient with a declared sup bound.
 
     ``ROLE_AXES`` gives each role's component axes; evaluators return the
-    component stack with spatial axes last.
+    component stack with spatial axes last; a callable may depend on x and t.
     """
 
     role: str
     evaluator: Callable | np.ndarray
     sup_declared: float
-    time_constant: bool
-    label: str = ""
 
     @staticmethod
-    def constant(role: str, value, dim: int = 1, label: str = "") -> "CoefficientField":
+    def constant(role: str, value, dim: int = 1) -> "CoefficientField":
         value = np.asarray(value, dtype=float)
         expected = (dim,) * ROLE_AXES[role]
         if value.shape != expected:
@@ -239,29 +237,23 @@ class CoefficientField:
         # a norm that overflows is infinite, which validate_problem rejects
         with np.errstate(over="ignore"):
             sup = float(np.sqrt(np.sum(value**2)))
-        return CoefficientField(role, value, sup, True, label or f"{role}-const")
+        return CoefficientField(role, value, sup)
 
     @staticmethod
-    def from_callable(
-        role: str, fn: Callable, sup_declared: float,
-        time_constant: bool = False, label: str = "",
-    ) -> "CoefficientField":
-        return CoefficientField(role, fn, float(sup_declared), time_constant,
-                                label or f"{role}-fn")
+    def from_callable(role: str, fn: Callable,
+                      sup_declared: float) -> "CoefficientField":
+        return CoefficientField(role, fn, float(sup_declared))
 
     def eval(self, basis: SineBasis, t: float) -> np.ndarray:
         dim = basis.dim
         lead = (dim,) * ROLE_AXES[self.role]
         if callable(self.evaluator):
-            out = np.asarray(self.evaluator(*basis.mesh(), t), dtype=float)
-            target = lead + basis.shape
-            return np.broadcast_to(out, target).astype(float, copy=False)
-        out = np.asarray(self.evaluator, dtype=float)
-        return np.broadcast_to(
-            out.reshape(lead + (1,) * dim), lead + basis.shape
-        ).astype(float, copy=False)
+            out = self.evaluator(*basis.mesh(), t)
+        else:
+            out = np.reshape(self.evaluator, lead + (1,) * dim)
+        return np.broadcast_to(np.asarray(out, dtype=float), lead + basis.shape)
 
-    def pointwise_magnitude(self, values: np.ndarray, dim: int) -> np.ndarray:
+    def pointwise_magnitude(self, values: np.ndarray) -> np.ndarray:
         lead = ROLE_AXES[self.role]
         if lead == 0:
             return np.abs(values)
@@ -389,20 +381,21 @@ def validate_problem(config: ProblemConfig) -> ValidatedProblem:
         if fld.role != role:
             raise SetupError("coefficient-shape",
                              f"field in slot {role!r} has role {fld.role!r}")
-        sample_times = grid.times[:1] if fld.time_constant else grid.times
+        # a callable is checked at every node, a constant at one
+        fn = callable(fld.evaluator)
+        label = f"{role}-{'fn' if fn else 'const'}"
         observed = 0.0
-        for t in sample_times:
+        for t in grid.times if fn else grid.times[:1]:
             vals = fld.eval(basis, t)
             # a NaN would pass the bound check below, which compares with >
             if not (np.isfinite(vals).all() and np.isfinite(fld.sup_declared)):
-                raise SetupError("coefficient-nonfinite", f"{fld.label}: "
+                raise SetupError("coefficient-nonfinite", f"{label}: "
                                  f"non-finite value or bound at t = {t}")
-            mag = fld.pointwise_magnitude(vals, grid.dim)
-            observed = max(observed, float(mag.max()))
+            observed = max(observed, float(fld.pointwise_magnitude(vals).max()))
         if observed > fld.sup_declared * (1 + 1e-12) + 1e-300:
             raise SetupError(
                 "declared-bound-violated",
-                f"{fld.label}: sampled sup {observed} exceeds declared {fld.sup_declared}",
+                f"{label}: sampled sup {observed} exceeds declared {fld.sup_declared}",
             )
         coefficients[role] = fld
         sup_norms[role] = fld.sup_declared

@@ -225,7 +225,6 @@ def _frozen_equal(a: FrozenLinearization, b: FrozenLinearization) -> bool:
 
 def picard_insensitize(
     problem: ValidatedProblem,
-    eps: float | None = None,
     tol: float = 1e-8,
     max_iter: int = 25,
     hum_tol: float = 1e-8,
@@ -251,10 +250,9 @@ def picard_insensitize(
         ``maxIter-exceeded`` when the budget runs out, with the full
         increment history in the context (no fabricated success).
     """
-    eps = problem.epsilon if eps is None else float(eps)
+    eps = problem.epsilon
     nl = problem.nonlinearity
     z = _zero_trajectory(problem)
-    prev_frozen: FrozenLinearization | None = None
     frozen = None
     result = None
     increments: list[float] = []
@@ -270,7 +268,7 @@ def picard_insensitize(
         candidate = freeze_linearization(problem, z)
         # the secant identity at z, against the linearization built at z
         ftc = ftc_residual(nl, z, candidate)
-        if prev_frozen is not None and _frozen_equal(candidate, prev_frozen):
+        if frozen is not None and _frozen_equal(candidate, frozen):
             # the map no longer depends on z: the next state would repeat
             increments.append(0.0)
             z_norms.append(z_norms[-1] if z_norms else 0.0)
@@ -313,7 +311,6 @@ def picard_insensitize(
         else:
             grow_count = 0
         z = z_new
-        prev_frozen = candidate
 
     if not converged:
         raise IterationError(

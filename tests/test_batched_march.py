@@ -79,7 +79,7 @@ def _coefficients(path, draw):
             return a0 + amp * np.sin(np.pi * mesh_t[0]) * np.ones(shape)
 
         coeffs["a0"] = CoefficientField.from_callable(
-            "a0", damping, abs(a0) + abs(amp), time_constant=True)
+            "a0", damping, abs(a0) + abs(amp))
     return dim, coeffs
 
 

@@ -158,7 +158,7 @@ class TestNonlinearMarch:
         y0 = np.random.default_rng(7).standard_normal(grid.basis.shape)
         a0 = CoefficientField.from_callable(
             "a0", lambda x, y, t: 400.0 * (1 + 0.1 * np.sin(np.pi * x)),
-            440.0, time_constant=True)
+            440.0)
         return grid, make_schedule(grid, {"a0": a0}), y0
 
     def test_stiff_coefficient_converges(self, monkeypatch):
@@ -223,16 +223,16 @@ class TestDiagonalPath:
         out = {}
         for role, v in values.items():
             def fn(*mesh_t, v=v):
-                # a full array, not a broadcast: the non-diagonal path runs
+                # a full array of the same values, not a broadcast
                 shape = np.broadcast(*mesh_t[:-1]).shape
                 return v.reshape(v.shape + (1,) * dim) * np.ones(shape)
             out[role] = CoefficientField.from_callable(
-                role, fn, float(np.sqrt(np.sum(v ** 2))), time_constant=True)
+                role, fn, float(np.sqrt(np.sum(v ** 2))))
         return out
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("backward", [False, True])
-    def test_agrees_with_iterative_path(self, dim, backward):
+    def test_agrees_with_iterative_path(self, monkeypatch, dim, backward):
         grid = self._grid(dim)
         rng = np.random.default_rng(20 + dim)
         start = self._smooth(grid, rng)
@@ -240,8 +240,11 @@ class TestDiagonalPath:
         march = solve_backward if backward else solve_forward
         got = march(grid, make_schedule(grid, self._coefficients(dim, False)),
                     start, source)
-        want = march(grid, make_schedule(grid, self._coefficients(dim, True)),
-                     start, source)
+        # the same node solved as if it were not diagonal
+        monkeypatch.setattr(pde_engine, "_scan_diagonal", lambda *args: None)
+        sched = make_schedule(grid, self._coefficients(dim, True))
+        want = march(grid, sched, start, source)
+        assert not isinstance(sched.factors[1], list)
         for a, b in ((got.fields, want.fields), (got.state0, want.state0),
                      (got.stateT, want.stateT)):
             assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
@@ -330,10 +333,9 @@ class TestModeLUPath:
                 1.0),
             "b": CoefficientField.from_callable(
                 "b", lambda x, t: (0.2 * np.sin(np.pi * x / 2))[None, None],
-                0.2, time_constant=True),
+                0.2),
             "a1": CoefficientField.from_callable(
-                "a1", lambda x, t: 0.3 * x * (2.0 - x), 0.3,
-                time_constant=True),
+                "a1", lambda x, t: 0.3 * x * (2.0 - x), 0.3),
         }
 
     @pytest.mark.parametrize("backward", [False, True])
@@ -373,8 +375,7 @@ class TestModeLUPath:
         # dt*a0/2 = 5: a Richardson iteration on the lower-order block
         # diverges on this damping
         a0 = CoefficientField.from_callable(
-            "a0", lambda x, t: 400.0 * (1 + 0.1 * np.sin(np.pi * x)), 440.0,
-            time_constant=True)
+            "a0", lambda x, t: 400.0 * (1 + 0.1 * np.sin(np.pi * x)), 440.0)
         return make_schedule(grid, {"a0": a0})
 
     def test_stiff_x_dependent_damping_converges(self):
@@ -419,7 +420,7 @@ class TestModeLUPath:
         # GMRES solve keeps the LU march's digits
         grid = build_grid(1, 2.0, 256, 1.0, 800)
         a0 = CoefficientField.from_callable(
-            "a0", lambda x, t: 2.0 + np.sin(np.pi * x), 3.0, time_constant=True)
+            "a0", lambda x, t: 2.0 + np.sin(np.pi * x), 3.0)
         y0 = np.random.default_rng(12).standard_normal(grid.shape)
         want = solve_forward(grid, make_schedule(grid, {"a0": a0}), y0)
         monkeypatch.setattr(pde_engine, "INVERSE_STACK_CAP_BYTES", 0)
@@ -679,8 +680,7 @@ class TestMakeSchedule:
         coeffs = TestDiagonalPath._coefficients(1, False)
         sched = make_schedule(grid, coeffs,
                               add_a0=np.full((grid.n_steps,) + grid.shape, 0.25))
-        assert sched.nodes[0].a0.strides == (0,)
-        # per-step copies with a materialized a0 take the LU path
+        # per-step materialized copies are judged by their values too
         node = sched.nodes[0]
         copies = Schedule([dataclasses.replace(node, a0=np.array(node.a0))
                            for _ in grid.times])
@@ -688,9 +688,51 @@ class TestMakeSchedule:
         for got, want in self._marches(grid, sched, copies, rng):
             for a, b in ((got.fields, want.fields), (got.state0, want.state0),
                          (got.stateT, want.stateT)):
-                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+                assert np.array_equal(a, b)
         assert isinstance(sched.factors[1], list)
-        assert len(copies.factors[1].inv) == grid.n_steps
+        assert isinstance(copies.factors[1], list)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_uniform_callable_marches_as_constant(self, dim):
+        # callables that return full arrays of one value per component
+        grid = TestDiagonalPath._grid(dim)
+        sched = make_schedule(grid, TestDiagonalPath._coefficients(dim, True))
+        assert all(node is sched.nodes[0] for node in sched.nodes)
+        const = make_schedule(grid, TestDiagonalPath._coefficients(dim, False))
+        rng = np.random.default_rng(65)
+        for got, want in self._marches(grid, sched, const, rng):
+            for a, b in ((got.fields, want.fields), (got.state0, want.state0),
+                         (got.stateT, want.stateT)):
+                assert np.array_equal(a, b)
+        assert isinstance(sched.factors[1], list)
+        assert len({id(f) for f in sched.factors[1]}) == 1
+
+    def test_time_independent_callable_shares_one_node(self):
+        grid = build_grid(1, 2.0, 32, 0.5, 40)
+        a0 = CoefficientField.from_callable(
+            "a0", lambda x, t: 1.0 + 0.5 * np.sin(np.pi * x), 1.5)
+        sched = make_schedule(grid, {"a0": a0})
+        assert all(node is sched.nodes[0] for node in sched.nodes)
+        node_a0 = sched.nodes[0].a0
+        assert np.array_equal(node_a0, a0.eval(grid.basis, 0.0))
+        # the node holds one row, not a view of the (Nt, ...) stack
+        owner = node_a0 if node_a0.base is None else node_a0.base
+        assert owner.nbytes == node_a0.nbytes
+
+    def test_time_dependent_callable_gets_a_node_per_step(self):
+        grid = build_grid(1, 2.0, 16, 0.5, 24)
+        a0 = CoefficientField.from_callable(
+            "a0", lambda x, t: 1.0 + 10.0 * t + 0.0 * x, 11.0)
+        sched = make_schedule(grid, {"a0": a0})
+        assert len({id(node) for node in sched.nodes}) == grid.n_steps
+        for node, t in zip(sched.nodes, grid.times):
+            assert np.all(node.a0 == 1.0 + 10.0 * t)
+        solve_forward(grid, sched, np.ones(grid.shape))
+        # uniform at each node: the diagonal solve, one factor per step
+        factors = sched.factors[1]
+        for j, t in enumerate(grid.times):
+            assert np.array_equal(factors[j], pde_engine._mode_factor(
+                grid.basis, grid.dt, (1.0 + 10.0 * t, 0.0, 0.0), j))
 
     def test_one_differing_row_keeps_a_node_per_step(self):
         grid = TestDiagonalPath._grid(1)
@@ -741,8 +783,7 @@ class TestFactorCache:
             return grid, {"b0": CoefficientField.constant(
                 "b0", np.array([0.5, 0.0]), 2)}, type(None)
         a0 = CoefficientField.from_callable(
-            "a0", lambda x, t: 1.0 + 0.5 * np.sin(np.pi * x), 1.5,
-            time_constant=True)
+            "a0", lambda x, t: 1.0 + 0.5 * np.sin(np.pi * x), 1.5)
         return grid, {"a0": a0}, \
             pde_engine._ModeInverse if case == "lu-1d" else type(None)
 

@@ -156,6 +156,16 @@ class TestCoefficientField:
             validate_problem(cfg)
         assert exc.value.code == "declared-bound-violated"
 
+    def test_callable_bound_checked_at_every_node(self):
+        # within the bound at the first nodes, above it from t = 0.1 on
+        g = build_grid(1, 2.0, 16, 1.0, 20)
+        fld = CoefficientField.from_callable(
+            "a0", lambda x, t: 1.0 + 10.0 * t + 0.0 * x, sup_declared=2.0)
+        with pytest.raises(SetupError) as exc:
+            validate_problem(_config(g, a0=fld))
+        assert exc.value.code == "declared-bound-violated"
+        assert "a0-fn: sampled sup 10.75 " in str(exc.value)
+
 
 class TestMarginDilation:
     @pytest.mark.parametrize("shape", [(40,), (17, 23)])

@@ -543,31 +543,34 @@ def _ratio_stack(problem: ValidatedProblem, phi0s: Array, weights: Array,
 
     Each row is the adjoint pair of :func:`solve_adjoint_pair`, and the
     stack marches together on the boxes its masks read.  Each march's
-    ``on_step`` sees its midpoints' sine coefficients.  phi's converts each
-    midpoint on the obs box only and records chi_obs phi there, which is
-    psi's per-row box source.  psi's streams, per row and step, the sum of
-    psi^2 (by Parseval, from the modes) and that of omega psi^2 (on omega's
-    box).  No step transforms a full grid and no (Nt, *shape) field is
-    stored.  Returns (ratio, degenerate) per row; a row whose
-    control-window energy underflows is degenerate.
+    ``on_step`` sees its midpoint sums' sine coefficients, twice the
+    midpoints'.  phi's converts each sum on the obs box only and records
+    chi_obs phi there, which is psi's per-row box source.  psi's streams,
+    per row and step, the sum of psi^2 (by Parseval, from the modes) and
+    that of omega psi^2 (on omega's box).  The halving is folded into the
+    factors the hooks multiply by (1/2 for phi, 1/4 for the squares of
+    psi), which leaves every product as it was to the bit.  No step
+    transforms a full grid and no (Nt, *shape) field is stored.  Returns
+    (ratio, degenerate) per row; a row whose control-window energy
+    underflows is degenerate.
     """
     grid = problem.grid
     basis = problem.basis
     obs, omega = problem.obs, problem.omega
-    obs_values = obs.values[obs.box]
-    omega_values = omega.values[omega.box].ravel()
-    parseval = basis.mode_volume / basis.cell_volume
+    half_obs = 0.5 * obs.values[obs.box]
+    quarter_omega = 0.25 * omega.values[omega.box].ravel()
+    quarter_parseval = 0.25 * (basis.mode_volume / basis.cell_volume)
 
-    def observed(j: int, modes: Array) -> Array:
-        return obs_values * basis.from_modes(modes, obs.box)
+    def observed(j: int, total: Array) -> Array:
+        return half_obs * basis.from_modes(total, obs.box)
 
-    def energies(j: int, modes: Array) -> Array:
-        rows = len(modes)
-        on_omega = basis.from_modes(modes, omega.box).reshape(rows, -1)
-        modes = modes.reshape(rows, -1)
+    def energies(j: int, total: Array) -> Array:
+        rows = len(total)
+        on_omega = basis.from_modes(total, omega.box).reshape(rows, -1)
+        total = total.reshape(rows, -1)
         return np.array([
-            parseval * np.einsum("bi,bi->b", modes, modes),
-            np.einsum("i,bi,bi->b", omega_values, on_omega, on_omega)])
+            quarter_parseval * np.einsum("bi,bi->b", total, total),
+            np.einsum("i,bi,bi->b", quarter_omega, on_omega, on_omega)])
 
     phi = solve_forward(grid, ops.costate_schedule, phi0s, on_step=observed)
     psi = solve_backward(grid, ops.state_schedule, np.zeros(phi0s.shape),

@@ -29,14 +29,18 @@ With c = dt/2, step j solves
 
     (I + c A_j) mid_j = u^_j + c g^_j,    u^_{j+1} = 2 mid_j - u^_j,
 
-and the backward march solves with the transpose of I + c A_j.  The
-solvers differ only in how they take mid_j.  When every node of a march
-has spatially uniform a0 and a1, a uniform diagonal b and no b0 (an
-all-zero schedule included), A is diagonal in the sine basis with symbol
+and the backward march solves with the transpose of I + c A_j.  Every
+solver returns the midpoint sum s_j = u^_j + u^_{j+1} = 2 mid_j, and the
+state steps by one in-place subtraction u^_{j+1} = s_j - u^_j.  Doubling
+and halving are exact (short of the subnormal range), so this gives the
+textbook form's bits.  The solvers differ only in how they take s_j.
+When every node of a march has spatially uniform a0 and a1, a uniform
+diagonal b and no b0 (an all-zero schedule included), A is diagonal in
+the sine basis with symbol
 
     lambda(k) = |kappa|^4 + a0 - a1 |kappa|^2 - sum_i b_ii kappa_i^2,
 
-and the solve multiplies by the per-mode factor 1/(1 + c lambda), exact
+and the solve multiplies by the per-mode factor 2/(1 + c lambda), exact
 at any stiffness; the symbol is symmetric, so the backward march is the
 same product.  Every other march (b0, mixed b_ij, or x-dependent
 coefficients) solves (D + c T Lo_j F) mid_j = rhs, with T and F
@@ -49,36 +53,41 @@ there, chunk by chunk.  A matrix whose off-diagonal column sums are at
 most half its diagonal entries, the usual case unless c times the
 lower-order coefficients is large, is inverted by a Neumann series on its
 own diagonal in Euler's product form, any other by LAPACK
-(``np.linalg.inv``).  The inverses P_j = (D + c T Lo_j F)^-1 are cached
-on the schedule, so every march of a frozen linearization reuses them: a
-forward step is rhs @ P_j^T and a backward step rhs @ P_j.  A stack of
+(``np.linalg.inv``).  The inverses P_j = (D + c T Lo_j F)^-1 are doubled
+and cached on the schedule, so every march of a frozen linearization
+reuses them: a forward step is rhs @ (2 P_j)^T and a backward step
+rhs @ (2 P_j).  A stack of
 inverses larger than INVERSE_STACK_CAP_BYTES is not built.  In 2D, and in
 1D over that cap, the solve is a matrix-free GMRES right-preconditioned
 with the symbol of the node's mean coefficients, 1 + c lambda(a0-bar,
 a1-bar, b_ii-bar), so the Krylov space only has to resolve the
-coefficients' fluctuation about their means.
+coefficients' fluctuation about their means; its solution is doubled.
 
 One step loop (``_march``) runs every march and takes its sources in
 modes.  A march starts from one field or from a stack (B, *shape):
 spatial axes are trailing, so each row marches independently, against a
 (Nt, *shape) source shared by the rows or a per-row (Nt, B, *shape) one.
 The loop transforms a full-grid source in one product before the first
-step, and a linear march without an ``on_step`` hook records its
-midpoints in modes and converts the record in place after the last, in
-chunks of time steps of at most RECORD_CHUNK_BYTES each, so it never
-holds two records.  Besides those, the loop transforms only a nonzero
-start and the end state (a GMRES solve and a reaction transform inside
-their steps).  A reaction F(u, grad u, hess u) enters that loop as one
-more source evaluated at the midpoint average, adding c F^(mid_j) to the
-right-hand side.  Each step relaxes it by lagged iteration from F(u_j),
-and a row stops updating once its update meets RELAX_TOL (1 + |u_j|).
+step, and a linear march without an ``on_step`` hook writes each
+midpoint sum into its record in modes, then halves the record and
+converts it in place after the last step, in chunks of time steps of at
+most RECORD_CHUNK_BYTES each, so it never holds two records.  Besides
+those, the loop transforms only a nonzero start and the end state (a
+GMRES solve and a reaction transform inside their steps).  A reaction
+F(u, grad u, hess u) enters that loop as one more source evaluated at the
+midpoint average, adding c F^(mid_j) to the right-hand side.  Each step
+relaxes it by lagged iteration from F(u_j), and a row stops updating
+once its update meets RELAX_TOL (1 + |u_j|).
 
-An ``on_step`` hook sees every midpoint average and chooses what the
-trajectory records, so a batched march can stream a reduction instead of
-storing every row.  A linear march's hook sees the midpoint's sine
-coefficients, the form the march steps in, and converts only what it
-reads (``basis.from_modes(mid, box)`` on a box); a nonlinear march's hook
-sees node values, which its relaxation already holds.
+An ``on_step`` hook sees every midpoint sum, twice the midpoint average,
+and chooses what the trajectory records, so a batched march can stream a
+reduction instead of storing every row; it folds the halving into what it
+reads (0.5 for a value, 0.25 for a square), which is exact.  A linear
+march's hook sees the sum's sine coefficients, the form the march steps
+in, in one work array that the next step overwrites, and converts only
+what it reads (``basis.from_modes(total, box)`` on a box); a nonlinear
+march's hook sees node values, 2 mid_j from the midpoint its relaxation
+holds.
 
 A linear march can also take its source on a box of nodes (one slice per
 axis, zero outside).  The source then comes in step by step through boxed
@@ -146,7 +155,9 @@ class Schedule:
     ``nodes[j]`` holds the coefficients of step j; steps that share a node
     object share its factors.  ``factors`` is (march key, the step solver
     the first march with that key chose): the per-step diagonal mode
-    factors, the inverted 1D mode-space step matrices, or None for GMRES.
+    factors 2/(1 + c lambda), the doubled inverses of the 1D mode-space
+    step matrices, or None for GMRES; each takes a step's right-hand side
+    to its midpoint sum.
     """
 
     nodes: list[NodeCoefficients]
@@ -157,32 +168,31 @@ class Schedule:
         self.factors = None
 
 
-def make_schedule(grid: Grid, coefficients: dict[str, CoefficientField | None],
+def make_schedule(grid: Grid,
+                  coefficients: dict[str, CoefficientField | Array | None],
                   add_a0: Array | None = None, add_b0: Array | None = None,
                   add_b: Array | None = None) -> Schedule:
-    """The coefficient fields at each midpoint node, plus per-node additions.
+    """The coefficients at each midpoint node, plus per-node additions.
 
-    A callable field is evaluated at every node into an (Nt, ...) stack
-    (kept as one row when its rows are equal), a constant one once.
-    ``add_a0``, ``add_b0`` and ``add_b`` are (Nt, ...) stacks added to the
-    matching role at every node (a frozen linearization); an all-zero one
-    is dropped.  When every stack's rows are equal, all steps share one
-    node, so a march factors it once.
+    Each role is a field or its ``CoefficientField.at_nodes`` values, as a
+    validated problem holds them: one node's values, or an (Nt, ...) stack
+    when a callable's rows differ.  ``add_a0``, ``add_b0`` and ``add_b``
+    are (Nt, ...) stacks added to the matching role at every node (a
+    frozen linearization); an all-zero one is dropped.  When every
+    stack's rows are equal, all steps share one node, so a march factors
+    it once.
     """
-    basis = grid.basis
     fixed, stacks = {}, {}
     for role, add in zip(ROLE_AXES, (add_a0, add_b0, add_b, None)):
         f = coefficients.get(role)
         stacks[role] = [] if add is None or not np.any(add) else [add]
-        if f is not None and callable(f.evaluator):
-            stack = np.stack([f.eval(basis, t) for t in grid.times])
-            if np.all(stack == stack[0]):
-                # a copy of its one row, so that the stack is freed
-                fixed[role] = stack[0].copy()
-            else:
-                stacks[role].insert(0, stack)
-        elif f is not None:
-            fixed[role] = f.eval(basis, grid.times[0])
+        if f is None:
+            continue
+        values = f.at_nodes(grid) if isinstance(f, CoefficientField) else f
+        if values.ndim > ROLE_AXES[role] + grid.dim:
+            stacks[role].insert(0, values)
+        else:
+            fixed[role] = values
 
     def at(j: int) -> NodeCoefficients:
         vals = {}
@@ -343,7 +353,8 @@ def _symbol(basis: SineBasis, key: tuple[float, ...]) -> Array:
 
 def _mode_factor(basis: SineBasis, dt: float, key: tuple[float, ...],
                  step: int) -> Array:
-    """The per-mode midpoint factor 1/(1 + c lam) of a diagonal node."""
+    """The per-mode factor 2/(1 + c lam) of a diagonal node, which takes a
+    step's right-hand side to its midpoint sum."""
     denom = 1.0 + dt / 2 * _symbol(basis, key)
     if not np.all(denom > 0):
         worst = np.unravel_index(np.argmin(denom), denom.shape)
@@ -356,7 +367,7 @@ def _mode_factor(basis: SineBasis, dt: float, key: tuple[float, ...],
             f"negative lower-order coefficients)",
             step=step, mode=mode,
         )
-    return 1.0 / denom
+    return 2.0 / denom
 
 
 def _scan_diagonal(basis: SineBasis, schedule: Schedule, nt: int,
@@ -380,11 +391,12 @@ def _scan_diagonal(basis: SineBasis, schedule: Schedule, nt: int,
 
 @dataclass
 class _ModeInverse:
-    """Inverted 1D mode-space step matrices of one schedule.
+    """Doubled inverses of the 1D mode-space step matrices of one schedule.
 
-    ``inv[slots[j]]`` is P_j = (D + c T Lo_j F)^-1 in one (nodes, n, n)
-    stack; nodes shared between steps share a slot.  A forward step is
-    ``rhs @ P_j.T`` and a backward step ``rhs @ P_j``, the exact transpose.
+    ``inv[slots[j]]`` is 2 P_j, P_j = (D + c T Lo_j F)^-1, in one
+    (nodes, n, n) stack; nodes shared between steps share a slot.  A
+    forward step's midpoint sum is ``rhs @ (2 P_j).T`` and a backward
+    step's ``rhs @ (2 P_j)``, the exact transpose.
     """
 
     slots: Array = field(repr=False)
@@ -536,7 +548,8 @@ def _mode_inverse(basis: SineBasis, schedule: Schedule, nt: int,
     Returns None in 2D and when the stack of inverses would exceed
     INVERSE_STACK_CAP_BYTES; those marches solve their steps by GMRES.
     The matrices are built into the stack of inverses and inverted there,
-    chunk by chunk, each chunk with at most two temporaries of its size.
+    chunk by chunk, each chunk with at most two temporaries of its size,
+    and doubled while it is in cache (see ``_ModeInverse``).
     """
     if basis.dim != 1:
         return None
@@ -582,7 +595,8 @@ def _mode_inverse(basis: SineBasis, schedule: Schedule, nt: int,
         mats = _node_matrices(basis, dt, [(v[part], odd, col)
                                           for v, odd, col in terms],
                               inv[part])
-        inv[part] = _node_inverses(mats, steps[part], finite[part])
+        np.multiply(_node_inverses(mats, steps[part], finite[part]), 2.0,
+                    out=inv[part])
     return _ModeInverse(slots, inv)
 
 
@@ -677,9 +691,9 @@ def _gmres(op: Callable[[Array], Array], rhs: Array, pre: Array, dim: int,
 
 
 class _KrylovSolve:
-    """mid_j from (D + c T Lo_j F) mid_j = rhs, or from its transpose, by
-    GMRES on the node's operator preconditioned with its mean-coefficient
-    symbol."""
+    """The midpoint sum 2 mid_j, mid_j from (D + c T Lo_j F) mid_j = rhs or
+    from its transpose, by GMRES on the node's operator preconditioned with
+    its mean-coefficient symbol."""
 
     def __init__(self, basis: SineBasis, schedule: Schedule, dt: float,
                  transpose: bool):
@@ -690,7 +704,7 @@ class _KrylovSolve:
         self.denom = 1.0 + self.c * basis.bilap_modes
         self._node = self._pre = None
 
-    def __call__(self, j: int, rhs: Array) -> Array:
+    def __call__(self, j: int, rhs: Array, out: Array | None = None) -> Array:
         basis, c = self.basis, self.c
         nc = self.schedule.nodes[j]
         if nc is not self._node:
@@ -701,15 +715,17 @@ class _KrylovSolve:
             return self.denom * m + c * basis.to_modes(
                 self.lower(basis, nc, basis.from_modes(m)))
 
-        return _gmres(op, rhs, self._pre, basis.dim, j)
+        return np.multiply(_gmres(op, rhs, self._pre, basis.dim, j), 2.0,
+                           out=out)
 
 
 def _solver(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
-            transpose: bool) -> Callable[[int, Array], Array]:
-    """solve(j, rhs) -> mid_j in modes, by the march's cheapest exact solver.
+            transpose: bool) -> Callable[..., Array]:
+    """solve(j, rhs, out=None) -> u^_j + u^_{j+1}, step j's midpoint sum.
 
-    The decision (diagonal factors, 1D inverses or GMRES) is cached on the
-    schedule.
+    The sum is twice the midpoint in modes, to the bit, and is written into
+    ``out`` when given.  The march's cheapest exact solver (diagonal
+    factors, 1D inverses or GMRES) is cached on the schedule.
     """
     key = (dt, nt, basis.extents, basis.n_cells)
     if schedule.factors is None or schedule.factors[0] != key:
@@ -717,44 +733,45 @@ def _solver(basis: SineBasis, schedule: Schedule, nt: int, dt: float,
                             or _mode_inverse(basis, schedule, nt, dt))
     factors = schedule.factors[1]
     if isinstance(factors, list):
-        return lambda j, rhs: factors[j] * rhs
+        return lambda j, rhs, out=None: np.multiply(factors[j], rhs, out=out)
     if factors is None:
         return _KrylovSolve(basis, schedule, dt, transpose)
     inv, slots = factors.inv, factors.slots
     if not transpose:
         inv = inv.transpose(0, 2, 1)
-    return lambda j, rhs: rhs @ inv[slots[j]]
+    return lambda j, rhs, out=None: np.matmul(rhs, inv[slots[j]], out=out)
 
 
 def _relax(solve_with: Callable[[Array], Array], basis: SineBasis, j: int,
-           x: Array, u: Array, reaction) -> tuple[Array, Array]:
+           x: Array, u: Array, reaction) -> Array:
     """Step j with the reaction at the midpoint, by lagged iteration.
 
-    ``solve_with(F^)`` is step j's midpoint in modes with the reaction's
-    modes F^ as one more source.  Starts from F(u_j) and re-solves with F
-    at the latest midpoint; a field stops updating once its update meets
-    RELAX_TOL (1 + |u_j|).  Returns the new state (in modes) and the
-    physical midpoint.
+    ``solve_with(F^)`` is step j's midpoint sum in modes with the
+    reaction's modes F^ as one more source.  Starts from F(u_j) and
+    re-solves with F at the latest midpoint; a field stops updating once
+    its update meets RELAX_TOL (1 + |u_j|).  Steps the state ``x`` (in
+    modes) in place and returns the physical midpoint.
     """
     dim = basis.dim
     scale = 1.0 + _row_norms(u, dim)
-    mid_modes, mid = x, u
+    total, mid = None, u
     active = np.ones(np.shape(scale), dtype=bool)
     trail = []
     for _ in range(RELAX_CAP):
-        cand_modes = solve_with(basis.to_modes(reaction(mid)))
-        cand = basis.from_modes(cand_modes)
+        cand_total = solve_with(basis.to_modes(reaction(mid)))
+        cand = 0.5 * basis.from_modes(cand_total)
         # the state moves twice as far as the midpoint average
         trail.append(2.0 * _row_norms(cand - mid, dim) / scale)
         if active.all():
-            mid_modes, mid = cand_modes, cand
+            total, mid = cand_total, cand
         else:
             keep = _rows(active, dim)
-            mid_modes = np.where(keep, cand_modes, mid_modes)
+            total = np.where(keep, cand_total, total)
             mid = np.where(keep, cand, mid)
         active &= trail[-1] > RELAX_TOL
         if not active.any():
-            return 2.0 * mid_modes - x, mid
+            np.subtract(total, x, out=x)
+            return mid
     row, idx = _first_row(active)
     raise EngineError(
         "inner-solve-divergence",
@@ -795,31 +812,43 @@ def _march(
     if source is not None and source_box is None:
         full_modes, source = basis.to_modes(source), None
         full_modes *= c
+    # a zero start (y0 = 0, every costate's terminal) needs no transform;
+    # x is the march's own state, stepped in place
+    x = basis.to_modes(first) if first.any() else np.zeros_like(first)
+    rhs = None if full_modes is None else np.empty_like(x)
 
-    def rhs_at(j: int, x: Array) -> Array:
+    def rhs_at(j: int) -> Array:
         """u^_j + c g^_j, step j's right-hand side in modes."""
         if full_modes is not None:
-            return x + full_modes[j]
+            return np.add(x, full_modes[j], out=rhs)
         if source is None:
             return x
-        return x + c * basis.to_modes(source[j], source_box)
+        # a boxed source's modes are fresh: they take the sum in place,
+        # unless the rows of a stack share them
+        g = basis.to_modes(source[j], source_box)
+        g *= c
+        return np.add(x, g, out=g if g.shape == x.shape else None)
 
+    # a march without hook or reaction writes each midpoint sum into its
+    # record and halves the record at the end; a hooked one reuses one
+    # work array for the sums
     defer = reaction is None and on_step is None
-    fields = None
-    # a zero start (y0 = 0, every costate's terminal) needs no transform
-    x = basis.to_modes(first) if first.any() else np.zeros_like(first)
+    fields = np.empty((nt,) + x.shape) if defer else None
+    work = np.empty_like(x) if reaction is None and not defer else None
     u = first
     for j in order:
         if reaction is None:
-            # the right-hand side is freed before the update allocates
-            mid = solve(j, rhs_at(j, x))
-            x = 2.0 * mid - x
+            total = solve(j, rhs_at(j), fields[j] if defer else work)
+            np.subtract(total, x, out=x)
         else:
-            rhs = rhs_at(j, x)
-            x, mid = _relax(lambda f: solve(j, rhs + c * f), basis, j, x, u,
-                            reaction)
-            u = 2.0 * mid - u
-        rec = mid if on_step is None else on_step(j, mid)
+            rhs_j = rhs_at(j)
+            mid = _relax(lambda f: solve(j, rhs_j + c * f), basis, j, x, u,
+                         reaction)
+            total = 2.0 * mid
+            u = total - u
+        if defer:
+            continue
+        rec = mid if on_step is None else on_step(j, total)
         if fields is None:
             fields = np.empty((nt,) + np.shape(rec))
         fields[j] = rec
@@ -827,7 +856,9 @@ def _march(
     if defer:
         rows = max(1, RECORD_CHUNK_BYTES // fields[0].nbytes)
         for t in range(0, nt, rows):
-            fields[t:t + rows] = basis.from_modes(fields[t:t + rows])
+            chunk = fields[t:t + rows]
+            chunk *= 0.5
+            fields[t:t + rows] = basis.from_modes(chunk)
     state = basis.from_modes(x)
     if transpose:
         return Trajectory(basis, dt, grid.times, fields, state0=state, stateT=first)
@@ -856,12 +887,15 @@ def solve_forward(
         stack or, with the batch axis, one source per row.  With
         ``source_box`` it holds the values on that box, (Nt, *box shape)
         or (Nt, B, *box shape), and the source is zero elsewhere.
-    on_step : callable(j, mid) -> array, optional
-        Sees each step's midpoint average as sine coefficients and returns
-        what ``fields[j]`` records, so a batched march can stream a
-        reduction instead of storing every row.  A hook that needs node
-        values converts them, on a box only with ``basis.from_modes(mid,
-        box)``.  The end states stay physical.
+    on_step : callable(j, total) -> array, optional
+        Sees each step's midpoint sum u_j + u_{j+1}, twice the midpoint
+        average, as sine coefficients and returns what ``fields[j]``
+        records, so a batched march can stream a reduction instead of
+        storing every row.  Halving is exact, so ``0.5 * total`` is the
+        average to the bit.  ``total`` is a work array the next step
+        overwrites.  A hook that needs node values converts them, on a box
+        only with ``basis.from_modes(total, box)``.  The end states stay
+        physical.
     source_box : tuple of slices, optional
         A box of nodes, one slice per axis, that holds the source.
 
@@ -892,8 +926,8 @@ def solve_backward(
     The result's ``state0`` is the adjoint state at t = 0 on the integer
     node, the quantity every duality identity below refers to.  The
     stack, the (shared or per-row) source, ``on_step`` and ``source_box``
-    are as in :func:`solve_forward`; ``on_step`` sees the steps from
-    j = Nt - 1 down to 0.
+    are as in :func:`solve_forward`; ``on_step`` sees the midpoint sums
+    from j = Nt - 1 down to 0.
     """
     return _march(grid, schedule, terminal, source, True, on_step=on_step,
                   source_box=source_box)
@@ -912,8 +946,9 @@ def solve_forward_nonlinear(
     The reaction enters the step loop of :func:`solve_forward` as a
     source at the midpoint average, relaxed per step by lagged
     iteration; it takes only the jet slots F reads.  ``initial`` and
-    ``source`` are as there, and ``on_step`` sees each midpoint's node
-    values.
+    ``source`` are as there, and ``on_step`` sees the node values of each
+    midpoint sum, twice the midpoint; ``fields`` records the midpoints
+    when there is no hook.
 
     Raises
     ------
@@ -925,7 +960,7 @@ def solve_forward_nonlinear(
     basis = grid.basis
     if nonlinearity.is_zero:
         # a linear march's hook sees modes
-        hook = on_step and (lambda j, mid: on_step(j, basis.from_modes(mid)))
+        hook = on_step and (lambda j, total: on_step(j, basis.from_modes(total)))
         return solve_forward(grid, schedule, initial, source, on_step=hook)
 
     def reaction(u: Array) -> Array:

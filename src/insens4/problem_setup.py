@@ -253,6 +253,18 @@ class CoefficientField:
             out = np.reshape(self.evaluator, lead + (1,) * dim)
         return np.broadcast_to(np.asarray(out, dtype=float), lead + basis.shape)
 
+    def at_nodes(self, grid: Grid) -> np.ndarray:
+        """Values at the midpoint nodes, each callable evaluated once per node.
+
+        One node's (lead, *shape) values for a constant or for a callable
+        whose rows are all equal (a copy of its one row, so that the stack
+        is freed), else the (Nt, lead, *shape) stack.
+        """
+        if not callable(self.evaluator):
+            return self.eval(grid.basis, grid.times[0])
+        stack = np.stack([self.eval(grid.basis, t) for t in grid.times])
+        return stack[0].copy() if np.all(stack == stack[0]) else stack
+
     def pointwise_magnitude(self, values: np.ndarray) -> np.ndarray:
         lead = ROLE_AXES[self.role]
         if lead == 0:
@@ -291,7 +303,7 @@ class ValidatedProblem:
     omega: SubdomainMask
     obs: SubdomainMask
     omega0: SubdomainMask
-    coefficients: dict
+    coefficients: dict   # role -> CoefficientField.at_nodes values, or None
     sup_norms: dict
     force_fields: np.ndarray
     epsilon: float
@@ -381,23 +393,26 @@ def validate_problem(config: ProblemConfig) -> ValidatedProblem:
         if fld.role != role:
             raise SetupError("coefficient-shape",
                              f"field in slot {role!r} has role {fld.role!r}")
-        # a callable is checked at every node, a constant at one
-        fn = callable(fld.evaluator)
-        label = f"{role}-{'fn' if fn else 'const'}"
-        observed = 0.0
-        for t in grid.times if fn else grid.times[:1]:
-            vals = fld.eval(basis, t)
-            # a NaN would pass the bound check below, which compares with >
-            if not (np.isfinite(vals).all() and np.isfinite(fld.sup_declared)):
-                raise SetupError("coefficient-nonfinite", f"{label}: "
-                                 f"non-finite value or bound at t = {t}")
-            observed = max(observed, float(fld.pointwise_magnitude(vals).max()))
+        # a callable is checked at every node, a constant at one; the
+        # values are kept, so no schedule evaluates the callable again
+        label = f"{role}-{'fn' if callable(fld.evaluator) else 'const'}"
+        values = fld.at_nodes(grid)
+        nodes = values if values.ndim > ROLE_AXES[role] + grid.dim \
+            else values[None]
+        # a NaN would pass the bound check below, which compares with >
+        finite = np.isfinite(nodes).all(axis=tuple(range(1, nodes.ndim)))
+        if not (finite.all() and np.isfinite(fld.sup_declared)):
+            t = grid.times[int(np.argmin(finite))]
+            raise SetupError("coefficient-nonfinite", f"{label}: "
+                             f"non-finite value or bound at t = {t}")
+        observed = max(float(fld.pointwise_magnitude(v).max()) for v in nodes)
         if observed > fld.sup_declared * (1 + 1e-12) + 1e-300:
             raise SetupError(
                 "declared-bound-violated",
                 f"{label}: sampled sup {observed} exceeds declared {fld.sup_declared}",
             )
-        coefficients[role] = fld
+        values.flags.writeable = False
+        coefficients[role] = values
         sup_norms[role] = fld.sup_declared
 
     force_fields = _materialize_force(grid, config.force)

@@ -9,11 +9,11 @@ in any other batch of B >= 2 (dense products with one row take a
 different BLAS kernel, so single fields are compared with a tolerance).
 
 A linear march may also take its source on a box of nodes, and its
-``on_step`` hook, which sees each midpoint's sine coefficients, may record
-the midpoint on a box; on every path that equals the full march with the
-source embedded in zeros and the record sliced to the box.  A stack may
-take one source per row, and a hook may record the sine coefficients
-themselves.
+``on_step`` hook, which sees the sine coefficients of each midpoint sum
+u_j + u_{j+1} (twice the midpoint's, to the bit), may record the midpoint
+on a box; on every path that equals the full march with the source
+embedded in zeros and the record sliced to the box.  A stack may take one
+source per row, and a hook may record the sine coefficients themselves.
 
 A full-grid source goes to modes in one product before the loop and a
 record without a hook comes back in one product after it, so
@@ -149,9 +149,9 @@ class TestBatchedLinearMarch:
         full = solve_forward(grid, schedule, starts)
         seen = []
 
-        def keep_last(j, modes):
+        def keep_last(j, total):
             seen.append(j)
-            return grid.basis.from_modes(modes)[-1]
+            return 0.5 * grid.basis.from_modes(total)[-1]
 
         streamed = solve_forward(grid, schedule, starts, on_step=keep_last)
         assert seen == list(range(grid.n_steps))
@@ -165,9 +165,9 @@ class TestBatchedLinearMarch:
         assert exc.value.code == "start-shape"
 
 
-def _on_box(basis, box, j, modes):
+def _on_box(basis, box, j, total):
     """A linear march's hook that records each midpoint's values on ``box``."""
-    return basis.from_modes(modes, box)
+    return 0.5 * basis.from_modes(total, box)
 
 
 class TestBoxedMarch:
@@ -300,14 +300,14 @@ class TestPerRowSource:
         solve = functools.partial(solve_backward if backward else solve_forward,
                                   grid, schedule, starts, _source(grid, 7))
         phys = solve()
-        modes = solve(on_step=lambda j, c: c)
+        modes = solve(on_step=lambda j, c: 0.5 * c)
         want = grid.basis.to_modes(phys.fields)
         assert np.abs(modes.fields - want).max() <= 1e-12 * np.abs(want).max()
         # the end states stay physical
         assert np.array_equal(modes.state0, phys.state0)
         assert np.array_equal(modes.stateT, phys.stateT)
         # on_step sees the recorded coefficients
-        streamed = solve(on_step=lambda j, c: c[1])
+        streamed = solve(on_step=lambda j, c: 0.5 * c[1])
         assert np.array_equal(streamed.fields, modes.fields[:, 1])
 
 
@@ -334,7 +334,8 @@ def _per_step_march(grid, schedule, start, source, backward):
     fields = np.empty((grid.n_steps,) + start.shape)
     order = range(grid.n_steps)
     for j in (reversed(order) if backward else order):
-        mid = factors[j] * (x + c * basis.to_modes(source[j]))
+        # the engine's factors take a right-hand side to the midpoint sum
+        mid = 0.5 * factors[j] * (x + c * basis.to_modes(source[j]))
         fields[j] = basis.from_modes(mid)
         x = 2.0 * mid - x
     return fields, basis.from_modes(x)

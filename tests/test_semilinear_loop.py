@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import insens4.semilinear_loop as sl
+from insens4 import config
 from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.errors import IterationError
 from insens4.hum_synthesis import minimize_exact
 from insens4.nonlinearity import NonlinearitySpec, make_nonlinearity
-from insens4.pde_engine import Trajectory, _ModeInverse
+from insens4.pde_engine import Trajectory, _ModeInverse, make_schedule
 from insens4.semilinear_loop import (
     eval_g,
     freeze_linearization,
@@ -24,6 +25,7 @@ from insens4.semilinear_loop import (
     picard_insensitize,
     tangent_schedule,
 )
+from insens4.problem_setup import CoefficientField
 from insens4.spectral import SineBasis
 from conftest import unit_smooth
 
@@ -220,6 +222,34 @@ class TestPicard:
         incs = exc.value.context["increments"]
         assert len(incs) >= 6
         assert all(b > a for a, b in zip(incs[-5:], incs[-4:]))
+
+
+class TestCallableCoefficient:
+    @pytest.mark.parametrize("in_time", [False, True], ids=["x", "xt"])
+    def test_evaluated_once_per_node(self, monkeypatch, in_time):
+        # validation evaluates a callable at every midpoint node and keeps
+        # the values, so no schedule of the Picard loop evaluates it again
+        calls = []
+
+        def damping(x, t):
+            calls.append(t)
+            return (0.5 + 0.1 * np.sin(np.pi * x)) * (1.0 + in_time * t)
+
+        fields = {"a0": CoefficientField.from_callable("a0", damping, 1.2)}
+        monkeypatch.setattr(config, "coefficients_from_config",
+                            lambda cfg, dim: fields)
+        p = _nl_problem("tanh", 0.1)
+        nt = p.grid.n_steps
+        assert calls == p.grid.times.tolist()
+        r = picard_insensitize(p)
+        assert r.converged and r.iterations > 1
+        assert len(calls) == nt
+        # the kept values schedule the bits the field schedules
+        kept = make_schedule(p.grid, p.coefficients)
+        fresh = make_schedule(p.grid, fields)
+        assert len({id(nc) for nc in kept.nodes}) == (nt if in_time else 1)
+        for got, want in zip(kept.nodes, fresh.nodes):
+            assert np.array_equal(got.a0, want.a0)
 
 
 class TestTangentSchedule:

@@ -212,11 +212,13 @@ def sentinel_sensitivity(
     spatial = tuple(range(1, 1 + grid.dim))
     sums = np.empty((grid.n_steps, len(starts)))
 
-    def on_step(j: int, total: Array) -> Array:
-        # each row's sentinel integrand from the midpoint sum, twice the
-        # midpoint; only the tau = 0 midpoints are kept
-        sums[j] = 0.25 * np.sum(obs * total**2, axis=spatial)
-        return 0.5 * total[0]
+    def on_step(lo: int, totals: Array) -> Array:
+        # each row's sentinel integrand from the midpoint sums, twice the
+        # midpoints, step by step, so the squares never take a block's
+        # memory; only the tau = 0 midpoints are kept
+        for j, total in enumerate(totals, lo):
+            sums[j] = 0.25 * np.sum(obs * total**2, axis=spatial)
+        return 0.5 * totals[:, 0]
 
     run = solve_forward_nonlinear(grid, base, nl, starts, source, on_step=on_step)
     phis = 0.5 * grid.dt * basis.cell_volume * np.sum(sums, axis=0)

@@ -200,9 +200,11 @@ def _cmd_observability(cfg: dict, out_dir: Path, manifest: RunManifest,
     _csv(manifest, out_dir, "ratio_summary.csv", header,
          [[getattr(report, k) for k in header]])
 
-    valid = report.n_samples - report.n_degenerate
-    finite = valid > 0 and math.isfinite(report.max_ratio)
+    # a draw with non-finite energies fails the check, whatever the others
+    valid = report.n_samples - report.n_degenerate - report.n_nonfinite
+    finite = valid > 0 and report.n_nonfinite == 0
     manifest.add_check("ratios-finite", finite, n_valid=valid,
+                       n_nonfinite=report.n_nonfinite,
                        max_ratio=report.max_ratio)
     # no hard bound on the unknown constant: the ratio is reported, not
     # asserted against h_value

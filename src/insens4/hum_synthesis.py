@@ -120,6 +120,7 @@ class RatioReport:
 
     n_samples: int
     n_degenerate: int
+    n_nonfinite: int
     mode_cap: int
     seed: int
     rate_m: float
@@ -271,7 +272,8 @@ def minimize_quadratic(
         ``cg-stall`` when the model of Lambda + eps I is not positive
         definite (its smallest Ritz value plus eps is not positive): the
         operator lost symmetry or positivity.  The Krylov dimension
-        rides along in the error context.
+        rides along in the error context.  ``lanczos-nonfinite`` when a
+        Lanczos coefficient is not finite.
     """
     eps = _check_epsilon(problem.epsilon if eps is None else eps)
     syn = _Synthesis(problem, ops)
@@ -363,7 +365,9 @@ def _lanczos(syn: _Synthesis, b: Array, bnorm: float, shift, rtol: float,
     model (ascending; its length is the Krylov dimension).  Lambda x is
     the same combination of the images Lambda v_i the basis was built
     from, and needs no apply of its own.  When no model was solved, x
-    and Lambda x are zero and delta is None.
+    and Lambda x are zero and delta is None.  An alpha or beta that is
+    not finite (the operator's marches did not stay finite) raises the
+    coded ``lanczos-nonfinite`` at the dimension where it appears.
     """
     basis = syn.problem.basis
     dim_total = int(np.prod(basis.shape))
@@ -386,6 +390,13 @@ def _lanczos(syn: _Synthesis, b: Array, bnorm: float, shift, rtol: float,
         for u in vecs:
             w = w - basis.inner(w, u) * u
         bm = math.sqrt(basis.inner(w, w))
+        if not (math.isfinite(a) and math.isfinite(bm)):
+            raise SynthesisError(
+                "lanczos-nonfinite",
+                f"Lanczos coefficients are not finite at Krylov dimension "
+                f"{m} (alpha = {a:.3e}, beta = {bm:.3e}); the synthesis "
+                f"operator's marches did not stay finite",
+                krylov_dim=m, alphas=alphas, betas=betas + [bm])
         theta, q = np.linalg.eigh(_tridiagonal(alphas, betas))
         g = bnorm * q[0]
         sol = shift(theta, g)
@@ -432,7 +443,8 @@ def minimize_exact(
     ------
     SynthesisError
         ``synthesis-degenerate`` when no penalty weight balances the norm
-        on the Lanczos model; ``prox-stall`` on backtracking exhaustion.
+        on the Lanczos model; ``prox-stall`` on backtracking exhaustion;
+        ``lanczos-nonfinite`` when a Lanczos coefficient is not finite.
     """
     eps = _check_epsilon(problem.epsilon if eps is None else eps)
     syn = _Synthesis(problem, ops)
@@ -544,15 +556,17 @@ def _ratio_stack(problem: ValidatedProblem, phi0s: Array, weights: Array,
     Each row is the adjoint pair of :func:`solve_adjoint_pair`, and the
     stack marches together on the boxes its masks read.  Each march's
     ``on_step`` sees its midpoint sums' sine coefficients, twice the
-    midpoints'.  phi's converts each sum on the obs box only and records
-    chi_obs phi there, which is psi's per-row box source.  psi's streams,
-    per row and step, the sum of psi^2 (by Parseval, from the modes) and
-    that of omega psi^2 (on omega's box).  The halving is folded into the
+    midpoints', a block of steps at a time.  phi's converts each block on
+    the obs box only and records chi_obs phi there, which is psi's
+    per-row box source.  psi's streams, per row and step, the sum of
+    psi^2 (by Parseval, from the modes) and that of omega psi^2 (on
+    omega's box).  The halving is folded into the
     factors the hooks multiply by (1/2 for phi, 1/4 for the squares of
     psi), which leaves every product as it was to the bit.  No step
     transforms a full grid and no (Nt, *shape) field is stored.  Returns
-    (ratio, degenerate) per row; a row whose control-window energy
-    underflows is degenerate.
+    (ratio, status) per row: ``ok``, ``degenerate-psi`` for a row whose
+    control-window energy underflows, or ``nonfinite`` (ratio NaN) for a
+    row whose energies or ratio are not finite.
     """
     grid = problem.grid
     basis = problem.basis
@@ -561,16 +575,19 @@ def _ratio_stack(problem: ValidatedProblem, phi0s: Array, weights: Array,
     quarter_omega = 0.25 * omega.values[omega.box].ravel()
     quarter_parseval = 0.25 * (basis.mode_volume / basis.cell_volume)
 
-    def observed(j: int, total: Array) -> Array:
-        return half_obs * basis.from_modes(total, obs.box)
+    def observed(lo: int, totals: Array) -> Array:
+        return half_obs * basis.from_modes(totals, obs.box)
 
-    def energies(j: int, total: Array) -> Array:
-        rows = len(total)
-        on_omega = basis.from_modes(total, omega.box).reshape(rows, -1)
-        total = total.reshape(rows, -1)
-        return np.array([
-            quarter_parseval * np.einsum("bi,bi->b", total, total),
-            np.einsum("i,bi,bi->b", quarter_omega, on_omega, on_omega)])
+    def energies(lo: int, totals: Array) -> Array:
+        steps, rows = totals.shape[:2]
+        on_omega = basis.from_modes(totals, omega.box).reshape(steps, rows, -1)
+        totals = totals.reshape(steps, rows, -1)
+        rec = np.empty((steps, 2, rows))
+        np.einsum("kbi,kbi->kb", totals, totals, out=rec[:, 0])
+        rec[:, 0] *= quarter_parseval
+        np.einsum("i,kbi,kbi->kb", quarter_omega, on_omega, on_omega,
+                  out=rec[:, 1])
+        return rec
 
     phi = solve_forward(grid, ops.costate_schedule, phi0s, on_step=observed)
     psi = solve_backward(grid, ops.state_schedule, np.zeros(phi0s.shape),
@@ -578,8 +595,17 @@ def _ratio_stack(problem: ValidatedProblem, phi0s: Array, weights: Array,
     cell = grid.dt * basis.cell_volume
     nums = cell * (weights @ psi.fields[:, 0])
     dens = cell * np.sum(psi.fields[:, 1], axis=0)
-    return [(math.nan, True) if den <= 1e-300 else (float(num / den), False)
-            for num, den in zip(nums, dens)]
+    return [_ratio_status(num, den) for num, den in zip(nums, dens)]
+
+
+def _ratio_status(num: float, den: float) -> tuple[float, str]:
+    """A row's ratio and status from its two energies."""
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return math.nan, "nonfinite"
+    if den <= 1e-300:
+        return math.nan, "degenerate-psi"
+    ratio = float(num / den)
+    return (ratio, "ok") if math.isfinite(ratio) else (math.nan, "nonfinite")
 
 
 def observability_ratio_sample(
@@ -596,15 +622,18 @@ def observability_ratio_sample(
     per draw.  ``mode_cap`` pins the number of active modes per axis so
     the same seed reproduces the same continuum seeds across grid
     refinements.  Degenerate draws (a zero seed or an underflowing
-    denominator) are skipped and reported, never asserted against.
+    denominator) are skipped and reported, never asserted against.  A
+    draw whose energies are not finite has status ``nonfinite``; it is
+    counted apart and left out of the maximum and the median.
 
-    Every seed is drawn first; then consecutive draws march together in
-    stacks of as many rows as RATIO_STACK_CAP_BYTES allows for phi's
-    obs-box record (a zero seed leaves its stack).  A stack transforms
-    only what the masks read, on their boxes, and streams psi's energies
-    from its sine coefficients (see :func:`_ratio_stack`): the full-grid
-    transforms are the seeds' synthesis and each stack's start and end
-    states.
+    Consecutive draws march together in stacks of as many rows as
+    RATIO_STACK_CAP_BYTES allows for phi's obs-box record, and each
+    stack's seeds are drawn just before it marches, in index order, so
+    only one stack of seeds is held (a zero seed leaves its stack).  A
+    stack transforms only what the masks read, on their boxes, and
+    streams psi's energies from its sine coefficients (see
+    :func:`_ratio_stack`): the full-grid transforms are the seeds'
+    synthesis and each stack's start and end states.
 
     Raises
     ------
@@ -625,40 +654,51 @@ def observability_ratio_sample(
     rate_m = problem.constants.rate_m
     weights = np.exp(-rate_m / np.sqrt(problem.grid.times))
 
-    decays, seeds = [], []
-    for _ in range(n_samples):
-        decays.append(rng.uniform(0.5, 2.5))
-        seeds.append(basis.random_smooth(rng, decays[-1], cap))
-    norms = [basis.norm(phi0) for phi0 in seeds]
     record_row = 8 * problem.grid.n_steps * problem.obs.values[problem.obs.box].size
     rows = max(1, RATIO_STACK_CAP_BYTES // record_row)
-    results: dict[int, tuple[float, bool]] = {}
+    decays: list[float] = []
+    results: dict[int, tuple[float, str]] = {}
     for first in range(0, n_samples, rows):
-        live = [i for i in range(first, min(first + rows, n_samples))
-                if norms[i] != 0.0]
+        # the stack's seeds, drawn in index order; a zero seed leaves it
+        live, stack = [], []
+        for i in range(first, min(first + rows, n_samples)):
+            decays.append(rng.uniform(0.5, 2.5))
+            phi0 = basis.random_smooth(rng, decays[-1], cap)
+            norm = basis.norm(phi0)
+            if norm != 0.0:
+                live.append(i)
+                stack.append(phi0 / norm)
         if live:
-            stack = np.array([seeds[i] / norms[i] for i in live])
+            stack = np.array(stack)
             results.update(zip(live, _ratio_stack(problem, stack, weights, ops)))
 
     samples: list[dict] = []
     ratios: list[float] = []
     for i, decay in enumerate(decays):
-        ratio, degenerate = results.get(i, (math.nan, True))
+        ratio, status = results.get(i, (math.nan, "degenerate-psi"))
         samples.append({"index": i, "decay": decay, "ratio": ratio,
-                        "status": "degenerate-psi" if degenerate else "ok"})
-        if not degenerate:
+                        "status": status})
+        if status == "ok":
             ratios.append(ratio)
+    n_nonfinite = sum(sample["status"] == "nonfinite" for sample in samples)
 
     h = problem.constants.cost_h
-    max_ratio = max(ratios) if ratios else math.nan
-    median_ratio = float(np.median(ratios)) if ratios else math.nan
+    max_ratio = median_ratio = math.nan
+    if ratios:
+        # np.median's value, without its first call's import of numpy.ma
+        ratios.sort()
+        half = len(ratios) // 2
+        max_ratio = ratios[-1]
+        median_ratio = ratios[half] if len(ratios) % 2 \
+            else (ratios[half - 1] + ratios[half]) / 2
     if ratios and not math.isinf(h):
         empirical_c = max_ratio / h
     else:
         empirical_c = 0.0 if math.isinf(h) else math.nan
     return RatioReport(
         n_samples=n_samples,
-        n_degenerate=n_samples - len(ratios),
+        n_degenerate=n_samples - len(ratios) - n_nonfinite,
+        n_nonfinite=n_nonfinite,
         mode_cap=cap,
         seed=seed,
         rate_m=rate_m,

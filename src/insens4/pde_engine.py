@@ -82,18 +82,27 @@ once its update meets RELAX_TOL (1 + |u_j|).
 An ``on_step`` hook sees every midpoint sum, twice the midpoint average,
 and chooses what the trajectory records, so a batched march can stream a
 reduction instead of storing every row; it folds the halving into what it
-reads (0.5 for a value, 0.25 for a square), which is exact.  A linear
-march's hook sees the sum's sine coefficients, the form the march steps
-in, in one work array that the next step overwrites, and converts only
-what it reads (``basis.from_modes(total, box)`` on a box); a nonlinear
-march's hook sees node values, 2 mid_j from the midpoint its relaxation
-holds.
+reads (0.5 for a value, 0.25 for a square), which is exact.  It is called
+once per block of consecutive steps, as ``on_step(lo, totals)`` with
+``totals`` (k, *x.shape) holding steps lo .. lo + k - 1 in time order,
+and returns the records of ``fields[lo:lo + k]``.  A linear march steps
+in blocks of k = HOOK_BLOCK_BYTES // (bytes of its state, every row of a
+stack) steps, at least one and at most Nt; a backward march fills each
+block from the top.  Its hook sees the
+sums' sine coefficients, the form the march steps in, in one block of
+work slots that the next block overwrites, and converts only what it
+reads (``basis.from_modes(totals, box)`` on a box), in one call per
+block.  A nonlinear march's hook sees blocks of one step, node values
+2 mid_j from the midpoint its relaxation holds.
 
 A linear march can also take its source on a box of nodes (one slice per
-axis, zero outside).  The source then comes in step by step through boxed
-sine transforms, so a march whose source or observer lives on a
-subdomain pays for the subdomain only and never holds a full
-(Nt, B, *shape) stack of source modes.
+axis, zero outside).  The source then comes in a block at a time through
+one boxed sine transform per block, scaled by c there, so a march whose
+source or observer lives on a subdomain pays for the subdomain only and
+never holds a full (Nt, B, *shape) stack of source modes.  A block's
+stacked products have the shapes of a single step's (a single 1D source
+field goes as a one-row stack), so a stack's records and end state have
+the same bits at any block size.
 """
 from __future__ import annotations
 
@@ -134,6 +143,10 @@ INNER_TOL = 1e-13
 INNER_CAP = 40
 # Largest chunk of time steps in which a march converts its record to nodes.
 RECORD_CHUNK_BYTES = 2**16
+# Largest block of time steps a linear march takes at a time: a boxed source
+# comes to modes, and the midpoint sums go to an ``on_step`` hook, a block
+# at a time.
+HOOK_BLOCK_BYTES = 2**18
 # Per-step reaction relaxation: update tolerance relative to 1 + |u_j|, and cap.
 RELAX_TOL = 1e-11
 RELAX_CAP = 50
@@ -802,12 +815,11 @@ def _march(
             "start-shape", f"start must have shape {basis.shape} or "
             f"(B, *{basis.shape}), got {first.shape}")
     source = _source_fields(grid, source, first, source_box)
-    order = range(nt) if not transpose else range(nt - 1, -1, -1)
     solve = _solver(basis, schedule, nt, dt, transpose)
     c = dt / 2
     # a full-grid source goes to modes in one product and is scaled by c
-    # there (and is not held after); a boxed one goes step by step on its
-    # box, so it never grows into a full mode stack
+    # there (and is not held after); a boxed one goes a block at a time on
+    # its box, so it never grows into a full mode stack
     full_modes = None
     if source is not None and source_box is None:
         full_modes, source = basis.to_modes(source), None
@@ -816,42 +828,55 @@ def _march(
     # x is the march's own state, stepped in place
     x = basis.to_modes(first) if first.any() else np.zeros_like(first)
     rhs = None if full_modes is None else np.empty_like(x)
-
-    def rhs_at(j: int) -> Array:
-        """u^_j + c g^_j, step j's right-hand side in modes."""
-        if full_modes is not None:
-            return np.add(x, full_modes[j], out=rhs)
-        if source is None:
-            return x
-        # a boxed source's modes are fresh: they take the sum in place,
-        # unless the rows of a stack share them
-        g = basis.to_modes(source[j], source_box)
-        g *= c
-        return np.add(x, g, out=g if g.shape == x.shape else None)
-
+    # a linear march steps in blocks of k steps, each filled in marching
+    # order (from the top going backward); a nonlinear one in single steps
+    k = 1 if reaction is not None else \
+        max(1, min(nt, HOOK_BLOCK_BYTES // x.nbytes))
+    blocks = ((max(0, hi - k), hi) for hi in range(nt, 0, -k)) if transpose \
+        else ((lo, min(lo + k, nt)) for lo in range(0, nt, k))
     # a march without hook or reaction writes each midpoint sum into its
     # record and halves the record at the end; a hooked one reuses one
-    # work array for the sums
+    # block of work slots for the sums
     defer = reaction is None and on_step is None
     fields = np.empty((nt,) + x.shape) if defer else None
-    work = np.empty_like(x) if reaction is None and not defer else None
+    work = np.empty((k,) + x.shape) if reaction is None and not defer else None
     u = first
-    for j in order:
+    for lo, hi in blocks:
+        # a boxed source's modes are fresh: each step's slot takes its
+        # right-hand side in place, unless the rows of a stack share it.
+        # A single 1D field per step goes as a one-row stack, so every
+        # step's product has one shape at any block size
+        g = None
+        if source is not None:
+            block = source[lo:hi]
+            g = basis.to_modes(block[:, None], source_box)[:, 0] \
+                if block.ndim == 2 else basis.to_modes(block, source_box)
+            g *= c
         if reaction is None:
-            total = solve(j, rhs_at(j), fields[j] if defer else work)
-            np.subtract(total, x, out=x)
-        else:
-            rhs_j = rhs_at(j)
-            mid = _relax(lambda f: solve(j, rhs_j + c * f), basis, j, x, u,
-                         reaction)
-            total = 2.0 * mid
-            u = total - u
+            totals = fields[lo:hi] if defer else work[:hi - lo]
+        for j in (range(hi - 1, lo - 1, -1) if transpose else range(lo, hi)):
+            # u^_j + c g^_j, step j's right-hand side in modes
+            if full_modes is not None:
+                rhs_j = np.add(x, full_modes[j], out=rhs)
+            elif g is not None:
+                g_j = g[j - lo]
+                rhs_j = np.add(x, g_j, out=g_j if g_j.shape == x.shape else None)
+            else:
+                rhs_j = x
+            if reaction is None:
+                np.subtract(solve(j, rhs_j, totals[j - lo]), x, out=x)
+            else:
+                mid = _relax(lambda f: solve(j, rhs_j + c * f), basis, j, x, u,
+                             reaction)
+                total = 2.0 * mid
+                u = total - u
+                totals = total[None]
         if defer:
             continue
-        rec = mid if on_step is None else on_step(j, total)
+        rec = mid[None] if on_step is None else on_step(lo, totals)
         if fields is None:
-            fields = np.empty((nt,) + np.shape(rec))
-        fields[j] = rec
+            fields = np.empty((nt,) + np.shape(rec)[1:])
+        fields[lo:hi] = rec
     full_modes = None  # free the source modes before the record converts
     if defer:
         rows = max(1, RECORD_CHUNK_BYTES // fields[0].nbytes)
@@ -887,15 +912,17 @@ def solve_forward(
         stack or, with the batch axis, one source per row.  With
         ``source_box`` it holds the values on that box, (Nt, *box shape)
         or (Nt, B, *box shape), and the source is zero elsewhere.
-    on_step : callable(j, total) -> array, optional
-        Sees each step's midpoint sum u_j + u_{j+1}, twice the midpoint
-        average, as sine coefficients and returns what ``fields[j]``
+    on_step : callable(lo, totals) -> array, optional
+        Sees a block of consecutive steps' midpoint sums u_j + u_{j+1},
+        twice the midpoint averages, as sine coefficients, ``totals[i]``
+        for step lo + i, and returns what ``fields[lo:lo + len(totals)]``
         records, so a batched march can stream a reduction instead of
-        storing every row.  Halving is exact, so ``0.5 * total`` is the
-        average to the bit.  ``total`` is a work array the next step
-        overwrites.  A hook that needs node values converts them, on a box
-        only with ``basis.from_modes(total, box)``.  The end states stay
-        physical.
+        storing every row.  Blocks hold HOOK_BLOCK_BYTES of states (at
+        least one step).  Halving is exact, so ``0.5 * totals`` is the
+        averages to the bit.  ``totals`` is a work array the next block
+        overwrites.  A hook that needs node values converts them, on a
+        box only with ``basis.from_modes(totals, box)``.  The end states
+        stay physical.
     source_box : tuple of slices, optional
         A box of nodes, one slice per axis, that holds the source.
 
@@ -926,8 +953,8 @@ def solve_backward(
     The result's ``state0`` is the adjoint state at t = 0 on the integer
     node, the quantity every duality identity below refers to.  The
     stack, the (shared or per-row) source, ``on_step`` and ``source_box``
-    are as in :func:`solve_forward`; ``on_step`` sees the midpoint sums
-    from j = Nt - 1 down to 0.
+    are as in :func:`solve_forward`; ``on_step`` sees the blocks from the
+    last steps down to the first, each in time order.
     """
     return _march(grid, schedule, terminal, source, True, on_step=on_step,
                   source_box=source_box)
@@ -946,9 +973,10 @@ def solve_forward_nonlinear(
     The reaction enters the step loop of :func:`solve_forward` as a
     source at the midpoint average, relaxed per step by lagged
     iteration; it takes only the jet slots F reads.  ``initial`` and
-    ``source`` are as there, and ``on_step`` sees the node values of each
-    midpoint sum, twice the midpoint; ``fields`` records the midpoints
-    when there is no hook.
+    ``source`` are as there, and ``on_step(lo, totals)`` has its
+    signature but sees the node values of the midpoint sums, twice the
+    midpoints, in blocks of one step (a linear march converts a block at
+    a time).  ``fields`` records the midpoints when there is no hook.
 
     Raises
     ------
@@ -959,8 +987,8 @@ def solve_forward_nonlinear(
     """
     basis = grid.basis
     if nonlinearity.is_zero:
-        # a linear march's hook sees modes
-        hook = on_step and (lambda j, total: on_step(j, basis.from_modes(total)))
+        # a linear march's hook sees modes, a block of steps at a time
+        hook = on_step and (lambda lo, totals: on_step(lo, basis.from_modes(totals)))
         return solve_forward(grid, schedule, initial, source, on_step=hook)
 
     def reaction(u: Array) -> Array:

@@ -149,12 +149,14 @@ def reference_march(grid, schedule, start, source=None, backward=False,
     Step j solves (I + c A_j) mid_j = u^_j + c g^_j for the midpoint in
     sine coefficients and sets u^_{j+1} = 2 mid_j - u^_j.  A reaction is
     one more source at the midpoint, relaxed per step.  ``on_step(j,
-    mid)`` sees the midpoint itself, as modes in a linear march and as
-    node values in a nonlinear one, and returns what the record keeps.
-    The source goes to modes as the engine takes it (a full grid in one
-    product, a box step by step), and a linear record without a hook
-    converts in the engine's chunks of steps, so every product has the
-    engine's shape.
+    mids)`` has the engine's block signature and sees a block of one
+    step, ``mids = mid[None]``: the midpoint itself, as modes in a linear
+    march and as node values in a nonlinear one; it returns what the
+    record keeps for that block.  The source goes to modes as the engine
+    takes it (a full grid in one product, a box step by step, with a
+    single 1D field as a one-row stack), and a linear record without a
+    hook converts in the engine's chunks of steps, so every product has
+    the engine's shape.
     """
     basis, nt, c = grid.basis, grid.n_steps, grid.dt / 2
     solve = _linear_solver(grid, schedule, backward)
@@ -171,7 +173,10 @@ def reference_march(grid, schedule, start, source=None, backward=False,
         if full is not None:
             rhs = x + full[j]
         elif source is not None:
-            rhs = x + c * basis.to_modes(source[j], source_box)
+            g = source[j]
+            g = basis.to_modes(g[None], source_box)[0] if g.ndim == 1 \
+                else basis.to_modes(g, source_box)
+            rhs = x + c * g
         else:
             rhs = x
         if reaction is None:
@@ -182,7 +187,7 @@ def reference_march(grid, schedule, start, source=None, backward=False,
                                     u, reaction)
             x = 2.0 * mid_modes - x
             u = 2.0 * mid - u
-        record[j] = mid if on_step is None else on_step(j, mid)
+        record[j] = mid if on_step is None else on_step(j, mid[None])[0]
     record = np.array(record)
     if reaction is None and on_step is None:
         rows = max(1, pde_engine.RECORD_CHUNK_BYTES // record[0].nbytes)

@@ -9,17 +9,19 @@ in any other batch of B >= 2 (dense products with one row take a
 different BLAS kernel, so single fields are compared with a tolerance).
 
 A linear march may also take its source on a box of nodes, and its
-``on_step`` hook, which sees the sine coefficients of each midpoint sum
-u_j + u_{j+1} (twice the midpoint's, to the bit), may record the midpoint
-on a box; on every path that equals the full march with the source
-embedded in zeros and the record sliced to the box.  A stack may take one
-source per row, and a hook may record the sine coefficients themselves.
+``on_step`` hook, which sees the sine coefficients of a block of midpoint
+sums u_j + u_{j+1} (twice the midpoints', to the bit), may record the
+midpoints on a box; on every path that equals the full march with the
+source embedded in zeros and the record sliced to the box.  A stack may
+take one source per row, and a hook may record the sine coefficients
+themselves.
 
 A full-grid source goes to modes in one product before the loop and a
 record without a hook comes back in one product after it, so
 such a march makes a fixed number of transforms at any step count and
 matches the recurrence that transforms every step to rounding.  A boxed
-source goes per step on its box and never grows into a full mode stack.
+source goes a block of steps at a time on its box, the block that the
+hook sees, and never grows into a full mode stack.
 """
 import collections
 import dataclasses
@@ -149,9 +151,9 @@ class TestBatchedLinearMarch:
         full = solve_forward(grid, schedule, starts)
         seen = []
 
-        def keep_last(j, total):
-            seen.append(j)
-            return 0.5 * grid.basis.from_modes(total)[-1]
+        def keep_last(lo, totals):
+            seen.extend(range(lo, lo + len(totals)))
+            return 0.5 * grid.basis.from_modes(totals)[:, -1]
 
         streamed = solve_forward(grid, schedule, starts, on_step=keep_last)
         assert seen == list(range(grid.n_steps))
@@ -165,9 +167,9 @@ class TestBatchedLinearMarch:
         assert exc.value.code == "start-shape"
 
 
-def _on_box(basis, box, j, total):
+def _on_box(basis, box, lo, totals):
     """A linear march's hook that records each midpoint's values on ``box``."""
-    return 0.5 * basis.from_modes(total, box)
+    return 0.5 * basis.from_modes(totals, box)
 
 
 class TestBoxedMarch:
@@ -209,21 +211,26 @@ class TestBoxedMarch:
                 assert np.abs(got - ref).max() <= 1e-12 * scale, name
 
     @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
-    def test_on_step_sees_the_record_box(self, backward):
+    def test_on_step_sees_the_record_box(self, backward, monkeypatch):
         grid = _grid(2)
         box = (slice(1, 4), slice(2, 6))
         seen = []
 
-        def norm(j, modes):
-            mid = _on_box(grid.basis, box, j, modes)
-            seen.append((j, mid.shape))
-            return np.sum(mid * mid)
+        def norm(lo, modes):
+            mid = _on_box(grid.basis, box, lo, modes)
+            seen.append((lo, mid.shape))
+            return np.sum(mid * mid, axis=(1, 2))
 
         solve = solve_backward if backward else solve_forward
         start = _stack(grid.basis, 4, 1)[0]
+        # blocks of 3 steps: 16 steps end in a block of one, which comes
+        # last going forward and first going backward
+        monkeypatch.setattr(pde_engine, "HOOK_BLOCK_BYTES", 3 * start.nbytes)
         traj = solve(grid, make_schedule(grid, {}), start, on_step=norm)
-        order = range(grid.n_steps)
-        assert seen == [(j, (3, 4)) for j in (order[::-1] if backward else order)]
+        nt = grid.n_steps
+        blocks = [(lo, min(3, nt - lo)) for lo in range(0, nt, 3)] if not backward \
+            else [(max(0, hi - 3), min(3, hi)) for hi in range(nt, 0, -3)]
+        assert seen == [(lo, (k, 3, 4)) for lo, k in blocks]
         full = solve(grid, make_schedule(grid, {}), start)
         want = np.sum(full.fields[(...,) + box] ** 2, axis=(1, 2))
         assert traj.fields.shape == (grid.n_steps,)
@@ -300,14 +307,14 @@ class TestPerRowSource:
         solve = functools.partial(solve_backward if backward else solve_forward,
                                   grid, schedule, starts, _source(grid, 7))
         phys = solve()
-        modes = solve(on_step=lambda j, c: 0.5 * c)
+        modes = solve(on_step=lambda lo, c: 0.5 * c)
         want = grid.basis.to_modes(phys.fields)
         assert np.abs(modes.fields - want).max() <= 1e-12 * np.abs(want).max()
         # the end states stay physical
         assert np.array_equal(modes.state0, phys.state0)
         assert np.array_equal(modes.stateT, phys.stateT)
         # on_step sees the recorded coefficients
-        streamed = solve(on_step=lambda j, c: 0.5 * c[1])
+        streamed = solve(on_step=lambda lo, c: 0.5 * c[:, 1])
         assert np.array_equal(streamed.fields, modes.fields[:, 1])
 
 
@@ -381,35 +388,45 @@ class TestSourceAndRecordTransforms:
                          ("from_modes", False): 2}
 
     @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
-    def test_hook_and_record_box_convert_per_step(self, monkeypatch, backward):
+    @pytest.mark.parametrize("steps", [1, 3, None], ids=["k1", "k3", "whole"])
+    def test_hook_and_record_box_convert_per_block(self, monkeypatch, backward,
+                                                   steps):
         grid = _grid(1)
         nt = grid.n_steps
         schedule = make_schedule(grid, {})
         start, source = _stack(grid.basis, 5, 1)[0], _source(grid, 5)
+        # blocks of k steps, the whole march by default
+        if steps is not None:
+            monkeypatch.setattr(pde_engine, "HOOK_BLOCK_BYTES", steps * start.nbytes)
+        blocks = -(-nt // (steps or nt))
         solve = functools.partial(solve_backward if backward else solve_forward,
                                   grid, schedule, start, source)
         calls = _count_transforms(monkeypatch)
-        solve(on_step=lambda j, modes: grid.basis.from_modes(modes)[0])
-        assert calls == {("to_modes", False): 2, ("from_modes", False): nt + 1}
+        solve(on_step=lambda lo, modes: grid.basis.from_modes(modes)[:, 0])
+        assert calls == {("to_modes", False): 2,
+                         ("from_modes", False): blocks + 1}
         calls.clear()
         solve(on_step=functools.partial(_on_box, grid.basis, (slice(2, 5),)))
-        assert calls == {("to_modes", False): 2, ("from_modes", True): nt,
+        assert calls == {("to_modes", False): 2, ("from_modes", True): blocks,
                          ("from_modes", False): 1}
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
-    def test_boxed_source_transforms_per_step(self, monkeypatch, path, backward):
+    def test_boxed_source_transforms_per_block(self, monkeypatch, path, backward):
         dim, coeffs = _coefficients(path, (0.5, 0.1, 0.4, 0.05, 1.0))
         grid = _grid(dim)
         schedule = make_schedule(grid, coeffs)
         box = (slice(2, 5),) * dim
         sources = _source(grid, 6)[(...,) + box]
         solve = solve_backward if backward else solve_forward
+        start = np.zeros(grid.shape)
         # build the schedule's cached factors outside the count
-        solve(grid, schedule, np.zeros(grid.shape))
+        solve(grid, schedule, start)
+        # blocks of 3 steps: 16 steps take 6 blocks, one source transform each
+        monkeypatch.setattr(pde_engine, "HOOK_BLOCK_BYTES", 3 * start.nbytes)
         calls = _count_transforms(monkeypatch)
-        solve(grid, schedule, np.zeros(grid.shape), sources, source_box=box)
-        assert calls["to_modes", True] == grid.n_steps
+        solve(grid, schedule, start, sources, source_box=box)
+        assert calls["to_modes", True] == -(-grid.n_steps // 3)
         assert calls["from_modes", True] == 0
 
     def test_boxed_per_row_source_peaks_below_a_mode_stack(self):
@@ -426,7 +443,7 @@ class TestSourceAndRecordTransforms:
         tracemalloc.start()
         try:
             psi = solve_backward(grid, schedule, np.zeros((rows,) + grid.shape),
-                                 sources, on_step=lambda j, c: np.sum(c * c, axis=(1, 2)),
+                                 sources, on_step=lambda lo, c: np.sum(c * c, axis=(2, 3)),
                                  source_box=box)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

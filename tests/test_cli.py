@@ -269,6 +269,51 @@ class TestFailureModes:
         assert all((out / name).is_file() for name in outputs)
         assert [c["name"] for c in doc["checks"]] == checks
 
+    def test_nonfinite_ratio_fails_ratios_finite(self, tmp_path, monkeypatch):
+        # one draw with NaN energies among finite ones fails the check,
+        # even though the maximum over the others is finite
+        from insens4 import hum_synthesis, pde_engine
+
+        def poisoned(*args, **kwargs):
+            psi = pde_engine.solve_backward(*args, **kwargs)
+            psi.fields[:, 1, 1] = float("nan")   # row 1's control-window energy
+            return psi
+
+        monkeypatch.setattr(hum_synthesis, "solve_backward", poisoned)
+        out = tmp_path / "o"
+        assert main(["observability", "--quick", "--out", str(out)]) == 2
+        doc = json.loads((out / "manifest.json").read_text())
+        chk = {c["name"]: c for c in doc["checks"]}["ratios-finite"]
+        assert not chk["passed"] and chk["n_nonfinite"] == 1
+        rows = (out / "ratio_samples.csv").read_text().splitlines()[1:]
+        statuses = [row.split(",")[3] for row in rows]
+        assert statuses[1] == "nonfinite"
+        assert statuses.count("nonfinite") == 1
+
+    def test_unstable_lower_order_exits_2_coded(self, tmp_path):
+        # a large a1 with a first-order term blows the 1D marches up; the
+        # Lanczos model stops at the first non-finite coefficient with a
+        # coded error instead of a LinAlgError traceback from eigh.  A
+        # subprocess keeps the marches' overflow warnings on its stderr.
+        cfg = _ini(tmp_path, "[coefficients]\na1 = 30\nb0 = 1\n")
+        out = tmp_path / "o"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-s", "-c",
+             "import sys; from insens4.cli import main; sys.exit(main(sys.argv[1:]))",
+             "insensitize-linear", "--quick", "--config", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "insensitize-linear: lanczos-nonfinite: " in proc.stderr
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error["code"] == "lanczos-nonfinite"
+        assert error["context"]["krylov_dim"] == 1
+        assert "Krylov dimension 1" in error["message"]
+
     def test_2d_eta_peak_per_axis(self, tmp_path, capsys):
         text = ("[grid]\ndimension = 2\ncells = 32\nsteps = 16\n"
                 "[domains]\nomega = 0.6:1.4,0.6:1.4\nobs = 1.0:1.8,1.0:1.8\n"

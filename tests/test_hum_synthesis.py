@@ -560,15 +560,19 @@ class TestRatioSample:
     def test_full_grid_transforms_pinned(self, monkeypatch):
         # no step of either march transforms a full grid: the full-grid
         # transforms are the seeds' synthesis and, per stack, phi's start
-        # and the end states of the two marches.  Per step and stack,
-        # phi's record and psi's source stay on the obs box and psi's
-        # control-window energy reads omega's box.  One stack of 5 draws.
+        # and the end states of the two marches.  Per block of steps and
+        # stack, phi's record and psi's source stay on the obs box and
+        # psi's control-window energy reads omega's box.  One stack of 5
+        # draws, whose 20 steps fit one block.
         _assert_transform_counts(monkeypatch, rows=None)
 
     @pytest.mark.parametrize("rows", [1, 2], ids=["rows1", "rows2"])
-    def test_full_grid_transforms_pinned_per_stack(self, rows, monkeypatch):
-        # the same counts with the stack cap forced to 1 and 2 rows
-        _assert_transform_counts(monkeypatch, rows=rows)
+    @pytest.mark.parametrize("steps", [None, 3], ids=["whole", "k3"])
+    def test_full_grid_transforms_pinned_per_stack(self, rows, steps,
+                                                   monkeypatch):
+        # the same counts with the stack cap forced to 1 and 2 rows, and
+        # with blocks of 3 steps of a full stack
+        _assert_transform_counts(monkeypatch, rows=rows, steps=steps)
 
     @pytest.mark.parametrize("case", RATIO_CASES)
     def test_stack_size_does_not_move_ratios(self, case, monkeypatch):
@@ -602,6 +606,30 @@ class TestRatioSample:
         _assert_same_draws(got.samples[:1] + got.samples[2:],
                            want.samples[:1] + want.samples[2:])
 
+    @pytest.mark.parametrize("poison", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_row_is_not_ok(self, monkeypatch, poison):
+        # a draw whose energies are not finite among finite ones gets its
+        # own status and stays out of the maximum (an infinite
+        # control-window energy would read as the ratio 0); its
+        # stack-mates keep theirs
+        problem = _ratio_problem("2d-diagonal")
+        want = observability_ratio_sample(problem, n_samples=4, seed=6)
+
+        def poisoned(*args, **kwargs):
+            psi = pde_engine.solve_backward(*args, **kwargs)
+            psi.fields[:, 1, 1] = poison   # row 1's control-window energy
+            return psi
+
+        monkeypatch.setattr(hum_synthesis, "solve_backward", poisoned)
+        got = observability_ratio_sample(problem, n_samples=4, seed=6)
+        bad = got.samples[1]
+        assert (bad["index"], bad["status"]) == (1, "nonfinite")
+        assert np.isnan(bad["ratio"])
+        assert (got.n_nonfinite, got.n_degenerate) == (1, want.n_degenerate)
+        others = got.samples[:1] + got.samples[2:]
+        _assert_same_draws(others, want.samples[:1] + want.samples[2:])
+        assert got.max_ratio == max(s["ratio"] for s in others)
+
 
 def _assert_same_draws(got, want):
     """Same indices, decays and statuses, and ratios to 1e-13 relative."""
@@ -629,13 +657,25 @@ def _stored_pair_ratios(problem, stack, weights, ops):
     return [_stored_pair_ratio(problem, phi0, weights, ops) for phi0 in stack]
 
 
-def _assert_transform_counts(monkeypatch, rows):
-    """Count full-grid and boxed SineBasis transforms of a 5-draw sample."""
+def _assert_transform_counts(monkeypatch, rows, steps=None):
+    """Count full-grid and boxed SineBasis transforms of a 5-draw sample.
+
+    Each march of a stack of r rows steps in blocks of k = HOOK_BLOCK_BYTES
+    // (r field bytes) steps, capped at Nt; ``steps`` sets the constant to
+    that many steps of a full stack.
+    """
     problem = _ratio_problem("2d-diagonal")
     n, nt = 5, problem.grid.n_steps
     if rows is not None:
         _force_stack_rows(monkeypatch, problem, rows)
-    stacks = 1 if rows is None else -(-n // rows)
+    sizes = [n] if rows is None else [min(rows, n - i) for i in range(0, n, rows)]
+    field_bytes = 8 * problem.basis.shape[0] * problem.basis.shape[1]
+    if steps is not None:
+        monkeypatch.setattr(pde_engine, "HOOK_BLOCK_BYTES",
+                            steps * max(sizes) * field_bytes)
+    blocks = [-(-nt // max(1, min(nt, pde_engine.HOOK_BLOCK_BYTES
+                                  // (size * field_bytes))))
+              for size in sizes]
     calls = {"full": 0, "boxed": 0}
     for name in ("to_modes", "from_modes"):
         original = getattr(SineBasis, name)
@@ -646,8 +686,10 @@ def _assert_transform_counts(monkeypatch, rows):
 
         monkeypatch.setattr(SineBasis, name, counted)
     observability_ratio_sample(problem, n_samples=n, seed=2)
-    assert calls["full"] == n + 3 * stacks
-    assert calls["boxed"] == 3 * nt * stacks
+    assert calls["full"] == n + 3 * len(sizes)
+    assert calls["boxed"] == 3 * sum(blocks)
+    if steps is not None:
+        assert blocks[0] == -(-nt // steps)
 
 
 def _stored_pair_ratio(problem, phi0, weights, ops):
@@ -658,8 +700,8 @@ def _stored_pair_ratio(problem, phi0, weights, ops):
     num = cell * float(weights @ psi2.reshape(len(weights), -1).sum(axis=1))
     den = cell * float(np.sum(problem.omega.values * psi2))
     if den <= 1e-300:
-        return float("nan"), True
-    return num / den, False
+        return float("nan"), "degenerate-psi"
+    return num / den, "ok"
 
 
 def _ratio_problem(case):

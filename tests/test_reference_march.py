@@ -8,13 +8,17 @@ every solver path, in both directions, with and without a source, and
 with the record deferred or taken by a hook.  The library's own hooks
 (the observability sampler's and the sentinel's) fold the halving into
 their factors and must give the bits the hooks on the midpoints gave.
+
+A linear march takes its boxed source and hands its sums to a hook a
+block of steps at a time.  Each block's stacked products run the per-step
+shapes, so a stack's record has the same bits at any block size.
 """
 import math
 
 import numpy as np
 import pytest
 
-from insens4 import hum_synthesis
+from insens4 import hum_synthesis, pde_engine
 from insens4.cascade_sentinel import linearized_operators, sentinel_sensitivity
 from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.hum_synthesis import _ratio_stack
@@ -90,17 +94,55 @@ class TestLinearMarch:
         record_box = (slice(1, 5),) * grid.dim
         want = reference_march(
             grid, schedule, starts, backward=backward,
-            on_step=(lambda j, mid: basis.from_modes(mid, record_box))
+            on_step=(lambda lo, mids: basis.from_modes(mids, record_box))
             if hooked else None, **kwargs)
         solve = solve_backward if backward else solve_forward
-        # the engine's hook sees the midpoint sum, twice the midpoint
+        # the engine's hook sees the midpoint sums, twice the midpoints
         traj = solve(grid, schedule, starts, on_step=(
-            lambda j, total: 0.5 * basis.from_modes(total, record_box))
+            lambda lo, totals: 0.5 * basis.from_modes(totals, record_box))
             if hooked else None, **kwargs)
         _assert_bitwise((traj.fields, traj.state0 if backward else traj.stateT),
                         want)
         # the start is the caller's, untouched
         assert np.array_equal(traj.stateT if backward else traj.state0, starts)
+
+
+class TestHookBlocks:
+    @pytest.mark.parametrize("path", ["diagonal-1d", "inverse-1d", "gmres-2d"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("rows", ["shared", "per-row"])
+    def test_block_size_keeps_bits(self, monkeypatch, path, backward, rows):
+        # blocks of one step, of 3 steps (16 steps end in a block of one)
+        # and of the whole march give the reference march's bits
+        grid, schedule, starts, values, box = _case(path)
+        basis = grid.basis
+        source = values[(...,) + box]
+        if rows == "per-row":
+            source = np.stack([source, -0.5 * source, source[::-1]], axis=1)
+        record_box = (slice(1, 5),) * grid.dim
+        want = reference_march(
+            grid, schedule, starts, source, backward=backward, source_box=box,
+            on_step=lambda lo, mids: basis.from_modes(mids, record_box))
+        solve = solve_backward if backward else solve_forward
+        for steps in (1, 3, grid.n_steps):
+            monkeypatch.setattr(pde_engine, "HOOK_BLOCK_BYTES",
+                                steps * starts.nbytes)
+            blocks = []
+
+            def on_box(lo, totals):
+                blocks.append((lo, len(totals)))
+                return 0.5 * basis.from_modes(totals, record_box)
+
+            traj = solve(grid, schedule, starts, source, on_step=on_box,
+                         source_box=box)
+            _assert_bitwise((traj.fields,
+                             traj.state0 if backward else traj.stateT), want)
+            # (first step, length) in marching order, from the top backward
+            nt = grid.n_steps
+            assert blocks == ([(max(0, hi - steps), min(steps, hi))
+                               for hi in range(nt, 0, -steps)] if backward else
+                              [(lo, min(steps, nt - lo))
+                               for lo in range(0, nt, steps)])
 
 
 class TestNonlinearMarch:
@@ -115,11 +157,11 @@ class TestNonlinearMarch:
         record_box = (...,) + (slice(1, 5),) * grid.dim
         want = reference_march(
             grid, schedule, 2.0 * starts, values, nonlinearity=nl,
-            on_step=(lambda j, mid: mid[record_box]) if hooked else None)
-        # a nonlinear hook sees the sum's node values
+            on_step=(lambda lo, mids: mids[record_box]) if hooked else None)
+        # a nonlinear hook sees the sum's node values, one step per block
         traj = solve_forward_nonlinear(
             grid, schedule, nl, 2.0 * starts, values,
-            on_step=(lambda j, total: 0.5 * total[record_box]) if hooked else None)
+            on_step=(lambda lo, totals: 0.5 * totals[record_box]) if hooked else None)
         _assert_bitwise((traj.fields, traj.stateT), want)
 
 
@@ -160,16 +202,17 @@ class TestLibraryHooks:
         omega_values = omega.values[omega.box].ravel()
         parseval = basis.mode_volume / basis.cell_volume
 
-        def energies(j, mid):
-            rows = len(mid)
-            on_omega = basis.from_modes(mid, omega.box).reshape(rows, -1)
-            mid = mid.reshape(rows, -1)
-            return np.array([
-                parseval * np.einsum("bi,bi->b", mid, mid),
-                np.einsum("i,bi,bi->b", omega_values, on_omega, on_omega)])
+        def energies(lo, mids):
+            steps, rows = mids.shape[:2]
+            on_omega = basis.from_modes(mids, omega.box).reshape(steps, rows, -1)
+            mids = mids.reshape(steps, rows, -1)
+            return np.stack([
+                parseval * np.einsum("kbi,kbi->kb", mids, mids),
+                np.einsum("i,kbi,kbi->kb", omega_values, on_omega, on_omega)],
+                axis=1)
 
         phi, _ = reference_march(grid, ops.costate_schedule, phi0s, on_step=(
-            lambda j, mid: obs_values * basis.from_modes(mid, obs.box)))
+            lambda lo, mids: obs_values * basis.from_modes(mids, obs.box)))
         psi, _ = reference_march(grid, ops.state_schedule, np.zeros(phi0s.shape),
                                  phi, backward=True, source_box=obs.box,
                                  on_step=energies)
@@ -177,7 +220,7 @@ class TestLibraryHooks:
         cell = grid.dt * basis.cell_volume
         nums = cell * (weights @ psi[:, 0])
         dens = cell * np.sum(psi[:, 1], axis=0)
-        assert got == [(float(n / d), False) for n, d in zip(nums, dens)]
+        assert got == [(float(n / d), "ok") for n, d in zip(nums, dens)]
         assert not any(math.isnan(r) for r, _ in got)
 
     @pytest.mark.parametrize("kind", ["zero", "tanh"])
@@ -197,9 +240,9 @@ class TestLibraryHooks:
                                  .reshape(-1, *grid.shape)])
         sums = np.empty((grid.n_steps, len(starts)))
 
-        def on_step(j, mid):
-            sums[j] = np.sum(p.obs.values * mid**2, axis=1)
-            return mid[0]
+        def on_step(lo, mids):
+            sums[lo:lo + len(mids)] = np.sum(p.obs.values * mids**2, axis=2)
+            return mids[:, 0]
 
         base = make_schedule(grid, p.coefficients)
         nl = None if kind == "zero" else p.nonlinearity
@@ -207,7 +250,7 @@ class TestLibraryHooks:
         y0, end = reference_march(
             grid, base, starts, source, nonlinearity=nl,
             on_step=on_step if nl is not None else (
-                lambda j, modes: on_step(j, basis.from_modes(modes))))
+                lambda lo, modes: on_step(lo, basis.from_modes(modes))))
         phis = 0.5 * grid.dt * basis.cell_volume * np.sum(sums, axis=0)
         # the dual side reads the tau = 0 midpoints the hook kept
         costate = base if nl is None else tangent_schedule(p, Trajectory(

@@ -152,6 +152,7 @@ def sentinel_sensitivity(
     yhats: Array,
     tau_probe: float = 1e-3,
     premasked: bool = False,
+    base: Schedule | None = None,
 ) -> list[InsensitivityReport]:
     """Probe d/dtau Phi(y_tau) at tau = 0 along each direction in ``yhats``.
 
@@ -159,14 +160,18 @@ def sentinel_sensitivity(
     the result holds one report per direction.  The finite-difference
     side runs the true dynamics (reaction term active when the problem
     carries one) from initial states +-tau*yhat0 and +-tau/2*yhat0 under
-    the same control.  These runs and the run y0 at tau = 0 march as one
-    batched march that accumulates each run's sentinel step by step and
-    keeps only the fields of y0.  The dual side does not depend on the
-    direction, so it is solved once: y0, then the backward
+    the same control, and sums each probe's sentinel step by step.  A
+    linear probe is affine in tau, y0 + o yhat with yhat the source-free
+    march from yhat0, so y0 and the B directions march apart and each
+    probe's midpoints are formed from theirs.  With a reaction the probes
+    and y0 march as one batched march of 4B + 1 rows.  The dual side does
+    not depend on the direction, so it is solved once: the backward
     costate with the tangent coefficients frozen at y0 and source
     chi_obs y0, and each direction's dual value is <q(0), yhat0>.  In the
-    linear case both sides agree to rounding; the half-step re-run makes
-    quadratic tau bias visible in the report.
+    linear case both sides agree to rounding; the half-step probes make
+    quadratic tau bias visible in the report.  ``base`` is the schedule of
+    ``problem.coefficients`` when the caller holds one (built here
+    otherwise), so its cached step factors are reused.
 
     Raises
     ------
@@ -178,7 +183,7 @@ def sentinel_sensitivity(
     grid = problem.grid
     basis = problem.basis
     nl = problem.nonlinearity
-    base = make_schedule(grid, problem.coefficients)
+    base = base or make_schedule(grid, problem.coefficients)
     yhats = np.asarray(yhats, dtype=float)
     if yhats.shape[1:] != grid.shape:
         raise SetupError(
@@ -200,46 +205,48 @@ def sentinel_sensitivity(
     if v is not None:
         source += v if premasked else problem.omega.values * v
 
-    # one march of every run: row 0 starts at tau = 0, then each direction
-    # from +tau, -tau, +tau/2 and -tau/2 times yhat0
-    offsets = np.array([tau, -tau, tau / 2, -tau / 2])
-    starts = np.concatenate([
-        np.zeros((1,) + grid.shape),
-        (offsets.reshape((1, 4) + (1,) * grid.dim)
-         * yhats[:, None]).reshape((-1,) + grid.shape),
-    ])
+    # each direction's probes start from +tau, -tau, +tau/2 and -tau/2
+    # times yhat0; the hooks read midpoint sums, twice the midpoints
+    offsets = np.array([tau, -tau, tau / 2, -tau / 2]).reshape((4,) + (1,) * grid.dim)
     obs = problem.obs.values
-    spatial = tuple(range(1, 1 + grid.dim))
-    sums = np.empty((grid.n_steps, len(starts)))
-
-    def on_step(lo: int, totals: Array) -> Array:
-        # each row's sentinel integrand from the midpoint sums, twice the
-        # midpoints, step by step, so the squares never take a block's
-        # memory; only the tau = 0 midpoints are kept
-        for j, total in enumerate(totals, lo):
-            sums[j] = 0.25 * np.sum(obs * total**2, axis=spatial)
-        return 0.5 * totals[:, 0]
-
-    run = solve_forward_nonlinear(grid, base, nl, starts, source, on_step=on_step)
-    phis = 0.5 * grid.dt * basis.cell_volume * np.sum(sums, axis=0)
-
-    # dual side from the cascade at tau = 0, shared by every direction
+    spatial = tuple(range(-grid.dim, 0))
     zero = np.zeros(grid.shape)
-    y0_traj = Trajectory(basis, grid.dt, grid.times, run.fields,
-                         state0=zero, stateT=run.stateT[0])
-    costate = base
-    if not nl.is_zero:
-        # tangent coefficients at the tau = 0 trajectory; imported here to
-        # keep the linearization builder with the outer iteration module
+    if nl.is_zero:
+        y0, costate = solve_forward(grid, base, zero, source).fields, base
+
+        def on_step(lo: int, totals: Array) -> Array:
+            # each probe's integrand, step by step, at its midpoints
+            # y0 + (o/2) d, d the sums of its direction's source-free march
+            return np.array([
+                np.sum(obs * (y0[j] + 0.5 * offsets * d[:, None])**2, axis=spatial)
+                for j, d in enumerate(basis.from_modes(totals), lo)])
+
+        sums = solve_forward(grid, base, yhats, on_step=on_step).fields
+    else:
+        # the tangent builder lives with the outer iteration module
         from .semilinear_loop import tangent_schedule
 
-        costate = tangent_schedule(problem, y0_traj)
-    q = solve_backward(grid, costate, zero, obs * y0_traj.fields)
+        starts = np.concatenate([
+            zero[None], (offsets * yhats[:, None]).reshape((-1,) + grid.shape)])
+        sums = np.empty((grid.n_steps, 4 * len(yhats)))
+
+        def on_step(lo: int, totals: Array) -> Array:
+            # per-step integrands keep the squares small; y0's midpoints are kept
+            for j, total in enumerate(totals, lo):
+                sums[j] = 0.25 * np.sum(obs * total[1:]**2, axis=spatial)
+            return 0.5 * totals[:, 0]
+
+        run = solve_forward_nonlinear(grid, base, nl, starts, source, on_step=on_step)
+        y0, costate = run.fields, tangent_schedule(problem, run)
+    phis = 0.5 * grid.dt * basis.cell_volume * np.sum(sums, axis=0)
+
+    # dual side at tau = 0, shared by every direction
+    q = solve_backward(grid, costate, zero, obs * y0)
     q0_norm = basis.norm(q.state0)
 
     reports = []
     for yhat0, (phi_plus, phi_minus, phi_half, phi_mhalf) in zip(
-            yhats, phis[1:].reshape(-1, 4).tolist()):
+            yhats, phis.reshape(-1, 4).tolist()):
         d_fd = (phi_plus - phi_minus) / (2 * tau)
         d_fd_half = (phi_half - phi_mhalf) / tau
         d_dual = basis.inner(q.state0, yhat0)

@@ -215,7 +215,7 @@ def _cmd_observability(cfg: dict, out_dir: Path, manifest: RunManifest,
 
 
 def _sensitivity_block(problem, result, cfg, manifest, out_dir,
-                       bound: float, assert_gap: bool) -> None:
+                       bound: float, assert_gap: bool, base=None) -> None:
     gap_tol = cfg["sampling"]["gap_tol"]
     rng = _rng(cfg["run"]["seed"])
     yhats = np.empty((cfg["sampling"]["directions"],) + problem.basis.shape)
@@ -224,7 +224,7 @@ def _sensitivity_block(problem, result, cfg, manifest, out_dir,
     with manifest.timed("sensitivity"):
         reports = sentinel_sensitivity(problem, result.v, yhats,
                                        tau_probe=cfg["sampling"]["tau_probe"],
-                                       premasked=True)
+                                       premasked=True, base=base)
     for i, rep in enumerate(reports):
         manifest.add_check(f"sentinel-derivative-{i}",
                            abs(rep.d_fd) <= bound, d_fd=rep.d_fd, bound=bound)
@@ -271,7 +271,8 @@ def _cmd_insensitize_linear(cfg: dict, out_dir: Path, manifest: RunManifest,
          [[summary[k] for k in header]])
 
     _sensitivity_block(problem, result, cfg, manifest, out_dir,
-                       bound=10.0 * result.epsilon, assert_gap=True)
+                       bound=10.0 * result.epsilon, assert_gap=True,
+                       base=result.ops.state_schedule)
     _dump(manifest, out_dir, "control_v.fld", result.v, problem)
     _dump(manifest, out_dir, "costate_q0.fld", result.q0, problem)
     _dump(manifest, out_dir, "seed_phi0.fld", result.phi0, problem)

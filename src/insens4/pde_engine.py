@@ -73,11 +73,16 @@ midpoint sum into its record in modes, then halves the record and
 converts it in place after the last step, in chunks of time steps of at
 most RECORD_CHUNK_BYTES each, so it never holds two records.  Besides
 those, the loop transforms only a nonzero start and the end state (a
-GMRES solve and a reaction transform inside their steps).  A reaction
-F(u, grad u, hess u) enters that loop as one more source evaluated at the
-midpoint average, adding c F^(mid_j) to the right-hand side.  Each step
-relaxes it by lagged iteration from F(u_j), and a row stops updating
-once its update meets RELAX_TOL (1 + |u_j|).
+GMRES solve and a reaction transform inside their steps).  A nonlinear
+march solves
+
+    y_t + A y + F(y) = g,    F = F(u, grad u, hess u),
+
+the equation the semilinear loop linearizes: F enters the step loop as
+one more source evaluated at the midpoint average, subtracting
+c F^(mid_j) from the right-hand side.  Each step relaxes it by lagged
+iteration from F(u_j), and a row stops updating once its update meets
+RELAX_TOL (1 + |u_j|).
 
 An ``on_step`` hook sees every midpoint sum, twice the midpoint average,
 and chooses what the trajectory records, so a batched march can stream a
@@ -760,10 +765,11 @@ def _relax(solve_with: Callable[[Array], Array], basis: SineBasis, j: int,
     """Step j with the reaction at the midpoint, by lagged iteration.
 
     ``solve_with(F^)`` is step j's midpoint sum in modes with the
-    reaction's modes F^ as one more source.  Starts from F(u_j) and
-    re-solves with F at the latest midpoint; a field stops updating once
-    its update meets RELAX_TOL (1 + |u_j|).  Steps the state ``x`` (in
-    modes) in place and returns the physical midpoint.
+    reaction's modes F^ on the left, -c F^ added to its right-hand side.
+    Starts from F(u_j) and re-solves with F at the latest midpoint; a
+    field stops updating once its update meets RELAX_TOL (1 + |u_j|).
+    Steps the state ``x`` (in modes) in place and returns the physical
+    midpoint.
     """
     dim = basis.dim
     scale = 1.0 + _row_norms(u, dim)
@@ -866,7 +872,7 @@ def _march(
             if reaction is None:
                 np.subtract(solve(j, rhs_j, totals[j - lo]), x, out=x)
             else:
-                mid = _relax(lambda f: solve(j, rhs_j + c * f), basis, j, x, u,
+                mid = _relax(lambda f: solve(j, rhs_j - c * f), basis, j, x, u,
                              reaction)
                 total = 2.0 * mid
                 u = total - u
@@ -968,15 +974,15 @@ def solve_forward_nonlinear(
     source: Array | None = None,
     on_step: Callable[[int, Array], Array] | None = None,
 ) -> Trajectory:
-    """Forward solve with the reaction term F(u, grad u, hess u) active.
+    """Forward solve of y_t + A y + F(y) = g, F = F(u, grad u, hess u).
 
-    The reaction enters the step loop of :func:`solve_forward` as a
-    source at the midpoint average, relaxed per step by lagged
-    iteration; it takes only the jet slots F reads.  ``initial`` and
-    ``source`` are as there, and ``on_step(lo, totals)`` has its
-    signature but sees the node values of the midpoint sums, twice the
-    midpoints, in blocks of one step (a linear march converts a block at
-    a time).  ``fields`` records the midpoints when there is no hook.
+    The reaction enters the step loop of :func:`solve_forward` as the
+    source -F at the midpoint average, relaxed per step by lagged
+    iteration; it takes only the jet slots F reads.  A zero reaction
+    goes through the same relaxation.  ``initial`` and ``source`` (g) are
+    as there, and ``on_step(lo, totals)`` has its signature but sees the
+    node values of the midpoint sums, twice the midpoints, in blocks of
+    one step.  ``fields`` records the midpoints when there is no hook.
 
     Raises
     ------
@@ -986,10 +992,6 @@ def solve_forward_nonlinear(
         relative ``updates`` trail.
     """
     basis = grid.basis
-    if nonlinearity.is_zero:
-        # a linear march's hook sees modes, a block of steps at a time
-        hook = on_step and (lambda lo, totals: on_step(lo, basis.from_modes(totals)))
-        return solve_forward(grid, schedule, initial, source, on_step=hook)
 
     def reaction(u: Array) -> Array:
         return nonlinearity.f(*nonlinearity.jet(basis, u))

@@ -4,7 +4,7 @@ The penalized functional J and the gradient of its smooth part, each
 evaluated by marching the adjoint pair (and the cascade) from one seed,
 and the sentinel functional of a stored trajectory.  The library never
 evaluates J itself, and it accumulates the sentinel step by step inside
-its batched probe march.  ``reference_march`` is the Crank-Nicolson march
+its probe marches.  ``reference_march`` is the Crank-Nicolson march
 in its textbook form, one midpoint solve and one update per step, which
 the engine's midpoint-sum loop must match to the bit.
 """
@@ -130,7 +130,7 @@ def _relax(solve, basis, rhs, c, x, u, reaction):
     mid_modes, mid = x, u
     active = np.ones(np.shape(scale), dtype=bool)
     for _ in range(pde_engine.RELAX_CAP):
-        cand_modes = solve(rhs + c * basis.to_modes(reaction(mid)))
+        cand_modes = solve(rhs - c * basis.to_modes(reaction(mid)))
         cand = basis.from_modes(cand_modes)
         update = 2.0 * norms(cand - mid) / scale
         keep = np.reshape(active, np.shape(active) + (1,) * dim)
@@ -147,10 +147,11 @@ def reference_march(grid, schedule, start, source=None, backward=False,
     """The CN march in textbook form: (record, end state).
 
     Step j solves (I + c A_j) mid_j = u^_j + c g^_j for the midpoint in
-    sine coefficients and sets u^_{j+1} = 2 mid_j - u^_j.  A reaction is
-    one more source at the midpoint, relaxed per step.  ``on_step(j,
-    mids)`` has the engine's block signature and sees a block of one
-    step, ``mids = mid[None]``: the midpoint itself, as modes in a linear
+    sine coefficients and sets u^_{j+1} = 2 mid_j - u^_j.  A reaction F
+    solves y_t + A y + F(y) = g: -F at the midpoint is one more source,
+    relaxed per step.  ``on_step(j, mids)`` has the engine's block
+    signature and sees a block of one step, ``mids = mid[None]``: the
+    midpoint itself, as modes in a linear
     march and as node values in a nonlinear one; it returns what the
     record keeps for that block.  The source goes to modes as the engine
     takes it (a full grid in one product, a box step by step, with a

@@ -512,7 +512,7 @@ class TestBatchedNonlinearMarch:
         for mid in traj.fields:
             new = 2.0 * mid - u
             react = nl.f(mid, basis.gradient(mid), basis.hessian(mid))
-            resid = new - u + grid.dt * (basis.bilap(mid) - react)
+            resid = new - u + grid.dt * (basis.bilap(mid) + react)
             assert np.abs(resid).max() <= 1e-8 * (1 + np.abs(u).max())
             u = new
         assert np.array_equal(traj.fields[:, 1], np.zeros_like(traj.fields[:, 1]))

@@ -5,9 +5,12 @@ cascade is mode-diagonal, so a single-mode control admits an exact
 scalar oracle: forward CN recursion for y, backward recursion for q
 driven by the stored midpoint averages.
 """
+import inspect
+
 import numpy as np
 import pytest
 
+from insens4 import cascade_sentinel, cli, pde_engine
 from insens4.cascade_sentinel import (
     sentinel_sensitivity,
     solve_adjoint_pair,
@@ -219,3 +222,91 @@ class TestSensitivity:
         with pytest.raises(SetupError) as exc:
             sentinel_sensitivity(p, None, yhat[None], tau_probe=tau)
         assert exc.value.code == "probe-step"
+
+    @pytest.mark.parametrize("kind,scale,dim", [
+        ("tanh", 0.1, 1), ("mixed", 0.1, 1), ("sin", 1.0, 1), ("tanh", 0.1, 2)])
+    def test_semilinear_gap_at_tau_bias(self, rng, kind, scale, dim):
+        # the probes march the equation the tangent costate linearizes, so
+        # the gap is the central difference's tau^2 bias: it is 4/3 of
+        # |d_fd - d_fd_half|, the half-step probes' measure of that bias
+        cfg = apply_quick(default_config())
+        cfg["nonlinearity"] = {"kind": kind, "scale": scale}
+        if dim == 2:
+            cfg["grid"]["dimension"] = 2
+            cfg["domains"].update(omega="0.6:1.4,0.6:1.4", obs="1.0:1.8,1.0:1.8")
+        p = problem_from_config(cfg)
+        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        yhats = np.array([unit_smooth(p.basis, rng) for _ in range(2)])
+        for yhat, rep in zip(yhats, sentinel_sensitivity(p, v, yhats,
+                                                         tau_probe=0.03)):
+            size = rep.q0_norm * p.basis.norm(yhat) + abs(rep.d_dual)
+            assert rep.gap <= 2 * abs(rep.d_fd - rep.d_fd_half) + 1e-10 * size
+
+
+class TestProbeMarches:
+    """The marches a sentinel makes, counted where the sentinel calls them."""
+
+    @staticmethod
+    def _record(monkeypatch, inside):
+        """(march, schedule, start shape, source) of each march made while
+        ``inside`` is not empty."""
+        marches = []
+        for name in ("solve_forward", "solve_backward", "solve_forward_nonlinear"):
+            fn = getattr(cascade_sentinel, name)
+
+            def march(*args, _fn=fn, _name=name, **kwargs):
+                if inside:
+                    bound = inspect.signature(_fn).bind(*args, **kwargs).arguments
+                    start = bound.get("initial", bound.get("terminal"))
+                    marches.append((_name, bound["schedule"], np.shape(start),
+                                    bound.get("source")))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cascade_sentinel, name, march)
+        return marches
+
+    def test_linear_run_reuses_the_control_schedule(self, tmp_path, monkeypatch):
+        # a 1D first-order term: the linear run inverts its one-node stack
+        # once, for the control, and the sentinel marches y0 with the
+        # source, then the B directions without one, on that schedule
+        inverses, inside = [], []
+        mode_inverse = pde_engine._mode_inverse
+
+        def counted(basis, schedule, *args):
+            inverses.append(schedule)
+            return mode_inverse(basis, schedule, *args)
+
+        monkeypatch.setattr(pde_engine, "_mode_inverse", counted)
+        marches = self._record(monkeypatch, inside)
+        probe = cli.sentinel_sensitivity
+
+        def probed(*args, **kwargs):
+            inside.append(True)
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sentinel_sensitivity", probed)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[coefficients]\nb0 = 0.3\n", encoding="utf-8")
+        assert cli.main(["insensitize-linear", "--config", str(cfg), "--quick",
+                         "--seed", "777", "--out", str(tmp_path / "out")]) == 0
+        schedule, = inverses
+        shape = (31,)  # --quick: 32 cells, 64 steps, 2 directions
+        (fwd, y0_schedule, y0_shape, y0_source), \
+            (rows, rows_schedule, rows_shape, rows_source), \
+            (bwd, q_schedule, _, _) = marches
+        assert (fwd, rows, bwd) == ("solve_forward", "solve_forward",
+                                    "solve_backward")
+        assert y0_schedule is rows_schedule is q_schedule is schedule
+        assert y0_shape == shape and y0_source.shape == (64,) + shape
+        assert rows_shape == (2,) + shape and rows_source is None
+
+    def test_nonlinear_probes_march_in_one_batch(self, rng, monkeypatch):
+        cfg = apply_quick(default_config())
+        cfg["nonlinearity"]["kind"] = "tanh"
+        p = problem_from_config(cfg)
+        marches = self._record(monkeypatch, [True])
+        yhats = np.array([unit_smooth(p.basis, rng) for _ in range(3)])
+        sentinel_sensitivity(p, None, yhats)
+        assert [(m[0], m[2]) for m in marches] == [
+            ("solve_forward_nonlinear", (13,) + p.grid.shape),
+            ("solve_backward", p.grid.shape)]

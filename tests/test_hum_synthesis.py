@@ -161,10 +161,9 @@ def _count_work(monkeypatch):
     """Count marches, synthesis applies and node inverses from here on.
 
     Every march goes through one of the engine's march functions; they
-    are wrapped where the other modules bound them (a zero-reaction
-    ``solve_forward_nonlinear`` calling ``solve_forward`` inside the
-    engine is one march).  Applies are ``_Synthesis.apply`` and
-    ``affine`` calls, the count ``operator_applies`` reports.  Node
+    are wrapped where the other modules bound them, and none of them
+    calls another.  Applies are ``_Synthesis.apply`` and ``affine``
+    calls, the count ``operator_applies`` reports.  Node
     inverses are the matrices of the engine's ``_invert`` calls, one per
     distinct node of a 1D schedule that is not diagonal.
     """
@@ -335,14 +334,14 @@ class TestMarchBudget:
     @pytest.mark.parametrize(
         "command,ini,flags,marches,applies,factors,picard,rc", [
             ("insensitize-linear", "[grid]\ncells = 128\nsteps = 400\n"
-             "[coefficients]\na0 = 0.5\na1 = 0.2\n", [], 22, 5, 0, None, 0),
+             "[coefficients]\na0 = 0.5\na1 = 0.2\n", [], 23, 5, 0, None, 0),
             ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n", [],
              76, 20, 1400, 4, 0),
-            ("insensitize-linear", "", ["--quick"], 22, 5, 0, None, 0),
+            ("insensitize-linear", "", ["--quick"], 23, 5, 0, None, 0),
             ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n",
              ["--quick"], 76, 20, 448, 4, 0),
             ("insensitize-linear", "[penalty]\nvariant = quadratic\n",
-             ["--quick"], 18, 4, 0, None, 2),
+             ["--quick"], 19, 4, 0, None, 2),
         ], ids=["linear-lower-1d", "semilinear-tanh-1d", "linear-quick",
                 "semilinear-tanh-quick", "linear-quadratic-quick"])
     def test_benchmark_counts_pinned(self, command, ini, flags, marches,
@@ -351,9 +350,11 @@ class TestMarchBudget:
         # per exact minimization: the forced cascade (2 marches), a
         # three-vector Lanczos basis (12) and one proximal trial (4), whose
         # cascade is the one returned, also when that trial is stationary;
-        # verify_null and the sentinel probes add 4 per run.  The tanh runs
-        # take 4 Picard iterations: 4 x 18 + 4 = 76.  The quadratic run
-        # builds a two-vector basis (8) and applies its seed once (4); its
+        # verify_null adds 2 per run.  A linear run's sentinel marches y0,
+        # its directions and the costate (3), a tanh run's the batched
+        # probes and the costate (2).  The tanh runs take 4 Picard
+        # iterations: 4 x 18 + 2 + 2 = 76.  The quadratic run builds a
+        # two-vector basis (8) and applies its seed once (4); its
         # null-condition check fails (rc 2), as ||q0|| = eps ||phi0||.
         # The linear runs march diagonal schedules and invert nothing.  A
         # tanh run's first linearization, frozen at z = 0, is diagonal on

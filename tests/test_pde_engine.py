@@ -136,7 +136,8 @@ class TestNonlinearMarch:
         base = {"a0": CoefficientField.constant("a0", 1.1)}
         nl = make_nonlinearity("linear", scale=alpha)
         got = solve_forward_nonlinear(grid, make_schedule(grid, base), nl, y0)
-        shifted = {"a0": CoefficientField.constant("a0", 1.1 - alpha)}
+        # y_t + A y + alpha y = 0: the reaction shifts a0 by +alpha
+        shifted = {"a0": CoefficientField.constant("a0", 1.1 + alpha)}
         want = solve_forward(grid, make_schedule(grid, shifted), y0)
         # agreement is limited by the per-step fixed-point tolerance
         assert np.allclose(got.stateT, want.stateT, rtol=0, atol=1e-9)

@@ -235,29 +235,35 @@ class TestLibraryHooks:
 
         source = p.force_fields + p.omega.values * v
         offsets = np.array([tau, -tau, tau / 2, -tau / 2])
-        starts = np.concatenate([np.zeros((1,) + grid.shape),
-                                 (offsets[None, :, None] * yhats[:, None])
-                                 .reshape(-1, *grid.shape)])
-        sums = np.empty((grid.n_steps, len(starts)))
-
-        def on_step(lo, mids):
-            sums[lo:lo + len(mids)] = np.sum(p.obs.values * mids**2, axis=2)
-            return mids[:, 0]
-
         base = make_schedule(grid, p.coefficients)
-        nl = None if kind == "zero" else p.nonlinearity
-        # a linear march's reference hook sees modes
-        y0, end = reference_march(
-            grid, base, starts, source, nonlinearity=nl,
-            on_step=on_step if nl is not None else (
-                lambda lo, modes: on_step(lo, basis.from_modes(modes))))
+        zero = np.zeros(grid.shape)
+        if kind == "zero":
+            # linear probes by superposition: y0 plus each offset times the
+            # midpoints of its direction's source-free march
+            y0, _ = reference_march(grid, base, zero, source)
+            d, _ = reference_march(grid, base, yhats, on_step=(
+                lambda lo, modes: basis.from_modes(modes)))
+            probes = y0[:, None, None] + offsets[:, None] * d[:, :, None]
+            costate = base
+        else:
+            # one batched march of y0 and every probe, midpoints kept
+            starts = np.concatenate([zero[None],
+                                     (offsets[None, :, None] * yhats[:, None])
+                                     .reshape(-1, *grid.shape)])
+            mids, ends = reference_march(grid, base, starts, source,
+                                         nonlinearity=p.nonlinearity,
+                                         on_step=lambda lo, m: m)
+            y0, end = mids[:, 0], ends[0]
+            probes = mids[:, 1:].reshape(grid.n_steps, -1, 4, *grid.shape)
+            costate = tangent_schedule(p, Trajectory(
+                basis, grid.dt, grid.times, y0, zero, end))
+        sums = np.sum(p.obs.values * probes**2, axis=-1)
         phis = 0.5 * grid.dt * basis.cell_volume * np.sum(sums, axis=0)
-        # the dual side reads the tau = 0 midpoints the hook kept
-        costate = base if nl is None else tangent_schedule(p, Trajectory(
-            basis, grid.dt, grid.times, y0, np.zeros(grid.shape), end[0]))
+        # the dual side reads the tau = 0 midpoints
         q = solve_backward(grid, costate, np.zeros(grid.shape),
                            p.obs.values * y0)
         for i, report in enumerate(reports):
-            assert report.phi_plus == phis[1 + 4 * i]
-            assert report.phi_minus == phis[2 + 4 * i]
+            assert report.phi_plus == phis[i, 0]
+            assert report.phi_minus == phis[i, 1]
+            assert report.d_fd_half == (phis[i, 2] - phis[i, 3]) / tau
             assert report.d_dual == basis.inner(q.state0, yhats[i])

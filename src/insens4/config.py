@@ -292,6 +292,7 @@ def coefficients_from_config(cfg: dict, dim: int) -> dict[str, CoefficientField 
 
 
 def _force_fields(cfg: dict, grid) -> tuple[np.ndarray | None, float]:
+    """The configured force at the midpoint nodes, read-only, and its onset."""
     amp = cfg["force"]["amplitude"]
     if amp == 0.0:
         return None, 0.0
@@ -306,6 +307,7 @@ def _force_fields(cfg: dict, grid) -> tuple[np.ndarray | None, float]:
     for j, t in enumerate(grid.times):
         if t > onset:
             fields[j] = amp * profile
+    fields.flags.writeable = False
     return fields, onset
 
 

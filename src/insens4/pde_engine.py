@@ -49,19 +49,22 @@ part at node j; the backward march solves with T Lo_j^T F, the exact
 transpose, so no physical-space right-hand side (I - c A) u is formed.
 In 1D the distinct nodes' step matrices D + c T Lo_j F are built in closed
 form (Toeplitz plus Hankel in the modes) into one stack and inverted
-there, chunk by chunk.  A matrix whose off-diagonal column sums are at
-most half its diagonal entries, the usual case unless c times the
-lower-order coefficients is large, is inverted by a Neumann series on its
-own diagonal in Euler's product form, any other by LAPACK
-(``np.linalg.inv``).  The inverses P_j = (D + c T Lo_j F)^-1 are doubled
-and cached on the schedule, so every march of a frozen linearization
-reuses them: a forward step is rhs @ (2 P_j)^T and a backward step
-rhs @ (2 P_j).  A stack of
-inverses larger than INVERSE_STACK_CAP_BYTES is not built.  In 2D, and in
-1D over that cap, the solve is a matrix-free GMRES right-preconditioned
-with the symbol of the node's mean coefficients, 1 + c lambda(a0-bar,
-a1-bar, b_ii-bar), so the Krylov space only has to resolve the
-coefficients' fluctuation about their means; its solution is doubled.
+there, chunk by chunk, in one workspace of two chunks that the whole
+build reuses.  A matrix whose off-diagonal column sums are at most half
+its diagonal entries, the usual case unless c times the lower-order
+coefficients is large, is inverted by a Neumann series on its own
+diagonal in Euler's product form, whose last row scaling doubles it; any
+other by LAPACK (``np.linalg.inv``), then doubled.  The doubled inverses
+2 P_j, P_j = (D + c T Lo_j F)^-1, are cached on the schedule, so every
+march of a frozen linearization reuses them: a forward step is
+rhs @ (2 P_j)^T and a backward step rhs @ (2 P_j).  A stack of inverses
+larger than INVERSE_STACK_CAP_BYTES is not built.  In 2D, and in 1D over
+that cap, the solve is a matrix-free GMRES right-preconditioned with the
+symbol of the node's mean coefficients, 1 + c lambda(a0-bar, a1-bar,
+b_ii-bar), so the Krylov space only has to resolve the coefficients'
+fluctuation about their means; its solution is doubled.  Both paths
+refuse a node whose mean symbol gives 1 + c lambda <= 0 at some mode, as
+the diagonal path refuses its own symbol.
 
 One step loop (``_march``) runs every march and takes its sources in
 modes.  A march starts from one field or from a stack (B, *shape):
@@ -140,7 +143,8 @@ Array = np.ndarray
 # each) a schedule may cache; a march whose stack would be bigger solves its
 # steps by GMRES.  The stack is built and inverted in place in chunks of at
 # most INVERSE_CHUNK_BYTES (12 matrices of 63 x 63), each inverted with two
-# more chunks of memory, so a build peaks at its stack plus 0.75 MiB.
+# more chunks of memory, one workspace that the whole build reuses, so a
+# build peaks at its stack plus 0.75 MiB.
 INVERSE_STACK_CAP_BYTES = 64 * 2**20
 INVERSE_CHUNK_BYTES = 3 * 2**17
 # GMRES midpoint solve: relative residual tolerance and Krylov dimension cap.
@@ -369,23 +373,37 @@ def _symbol(basis: SineBasis, key: tuple[float, ...]) -> Array:
     return lam
 
 
-def _mode_factor(basis: SineBasis, dt: float, key: tuple[float, ...],
-                 step: int) -> Array:
-    """The per-mode factor 2/(1 + c lam) of a diagonal node, which takes a
-    step's right-hand side to its midpoint sum."""
+def _denominator(basis: SineBasis, dt: float, key: tuple, steps) -> Array:
+    """1 + (dt/2) lambda of a key first met at step ``steps``, or of one key
+    per node when the key's entries are (nodes, 1) columns (1D), node i
+    first met at ``steps[i]``.
+
+    Raises ``implicit-denominator-nonpositive`` naming the first such step
+    and its worst sine mode when an entry is not positive.
+    """
     denom = 1.0 + dt / 2 * _symbol(basis, key)
     if not np.all(denom > 0):
-        worst = np.unravel_index(np.argmin(denom), denom.shape)
+        rows = denom.reshape((-1,) + basis.shape)
+        node = int(np.argmin((rows > 0).all(axis=tuple(range(1, rows.ndim)))))
+        worst = np.unravel_index(np.argmin(rows[node]), basis.shape)
+        step = int(np.atleast_1d(steps)[node])
         mode = tuple(int(m) + 1 for m in worst)
         raise EngineError(
             "implicit-denominator-nonpositive",
-            f"1 + (dt/2) lambda = {denom[worst]:.3e} <= 0 for sine mode "
+            f"1 + (dt/2) lambda = {rows[node][worst]:.3e} <= 0 for sine mode "
             f"{mode if basis.dim > 1 else mode[0]} at step {step}; the implicit "
             f"step is singular or sign-flipping there (reduce dt or the "
             f"negative lower-order coefficients)",
             step=step, mode=mode,
         )
-    return 2.0 / denom
+    return denom
+
+
+def _mode_factor(basis: SineBasis, dt: float, key: tuple[float, ...],
+                 step: int) -> Array:
+    """The per-mode factor 2/(1 + c lam) of a diagonal node, which takes a
+    step's right-hand side to its midpoint sum."""
+    return 2.0 / _denominator(basis, dt, key, step)
 
 
 def _scan_diagonal(basis: SineBasis, schedule: Schedule, nt: int,
@@ -414,26 +432,33 @@ class _ModeInverse:
     ``inv[slots[j]]`` is 2 P_j, P_j = (D + c T Lo_j F)^-1, in one
     (nodes, n, n) stack; nodes shared between steps share a slot.  A
     forward step's midpoint sum is ``rhs @ (2 P_j).T`` and a backward
-    step's ``rhs @ (2 P_j)``, the exact transpose.
+    step's ``rhs @ (2 P_j)``, the exact transpose.  ``slots`` holds
+    Python ints, which index the stack faster than NumPy integers.
     """
 
-    slots: Array = field(repr=False)
+    slots: list[int] = field(repr=False)
     inv: Array = field(repr=False)   # (nodes, n, n)
 
 
 def _hankel(vals: Array, n: int) -> Array:
     """(..., n, n) view with [i, k] = vals[..., i + k]."""
-    return np.lib.stride_tricks.sliding_window_view(vals, n, axis=-1)
+    step = vals.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        vals, vals.shape[:-1] + (n, n), vals.strides[:-1] + (step, step),
+        writeable=False)
 
 
 def _toeplitz(vals: Array, n: int) -> Array:
     """(..., n, n) view with [i, k] = vals[..., n - 1 + i - k]."""
-    return _hankel(vals[..., ::-1], n)[..., ::-1, :]
+    step = vals.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        vals[..., n - 1:], vals.shape[:-1] + (n, n),
+        vals.strides[:-1] + (step, -step), writeable=False)
 
 
 def _node_matrices(basis: SineBasis, dt: float,
                    terms: list[tuple[Array, bool, Array | None]],
-                   out: Array) -> Array:
+                   out: Array, work: Array) -> Array:
     """D + c T Lo_j F for a stack of 1D nodes, in closed form, into ``out``.
 
     With N cells, C_a(p) = sum_x a_x cos(pi p x / N) and S_a its sine
@@ -446,17 +471,21 @@ def _node_matrices(basis: SineBasis, dt: float,
 
     with e = b + a1.  Each of the (one or more) terms is (c/N times C or S
     at p = 0 .. 2n, one row per node; whether it is the odd sine sum; its
-    column scale or None).
+    column scale or None).  ``work`` is (2, m, n, n) with m at least the
+    stack's length: a later term goes in the first, each Hankel part in
+    the second, since a ufunc would buffer the strided view.
     """
     n = basis.shape[0]
+    spare, hankel = work[:, :len(out)]
     for i, (vals, odd, col) in enumerate(terms):
         # by offset m - k = -(n - 1) .. n - 1: C is even, S is odd
         near = vals[:, n - 1:0:-1]
         by_offset = np.concatenate([-near if odd else near, vals[:, :n]],
                                    axis=1)
-        term = out if i == 0 else np.empty_like(out)
-        (np.add if odd else np.subtract)(_toeplitz(by_offset, n),
-                                         _hankel(vals[:, 2:], n), out=term)
+        term = out if i == 0 else spare
+        np.copyto(term, _toeplitz(by_offset, n))
+        np.copyto(hankel, _hankel(vals[:, 2:], n))
+        (np.add if odd else np.subtract)(term, hankel, out=term)
         if col is not None:
             term *= col
         if i:
@@ -466,45 +495,57 @@ def _node_matrices(basis: SineBasis, dt: float,
     return out
 
 
-def _neumann_inverse(mats: Array, terms: Array, free: Array) -> Array:
-    """The inverses of a stack of matrices M = (I + R) D, D the diagonal
-    of M, by the first 2^K terms of the Neumann series of (I + R)^-1 in
-    Euler's product form, K = ``terms`` per node, in 2 (K - 1) products:
+def _neumann_inverse(mats: Array, terms: Array, free: Array,
+                     power: Array) -> Array:
+    """The doubled inverses 2 M^-1 of a stack of matrices M = (I + R) D, D
+    the diagonal of M, by the first 2^K terms of the Neumann series of
+    (I + R)^-1 in Euler's product form, K = ``terms`` per node, in
+    2 (K - 1) products:
 
         M^-1 = D^-1 (I - R) (I + R^2) (I + R^4) ... (I + R^(2^(K-1))).
 
     A node past its own K takes zero for its later powers, which leaves
     its product unchanged to the bit, so its inverse does not depend on
-    its stack-mates.  Overwrites ``mats`` and the work array ``free``.
+    its stack-mates.  The last row scaling takes 2 D^-1, which doubles
+    exactly, and writes the result over ``mats``; ``free`` and ``power``
+    are work arrays of its shape.
     """
     idx = np.arange(mats.shape[-1])
     inv_d = 1.0 / mats[:, idx, idx]
     acc = np.multiply(mats, -inv_d[:, None, :], out=mats)
     acc[:, idx, idx] = 0.0     # -R
-    power = acc @ acc          # R^2
+    power = np.matmul(acc, acc, out=power)   # R^2
     acc[:, idx, idx] = 1.0     # I - R
     last = int(terms.max(initial=2))
+    done = int(terms.min(initial=last))
     for i in range(1, last):
-        power[terms <= i] = 0.0
+        if i >= done:
+            power[terms <= i] = 0.0
         # acc (I + power) = acc + acc power
         np.add(acc, np.matmul(acc, power, out=free), out=free)
         acc, free = free, acc
         if i + 1 < last:
             power, free = np.matmul(power, power, out=free), power
-    return np.multiply(acc, inv_d[:, :, None], out=acc)
+    return np.multiply(acc, 2.0 * inv_d[:, :, None], out=mats)
 
 
-def _invert(mats: Array) -> Array:
-    """The inverses of a finite stack of node matrices; may overwrite ``mats``.
+def _invert(mats: Array, work: Array | None = None) -> Array:
+    """The doubled inverses 2 M^-1 of a finite stack of node matrices,
+    written over ``mats``.
 
     Every node inversion of the engine is one matrix of one call here.  A
     node whose remainder R = (M - D) D^-1 off its diagonal D has
     rho = ||R||_1 <= 1/2 goes to ``_neumann_inverse`` with the least K >= 2
     for which rho^(2^K) (1 + rho) / (1 - rho) <= 2^-53, every other node
-    to ``np.linalg.inv``.  A node's inverse does not depend on the other
-    nodes of the stack.
+    to ``np.linalg.inv``, then doubled.  A node's inverse does not depend
+    on the other nodes of the stack.  ``work`` is (2, m, n, n) with m at
+    least the stack's length, or None to allocate it here; the bits are
+    the same either way.
     """
-    absm = np.abs(mats)
+    if work is None:
+        work = np.empty((2,) + mats.shape)
+    absm, power = work[:, :len(mats)]
+    np.abs(mats, out=absm)
     diag = np.diagonal(absm, axis1=1, axis2=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         # a zero diagonal gives inf or nan, which fails the test below
@@ -515,40 +556,46 @@ def _invert(mats: Array) -> Array:
     terms = 2 + np.count_nonzero(
         rho ** [4, 8, 16, 32] * ((1 + rho) / (1 - rho)) > 2**-53, axis=1)
     if neumann.all():
-        return _neumann_inverse(mats, terms, absm)   # |M| is spent
-    inv = np.empty_like(mats)
-    inv[neumann] = _neumann_inverse(mats[neumann], terms, absm[neumann])
-    inv[~neumann] = np.linalg.inv(mats[~neumann])
-    return inv
+        return _neumann_inverse(mats, terms, absm, power)   # |M| is spent
+    # LAPACK refuses a singular matrix before ``mats`` is written
+    lapack = ~neumann
+    doubled = np.linalg.inv(mats[lapack])
+    doubled *= 2.0
+    k = len(terms)
+    mats[neumann] = _neumann_inverse(mats[neumann], terms, absm[:k], power[:k])
+    mats[lapack] = doubled
+    return mats
 
 
-def _node_inverses(mats: Array, steps: Array, finite: Array) -> Array:
-    """The inverses of a stack of node matrices, first used at ``steps``.
+def _singular(step: int) -> EngineError:
+    return EngineError(
+        "implicit-step-singular",
+        f"implicit step {step} is singular: its mode-space step matrix has "
+        f"no finite inverse (reduce dt or the lower-order coefficients)",
+        step=step,
+    )
 
-    ``finite`` flags the nodes whose matrices are finite; a finite stack
-    goes to ``_invert``.  Raises ``implicit-step-singular`` naming the
-    first step whose matrix is not finite or, when all are, the first that
-    is singular (only a matrix that ``_invert`` hands to LAPACK can be, and
-    LAPACK then refuses the stack) or has a non-finite inverse.
+
+def _node_inverses(mats: Array, steps: Array, work: Array) -> Array:
+    """The doubled inverses of a finite stack of node matrices, first used
+    at ``steps``, written over ``mats`` by ``_invert`` in ``work``.
+
+    Raises ``implicit-step-singular`` naming the first step whose matrix
+    is singular (only a matrix that ``_invert`` hands to LAPACK can be,
+    and LAPACK then refuses the stack) or has a non-finite inverse.
     """
-    ok = finite
     inv = None
-    if ok.all():
-        try:
-            inv = _invert(mats)
-        except np.linalg.LinAlgError:
-            # numpy names no matrix; a zero pivot zeroes the determinant's sign
-            ok = np.linalg.slogdet(mats)[0] != 0
-        else:
-            ok = np.isfinite(inv).all(axis=(1, 2))
+    try:
+        inv = _invert(mats, work)
+    except np.linalg.LinAlgError:
+        # numpy names no matrix; a zero pivot zeroes the determinant's sign
+        ok = np.linalg.slogdet(mats)[0] != 0
+    else:
+        # max and min propagate NaN and keep +-inf without a full-size mask
+        ok = np.isfinite(inv.max(axis=(1, 2))) \
+            & np.isfinite(inv.min(axis=(1, 2)))
     if inv is None or not ok.all():
-        j = int(steps[np.argmin(ok)])
-        raise EngineError(
-            "implicit-step-singular",
-            f"implicit step {j} is singular: its mode-space step matrix has "
-            f"no finite inverse (reduce dt or the lower-order coefficients)",
-            step=j,
-        )
+        raise _singular(int(steps[np.argmin(ok)]))
     return inv
 
 
@@ -565,21 +612,25 @@ def _mode_inverse(basis: SineBasis, schedule: Schedule, nt: int,
 
     Returns None in 2D and when the stack of inverses would exceed
     INVERSE_STACK_CAP_BYTES; those marches solve their steps by GMRES.
-    The matrices are built into the stack of inverses and inverted there,
-    chunk by chunk, each chunk with at most two temporaries of its size,
-    and doubled while it is in cache (see ``_ModeInverse``).
+    Raises ``implicit-step-singular`` at the first step whose matrix is
+    not finite or has no finite inverse and, as the GMRES path does,
+    ``implicit-denominator-nonpositive`` at the first whose node's
+    mean-coefficient symbol gives 1 + c lambda <= 0.  The matrices are
+    built into the stack of inverses and inverted there, chunk by chunk,
+    in one workspace of two chunks that the whole build reuses (see
+    ``_ModeInverse``).
     """
     if basis.dim != 1:
         return None
     slot_of: dict[int, int] = {}
     firsts: list[tuple[int, NodeCoefficients]] = []
-    slots = np.empty(nt, dtype=np.intp)
+    slots = []
     for j in range(nt):
         nc = schedule.nodes[j]
         if id(nc) not in slot_of:
             slot_of[id(nc)] = len(firsts)
             firsts.append((j, nc))
-        slots[j] = slot_of[id(nc)]
+        slots.append(slot_of[id(nc)])
     n = basis.shape[0]
     if len(firsts) * n * n * 8 > INVERSE_STACK_CAP_BYTES:
         return None
@@ -606,21 +657,26 @@ def _mode_inverse(basis: SineBasis, schedule: Schedule, nt: int,
     # every matrix entry is a sum times finite factors
     finite = np.logical_and.reduce([np.isfinite(v).all(axis=1)
                                     for v, _, _ in terms])
-    chunk = max(1, INVERSE_CHUNK_BYTES // (n * n * 8))
+    if not finite.all():
+        raise _singular(int(steps[np.argmin(finite)]))
+    _denominator(basis, dt, tuple(0.0 if rows is None else
+                                  rows.mean(axis=1)[:, None]
+                                  for rows in (a0, a1, b)), steps)
+    chunk = min(len(nodes), max(1, INVERSE_CHUNK_BYTES // (n * n * 8)))
     inv = np.empty((len(nodes), n, n))
+    work = np.empty((2, chunk, n, n))
     for i in range(0, len(nodes), chunk):
         part = slice(i, i + chunk)
         mats = _node_matrices(basis, dt, [(v[part], odd, col)
                                           for v, odd, col in terms],
-                              inv[part])
-        np.multiply(_node_inverses(mats, steps[part], finite[part]), 2.0,
-                    out=inv[part])
+                              inv[part], work)
+        _node_inverses(mats, steps[part], work)
     return _ModeInverse(slots, inv)
 
 
 def _row_norms(x: Array, dim: int) -> Array:
     """Euclidean norm of each field of a (..., *shape) stack."""
-    return np.sqrt(np.sum(x * x, axis=tuple(range(-dim, 0))))
+    return np.sqrt(np.add.reduce(x * x, axis=tuple(range(-dim, 0))))
 
 
 def _rows(mask: Array, dim: int) -> Array:
@@ -711,12 +767,13 @@ def _gmres(op: Callable[[Array], Array], rhs: Array, pre: Array, dim: int,
 class _KrylovSolve:
     """The midpoint sum 2 mid_j, mid_j from (D + c T Lo_j F) mid_j = rhs or
     from its transpose, by GMRES on the node's operator preconditioned with
-    its mean-coefficient symbol."""
+    its mean-coefficient symbol, which ``_denominator`` checks positive."""
 
     def __init__(self, basis: SineBasis, schedule: Schedule, dt: float,
                  transpose: bool):
         self.basis = basis
         self.schedule = schedule
+        self.dt = dt
         self.c = dt / 2
         self.lower = _lower_apply_t if transpose else _lower_apply
         self.denom = 1.0 + self.c * basis.bilap_modes
@@ -726,8 +783,8 @@ class _KrylovSolve:
         basis, c = self.basis, self.c
         nc = self.schedule.nodes[j]
         if nc is not self._node:
-            pre = 1.0 + c * _symbol(basis, _mean_key(nc, basis.dim))
-            self._node, self._pre = nc, np.where(pre > 0, pre, self.denom)
+            self._node, self._pre = nc, _denominator(
+                basis, self.dt, _mean_key(nc, basis.dim), j)
 
         def op(m: Array) -> Array:
             return self.denom * m + c * basis.to_modes(

@@ -319,7 +319,11 @@ class ValidatedProblem:
 
 
 def _materialize_force(grid: Grid, force: np.ndarray | None) -> np.ndarray:
-    """A float copy of the (Nt, *shape) force, zeros when absent."""
+    """The (Nt, *shape) force as floats, zeros when absent.
+
+    A read-only float64 array that owns its data, as the config builds
+    it, is kept as given rather than copied; anything else is copied.
+    """
     expected = (grid.n_steps,) + grid.shape
     if force is None:
         return np.zeros(expected)
@@ -329,6 +333,9 @@ def _materialize_force(grid: Grid, force: np.ndarray | None) -> np.ndarray:
             "force-shape",
             f"force array must have shape {expected}, got {out.shape}",
         )
+    if out.dtype == np.float64 and out.flags.owndata \
+            and not out.flags.writeable:
+        return out
     return out.astype(float)
 
 

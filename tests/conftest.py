@@ -32,9 +32,9 @@ def count_inverse_paths(monkeypatch):
     counts = {"neumann": collections.Counter(), "lapack": 0}
     neumann, lapack = pde_engine._neumann_inverse, np.linalg.inv
 
-    def product(mats, terms, free):
+    def product(mats, terms, *work):
         counts["neumann"].update(terms.tolist())
-        return neumann(mats, terms, free)
+        return neumann(mats, terms, *work)
 
     def inverted(mats):
         counts["lapack"] += len(mats)

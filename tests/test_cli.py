@@ -290,29 +290,28 @@ class TestFailureModes:
         assert statuses[1] == "nonfinite"
         assert statuses.count("nonfinite") == 1
 
-    def test_unstable_lower_order_exits_2_coded(self, tmp_path):
-        # a large a1 with a first-order term blows the 1D marches up; the
-        # Lanczos model stops at the first non-finite coefficient with a
-        # coded error instead of a LinAlgError traceback from eigh.  A
-        # subprocess keeps the marches' overflow warnings on its stderr.
-        cfg = _ini(tmp_path, "[coefficients]\na1 = 30\nb0 = 1\n")
+    @pytest.mark.parametrize("command", ["insensitize-linear",
+                                         "observability"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_unstable_lower_order_exits_2_coded(self, tmp_path, capsys,
+                                                command, dim):
+        # a large a1 with a first-order term takes the 1D inverse path or
+        # the 2D GMRES path; the mean-coefficient symbol of the first node
+        # gives 1 + c lambda <= 0, so the first march stops with the
+        # diagonal path's code, before anything can blow up
+        text = "[coefficients]\na1 = 30\nb0 = 1\n" if dim == 1 else (
+            "[grid]\ndimension = 2\n[domains]\nomega = 0.6:1.4,0.6:1.4\n"
+            "obs = 1.0:1.8,1.0:1.8\n[coefficients]\na1 = 30\nb0 = 1,1\n")
         out = tmp_path / "o"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-s", "-c",
-             "import sys; from insens4.cli import main; sys.exit(main(sys.argv[1:]))",
-             "insensitize-linear", "--quick", "--config", cfg, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "insensitize-linear: lanczos-nonfinite: " in proc.stderr
+        assert main([command, "--quick", "--config", _ini(tmp_path, text),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{command}: implicit-denominator-nonpositive: " in err
         error = json.loads((out / "manifest.json").read_text())["error"]
-        assert error["code"] == "lanczos-nonfinite"
-        assert error["context"]["krylov_dim"] == 1
-        assert "Krylov dimension 1" in error["message"]
+        assert error["code"] == "implicit-denominator-nonpositive"
+        assert error["context"] == {"step": 0,
+                                    "mode": [2] if dim == 1 else [1, 2]}
 
     def test_2d_eta_peak_per_axis(self, tmp_path, capsys):
         text = ("[grid]\ndimension = 2\ncells = 32\nsteps = 16\n"

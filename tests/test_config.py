@@ -209,6 +209,22 @@ class TestProblemFromConfig:
         assert not np.any(p.force_fields)
         assert p.force_weight_integral == 0.0
 
+    def test_force_built_once(self, monkeypatch):
+        # the problem holds the force array the config built, not a copy
+        from insens4 import config
+        built = []
+        real = config._force_fields
+
+        def recorded(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(config, "_force_fields", recorded)
+        p = problem_from_config(apply_quick(default_config()))
+        force = built[0][0]
+        assert np.any(force) and not force.flags.writeable
+        assert p.force_fields is force
+
     def test_nonlinearity_kind_applied(self):
         cfg = apply_quick(default_config())
         cfg["nonlinearity"]["kind"] = "tanh"

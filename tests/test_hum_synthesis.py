@@ -154,6 +154,31 @@ class TestExactPenalty:
         assert [e["phase"] for e in r.convergence_log].count("lanczos") == 3
 
 
+class TestLanczosNonfinite:
+    @pytest.mark.parametrize("bad_apply", [1, 2])
+    def test_nonfinite_apply_is_coded(self, quick_problem, bad_apply):
+        # marches that did not stay finite: the first non-finite alpha or
+        # beta stops the model with a coded error at its dimension
+        basis = quick_problem.basis
+        ramp = np.linspace(1.0, 2.0, basis.shape[0])
+        calls = []
+
+        def apply(v):
+            calls.append(v)
+            return np.full_like(v, np.nan) if len(calls) == bad_apply \
+                else ramp * v
+
+        syn = types.SimpleNamespace(problem=quick_problem, apply=apply)
+        b = np.ones(basis.shape)
+        with pytest.raises(SynthesisError) as exc:
+            hum_synthesis._lanczos(syn, b, basis.norm(b),
+                                   lambda theta, g: None, 1e-12, 10, [])
+        err = exc.value
+        assert err.code == "lanczos-nonfinite"
+        assert err.context["krylov_dim"] == bad_apply == len(calls)
+        assert f"Krylov dimension {bad_apply}" in str(err)
+
+
 MARCHES = ("solve_forward", "solve_backward", "solve_forward_nonlinear")
 
 
@@ -170,9 +195,9 @@ def _count_work(monkeypatch):
     counts = {"marches": 0, "applies": 0, "inverses": 0}
     invert = pde_engine._invert
 
-    def counted(mats):
+    def counted(mats, *args):
         counts["inverses"] += len(mats)
-        return invert(mats)
+        return invert(mats, *args)
 
     monkeypatch.setattr(pde_engine, "_invert", counted)
     for name, mod in list(sys.modules.items()):

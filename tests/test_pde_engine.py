@@ -465,9 +465,9 @@ class TestModeLUPath:
         grid = build_grid(1, 2.0, 32, 0.5, 40)
         real = pde_engine._invert
 
-        def singular_at_third(mats):
+        def singular_at_third(mats, *args):
             mats[2, 4] = 0.0
-            return real(mats)
+            return real(mats, *args)
 
         monkeypatch.setattr(pde_engine, "_invert", singular_at_third)
         with pytest.raises(EngineError) as exc:
@@ -482,9 +482,9 @@ def _node_stacks(monkeypatch, grid, coefficients):
     stacks = []
     real = pde_engine._invert
 
-    def captured(mats):
+    def captured(mats, *args):
         stacks.append(mats.copy())
-        return real(mats)
+        return real(mats, *args)
 
     monkeypatch.setattr(pde_engine, "_invert", captured)
     solve_forward(grid, make_schedule(grid, coefficients), np.ones(grid.shape))
@@ -541,7 +541,7 @@ class TestNeumannInverse:
         mats = _node_stacks(monkeypatch, grid, self.ROLES[role]())
         assert mats.shape == (grid.n_steps, cells - 1, cells - 1)
         assert np.all(_column_ratio(mats) <= 0.5)
-        want = np.linalg.inv(mats)
+        want = 2.0 * np.linalg.inv(mats)
         paths = count_inverse_paths(monkeypatch)
         got = pde_engine._invert(mats.copy())
         assert sum(paths["neumann"].values()) == grid.n_steps
@@ -558,9 +558,9 @@ class TestNeumannInverse:
         seen = []
         product = pde_engine._neumann_inverse
 
-        def recorded(m, k, free):
+        def recorded(m, k, *work):
             seen.extend(k.tolist())
-            return product(m, k, free)
+            return product(m, k, *work)
 
         monkeypatch.setattr(pde_engine, "_neumann_inverse", recorded)
         pde_engine._invert(mats.copy())
@@ -600,6 +600,37 @@ class TestNeumannInverse:
                               pde_engine._invert(small.copy()))
         assert np.array_equal(both[len(small):],
                               pde_engine._invert(large.copy()))
+
+    @pytest.mark.parametrize("case", ["a0", "a0-b0-a1", "advected"])
+    def test_stack_ignores_chunk_size(self, monkeypatch, case):
+        # 41 nodes: chunks of 5 and 12 end in a short one; the advected
+        # schedule mixes Neumann and LAPACK nodes in its chunks
+        grid = build_grid(1, 2.0, 32, 1.0, 41)
+        coeffs = self._advected() if case == "advected" else {
+            role: fld for part in case.split("-")
+            for role, fld in self.ROLES[part]().items()}
+        n = grid.shape[0]
+        paths = count_inverse_paths(monkeypatch)
+        stacks = []
+        for nodes in (1, 5, 12, grid.n_steps):
+            monkeypatch.setattr(pde_engine, "INVERSE_CHUNK_BYTES",
+                                nodes * n * n * 8)
+            stacks.append(pde_engine._mode_inverse(
+                grid.basis, make_schedule(grid, coeffs), grid.n_steps,
+                grid.dt).inv)
+        assert stacks[0].shape == (grid.n_steps, n, n)
+        assert all(np.array_equal(s, stacks[0]) for s in stacks[1:])
+        assert (paths["lapack"] > 0) is (case == "advected")
+
+    @pytest.mark.parametrize("role", ["tanh", "advected"])
+    def test_workspace_keeps_bits(self, monkeypatch, role):
+        # a longer workspace of NaN leaves the inverses' bits alone
+        grid = build_grid(1, 2.0, 32, 1.0, 40)
+        coeffs = self._advected() if role == "advected" else self.ROLES[role]()
+        mats = _node_stacks(monkeypatch, grid, coeffs)
+        work = np.full((2, len(mats) + 3) + mats.shape[1:], np.nan)
+        assert np.array_equal(pde_engine._invert(mats.copy(), work),
+                              pde_engine._invert(mats.copy()))
 
 
 class TestMakeSchedule:

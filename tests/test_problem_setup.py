@@ -281,6 +281,24 @@ class TestValidateProblem:
                                      force_onset=0.3))
         assert exc.value.code == "force-shape"
 
+    def test_readonly_force_is_kept(self):
+        # a read-only force that owns its data is held as given; a
+        # writable one is copied, so the caller's later writes do not reach
+        # the problem
+        g = build_grid(1, 2.0, 32, 1.0, 40)
+        force = np.zeros((g.n_steps,) + g.basis.shape)
+        force[g.times > 0.25] = 1.0
+        writable = validate_problem(_config(g, force=force, force_onset=0.25))
+        assert not np.shares_memory(writable.force_fields, force)
+        assert np.array_equal(writable.force_fields, force)
+        force.flags.writeable = False
+        kept = validate_problem(_config(g, force=force, force_onset=0.25))
+        assert kept.force_fields is force
+        view = force[:]
+        assert not view.flags.owndata
+        copied = validate_problem(_config(g, force=view, force_onset=0.25))
+        assert not np.shares_memory(copied.force_fields, force)
+
     def test_force_weight_integral(self):
         g = build_grid(1, 2.0, 32, 1.0, 40)
         force = np.zeros((g.n_steps,) + g.basis.shape)

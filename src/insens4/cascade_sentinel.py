@@ -103,23 +103,21 @@ def solve_cascade(
     v: np.ndarray | None,
     ops: CascadeOperators | None = None,
     include_force: bool = True,
-    premasked: bool = False,
 ) -> CascadeSolution:
-    """Solve the cascade (y, q) for a given control v on Q_omega.
+    """Solve the cascade (y, q) for the acting control v = chi_omega v.
 
-    y marches forward from zero with source chi_omega v + f (+ the
-    reaction offset F(0,0,0) in the frozen regime); q marches the
-    transposed costate operator backward from q(T) = 0 with source
-    chi_obs y.  ``include_force=False`` drops both f and the offset,
-    which is the homogeneous map used by the synthesis operator.
-    ``premasked=True`` takes v as already multiplied by the control
-    mask, the form a stored control comes in.
+    ``v`` is the control already multiplied by the mask of omega, the
+    form ``ControlResult.v`` holds.  y marches forward from zero with
+    source v + f (+ the reaction offset F(0,0,0) in the frozen regime);
+    q marches the transposed costate operator backward from q(T) = 0
+    with source chi_obs y.  ``include_force=False`` drops both f and the
+    offset, which is the homogeneous map used by the synthesis operator.
     """
     grid = problem.grid
     ops = ops or linearized_operators(problem)
     source = np.zeros((grid.n_steps,) + grid.shape)
     if v is not None:
-        source += v if premasked else problem.omega.values * v
+        source += v
     if include_force:
         source += problem.force_fields
         if ops.reaction_offset != 0.0:
@@ -151,11 +149,11 @@ def sentinel_sensitivity(
     v: np.ndarray | None,
     yhats: Array,
     tau_probe: float = 1e-3,
-    premasked: bool = False,
     base: Schedule | None = None,
 ) -> list[InsensitivityReport]:
     """Probe d/dtau Phi(y_tau) at tau = 0 along each direction in ``yhats``.
 
+    ``v`` is the acting control chi_omega v, as in :func:`solve_cascade`.
     ``yhats`` stacks the perturbation directions, shape (B, *shape), and
     the result holds one report per direction.  The finite-difference
     side runs the true dynamics (reaction term active when the problem
@@ -203,7 +201,7 @@ def sentinel_sensitivity(
 
     source = problem.force_fields.copy()
     if v is not None:
-        source += v if premasked else problem.omega.values * v
+        source += v
 
     # each direction's probes start from +tau, -tau, +tau/2 and -tau/2
     # times yhat0; the hooks read midpoint sums, twice the midpoints

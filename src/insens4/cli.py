@@ -38,6 +38,7 @@ from .cascade_sentinel import (
 )
 from .config import (
     apply_quick,
+    check_seed,
     coefficients_from_config,
     parse_config,
     problem_from_config,
@@ -224,7 +225,7 @@ def _sensitivity_block(problem, result, cfg, manifest, out_dir,
     with manifest.timed("sensitivity"):
         reports = sentinel_sensitivity(problem, result.v, yhats,
                                        tau_probe=cfg["sampling"]["tau_probe"],
-                                       premasked=True, base=base)
+                                       base=base)
     for i, rep in enumerate(reports):
         manifest.add_check(f"sentinel-derivative-{i}",
                            abs(rep.d_fd) <= bound, d_fd=rep.d_fd, bound=bound)
@@ -325,9 +326,9 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path,
                       "v_norm", "increment_last", "contraction_last",
                       "r1_radius", "inside_ball", "weighted_force_norm",
                       "ftc_residual", "objective")
-    summary = (sem.converged, sem.iterations, sem.epsilon, sem.q0_norm,
+    summary = (sem.converged, sem.iterations, problem.epsilon, result.q0_norm,
                result.v_norm, sem.increments[-1], contraction, sem.r1_radius,
-               sem.inside_ball, sem.weighted_force_norm, ftc,
+               sem.inside_ball, math.sqrt(problem.force_weight_integral), ftc,
                result.objective)
     _csv(manifest, out_dir, "control_summary.csv", summary_header, [summary])
 
@@ -451,10 +452,10 @@ def _cmd_selftest(cfg: dict, out_dir: Path, manifest: RunManifest,
 
     phi0 = _smooth_unit(basis, rng)
     pair = solve_adjoint_pair(problem, phi0)
-    v = rng.standard_normal((grid.n_steps,) + basis.shape)
+    v = problem.omega.values * rng.standard_normal((grid.n_steps,) + basis.shape)
     casc = solve_cascade(problem, v)
     res = duality_residual(casc.y, pair.psi, v, problem.force_fields,
-                           pair.phi, problem.omega.values, problem.obs.values)
+                           pair.phi, problem.obs.values)
     record("duality-identity", res <= 1e-10, res, "relative residual")
 
     mms_cells = min(cfg["grid"]["cells"], 32)
@@ -471,7 +472,8 @@ def _cmd_selftest(cfg: dict, out_dir: Path, manifest: RunManifest,
 
     def lam(a: np.ndarray) -> np.ndarray:
         leg = solve_adjoint_pair(small, a)
-        return solve_cascade(small, leg.psi.fields, include_force=False).q0
+        return solve_cascade(small, small.omega.values * leg.psi.fields,
+                             include_force=False).q0
 
     a = _smooth_unit(small.basis, rng)
     b = _smooth_unit(small.basis, rng)
@@ -500,8 +502,7 @@ def _cmd_selftest(cfg: dict, out_dir: Path, manifest: RunManifest,
     for j, t in enumerate(small.grid.times):
         zf[j] = 1.5 * math.sin(2.0 * math.pi * t) * u1 \
             + 0.3 * math.cos(3.0 * t) * u2
-    z = Trajectory(small.basis, small.grid.dt, small.grid.times, zf,
-                   0.0 * zf[0], 0.0 * zf[-1])
+    z = Trajectory(small.basis, small.grid.dt, zf, 0.0 * zf[0], 0.0 * zf[-1])
     ftc = ftc_residual(nl, z)
     record("ftc-identity", ftc <= 1e-9, ftc, "secant stack defect, tanh")
 
@@ -597,10 +598,7 @@ def main(argv=None) -> int:
         if args.quick:
             cfg = apply_quick(cfg)
         if args.seed is not None:
-            if not 0 <= args.seed < 2 ** 64:
-                raise SetupError("config-value",
-                                 "--seed must fit in 64 unsigned bits")
-            cfg["run"]["seed"] = args.seed
+            cfg["run"]["seed"] = check_seed(args.seed, "--seed")
         if args.out is not None:
             cfg["run"]["out"] = args.out
         if args.threads is not None:

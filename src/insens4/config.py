@@ -28,8 +28,9 @@ from .problem_setup import (
     validate_problem,
 )
 
-__all__ = ["SCHEMA", "default_config", "parse_config", "parse_boxes",
-           "apply_quick", "coefficients_from_config", "problem_from_config"]
+__all__ = ["SCHEMA", "default_config", "check_seed", "parse_config",
+           "parse_boxes", "apply_quick", "coefficients_from_config",
+           "problem_from_config"]
 
 # (type, default); types: int, float, str, bool, floats, boxes
 SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
@@ -146,6 +147,20 @@ def _coerce(section: str, key: str, kind: str, raw):
     raise SetupError("config-value", f"{where}: unknown schema kind {kind!r}")
 
 
+def check_seed(seed: int, where: str) -> int:
+    """``seed`` when it fits in 64 unsigned bits, the Philox key's range.
+
+    Raises
+    ------
+    SetupError
+        ``config-value`` naming ``where`` for a seed outside [0, 2^64).
+    """
+    if not 0 <= seed < 2 ** 64:
+        raise SetupError("config-value",
+                         f"{where} must fit in 64 unsigned bits, got {seed}")
+    return seed
+
+
 def parse_config(path: str | Path | None = None) -> dict:
     """Defaults overlaid with the file at ``path``, schema-checked.
 
@@ -157,8 +172,9 @@ def parse_config(path: str | Path | None = None) -> dict:
         outside the schema, ``config-value`` for uncoercible or
         non-finite values, for sample counts and iteration budgets below
         one or negative mode caps and direction counts, for a probe step
-        or tolerance that is not positive, and for a penalty variant
-        outside ``hum_synthesis.VARIANTS``.
+        or tolerance that is not positive, for a penalty variant outside
+        ``hum_synthesis.VARIANTS``, and for a seed outside
+        :func:`check_seed`'s range.
     """
     cfg = default_config()
     if path is None:
@@ -195,6 +211,8 @@ def parse_config(path: str | Path | None = None) -> dict:
                     "config-value",
                     f"{path}: [{section}] {key} must be > 0, "
                     f"got {cfg[section][key]}")
+            if (section, key) == ("run", "seed"):
+                check_seed(cfg[section][key], f"{path}: [run] seed")
             choices = _CHOICES.get((section, key))
             if choices is not None and cfg[section][key] not in choices:
                 raise SetupError(

@@ -80,7 +80,7 @@ class ControlResult:
 
     ``v`` is the control already multiplied by the mask of omega, so it
     vanishes off the control region; feed it back through
-    ``solve_cascade(..., premasked=True)`` to reproduce ``y`` and ``q``.
+    ``solve_cascade(problem, v, ops)`` to reproduce ``y`` and ``q``.
     """
 
     variant: str
@@ -91,6 +91,8 @@ class ControlResult:
     y: Trajectory = field(repr=False)
     q: Trajectory = field(repr=False)
     q0: Array = field(repr=False)
+    problem: ValidatedProblem = field(repr=False)
+    ops: CascadeOperators = field(repr=False)
     q0_norm: float = 0.0
     v_norm: float = 0.0
     bound_value: float = 0.0
@@ -100,8 +102,6 @@ class ControlResult:
     optimality_residual: float = 0.0
     objective: float = 0.0
     convergence_log: list[dict] = field(default_factory=list, repr=False)
-    problem: ValidatedProblem | None = field(default=None, repr=False)
-    ops: CascadeOperators | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -161,8 +161,7 @@ class _Synthesis:
         pair = solve_adjoint_pair(self.problem, phi0, ops=self.ops)
         v = self.problem.omega.values * pair.psi.fields
         del pair
-        casc = solve_cascade(self.problem, v, ops=self.ops,
-                             include_force=False, premasked=True)
+        casc = solve_cascade(self.problem, v, ops=self.ops, include_force=False)
         self.last = (phi0, v, casc)
         self.applies += 1
         return casc.q0
@@ -173,14 +172,6 @@ class _Synthesis:
                                     include_force=True)
         self.applies += 1
         return self.forced.q0
-
-
-def _check_epsilon(eps: float) -> float:
-    eps = float(eps)
-    if not eps > 0.0:
-        raise SynthesisError("penalty-nonpositive",
-                             f"penalty weight must be positive, got {eps}")
-    return eps
 
 
 def _control_bound(problem: ValidatedProblem) -> float:
@@ -197,7 +188,7 @@ def _control_bound(problem: ValidatedProblem) -> float:
 def _superpose(hom: Trajectory, forced: Trajectory) -> Trajectory:
     """hom + forced, summed into hom's record, which is not read again."""
     hom.fields += forced.fields
-    return Trajectory(hom.basis, hom.dt, hom.times, hom.fields,
+    return Trajectory(hom.basis, hom.dt, hom.fields,
                       state0=hom.state0 + forced.state0,
                       stateT=hom.stateT + forced.stateT)
 
@@ -246,18 +237,18 @@ def _assemble(syn: _Synthesis, phi0: Array, branch: str,
 
 def minimize_quadratic(
     problem: ValidatedProblem,
-    eps: float | None = None,
+    *,
     tol: float = 1e-8,
     max_iter: int = 300,
     ops: CascadeOperators | None = None,
 ) -> ControlResult:
     """Lanczos solve of the quadratic-penalty normal system.
 
-    Solves (Lambda + eps I) phi0 = -b on the Lanczos model of the
-    operator built from b: the model solution at dimension m is the
-    m-th conjugate-gradient iterate.  The basis grows until the model's
-    residual estimate falls below tol ||b|| or it holds
-    min(max_iter, KRYLOV_CAP) vectors; the result converged when the
+    Solves (Lambda + eps I) phi0 = -b, eps = ``problem.epsilon``, on the
+    Lanczos model of the operator built from b: the model solution at
+    dimension m is the m-th conjugate-gradient iterate.  The basis grows
+    until the model's residual estimate falls below tol ||b|| or it
+    holds min(max_iter, KRYLOV_CAP) vectors; the result converged when the
     true residual ||(Lambda + eps) phi0 + b||, the recorded optimality
     residual, is below tol ||b||.  The logged objective is the model
     value 1/2 <phi0, (Lambda + eps) phi0> + <b, phi0> = -1/2 ||b|| y_1,
@@ -275,7 +266,7 @@ def minimize_quadratic(
         rides along in the error context.  ``lanczos-nonfinite`` when a
         Lanczos coefficient is not finite.
     """
-    eps = _check_epsilon(problem.epsilon if eps is None else eps)
+    eps = problem.epsilon
     syn = _Synthesis(problem, ops)
     basis = problem.basis
     log: list[dict] = []
@@ -420,15 +411,16 @@ def _lanczos(syn: _Synthesis, b: Array, bnorm: float, shift, rtol: float,
 
 def minimize_exact(
     problem: ValidatedProblem,
-    eps: float | None = None,
+    *,
     tol: float = 1e-8,
     max_iter: int = 2000,
     ops: CascadeOperators | None = None,
 ) -> ControlResult:
     """Proximal gradient on the exact-norm penalized functional.
 
-    When ||b|| <= eps the minimizer is phi0 = 0 and the result takes
-    the zero branch with v = 0.  Otherwise proximal gradient steps
+    The penalty level eps is ``problem.epsilon``.  When ||b|| <= eps
+    the minimizer is phi0 = 0 and the result takes the zero branch with
+    v = 0.  Otherwise proximal gradient steps
     phi0 <- shrink(phi0 - gamma grad, gamma eps) run with backtracking
     (halve gamma until sufficient decrease) from the Lanczos warm
     start, the model solution at the delta of :func:`_secular_solve`,
@@ -446,7 +438,7 @@ def minimize_exact(
         on the Lanczos model; ``prox-stall`` on backtracking exhaustion;
         ``lanczos-nonfinite`` when a Lanczos coefficient is not finite.
     """
-    eps = _check_epsilon(problem.epsilon if eps is None else eps)
+    eps = problem.epsilon
     syn = _Synthesis(problem, ops)
     basis = problem.basis
     log: list[dict] = []
@@ -530,22 +522,18 @@ def verify_null(result: ControlResult) -> NullReport:
     """Recompute the cascade from the stored control and check q(0).
 
     The pass verdict covers only ||q(0)|| <= 1.01 eps.  ``bound_within``
-    compares ||v|| with the control bound 2 sqrt(H * int e^{M/sqrt(t)}
-    |f|^2) of the result's problem; that bound carries an unknown
+    compares ||v|| with the result's ``bound_value``, the control bound
+    2 sqrt(H * int e^{M/sqrt(t)} |f|^2); that bound carries an unknown
     geometric constant, so it never fails the check.
     """
     problem = result.problem
-    if problem is None:
-        raise SynthesisError("detached-result",
-                             "result carries no problem to recompute against")
-    casc = solve_cascade(problem, result.v, ops=result.ops, include_force=True,
-                         premasked=True)
+    casc = solve_cascade(problem, result.v, ops=result.ops, include_force=True)
     q0_norm = problem.basis.norm(casc.q0)
     return NullReport(
         epsilon=result.epsilon,
         q0_norm=q0_norm,
         passed=bool(q0_norm <= 1.01 * result.epsilon),
-        bound_within=bool(result.v_norm <= _control_bound(problem)),
+        bound_within=bool(result.v_norm <= result.bound_value),
     )
 
 

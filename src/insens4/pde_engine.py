@@ -296,7 +296,6 @@ class Trajectory:
 
     basis: SineBasis
     dt: float
-    times: np.ndarray = field(repr=False)
     fields: np.ndarray = field(repr=False)
     state0: np.ndarray = field(repr=False)
     stateT: np.ndarray = field(repr=False)
@@ -949,8 +948,8 @@ def _march(
             fields[t:t + rows] = basis.from_modes(chunk)
     state = basis.from_modes(x)
     if transpose:
-        return Trajectory(basis, dt, grid.times, fields, state0=state, stateT=first)
-    return Trajectory(basis, dt, grid.times, fields, state0=first, stateT=state)
+        return Trajectory(basis, dt, fields, state0=state, stateT=first)
+    return Trajectory(basis, dt, fields, state0=first, stateT=state)
 
 
 def solve_forward(
@@ -1062,15 +1061,16 @@ def duality_residual(
     v: np.ndarray | None,
     f: np.ndarray | None,
     phi: Trajectory,
-    omega_values: Array,
     obs_values: Array,
 ) -> float:
     """Normalized gap of the summed duality identity.
 
-    With y driven by chi_omega v + f and (phi, psi) the adjoint pair
-    driven by chi_obs phi, the exact-transpose marching makes
+    With y driven by the acting control v = chi_omega v (the form
+    :func:`cascade_sentinel.solve_cascade` takes) plus f, and (phi, psi)
+    the adjoint pair driven by chi_obs phi, the exact-transpose marching
+    makes
 
-        int_Q chi_obs phi y = int_Q (chi_omega v + f) psi
+        int_Q chi_obs phi y = int_Q (v + f) psi
 
     an identity of the discrete quadratures; the residual is its gap
     normalized by 1 + |left side|.
@@ -1080,7 +1080,7 @@ def duality_residual(
     lhs = dt * basis.cell_volume * float(np.sum(obs_values * phi.fields * y.fields))
     rhs = 0.0
     if v is not None:
-        rhs += dt * basis.cell_volume * float(np.sum(omega_values * v * psi.fields))
+        rhs += dt * basis.cell_volume * float(np.sum(v * psi.fields))
     if f is not None:
         rhs += dt * basis.cell_volume * float(np.sum(f * psi.fields))
     return abs(lhs - rhs) / (1.0 + abs(lhs))

@@ -61,25 +61,25 @@ class FrozenLinearization:
     tangent_u: Array = field(repr=False)   # F_u at (z, grad z, hess z)
     tangent_p: Array | None = field(repr=False)
     tangent_r: Array | None = field(repr=False)
-    f0: float                              # F(0,0,0)
     sup_certificate: float                 # max |G1| + sum|G2| + sum|G3| seen
     ops: CascadeOperators | None = field(default=None, repr=False)  # both legs
 
 
 @dataclass
 class SemilinearResult:
-    """Outcome of the outer fixed-point iteration."""
+    """Outcome of the outer fixed-point iteration.
+
+    ``final`` is the last control solve: its ``q0_norm`` is the loop's,
+    and its ``problem`` holds the penalty level and the force.
+    """
 
     converged: bool
     iterations: int                 # control solves performed
-    epsilon: float
-    q0_norm: float
     increments: list[float]
     z_norms: list[float]
     contraction_factors: list[float]
     r1_radius: float
     inside_ball: bool
-    weighted_force_norm: float
     final: ControlResult = field(repr=False)
     frozen: FrozenLinearization = field(repr=False)
     history: list[dict] = field(repr=False, default_factory=list)
@@ -89,7 +89,7 @@ def _zero_trajectory(problem: ValidatedProblem) -> Trajectory:
     grid = problem.grid
     shape = grid.shape
     return Trajectory(
-        basis=problem.basis, dt=grid.dt, times=grid.times,
+        basis=problem.basis, dt=grid.dt,
         fields=np.zeros((grid.n_steps,) + shape),
         state0=np.zeros(shape), stateT=np.zeros(shape),
     )
@@ -166,7 +166,7 @@ def eval_g(nonlinearity: NonlinearitySpec, z: Trajectory) -> FrozenLinearization
     return FrozenLinearization(
         g1=g1, g2=g2, g3=g3,
         tangent_u=tu, tangent_p=tp, tangent_r=tr,
-        f0=nonlinearity.f0, sup_certificate=cert,
+        sup_certificate=cert,
     )
 
 
@@ -199,7 +199,7 @@ def freeze_linearization(problem: ValidatedProblem,
         make_schedule(grid, coeffs, frozen.g1, frozen.g2, frozen.g3),
         make_schedule(grid, coeffs, frozen.tangent_u, frozen.tangent_p,
                       frozen.tangent_r),
-        -frozen.f0)
+        -problem.nonlinearity.f0)
     return frozen
 
 
@@ -214,8 +214,7 @@ def tangent_schedule(problem: ValidatedProblem, z: Trajectory) -> Schedule:
 
 
 def _frozen_equal(a: FrozenLinearization, b: FrozenLinearization) -> bool:
-    return (a.f0 == b.f0
-            and np.array_equal(a.g1, b.g1)
+    return (np.array_equal(a.g1, b.g1)
             and np.array_equal(a.g2, b.g2)
             and np.array_equal(a.g3, b.g3)
             and np.array_equal(a.tangent_u, b.tangent_u)
@@ -281,7 +280,7 @@ def picard_insensitize(
             # retire the previous linearization: keep one set of step factors
             frozen.ops.release_factors()
         frozen = candidate
-        result = minimize_exact(problem, eps, tol=hum_tol,
+        result = minimize_exact(problem, tol=hum_tol,
                                 max_iter=hum_max_iter, ops=frozen.ops)
         z_new = result.y
         inc = math.sqrt(problem.grid.dt
@@ -324,14 +323,11 @@ def picard_insensitize(
     return SemilinearResult(
         converged=True,
         iterations=len(sizes),
-        epsilon=eps,
-        q0_norm=result.q0_norm,
         increments=increments,
         z_norms=z_norms,
         contraction_factors=contraction,
         r1_radius=r1,
         inside_ball=all(s <= r1 for s in sizes),
-        weighted_force_norm=math.sqrt(problem.force_weight_integral),
         final=result,
         frozen=frozen,
         history=history,

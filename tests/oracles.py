@@ -20,7 +20,7 @@ from insens4.cascade_sentinel import (
     solve_cascade,
 )
 from insens4.errors import SynthesisError
-from insens4.hum_synthesis import VARIANTS, _check_epsilon
+from insens4.hum_synthesis import VARIANTS
 from insens4.pde_engine import Trajectory
 from insens4.problem_setup import ValidatedProblem
 
@@ -30,7 +30,6 @@ Array = np.ndarray
 def eval_j(
     problem: ValidatedProblem,
     phi0: Array,
-    eps: float | None = None,
     variant: str = "exact",
     ops: CascadeOperators | None = None,
 ) -> tuple[float, AdjointPair]:
@@ -38,12 +37,12 @@ def eval_j(
 
     J = 1/2 int_{Q_omega} |psi|^2 + P(phi0) + int_Q f psi, where f is
     the full affine state source (the forcing plus, in the frozen
-    regime, the constant reaction offset).
+    regime, the constant reaction offset), and eps = ``problem.epsilon``.
     """
     if variant not in VARIANTS:
         raise SynthesisError("unknown-variant",
                              f"variant must be one of {VARIANTS}, got {variant!r}")
-    eps = _check_epsilon(problem.epsilon if eps is None else eps)
+    eps = problem.epsilon
     grid, basis = problem.grid, problem.basis
     ops = ops or linearized_operators(problem)
     pair = solve_adjoint_pair(problem, phi0, ops=ops)
@@ -63,12 +62,13 @@ def grad_j_smooth(
 ) -> Array:
     """Gradient of the smooth part of J: q(0) of the driven cascade.
 
-    The control is v = psi of the adjoint pair, the force is on, so the
-    returned field equals Lambda phi0 + b by superposition.
+    The control is v = chi_omega psi of the adjoint pair, the force is
+    on, so the returned field equals Lambda phi0 + b by superposition.
     """
     ops = ops or linearized_operators(problem)
     pair = solve_adjoint_pair(problem, phi0, ops=ops)
-    casc = solve_cascade(problem, pair.psi.fields, ops=ops, include_force=True)
+    casc = solve_cascade(problem, problem.omega.values * pair.psi.fields,
+                         ops=ops, include_force=True)
     return casc.q0
 
 

@@ -6,6 +6,7 @@ emitted with capture suspended so they stay visible in piped pytest
 output; each line carries the measured numbers next to the tolerance
 they are held to.
 """
+import dataclasses
 import math
 import time
 
@@ -59,7 +60,7 @@ def _smooth(basis, rng) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def ladder(desk_problem):
-    return {eps: minimize_exact(desk_problem, eps=eps)
+    return {eps: minimize_exact(dataclasses.replace(desk_problem, epsilon=eps))
             for eps in (1e-2, 1e-3, 1e-4)}
 
 
@@ -71,9 +72,9 @@ def probes(desk_problem, ladder):
     v = ladder[1e-3].v
 
     yhats = np.array([_smooth(p.basis, rng) for _ in range(20)])
-    sens = sentinel_sensitivity(p, v, yhats, tau_probe=0.3, premasked=True)
+    sens = sentinel_sensitivity(p, v, yhats, tau_probe=0.3)
 
-    eps = 1e-3
+    eps = p.epsilon  # 1e-3, the control's own
     x = _smooth(p.basis, rng)
     gs = grad_j_smooth(p, x)
     hs = (0.1, 0.03, 0.01, 0.003, 0.001)
@@ -84,15 +85,15 @@ def probes(desk_problem, ladder):
         gd = p.basis.inner(gs + eps * x, d)    # ||x|| = 1
         errs = []
         for h in hs:
-            jp, _ = eval_j(p, x + h * d, eps=eps)
-            jm, _ = eval_j(p, x - h * d, eps=eps)
+            jp, _ = eval_j(p, x + h * d)
+            jm, _ = eval_j(p, x - h * d)
             errs.append(abs((jp - jm) / (2.0 * h) - gd))
         slopes.append(float(np.polyfit(np.log(hs), np.log(errs), 1)[0]))
         rels.append(errs[-1] / abs(gd))
         # smooth part alone, at one step size: subtract the penalty term
         h = 0.01
-        jsp = eval_j(p, x + h * d, eps=eps)[0] - eps * p.basis.norm(x + h * d)
-        jsm = eval_j(p, x - h * d, eps=eps)[0] - eps * p.basis.norm(x - h * d)
+        jsp = eval_j(p, x + h * d)[0] - eps * p.basis.norm(x + h * d)
+        jsm = eval_j(p, x - h * d)[0] - eps * p.basis.norm(x - h * d)
         smooth_dev = max(smooth_dev, abs((jsp - jsm) / (2.0 * h)
                                          - p.basis.inner(gs, d)))
     return {"sens": sens, "slopes": slopes, "rels": rels,
@@ -213,11 +214,10 @@ def test_criterion_04_discrete_duality(capfd):
         p = _random_instance(rng, 1 if i % 2 == 0 else 2)
         phi0 = rng.standard_normal(p.grid.shape)
         pair = solve_adjoint_pair(p, phi0)
-        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        v = p.omega.values * rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
         sol = solve_cascade(p, v)
         worst = max(worst, duality_residual(
-            sol.y, pair.psi, v, p.force_fields, pair.phi,
-            p.omega.values, p.obs.values))
+            sol.y, pair.psi, v, p.force_fields, pair.phi, p.obs.values))
     _line(capfd, 4, "discrete-duality", worst <= 1e-10,
           "worst relative residual %.2e <= 1e-10 over 50 random instances "
           "(25 1D + 25 2D, all coefficient roles active), %.1fs"
@@ -242,7 +242,8 @@ def test_criterion_06_gramian_symmetry(capfd, desk_problem):
 
     def lam_map(a):
         pair = solve_adjoint_pair(p, a)
-        return solve_cascade(p, pair.psi.fields, include_force=False).q0
+        return solve_cascade(p, p.omega.values * pair.psi.fields,
+                             include_force=False).q0
 
     # asymmetry is held to the operator scale: sup |<La,b> - <a,Lb>| over
     # unit probes estimates ||L - L*||, the largest Rayleigh quotient
@@ -305,12 +306,11 @@ def test_criterion_09_semilinear_pipeline(capfd, desk_problem, ladder, semilinea
 
     rng = np.random.default_rng(np.random.Philox(9))
     tau = 0.03
-    bound = 10.0 * sem.epsilon + 10.0 * tau * tau
+    bound = 10.0 * pt.epsilon + 10.0 * tau * tau
     worst_fd = 0.0
     worst_gap = 0.0
     yhats = np.array([_smooth(pt.basis, rng) for _ in range(20)])
-    for rep in sentinel_sensitivity(pt, sem.final.v, yhats, tau_probe=tau,
-                                    premasked=True):
+    for rep in sentinel_sensitivity(pt, sem.final.v, yhats, tau_probe=tau):
         worst_fd = max(worst_fd, abs(rep.d_fd))
         worst_gap = max(worst_gap, rep.gap_rel)
 

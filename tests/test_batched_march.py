@@ -553,18 +553,18 @@ class TestStreamedSentinel:
     def test_matches_sentinel_of_full_trajectory(self, kind, seed, tau, rows):
         p = _quick_problem(kind)
         rng = np.random.default_rng(seed)
-        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        v = p.omega.values * rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
         yhats = np.array([unit_smooth(p.basis, rng) for _ in range(rows)])
         reports = sentinel_sensitivity(p, v, yhats, tau_probe=tau)
         # the same runs as one stored batched march
-        source = p.force_fields + p.omega.values * v
+        source = p.force_fields + v
         starts = np.concatenate([tau * yhats, -tau * yhats])
         full = solve_forward_nonlinear(
             p.grid, make_schedule(p.grid, p.coefficients), p.nonlinearity,
             starts, source)
         for i, report in enumerate(reports):
             for got, row in ((report.phi_plus, i), (report.phi_minus, rows + i)):
-                want = sentinel(Trajectory(p.basis, p.grid.dt, p.grid.times,
+                want = sentinel(Trajectory(p.basis, p.grid.dt,
                                            full.fields[:, row], starts[row],
                                            full.stateT[row]), p.obs.values)
                 assert got == pytest.approx(want, rel=1e-13, abs=0)

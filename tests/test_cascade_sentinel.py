@@ -108,14 +108,6 @@ class TestCascadeOracle:
         scale = np.abs(q_sum).max()
         assert np.allclose(q_sum, q_sep, rtol=0, atol=1e-12 * max(scale, 1e-30))
 
-    def test_premasked_control_identical(self, rng):
-        p = _partial_problem(rng)
-        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
-        plain = solve_cascade(p, v)
-        masked = solve_cascade(p, p.omega.values * v, premasked=True)
-        assert np.array_equal(plain.q0, masked.q0)
-        assert np.array_equal(plain.y.fields, masked.y.fields)
-
     def test_homogeneous_zero(self):
         p = _full_mask_problem()
         sol = solve_cascade(p, None, include_force=False)
@@ -131,10 +123,10 @@ class TestDuality:
         p = _partial_problem(rng, dim=dim)
         phi0 = rng.standard_normal(p.grid.shape)
         pair = solve_adjoint_pair(p, phi0)
-        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        v = p.omega.values * rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
         sol = solve_cascade(p, v)
         res = duality_residual(sol.y, pair.psi, v, p.force_fields, pair.phi,
-                               p.omega.values, p.obs.values)
+                               p.obs.values)
         assert res <= 1e-12
 
     def test_pair_is_linear_in_seed(self, rng):
@@ -149,7 +141,7 @@ class TestDuality:
 class TestSentinel:
     def test_midpoint_quadrature(self, rng):
         p = _partial_problem(rng)
-        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        v = p.omega.values * rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
         y = solve_cascade(p, v).y
         b = p.basis
         direct = 0.5 * p.grid.dt * sum(
@@ -160,18 +152,18 @@ class TestSentinel:
         grid = build_grid(1, 2.0, 16, 0.5, 24)
         u = np.sin(np.pi * grid.basis.nodes[0] / 2.0)
         fields = np.array([u for _ in range(grid.n_steps)])
-        traj = Trajectory(grid.basis, grid.dt, grid.times, fields, u, u)
+        traj = Trajectory(grid.basis, grid.dt, fields, u, u)
         obs = np.ones(grid.shape)
         one = sentinel(traj, obs)
-        two = sentinel(Trajectory(grid.basis, grid.dt, grid.times,
-                                  2 * fields, 2 * u, 2 * u), obs)
+        two = sentinel(Trajectory(grid.basis, grid.dt, 2 * fields, 2 * u, 2 * u),
+                       obs)
         assert two == pytest.approx(4 * one, rel=1e-13)
 
 
 class TestSensitivity:
     def test_linear_fd_matches_dual(self, rng):
         p = _partial_problem(rng)
-        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        v = p.omega.values * rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
         yhat = unit_smooth(p.basis, rng)
         report, = sentinel_sensitivity(p, v, yhat[None], tau_probe=0.1)
         # linear dynamics: the sentinel is quadratic in tau, central
@@ -182,16 +174,6 @@ class TestSensitivity:
         assert report.phi_plus > 0 and report.phi_minus > 0
         assert report.tau == pytest.approx(0.1)
 
-    def test_premasked_probe_identical(self, rng):
-        p = _partial_problem(rng)
-        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
-        yhat = unit_smooth(p.basis, rng)
-        a, = sentinel_sensitivity(p, v, yhat[None], tau_probe=0.05)
-        b, = sentinel_sensitivity(p, p.omega.values * v, yhat[None],
-                                  tau_probe=0.05, premasked=True)
-        assert a.d_fd == b.d_fd
-        assert a.d_dual == b.d_dual
-
     @pytest.mark.parametrize("kind", ["zero", "tanh"])
     def test_stack_matches_single_directions(self, rng, kind):
         # the dual side is shared across the stack; each report must equal
@@ -199,7 +181,7 @@ class TestSensitivity:
         cfg = apply_quick(default_config())
         cfg["nonlinearity"] = {"kind": kind, "scale": 0.5}
         p = problem_from_config(cfg)
-        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        v = p.omega.values * rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
         yhats = np.array([unit_smooth(p.basis, rng) for _ in range(3)])
         stacked = sentinel_sensitivity(p, v, yhats, tau_probe=0.05)
         assert len(stacked) == 3
@@ -235,7 +217,7 @@ class TestSensitivity:
             cfg["grid"]["dimension"] = 2
             cfg["domains"].update(omega="0.6:1.4,0.6:1.4", obs="1.0:1.8,1.0:1.8")
         p = problem_from_config(cfg)
-        v = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        v = p.omega.values * rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
         yhats = np.array([unit_smooth(p.basis, rng) for _ in range(2)])
         for yhat, rep in zip(yhats, sentinel_sensitivity(p, v, yhats,
                                                          tau_probe=0.03)):

@@ -398,9 +398,23 @@ class TestFailureModes:
                      "--out", str(tmp_path)]) == 1
         assert "config" in capsys.readouterr().err
 
-    def test_bad_seed_exits_1(self, tmp_path):
-        assert main(["selftest", "--seed", "-3",
-                     "--out", str(tmp_path)]) == 1
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 - 1])
+    def test_seed_range(self, tmp_path, capsys, where, seed):
+        # --seed and [run] seed share one range, [0, 2^64); a seed outside
+        # it is a usage error found before any computation or manifest
+        args = ["--seed", str(seed)] if where == "flag" else \
+            ["--config", _ini(tmp_path, f"[run]\nseed = {seed}\n")]
+        ok = 0 <= seed < 2**64
+        command = "weights-check" if ok else "insensitize-linear"
+        out = tmp_path / "o"
+        assert main([command, "--quick", *args, "--out", str(out)]) == (0 if ok else 1)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if ok:
+            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+        else:
+            assert "config-value" in err and not out.exists()
 
     def test_usage_errors_exit_1(self, capsys):
         assert main(["selftest", "--turbo"]) == 1
@@ -469,10 +483,10 @@ def test_no_command_loads_scipy(tmp_path):
     assert loaded == {command: [] for command in loaded}
 
 
-# every configuration key but [grid] dimension and [run], at edge values
+# every configuration key but [grid] dimension and [run] out, at edge values
 _FUZZ_KEYS = [(section, key, kind) for section, keys in SCHEMA.items()
-              if section != "run" for key, (kind, _) in keys.items()
-              if (section, key) != ("grid", "dimension")]
+              for key, (kind, _) in keys.items()
+              if (section, key) not in (("grid", "dimension"), ("run", "out"))]
 _EDGES = ("0", "-1", "1e300", "nan", "abc")
 # keys that must be positive (mode_cap must not be negative)
 _POSITIVE = {("grid", "extent"), ("grid", "cells"), ("grid", "t_final"),
@@ -513,8 +527,8 @@ def _out_of_range(section, key, kind, value):
     if kind == "int" and value == "1e300":
         return True                          # not an integer
     if value == "-1" and (section, key) in (("sampling", "mode_cap"),
-                                            ("weights", "s")):
-        return True                          # 0 means automatic
+                                            ("weights", "s"), ("run", "seed")):
+        return True                          # 0 means automatic; seeds are unsigned
     if value in ("-1", "1e300") and (section, key) == ("weights", "eta_peak"):
         return True                          # off the domain
     return value in ("0", "-1") and (section, key) in _POSITIVE

@@ -92,6 +92,9 @@ omega = 0.2:0.9
         "[penalty]\nepsilon = nan\n",
         "[coefficients]\nb0 = 1,-inf\n",
         "[sampling]\ntau_probe = 0\n",
+        # a seed outside the Philox key's [0, 2^64)
+        "[run]\nseed = -1\n",
+        f"[run]\nseed = {2**64}\n",
     ])
     def test_uncoercible_value(self, tmp_path, text):
         with pytest.raises(SetupError) as exc:

@@ -79,7 +79,8 @@ class TestGramian:
 
         def lam(a):
             psi = solve_adjoint_pair(p, a).psi.fields
-            return solve_cascade(p, psi, include_force=False).q0
+            return solve_cascade(p, p.omega.values * psi,
+                                 include_force=False).q0
 
         for _ in range(4):
             a = rng.standard_normal(p.grid.shape)
@@ -96,7 +97,7 @@ class TestGramian:
 
 class TestExactPenalty:
     def test_interior_branch_balances(self, quick_problem):
-        r = minimize_exact(quick_problem, 1e-3)
+        r = minimize_exact(quick_problem)
         assert r.branch == "interior"
         assert r.converged
         assert r.q0_norm == pytest.approx(1e-3, rel=1e-9)
@@ -106,7 +107,7 @@ class TestExactPenalty:
     def test_zero_branch_is_uncontrolled_cascade(self, quick_problem):
         p = quick_problem
         b = solve_cascade(p, None).q0
-        r = minimize_exact(p, 1.0)
+        r = minimize_exact(dataclasses.replace(p, epsilon=1.0))
         assert r.branch == "zero"
         assert r.converged
         assert np.all(r.v == 0.0)
@@ -115,27 +116,28 @@ class TestExactPenalty:
 
     def test_ladder_monotone(self, quick_problem):
         p = quick_problem
-        results = [minimize_exact(p, eps) for eps in (1e-2, 1e-3, 3e-4)]
+        results = [minimize_exact(dataclasses.replace(p, epsilon=eps))
+                   for eps in (1e-2, 1e-3, 3e-4)]
         q0s = [r.q0_norm for r in results]
         vs = [r.v_norm for r in results]
         assert q0s == sorted(q0s, reverse=True)
         assert vs == sorted(vs)
 
     def test_deterministic(self, quick_problem):
-        a = minimize_exact(quick_problem, 1e-3)
-        b = minimize_exact(quick_problem, 1e-3)
+        a = minimize_exact(quick_problem)
+        b = minimize_exact(quick_problem)
         assert np.array_equal(a.phi0, b.phi0)
         assert a.q0_norm == b.q0_norm
 
     def test_budget_exhaustion_reported(self, quick_problem):
-        r = minimize_exact(quick_problem, 1e-3, max_iter=0)
+        r = minimize_exact(quick_problem, max_iter=0)
         assert not r.converged
         assert r.branch == "interior"
 
     def test_stored_control_is_premasked(self, quick_problem):
         p = quick_problem
-        r = minimize_exact(p, 1e-3)
-        replay = solve_cascade(p, r.v, premasked=True)
+        r = minimize_exact(p)
+        replay = solve_cascade(p, r.v)
         assert np.allclose(replay.q0, r.q0, rtol=0,
                            atol=1e-12 * max(np.abs(r.q0).max(), 1e-30))
         # masking again must not change a premasked control
@@ -260,12 +262,14 @@ PATH_CASES = ["1d-diagonal", "1d-lu-tanh", "2d-gmres"]
 
 
 def _path_problem(case):
-    """(problem, ops, eps) whose minimization takes the interior branch."""
+    """(problem, ops, eps) whose minimization takes the interior branch;
+    eps is the problem's penalty level."""
     ops = None
     if case == "2d-gmres":
         p = _ratio_problem("2d-richardson")
         # the quick penalty exceeds this small problem's affine pull
-        return p, None, 0.5 * p.basis.norm(solve_cascade(p, None).q0)
+        eps = 0.5 * p.basis.norm(solve_cascade(p, None).q0)
+        return dataclasses.replace(p, epsilon=eps), None, eps
     cfg = apply_quick(default_config())
     if case == "1d-lu-tanh":
         cfg["nonlinearity"]["kind"] = "tanh"
@@ -279,7 +283,7 @@ def _assert_superposed(p, r):
     """r's control and cascade against a full re-march of its seed."""
     pair = solve_adjoint_pair(p, r.phi0, ops=r.ops)
     v = p.omega.values * pair.psi.fields
-    ref = solve_cascade(p, v, ops=r.ops, include_force=True, premasked=True)
+    ref = solve_cascade(p, v, ops=r.ops, include_force=True)
     assert np.array_equal(r.v, v)
     assert np.all(r.y.state0 == 0.0) and np.all(r.q.stateT == 0.0)
     # on the GMRES path each midpoint solve is linear only to INNER_TOL,
@@ -299,7 +303,7 @@ class TestMarchBudget:
         p, ops, eps = _path_problem(case)
         counts = _count_work(monkeypatch)
         inside = _count_assemble_marches(monkeypatch, counts)
-        r = minimize_exact(p, eps, ops=ops)
+        r = minimize_exact(p, ops=ops)
         assert r.branch == "interior" and r.converged
         # the stored cascade of the last applied seed, or one fresh march
         # of the adjoint pair and the force-free cascade
@@ -327,7 +331,7 @@ class TestMarchBudget:
         p, ops, eps = _path_problem(case)
         counts = _count_work(monkeypatch)
         inside = _count_assemble_marches(monkeypatch, counts)
-        r = minimize_quadratic(p, eps, ops=ops)
+        r = minimize_quadratic(p, ops=ops)
         assert r.branch == "interior"
         assert inside == [4]
         assert counts["applies"] == r.operator_applies
@@ -336,7 +340,7 @@ class TestMarchBudget:
     def test_zero_branch_marches_nothing_more(self, quick_problem, monkeypatch):
         counts = _count_work(monkeypatch)
         inside = _count_assemble_marches(monkeypatch, counts)
-        r = minimize_exact(quick_problem, 1.0)
+        r = minimize_exact(dataclasses.replace(quick_problem, epsilon=1.0))
         assert r.branch == "zero"
         assert inside == [0]
         assert counts == {"marches": 2, "applies": 1, "inverses": 0}
@@ -351,7 +355,7 @@ class TestMarchBudget:
         assert _rel(lam_x, syn.apply(x)) <= 1e-13
 
     def test_verify_null_remarches(self, quick_problem, monkeypatch):
-        r = minimize_exact(quick_problem, 1e-3)
+        r = minimize_exact(quick_problem)
         counts = _count_work(monkeypatch)
         verify_null(r)
         assert counts == {"marches": 2, "applies": 0, "inverses": 0}
@@ -409,7 +413,7 @@ class TestMarchBudget:
 class TestQuadraticPenalty:
     def test_first_order_identity(self, quick_problem):
         # the quadratic-variant optimum satisfies q0 = -eps * phi0
-        r = minimize_quadratic(quick_problem, 1e-3)
+        r = minimize_quadratic(quick_problem)
         assert r.converged
         scale = np.abs(r.q0).max()
         assert np.allclose(r.q0, -1e-3 * r.phi0, rtol=0, atol=1e-6 * scale)
@@ -419,7 +423,7 @@ class TestQuadraticPenalty:
         # 1/2 <phi0, (Lambda + eps) phi0> + <b, phi0>, with Lambda phi0 =
         # q0 - b
         p = quick_problem
-        r = minimize_quadratic(p, 1e-3)
+        r = minimize_quadratic(p)
         b = solve_cascade(p, None).q0
         inner = p.basis.inner
         want = 0.5 * inner(r.phi0, r.q0 - b + 1e-3 * r.phi0) + inner(b, r.phi0)
@@ -429,15 +433,15 @@ class TestQuadraticPenalty:
     def test_null_check_reports_honestly(self, quick_problem):
         # ||q0|| = eps ||phi0|| generally exceeds 1.01 eps, and the
         # report must say so rather than relabel the bound
-        r = minimize_quadratic(quick_problem, 1e-3)
+        r = minimize_quadratic(quick_problem)
         rep = verify_null(r)
         assert rep.q0_norm == pytest.approx(r.q0_norm, rel=1e-13)
         assert rep.passed == (r.q0_norm <= 1.01 * 1e-3 and rep.bound_within)
 
     def test_null_check_bound_follows_constants(self, quick_problem):
-        # verify_null and the minimizers share one control-bound formula;
-        # scaling H by 4 doubles the bound
-        r = minimize_quadratic(quick_problem, 1e-3)
+        # the minimizers compute the control bound once; scaling H by 4
+        # doubles it
+        r = minimize_quadratic(quick_problem)
         assert hum_synthesis._control_bound(quick_problem) == r.bound_value
 
         def scaled(factor):
@@ -448,14 +452,13 @@ class TestQuadraticPenalty:
 
         assert hum_synthesis._control_bound(scaled(4.0)) == \
             pytest.approx(2 * r.bound_value, rel=1e-15)
-        # bound_within reads the bound of the result's own problem: one
-        # whose bound is half of ||v|| fails it
+        # bound_within reads the result's bound: one of half ||v|| fails it
         assert verify_null(r).bound_within
-        half = scaled((0.5 * r.v_norm / r.bound_value) ** 2)
-        assert not verify_null(dataclasses.replace(r, problem=half)).bound_within
+        half = dataclasses.replace(r, bound_value=0.5 * r.v_norm)
+        assert not verify_null(half).bound_within
 
     def test_zero_budget_returns_zero_seed(self, quick_problem):
-        r = minimize_quadratic(quick_problem, 1e-3, max_iter=0)
+        r = minimize_quadratic(quick_problem, max_iter=0)
         assert not r.converged
         assert r.branch == "interior" and r.iterations == 0
         assert np.all(r.phi0 == 0.0) and np.all(r.v == 0.0)
@@ -468,7 +471,7 @@ class TestQuadraticPenalty:
         monkeypatch.setattr(hum_synthesis._Synthesis, "apply",
                             lambda self, phi0: -phi0)
         with pytest.raises(SynthesisError) as exc:
-            minimize_quadratic(quick_problem, 1e-3)
+            minimize_quadratic(quick_problem)
         assert exc.value.code == "cg-stall"
         assert exc.value.context["krylov_dim"] == 1
 
@@ -537,7 +540,7 @@ class TestSecularNewton:
         monkeypatch.setattr(hum_synthesis._Synthesis, "apply",
                             lambda self, phi0: np.zeros_like(phi0))
         with pytest.raises(SynthesisError) as exc:
-            minimize_exact(quick_problem, 1e-3)
+            minimize_exact(quick_problem)
         assert exc.value.code == "synthesis-degenerate"
         assert exc.value.context["krylov_dim"] == 1
 

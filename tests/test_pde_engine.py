@@ -261,7 +261,7 @@ class TestDiagonalPath:
         phi = solve_forward(grid, sched, rng.standard_normal(grid.shape))
         psi = solve_backward(grid, sched, np.zeros(grid.shape),
                              obs * phi.fields)
-        res = duality_residual(y, psi, None, g, phi, np.ones(grid.shape), obs)
+        res = duality_residual(y, psi, None, g, phi, obs)
         assert res <= 1e-13
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -368,7 +368,7 @@ class TestModeLUPath:
         psi = solve_backward(grid, sched, np.zeros(grid.shape),
                              obs * phi.fields)
         assert isinstance(sched.factors[1], pde_engine._ModeInverse)
-        res = duality_residual(y, psi, None, g, phi, np.ones(grid.shape), obs)
+        res = duality_residual(y, psi, None, g, phi, obs)
         assert res <= 1e-13
 
     @staticmethod

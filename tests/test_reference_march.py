@@ -228,12 +228,12 @@ class TestLibraryHooks:
         p = _problem(1, kind)
         grid, basis = p.grid, p.basis
         rng = np.random.default_rng(4)
-        v = rng.standard_normal((grid.n_steps,) + grid.shape)
+        v = p.omega.values * rng.standard_normal((grid.n_steps,) + grid.shape)
         yhats = np.array([unit_smooth(basis, rng) for _ in range(2)])
         tau = 0.05
         reports = sentinel_sensitivity(p, v, yhats, tau_probe=tau)
 
-        source = p.force_fields + p.omega.values * v
+        source = p.force_fields + v
         offsets = np.array([tau, -tau, tau / 2, -tau / 2])
         base = make_schedule(grid, p.coefficients)
         zero = np.zeros(grid.shape)
@@ -255,8 +255,7 @@ class TestLibraryHooks:
                                          on_step=lambda lo, m: m)
             y0, end = mids[:, 0], ends[0]
             probes = mids[:, 1:].reshape(grid.n_steps, -1, 4, *grid.shape)
-            costate = tangent_schedule(p, Trajectory(
-                basis, grid.dt, grid.times, y0, zero, end))
+            costate = tangent_schedule(p, Trajectory(basis, grid.dt, y0, zero, end))
         sums = np.sum(p.obs.values * probes**2, axis=-1)
         phis = 0.5 * grid.dt * basis.cell_volume * np.sum(sums, axis=0)
         # the dual side reads the tau = 0 midpoints

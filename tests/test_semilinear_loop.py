@@ -33,8 +33,7 @@ from conftest import unit_smooth
 def _trajectory(problem, rng, scale=0.8):
     grid = problem.grid
     fields = scale * rng.standard_normal((grid.n_steps,) + grid.shape)
-    return Trajectory(grid.basis, grid.dt, grid.times, fields,
-                      fields[0], fields[-1])
+    return Trajectory(grid.basis, grid.dt, fields, fields[0], fields[-1])
 
 
 def _nl_problem(kind, scale, **over):
@@ -70,10 +69,11 @@ class TestSecantCoefficients:
         assert np.allclose(frozen.tangent_u, c / np.cosh(z.fields) ** 2,
                            rtol=1e-13, atol=1e-14)
 
-    def test_offset_is_value_at_origin(self, quick_problem, rng):
-        z = _trajectory(quick_problem, rng)
-        frozen = eval_g(make_nonlinearity("tanh", scale=0.5), z)
-        assert frozen.f0 == 0.0
+    def test_offset_is_value_at_origin(self, rng):
+        p = _nl_problem("tanh", 0.5)
+        frozen = freeze_linearization(p, _trajectory(p, rng))
+        assert p.nonlinearity.f0 == 0.0
+        assert frozen.ops.reaction_offset == -p.nonlinearity.f0
 
     def test_ftc_residual_small(self, quick_problem, rng):
         z = _trajectory(quick_problem, rng)
@@ -92,8 +92,7 @@ class TestSecantCoefficients:
         grid = desk_problem.grid
         fields = np.array([unit_smooth(basis, rng, decay=3.0)
                            for _ in grid.times])
-        z = Trajectory(basis, grid.dt, grid.times, fields, fields[0],
-                       fields[-1])
+        z = Trajectory(basis, grid.dt, fields, fields[0], fields[-1])
         nl = make_nonlinearity(kind, scale=0.7)
         grads, hessians = basis.gradient(fields), basis.hessian(fields)
         for j, u in enumerate(fields):
@@ -137,7 +136,7 @@ class TestSecantCoefficients:
                 lambda self, u, real=real: calls.append(u.shape) or real(self, u))
         grid = problem.grid
         fields = np.array([unit_smooth(basis, rng, decay=3.0) for _ in grid.times])
-        z = Trajectory(basis, grid.dt, grid.times, fields, fields[0], fields[-1])
+        z = Trajectory(basis, grid.dt, fields, fields[0], fields[-1])
         nl = problem.nonlinearity
         frozen = eval_g(nl, z)
         ftc_residual(nl, z, frozen)
@@ -168,15 +167,15 @@ class TestPicard:
         assert result.converged
         assert result.iterations == 1
         assert result.history[-1].get("note") == "linearization-stationary"
-        linear = minimize_exact(p, p.epsilon)
+        linear = minimize_exact(p)
         assert np.array_equal(result.final.v, linear.v)
-        assert result.q0_norm == linear.q0_norm
+        assert result.final.q0_norm == linear.q0_norm
 
     def test_tanh_converges_inside_ball(self):
         p = _nl_problem("tanh", 0.1)
         r = picard_insensitize(p, tol=1e-10)
         assert r.converged
-        assert r.q0_norm == pytest.approx(p.epsilon, rel=1e-6)
+        assert r.final.q0_norm == pytest.approx(p.epsilon, rel=1e-6)
         assert r.increments[-1] <= 1e-10 * (1.0 + r.z_norms[-1])
         assert r.inside_ball
         assert len(r.contraction_factors) == len(r.increments) - 1
@@ -207,8 +206,8 @@ class TestPicard:
             def __init__(self):
                 _Stub.calls += 1
                 fields = (3.0 ** _Stub.calls) * base
-                self.y = Trajectory(grid.basis, grid.dt, grid.times, fields,
-                                    fields[0], fields[-1])
+                self.y = Trajectory(grid.basis, grid.dt, fields, fields[0],
+                                    fields[-1])
                 self.q = self.y
                 self.q0_norm = 0.0
                 self.v_norm = 0.0
@@ -285,13 +284,13 @@ class TestFactorRetention:
         p = _nl_problem("tanh", 0.1)
         seen, decisions = [], []
 
-        def spy(problem, eps, ops=None, **kwargs):
+        def spy(problem, ops=None, **kwargs):
             # every earlier linearization is retired before the next solve
             for old in seen:
                 assert old.state_schedule.factors is None
                 assert old.costate_schedule.factors is None
             seen.append(ops)
-            result = minimize_exact(problem, eps, ops=ops, **kwargs)
+            result = minimize_exact(problem, ops=ops, **kwargs)
             decisions.append([type(s.factors[1]) for s in
                               (ops.state_schedule, ops.costate_schedule)])
             return result

@@ -17,7 +17,7 @@ Either way the legs reach every solver as one ``CascadeOperators``, the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class AdjointPair:
 class CascadeSolution:
     y: Trajectory
     q: Trajectory
-    q0: np.ndarray = field(repr=False)
 
 
 def solve_adjoint_pair(
@@ -126,7 +125,7 @@ def solve_cascade(
     del source  # not held through the q march
     q = solve_backward(grid, ops.costate_schedule, np.zeros(grid.shape),
                        problem.obs.values * y.fields)
-    return CascadeSolution(y=y, q=q, q0=q.state0)
+    return CascadeSolution(y=y, q=q)
 
 
 @dataclass

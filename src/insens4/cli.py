@@ -77,17 +77,19 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.Philox(seed))
 
 
-def _smooth_unit(basis, rng: np.random.Generator, decay: float = 1.5) -> np.ndarray:
-    """Random unit field with power-law mode decay, so probes stay resolved."""
-    u = basis.random_smooth(rng, decay)
-    nrm = basis.norm(u)
-    if nrm == 0.0:
-        # every draw vanished: fall back to the first mode
-        first = np.zeros(basis.shape)
-        first[(0,) * basis.dim] = 1.0
-        u = basis.from_modes(first)
-        nrm = basis.norm(u)
-    return u / nrm
+# Mode decay exponent of the random unit fields: smooth enough that probes
+# stay resolved.
+SMOOTH_DECAY = 1.5
+
+
+def _smooth_unit(basis, rng: np.random.Generator) -> np.ndarray:
+    """Random unit field with power-law mode decay, so probes stay resolved.
+
+    Its modes are normal draws times positive weights, so it is zero only
+    if every draw is exactly 0.0.
+    """
+    u = basis.random_smooth(rng, SMOOTH_DECAY)
+    return u / basis.norm(u)
 
 
 def _apply_threads(n: int) -> bool:
@@ -248,18 +250,20 @@ def _cmd_insensitize_linear(cfg: dict, out_dir: Path, manifest: RunManifest,
             "insensitize-semilinear when a reaction term is configured")
     with manifest.timed("build"):
         problem = problem_from_config(cfg)
-    solver = minimize_exact if cfg["penalty"]["variant"] == "exact" \
-        else minimize_quadratic
+    penalty = cfg["penalty"]
     with manifest.timed("minimize"):
-        result = solver(problem, tol=cfg["penalty"]["tol"],
-                        max_iter=cfg["penalty"]["max_iter"])
+        if penalty["variant"] == "exact":
+            result = minimize_exact(problem, tol=penalty["tol"])
+        else:
+            result = minimize_quadratic(problem, tol=penalty["tol"],
+                                        max_iter=penalty["max_iter"])
     null = verify_null(result)
 
     manifest.add_check("hum-converged", result.converged,
                        iterations=result.iterations,
                        operator_applies=result.operator_applies)
     manifest.add_check("null-condition", null.passed, q0_norm=null.q0_norm,
-                       epsilon=null.epsilon)
+                       epsilon=problem.epsilon)
 
     _csv(manifest, out_dir, "hum_convergence.csv",
          ("phase", "step", "value", "objective", "detail"),
@@ -267,15 +271,16 @@ def _cmd_insensitize_linear(cfg: dict, out_dir: Path, manifest: RunManifest,
     header = ("variant", "epsilon", "branch", "converged", "iterations",
               "operator_applies", "q0_norm", "v_norm", "bound_value",
               "bound_within", "optimality_residual", "objective")
-    summary = vars(result) | {"bound_within": null.bound_within}
+    summary = vars(result) | {"epsilon": problem.epsilon,
+                              "bound_within": null.bound_within}
     _csv(manifest, out_dir, "control_summary.csv", header,
          [[summary[k] for k in header]])
 
     _sensitivity_block(problem, result, cfg, manifest, out_dir,
-                       bound=10.0 * result.epsilon, assert_gap=True,
+                       bound=10.0 * problem.epsilon, assert_gap=True,
                        base=result.ops.state_schedule)
     _dump(manifest, out_dir, "control_v.fld", result.v, problem)
-    _dump(manifest, out_dir, "costate_q0.fld", result.q0, problem)
+    _dump(manifest, out_dir, "costate_q0.fld", result.q.state0, problem)
     _dump(manifest, out_dir, "seed_phi0.fld", result.phi0, problem)
 
 
@@ -295,8 +300,7 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path,
         with manifest.timed("picard"):
             sem = picard_insensitize(problem, tol=cfg["picard"]["tol"],
                                      max_iter=cfg["picard"]["max_iter"],
-                                     hum_tol=cfg["penalty"]["tol"],
-                                     hum_max_iter=cfg["penalty"]["max_iter"])
+                                     hum_tol=cfg["penalty"]["tol"])
     except IterationError as exc:
         # honest failure: keep the iterate history on disk
         _csv(manifest, out_dir, "picard_history.csv", _PICARD_HEADER,
@@ -311,11 +315,11 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path,
     # before the probes build their own
     sem.frozen.ops.release_factors()
     ftc = sem.history[-1]["ftc_residual"]
-    manifest.add_check("picard-converged", sem.converged,
-                       iterations=sem.iterations,
+    # picard_insensitize returns only a converged loop
+    manifest.add_check("picard-converged", True, iterations=sem.iterations,
                        increment=sem.increments[-1])
     manifest.add_check("null-condition", null.passed, q0_norm=null.q0_norm,
-                       epsilon=null.epsilon)
+                       epsilon=problem.epsilon)
     manifest.add_check("ftc-identity", ftc <= 1e-8, residual=ftc)
     manifest.add_check("inside-ball", sem.inside_ball, r1=sem.r1_radius)
 
@@ -326,7 +330,7 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path,
                       "v_norm", "increment_last", "contraction_last",
                       "r1_radius", "inside_ball", "weighted_force_norm",
                       "ftc_residual", "objective")
-    summary = (sem.converged, sem.iterations, problem.epsilon, result.q0_norm,
+    summary = (True, sem.iterations, problem.epsilon, result.q0_norm,
                result.v_norm, sem.increments[-1], contraction, sem.r1_radius,
                sem.inside_ball, math.sqrt(problem.force_weight_integral), ftc,
                result.objective)
@@ -334,10 +338,10 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path,
 
     tau = cfg["sampling"]["tau_probe"]
     _sensitivity_block(problem, result, cfg, manifest, out_dir,
-                       bound=10.0 * result.epsilon + 10.0 * tau * tau,
+                       bound=10.0 * problem.epsilon + 10.0 * tau * tau,
                        assert_gap=False)
     _dump(manifest, out_dir, "control_v.fld", result.v, problem)
-    _dump(manifest, out_dir, "costate_q0.fld", result.q0, problem)
+    _dump(manifest, out_dir, "costate_q0.fld", result.q.state0, problem)
     _dump(manifest, out_dir, "state_y.fld", result.y.fields, problem)
 
 
@@ -473,7 +477,7 @@ def _cmd_selftest(cfg: dict, out_dir: Path, manifest: RunManifest,
     def lam(a: np.ndarray) -> np.ndarray:
         leg = solve_adjoint_pair(small, a)
         return solve_cascade(small, small.omega.values * leg.psi.fields,
-                             include_force=False).q0
+                             include_force=False).q.state0
 
     a = _smooth_unit(small.basis, rng)
     b = _smooth_unit(small.basis, rng)
@@ -485,11 +489,10 @@ def _cmd_selftest(cfg: dict, out_dir: Path, manifest: RunManifest,
     rq = small.basis.inner(a, la)
     record("hum-psd", rq >= -1e-12, rq, "Rayleigh quotient")
 
-    ctrl = minimize_exact(small, tol=cfg["penalty"]["tol"],
-                          max_iter=cfg["penalty"]["max_iter"])
+    ctrl = minimize_exact(small, tol=cfg["penalty"]["tol"])
     null = verify_null(ctrl)
     record("exact-norm-null", null.passed, null.q0_norm,
-           f"epsilon={format_cell(null.epsilon)}")
+           f"epsilon={format_cell(small.epsilon)}")
 
     nl = make_nonlinearity("tanh", 0.5, dim=dim)
     seed_modes = np.zeros(small.basis.shape)
@@ -509,13 +512,12 @@ def _cmd_selftest(cfg: dict, out_dir: Path, manifest: RunManifest,
     zero_cfg = copy.deepcopy(small_cfg)
     zero_cfg["nonlinearity"]["kind"] = "zero"
     sem = picard_insensitize(problem_from_config(zero_cfg), max_iter=5,
-                             hum_tol=cfg["penalty"]["tol"],
-                             hum_max_iter=cfg["penalty"]["max_iter"])
-    record("picard-stationary", sem.converged and sem.iterations == 1,
+                             hum_tol=cfg["penalty"]["tol"])
+    record("picard-stationary", sem.iterations == 1,
            sem.iterations, "zero reaction fixes the map after one solve")
 
     fld = out_dir / "selftest_field.fld"
-    write_field_dump(fld, ctrl.q0, small.grid.dim, small.grid.n_cells)
+    write_field_dump(fld, ctrl.q.state0, small.grid.dim, small.grid.n_cells)
     manifest.add_output(fld)
     dim_r, n_r, fields_r = read_field_dump(fld)
     raw = fld.read_bytes()
@@ -523,7 +525,7 @@ def _cmd_selftest(cfg: dict, out_dir: Path, manifest: RunManifest,
     header_ok = (head == (FIELD_MAGIC, small.grid.dim, small.grid.n_cells, 1,
                           0, fields_r.nbytes))
     round_ok = (dim_r == small.grid.dim and n_r == small.grid.n_cells
-                and np.array_equal(fields_r[0], ctrl.q0))
+                and np.array_equal(fields_r[0], ctrl.q.state0))
     record("field-dump-roundtrip", header_ok and round_ok, len(raw),
            "bit-exact header and payload")
 

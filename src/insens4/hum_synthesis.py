@@ -25,9 +25,8 @@ The quadratic variant solves the shifted model (T + eps I) y = ||b|| e1,
 which is conjugate gradients in another basis.  The exact-norm variant
 takes the shift delta that balances the norm, delta ||y(delta)|| = eps,
 by Newton's method on the same Ritz pairs, which costs one Krylov basis
-instead of one linear solve per candidate weight, and starts proximal
-gradient steps with backtracking line search there; the proximal phase
-certifies optimality against the true operator.
+instead of one linear solve per candidate weight; one proximal gradient
+step from the model solution certifies it against the true operator.
 """
 
 from __future__ import annotations
@@ -84,13 +83,11 @@ class ControlResult:
     """
 
     variant: str
-    epsilon: float
     branch: str  # "interior" or "zero"
     phi0: Array = field(repr=False)
     v: Array = field(repr=False)
     y: Trajectory = field(repr=False)
     q: Trajectory = field(repr=False)
-    q0: Array = field(repr=False)
     problem: ValidatedProblem = field(repr=False)
     ops: CascadeOperators = field(repr=False)
     q0_norm: float = 0.0
@@ -108,7 +105,6 @@ class ControlResult:
 class NullReport:
     """Recomputed null-condition check for a stored control."""
 
-    epsilon: float
     q0_norm: float
     passed: bool
     bound_within: bool  # ||v|| <= the control bound; reported only
@@ -164,14 +160,14 @@ class _Synthesis:
         casc = solve_cascade(self.problem, v, ops=self.ops, include_force=False)
         self.last = (phi0, v, casc)
         self.applies += 1
-        return casc.q0
+        return casc.q.state0
 
     def affine(self) -> Array:
         """b: costate at t = 0 with zero control and the force on."""
         self.forced = solve_cascade(self.problem, None, ops=self.ops,
                                     include_force=True)
         self.applies += 1
-        return self.forced.q0
+        return self.forced.q.state0
 
 
 def _control_bound(problem: ValidatedProblem) -> float:
@@ -199,9 +195,9 @@ def _assemble(syn: _Synthesis, phi0: Array, branch: str,
 
     The cascade of v = chi_omega psi with the force on is the forced
     cascade of ``affine`` plus the homogeneous cascade of phi0.  The
-    latter is the stored one when phi0 is the seed applied last, as it
-    is at every proximal exit; otherwise (the quadratic variant, a
-    proximal phase with no iterations) phi0 is applied once more.  The
+    latter is the stored one when phi0 is the seed applied last, as the
+    exact variant's proximal step leaves it; otherwise (the quadratic
+    variant) phi0 is applied once more.  The
     zero branch has v = 0 and takes the forced cascade as it is.
     ``fields`` are the remaining ``ControlResult`` fields.
     """
@@ -224,7 +220,6 @@ def _assemble(syn: _Synthesis, phi0: Array, branch: str,
         v=v,
         y=y,
         q=q,
-        q0=q.state0,
         q0_norm=basis.norm(q.state0),
         v_norm=float(np.sqrt(cell * np.sum(v * v))),
         bound_value=_control_bound(problem),
@@ -275,7 +270,7 @@ def minimize_quadratic(
     bnorm = basis.norm(b)
     if bnorm == 0.0:
         return _assemble(syn, np.zeros(basis.shape), "zero",
-                         variant="quadratic", epsilon=eps, converged=True,
+                         variant="quadratic", converged=True,
                          convergence_log=log)
 
     objectives: list[float] = []
@@ -294,7 +289,7 @@ def minimize_quadratic(
     for entry, objective in zip(log, objectives):
         entry["objective"] = objective
     optimality = basis.norm(lam_x + eps * x + b)
-    return _assemble(syn, x, "interior", variant="quadratic", epsilon=eps,
+    return _assemble(syn, x, "interior", variant="quadratic",
                      converged=optimality <= tol * bnorm,
                      iterations=len(theta), optimality_residual=optimality,
                      objective=objectives[-1] if objectives else 0.0,
@@ -413,30 +408,29 @@ def minimize_exact(
     problem: ValidatedProblem,
     *,
     tol: float = 1e-8,
-    max_iter: int = 2000,
     ops: CascadeOperators | None = None,
 ) -> ControlResult:
-    """Proximal gradient on the exact-norm penalized functional.
+    """Exact-norm penalized minimizer, certified by one proximal step.
 
     The penalty level eps is ``problem.epsilon``.  When ||b|| <= eps
     the minimizer is phi0 = 0 and the result takes the zero branch with
-    v = 0.  Otherwise proximal gradient steps
-    phi0 <- shrink(phi0 - gamma grad, gamma eps) run with backtracking
-    (halve gamma until sufficient decrease) from the Lanczos warm
-    start, the model solution at the delta of :func:`_secular_solve`,
-    with first step 1/theta_max, and stop when the proximal-mapping
-    norm falls below tol (1 + ||phi0||).  A step that meets that test
-    (a stationary one, at any step size) is accepted: the result is z,
-    the point it last applied, so its cascade is superposed, never
-    marched again.  On success the optimality condition
-    q(0) + eps phi0/||phi0|| = 0 holds within the recorded residual.
+    v = 0.  Otherwise x is the Lanczos model solution at the delta of
+    :func:`_secular_solve`, and one proximal gradient step
+    z = shrink(x - gamma (Lambda x + b), gamma eps), gamma = 1/theta_max,
+    certifies it against the true operator: the result is z, the seed
+    applied last, so its cascade is superposed, never marched again.  It
+    converged when the proximal-mapping norm ||z - x|| / gamma is at most
+    tol (1 + ||x||); then the optimality condition
+    q(0) + eps phi0/||phi0|| = 0 holds within the recorded residual.  A
+    model solution that fails the test is returned unconverged, with no
+    further step.
 
     Raises
     ------
     SynthesisError
         ``synthesis-degenerate`` when no penalty weight balances the norm
-        on the Lanczos model; ``prox-stall`` on backtracking exhaustion;
-        ``lanczos-nonfinite`` when a Lanczos coefficient is not finite.
+        on the Lanczos model; ``lanczos-nonfinite`` when a Lanczos
+        coefficient is not finite.
     """
     eps = problem.epsilon
     syn = _Synthesis(problem, ops)
@@ -449,7 +443,7 @@ def minimize_exact(
         # zero subgradient branch: eps dominates the affine pull
         log.append({"phase": "branch", "norm_b": bnorm, "epsilon": eps})
         return _assemble(syn, np.zeros(basis.shape), "zero", variant="exact",
-                         epsilon=eps, converged=True, convergence_log=log)
+                         converged=True, convergence_log=log)
 
     x, lam_x, delta, theta = _lanczos(
         syn, b, bnorm, lambda theta, g: _secular_solve(theta, g, eps), 1e-10,
@@ -461,61 +455,26 @@ def minimize_exact(
             "operator is degenerate along the affine term",
             epsilon=eps, krylov_dim=len(theta))
     ritz = float(theta[-1])
-    log.append({"phase": "secular", "delta": delta,
-                "rho": basis.norm(x), "ritz_max": ritz})
-    gamma0 = 1.0 / max(ritz, 1e-30)
-    gamma = gamma0
-
-    js_x = 0.5 * basis.inner(x, lam_x) + basis.inner(b, x)
-    objective = js_x + eps * basis.norm(x)
-    converged = False
-    iterations = max_iter
-    for it in range(1, max_iter + 1):
-        g = lam_x + b
-        accepted = False
-        stationary = False
-        for _ in range(40):
-            z = shrink(x - gamma * g, gamma * eps, basis)
-            dz = z - x
-            prox_norm = math.sqrt(basis.inner(dz, dz)) / gamma
-            lam_z = syn.apply(z)
-            js_z = 0.5 * basis.inner(z, lam_z) + basis.inner(b, z)
-            # the prox mapping measures stationarity at any step size, so
-            # a vanishing step is a normal stop, not a failed backtrack
-            if prox_norm <= tol * (1.0 + basis.norm(x)):
-                accepted = True
-                stationary = True
-                break
-            bound = js_x + basis.inner(g, dz) \
-                + 0.5 * basis.inner(dz, dz) / gamma
-            if js_z <= bound + 1e-15 * (1.0 + abs(js_x)):
-                accepted = True
-                break
-            gamma *= 0.5
-        if not accepted:
-            raise SynthesisError(
-                "prox-stall", "backtracking exhausted without sufficient "
-                "decrease", iteration=it, step=gamma, phi0=x)
-        x, lam_x, js_x = z, lam_z, js_z
-        xnorm = basis.norm(x)
-        objective = js_x + eps * xnorm
-        log.append({"phase": "ista", "iteration": it, "prox_norm": prox_norm,
-                    "objective": objective, "step": gamma})
-        if stationary or prox_norm <= tol * (1.0 + xnorm):
-            converged = True
-            iterations = it
-            break
-        gamma = min(gamma * 1.25, gamma0)
-
     xnorm = basis.norm(x)
-    if xnorm > 0.0:
-        optimality = basis.norm(lam_x + b + eps * x / xnorm)
+    log.append({"phase": "secular", "delta": delta, "rho": xnorm,
+                "ritz_max": ritz})
+    gamma = 1.0 / max(ritz, 1e-30)
+    z = shrink(x - gamma * (lam_x + b), gamma * eps, basis)
+    dz = z - x
+    prox_norm = math.sqrt(basis.inner(dz, dz)) / gamma
+    lam_z = syn.apply(z)
+    znorm = basis.norm(z)
+    objective = 0.5 * basis.inner(z, lam_z) + basis.inner(b, z) + eps * znorm
+    log.append({"phase": "ista", "iteration": 1, "prox_norm": prox_norm,
+                "objective": objective, "step": gamma})
+    if znorm > 0.0:
+        optimality = basis.norm(lam_z + b + eps * z / znorm)
     else:
-        optimality = max(0.0, basis.norm(lam_x + b) - eps)
-    return _assemble(syn, x, "interior", variant="exact", epsilon=eps,
-                     converged=converged, iterations=iterations,
-                     optimality_residual=optimality, objective=objective,
-                     convergence_log=log)
+        optimality = max(0.0, basis.norm(lam_z + b) - eps)
+    return _assemble(syn, z, "interior", variant="exact",
+                     converged=prox_norm <= tol * (1.0 + xnorm),
+                     iterations=1, optimality_residual=optimality,
+                     objective=objective, convergence_log=log)
 
 
 def verify_null(result: ControlResult) -> NullReport:
@@ -528,11 +487,10 @@ def verify_null(result: ControlResult) -> NullReport:
     """
     problem = result.problem
     casc = solve_cascade(problem, result.v, ops=result.ops, include_force=True)
-    q0_norm = problem.basis.norm(casc.q0)
+    q0_norm = problem.basis.norm(casc.q.state0)
     return NullReport(
-        epsilon=result.epsilon,
         q0_norm=q0_norm,
-        passed=bool(q0_norm <= 1.01 * result.epsilon),
+        passed=bool(q0_norm <= 1.01 * problem.epsilon),
         bound_within=bool(result.v_norm <= result.bound_value),
     )
 

@@ -70,10 +70,11 @@ class SemilinearResult:
     """Outcome of the outer fixed-point iteration.
 
     ``final`` is the last control solve: its ``q0_norm`` is the loop's,
-    and its ``problem`` holds the penalty level and the force.
+    and its ``problem`` holds the penalty level and the force.  Only a
+    converged loop returns one; :func:`picard_insensitize` raises
+    otherwise.
     """
 
-    converged: bool
     iterations: int                 # control solves performed
     increments: list[float]
     z_norms: list[float]
@@ -227,12 +228,13 @@ def picard_insensitize(
     tol: float = 1e-8,
     max_iter: int = 25,
     hum_tol: float = 1e-8,
-    hum_max_iter: int = 2000,
 ) -> SemilinearResult:
     """Successive substitution on the frozen control problems.
 
     Starts from z = 0, freezes the linearization, synthesizes the
-    exact-norm penalized control, and advances z to the controlled
+    exact-norm penalized control (:func:`minimize_exact` at ``hum_tol``,
+    whose ``converged`` flag each ``history`` entry records as
+    ``hum_converged``), and advances z to the controlled
     state, stopping when the increment falls below tol (1 + ||z||) in
     the discrete L2(0,T;H2) norm or the linearization stops changing
     (a z-independent reaction converges after one solve, so a converged
@@ -280,8 +282,7 @@ def picard_insensitize(
             # retire the previous linearization: keep one set of step factors
             frozen.ops.release_factors()
         frozen = candidate
-        result = minimize_exact(problem, tol=hum_tol,
-                                max_iter=hum_max_iter, ops=frozen.ops)
+        result = minimize_exact(problem, tol=hum_tol, ops=frozen.ops)
         z_new = result.y
         inc = math.sqrt(problem.grid.dt
                         * problem.basis.h2_norm_sq(z_new.fields - z.fields))
@@ -321,7 +322,6 @@ def picard_insensitize(
     # first-iterate stability constant, doubled as ball margin
     r1 = 2.0 * sizes[0]
     return SemilinearResult(
-        converged=True,
         iterations=len(sizes),
         increments=increments,
         z_norms=z_norms,

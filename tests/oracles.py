@@ -69,7 +69,7 @@ def grad_j_smooth(
     pair = solve_adjoint_pair(problem, phi0, ops=ops)
     casc = solve_cascade(problem, problem.omega.values * pair.psi.fields,
                          ops=ops, include_force=True)
-    return casc.q0
+    return casc.q.state0
 
 
 def sentinel(y: Trajectory, obs_values: Array) -> float:

@@ -92,7 +92,7 @@ class TestCascadeOracle:
         for j in reversed(range(grid.n_steps)):
             h = ((1 - c) * h + grid.dt * ymid[j]) / (1 + c)
 
-        got = grid.basis.to_modes(sol.q0)
+        got = grid.basis.to_modes(sol.q.state0)
         assert got[k - 1] == pytest.approx(h, rel=1e-12)
         others = got.copy()
         others[k - 1] = 0.0
@@ -103,8 +103,8 @@ class TestCascadeOracle:
         rng = np.random.default_rng(12)
         v1 = rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
         v2 = rng.standard_normal(v1.shape)
-        q_sum = solve_cascade(p, v1 + v2).q0
-        q_sep = solve_cascade(p, v1).q0 + solve_cascade(p, v2).q0
+        q_sum = solve_cascade(p, v1 + v2).q.state0
+        q_sep = solve_cascade(p, v1).q.state0 + solve_cascade(p, v2).q.state0
         scale = np.abs(q_sum).max()
         assert np.allclose(q_sum, q_sep, rtol=0, atol=1e-12 * max(scale, 1e-30))
 
@@ -112,7 +112,7 @@ class TestCascadeOracle:
         p = _full_mask_problem()
         sol = solve_cascade(p, None, include_force=False)
         assert np.all(sol.y.fields == 0.0)
-        assert np.all(sol.q0 == 0.0)
+        assert np.all(sol.q.state0 == 0.0)
 
 
 class TestDuality:

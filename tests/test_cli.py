@@ -23,6 +23,15 @@ def _ini(tmp_path, text, name="cli.ini"):
     return str(path)
 
 
+def _lower_order_ini(dim, a1):
+    """Config text with the given a1 and b0 = 1 on every axis; in 2D on
+    the observability-2d boxes."""
+    if dim == 1:
+        return f"[coefficients]\na1 = {a1}\nb0 = 1\n"
+    return ("[grid]\ndimension = 2\n[domains]\nomega = 0.6:1.4,0.6:1.4\n"
+            f"obs = 1.0:1.8,1.0:1.8\n[coefficients]\na1 = {a1}\nb0 = 1,1\n")
+
+
 @pytest.fixture(scope="module")
 def linear_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("linear_out")
@@ -299,11 +308,9 @@ class TestFailureModes:
         # the 2D GMRES path; the mean-coefficient symbol of the first node
         # gives 1 + c lambda <= 0, so the first march stops with the
         # diagonal path's code, before anything can blow up
-        text = "[coefficients]\na1 = 30\nb0 = 1\n" if dim == 1 else (
-            "[grid]\ndimension = 2\n[domains]\nomega = 0.6:1.4,0.6:1.4\n"
-            "obs = 1.0:1.8,1.0:1.8\n[coefficients]\na1 = 30\nb0 = 1,1\n")
         out = tmp_path / "o"
-        assert main([command, "--quick", "--config", _ini(tmp_path, text),
+        assert main([command, "--quick", "--config",
+                     _ini(tmp_path, _lower_order_ini(dim, 30)),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -312,6 +319,48 @@ class TestFailureModes:
         assert error["code"] == "implicit-denominator-nonpositive"
         assert error["context"] == {"step": 0,
                                     "mode": [2] if dim == 1 else [1, 2]}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_two_key_lower_order_fails_certification(self, tmp_path, capsys,
+                                                     dim):
+        # a1 = 10 passes the denominator guard, but the synthesis operator
+        # grows past 1e26 and its Lanczos model cannot be certified: one
+        # proximal step says so, and the run exits 2 with no coded error
+        out = tmp_path / "o"
+        assert main(["insensitize-linear", "--quick", "--config",
+                     _ini(tmp_path, _lower_order_ini(dim, 10)),
+                     "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((out / "manifest.json").read_text())
+        assert "error" not in doc
+        assert not {c["name"]: c for c in doc["checks"]}["hum-converged"]["passed"]
+        log = [row.split(",") for row in
+               (out / "hum_convergence.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in log].count("ista") == 1
+        krylov_dim = max(int(row[1]) for row in log if row[0] == "lanczos")
+        header, row = (out / "control_summary.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["converged"] == "false"
+        assert int(cells["operator_applies"]) == krylov_dim + 2
+
+    def test_picard_budget_exhaustion_is_a_failed_check(self, tmp_path,
+                                                        capsys):
+        # the Picard loop's coded failure keeps its history on disk and
+        # fails the check; it is not a run-ending error
+        cfg = _ini(tmp_path, "[nonlinearity]\nkind = tanh\n"
+                             "[picard]\nmax_iter = 1\n")
+        out = tmp_path / "o"
+        assert main(["insensitize-semilinear", "--quick", "--config", cfg,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "insens4 insensitize-semilinear: maxIter-exceeded: " in err
+        assert "Traceback" not in err
+        doc = json.loads((out / "manifest.json").read_text())
+        assert "error" not in doc
+        assert doc["checks"] == [{"name": "picard-converged", "passed": False,
+                                  "code": "maxIter-exceeded"}]
+        history = (out / "picard_history.csv").read_text().splitlines()
+        assert len(history) == 2 and history[1].startswith("1,")
 
     def test_2d_eta_peak_per_axis(self, tmp_path, capsys):
         text = ("[grid]\ndimension = 2\ncells = 32\nsteps = 16\n"

@@ -80,7 +80,7 @@ class TestGramian:
         def lam(a):
             psi = solve_adjoint_pair(p, a).psi.fields
             return solve_cascade(p, p.omega.values * psi,
-                                 include_force=False).q0
+                                 include_force=False).q.state0
 
         for _ in range(4):
             a = rng.standard_normal(p.grid.shape)
@@ -106,12 +106,12 @@ class TestExactPenalty:
 
     def test_zero_branch_is_uncontrolled_cascade(self, quick_problem):
         p = quick_problem
-        b = solve_cascade(p, None).q0
+        b = solve_cascade(p, None).q.state0
         r = minimize_exact(dataclasses.replace(p, epsilon=1.0))
         assert r.branch == "zero"
         assert r.converged
         assert np.all(r.v == 0.0)
-        assert np.array_equal(r.q0, b)
+        assert np.array_equal(r.q.state0, b)
         assert verify_null(r).passed
 
     def test_ladder_monotone(self, quick_problem):
@@ -129,17 +129,31 @@ class TestExactPenalty:
         assert np.array_equal(a.phi0, b.phi0)
         assert a.q0_norm == b.q0_norm
 
-    def test_budget_exhaustion_reported(self, quick_problem):
-        r = minimize_exact(quick_problem, max_iter=0)
+    def test_unstationary_step_reported(self, quick_problem, monkeypatch):
+        # a model solution off the secular root fails the proximal step's
+        # stationarity test: the result says so, and nothing more is applied
+        secular = hum_synthesis._secular_solve
+
+        def doubled(theta, g, eps):
+            delta = secular(theta, g, eps)
+            return None if delta is None else 2.0 * delta
+
+        monkeypatch.setattr(hum_synthesis, "_secular_solve", doubled)
+        r = minimize_exact(quick_problem)
         assert not r.converged
         assert r.branch == "interior"
+        phases = [e["phase"] for e in r.convergence_log]
+        assert phases.count("ista") == 1 and r.iterations == 1
+        krylov_dim = max(e["dimension"] for e in r.convergence_log
+                         if e["phase"] == "lanczos")
+        assert r.operator_applies == krylov_dim + 2
 
     def test_stored_control_is_premasked(self, quick_problem):
         p = quick_problem
         r = minimize_exact(p)
         replay = solve_cascade(p, r.v)
-        assert np.allclose(replay.q0, r.q0, rtol=0,
-                           atol=1e-12 * max(np.abs(r.q0).max(), 1e-30))
+        assert np.allclose(replay.q.state0, r.q.state0, rtol=0,
+                           atol=1e-12 * max(np.abs(r.q.state0).max(), 1e-30))
         # masking again must not change a premasked control
         assert np.array_equal(r.v, p.omega.values * r.v)
 
@@ -149,8 +163,7 @@ class TestExactPenalty:
         cfg = default_config()
         cfg["grid"].update(cells=128, steps=400)
         cfg["coefficients"].update(a0=0.5, a1=0.2)
-        r = minimize_exact(problem_from_config(cfg), tol=cfg["penalty"]["tol"],
-                           max_iter=cfg["penalty"]["max_iter"])
+        r = minimize_exact(problem_from_config(cfg), tol=cfg["penalty"]["tol"])
         assert r.converged
         assert r.operator_applies == 5
         assert [e["phase"] for e in r.convergence_log].count("lanczos") == 3
@@ -268,7 +281,7 @@ def _path_problem(case):
     if case == "2d-gmres":
         p = _ratio_problem("2d-richardson")
         # the quick penalty exceeds this small problem's affine pull
-        eps = 0.5 * p.basis.norm(solve_cascade(p, None).q0)
+        eps = 0.5 * p.basis.norm(solve_cascade(p, None).q.state0)
         return dataclasses.replace(p, epsilon=eps), None, eps
     cfg = apply_quick(default_config())
     if case == "1d-lu-tanh":
@@ -290,9 +303,9 @@ def _assert_superposed(p, r):
     # and q(0) is a small difference of O(||b||) terms
     tol = 1e-13 if p.grid.dim == 1 else 10 * pde_engine.INNER_TOL
     for got, want in [(r.y.fields, ref.y.fields), (r.y.stateT, ref.y.stateT),
-                      (r.q.fields, ref.q.fields), (r.q0, ref.q0)]:
+                      (r.q.fields, ref.q.fields), (r.q.state0, ref.q.state0)]:
         assert _rel(got, want) <= tol
-    assert r.q0_norm == pytest.approx(p.basis.norm(ref.q0), rel=tol)
+    assert r.q0_norm == pytest.approx(p.basis.norm(ref.q.state0), rel=tol)
 
 
 class TestMarchBudget:
@@ -320,7 +333,7 @@ class TestMarchBudget:
         syn.apply(x)
         counts = _count_work(monkeypatch)
         r = hum_synthesis._assemble(syn, x, "interior", variant="exact",
-                                    epsilon=eps, converged=True)
+                                    converged=True)
         assert counts["marches"] == 0
         _assert_superposed(p, r)
 
@@ -415,8 +428,8 @@ class TestQuadraticPenalty:
         # the quadratic-variant optimum satisfies q0 = -eps * phi0
         r = minimize_quadratic(quick_problem)
         assert r.converged
-        scale = np.abs(r.q0).max()
-        assert np.allclose(r.q0, -1e-3 * r.phi0, rtol=0, atol=1e-6 * scale)
+        scale = np.abs(r.q.state0).max()
+        assert np.allclose(r.q.state0, -1e-3 * r.phi0, rtol=0, atol=1e-6 * scale)
 
     def test_logged_objective_is_model_value(self, quick_problem):
         # -1/2 g^T (g / (theta + eps)) on the Ritz pairs is the model value
@@ -424,9 +437,9 @@ class TestQuadraticPenalty:
         # q0 - b
         p = quick_problem
         r = minimize_quadratic(p)
-        b = solve_cascade(p, None).q0
+        b = solve_cascade(p, None).q.state0
         inner = p.basis.inner
-        want = 0.5 * inner(r.phi0, r.q0 - b + 1e-3 * r.phi0) + inner(b, r.phi0)
+        want = 0.5 * inner(r.phi0, r.q.state0 - b + 1e-3 * r.phi0) + inner(b, r.phi0)
         assert r.objective == pytest.approx(want, rel=1e-12)
         assert r.convergence_log[-1]["objective"] == r.objective
 
@@ -462,7 +475,7 @@ class TestQuadraticPenalty:
         assert not r.converged
         assert r.branch == "interior" and r.iterations == 0
         assert np.all(r.phi0 == 0.0) and np.all(r.v == 0.0)
-        b = solve_cascade(quick_problem, None).q0
+        b = solve_cascade(quick_problem, None).q.state0
         assert r.optimality_residual == quick_problem.basis.norm(b)
 
     def test_indefinite_model_is_coded(self, quick_problem, monkeypatch):

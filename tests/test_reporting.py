@@ -177,9 +177,9 @@ class TestManifest:
         # values; the manifest must still be strict JSON, and not passed
         m = RunManifest(command="run", seed=0, config={})
         m.add_check("hum-converged", True)
-        m.error = {"code": "prox-stall", "message": "no decrease",
-                   "context": {"phi0": np.array([[0.5, np.nan]]),
-                               "residual": np.float64(np.nan)}}
+        m.error = {"code": "lanczos-nonfinite", "message": "not finite",
+                   "context": {"alphas": np.array([[0.5, np.nan]]),
+                               "beta": np.float64(np.nan)}}
 
         def reject(token):
             raise ValueError(f"non-JSON constant {token}")
@@ -187,6 +187,7 @@ class TestManifest:
         text = write_manifest(tmp_path / "e.json", m).read_text()
         doc = json.loads(text, parse_constant=reject)
         assert doc["all_passed"] is False and not m.all_passed
-        assert doc["error"] == {"code": "prox-stall", "message": "no decrease",
-                                "context": {"phi0": [[0.5, "nan"]],
-                                            "residual": "nan"}}
+        assert doc["error"] == {"code": "lanczos-nonfinite",
+                                "message": "not finite",
+                                "context": {"alphas": [[0.5, "nan"]],
+                                            "beta": "nan"}}

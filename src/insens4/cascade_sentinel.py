@@ -6,7 +6,11 @@ sensitivity to a perturbation tau*yhat0 of the initial state equals
 y(0) = 0 driven by chi_omega v + f, and q marches the transposed
 operator backward from q(T) = 0 driven by chi_obs y.  The adjoint pair
 (phi, psi) used for control synthesis mirrors the cascade: phi forward
-and homogeneous, psi backward driven by chi_obs phi.
+and homogeneous, psi backward driven by chi_obs phi.  Every source that
+passes from one march to the next is a mask times the previous record,
+so it is read on the mask's box only (``Trajectory.on``) and marched
+from there (``source_box``); the records themselves stay in sine
+coefficients until a caller reads them.
 
 In the frozen semilinear regime the two legs carry different operators:
 the state leg (y, psi) uses the path-averaged secant coefficients, the
@@ -23,6 +27,7 @@ import numpy as np
 
 from .errors import SetupError
 from .pde_engine import (
+    RECORD_CHUNK_BYTES,
     Schedule,
     Trajectory,
     make_schedule,
@@ -39,6 +44,7 @@ __all__ = [
     "InsensitivityReport",
     "linearized_operators",
     "solve_adjoint_pair",
+    "acting_control",
     "solve_cascade",
     "sentinel_sensitivity",
 ]
@@ -87,14 +93,29 @@ def solve_adjoint_pair(
 
     phi is homogeneous under the costate operator; psi solves the
     transposed state operator backward from psi(T) = 0 with source
-    chi_obs phi at the midpoint nodes.
+    chi_obs phi at the midpoint nodes, which it reads on the obs box only:
+    phi's record on that box (``Trajectory.on``) times the mask there.
+    Both records stay in sine coefficients until they are read.
     """
     grid = problem.grid
     ops = ops or linearized_operators(problem)
+    box = problem.obs.box
     phi = solve_forward(grid, ops.costate_schedule, phi0)
-    psi_source = problem.obs.values * phi.fields
-    psi = solve_backward(grid, ops.state_schedule, np.zeros(grid.shape), psi_source)
+    psi = solve_backward(grid, ops.state_schedule, np.zeros(grid.shape),
+                         problem.obs.values[box] * phi.on(box), source_box=box)
     return AdjointPair(phi=phi, psi=psi)
+
+
+def acting_control(problem: ValidatedProblem, pair: AdjointPair) -> Array:
+    """chi_omega psi, the acting control of the pair's seed, (Nt, *shape).
+
+    psi's record is read on omega's box only; the control is zero off it.
+    """
+    grid = problem.grid
+    box = problem.omega.box
+    v = np.zeros((grid.n_steps,) + grid.shape)
+    v[(slice(None),) + box] = problem.omega.values[box] * pair.psi.on(box)
+    return v
 
 
 def solve_cascade(
@@ -110,21 +131,32 @@ def solve_cascade(
     source v + f (+ the reaction offset F(0,0,0) in the frozen regime);
     q marches the transposed costate operator backward from q(T) = 0
     with source chi_obs y.  ``include_force=False`` drops both f and the
-    offset, which is the homogeneous map used by the synthesis operator.
+    offset, which is the homogeneous map used by the synthesis operator;
+    y then reads v on omega's box only, where an acting control lives.
+    q's source is y's record read on the obs box only, times the mask
+    there.  Both records and q(0) stay in sine coefficients until they
+    are read, so a caller that reads only ``q.state0`` converts that one
+    field.
     """
     grid = problem.grid
     ops = ops or linearized_operators(problem)
-    source = np.zeros((grid.n_steps,) + grid.shape)
-    if v is not None:
-        source += v
+    zero = np.zeros(grid.shape)
     if include_force:
-        source += problem.force_fields
+        source = problem.force_fields.copy()
+        if v is not None:
+            source += v
         if ops.reaction_offset != 0.0:
             source += ops.reaction_offset
-    y = solve_forward(grid, ops.state_schedule, np.zeros(grid.shape), source)
-    del source  # not held through the q march
-    q = solve_backward(grid, ops.costate_schedule, np.zeros(grid.shape),
-                       problem.obs.values * y.fields)
+        y = solve_forward(grid, ops.state_schedule, zero, source)
+        del source  # not held through the q march
+    else:
+        box = problem.omega.box
+        y = solve_forward(grid, ops.state_schedule, zero,
+                          None if v is None else v[(slice(None),) + box],
+                          source_box=box)
+    box = problem.obs.box
+    q = solve_backward(grid, ops.costate_schedule, zero,
+                       problem.obs.values[box] * y.on(box), source_box=box)
     return CascadeSolution(y=y, q=q)
 
 
@@ -166,9 +198,14 @@ def sentinel_sensitivity(
     costate with the tangent coefficients frozen at y0 and source
     chi_obs y0, and each direction's dual value is <q(0), yhat0>.  In the
     linear case both sides agree to rounding; the half-step probes make
-    quadratic tau bias visible in the report.  ``base`` is the schedule of
-    ``problem.coefficients`` when the caller holds one (built here
-    otherwise), so its cached step factors are reused.
+    quadratic tau bias visible in the report.  Everything the sentinel
+    reads lies on the obs box: y0's record, the directions' midpoint sums
+    (one boxed transform per block of steps, whose integrands are formed
+    a chunk of steps at a time, each chunk's probe midpoints within
+    RECORD_CHUNK_BYTES) and the costate's source are read there only.
+    ``base`` is the schedule of ``problem.coefficients`` when the caller
+    holds one (built here otherwise), so its cached step factors are
+    reused.
 
     Raises
     ------
@@ -205,18 +242,30 @@ def sentinel_sensitivity(
     # each direction's probes start from +tau, -tau, +tau/2 and -tau/2
     # times yhat0; the hooks read midpoint sums, twice the midpoints
     offsets = np.array([tau, -tau, tau / 2, -tau / 2]).reshape((4,) + (1,) * grid.dim)
-    obs = problem.obs.values
+    box = problem.obs.box
+    obs = problem.obs.values[box]
     spatial = tuple(range(-grid.dim, 0))
     zero = np.zeros(grid.shape)
     if nl.is_zero:
-        y0, costate = solve_forward(grid, base, zero, source).fields, base
+        y0, costate = solve_forward(grid, base, zero, source).on(box), base
+        half_offsets = 0.5 * offsets
+        # steps per chunk of the (steps, B, 4, *box) probe midpoints
+        chunk = max(1, RECORD_CHUNK_BYTES // (4 * len(yhats) * obs.nbytes))
 
         def on_step(lo: int, totals: Array) -> Array:
-            # each probe's integrand, step by step, at its midpoints
-            # y0 + (o/2) d, d the sums of its direction's source-free march
-            return np.array([
-                np.sum(obs * (y0[j] + 0.5 * offsets * d[:, None])**2, axis=spatial)
-                for j, d in enumerate(basis.from_modes(totals), lo)])
+            # each probe's integrand at its midpoints y0 + (o/2) d, d the
+            # sums of its direction's source-free march, a chunk of steps
+            # at a time
+            d = basis.from_modes(totals, box)
+            rec = np.empty((len(d), len(yhats), 4))
+            for i in range(0, len(d), chunk):
+                part = slice(i, min(i + chunk, len(d)))
+                probe = half_offsets * d[part, :, None]
+                probe += y0[lo + part.start:lo + part.stop, None, None]
+                probe *= probe
+                probe *= obs
+                np.sum(probe, axis=spatial, out=rec[part])
+            return rec
 
         sums = solve_forward(grid, base, yhats, on_step=on_step).fields
     else:
@@ -226,19 +275,20 @@ def sentinel_sensitivity(
         starts = np.concatenate([
             zero[None], (offsets * yhats[:, None]).reshape((-1,) + grid.shape)])
         sums = np.empty((grid.n_steps, 4 * len(yhats)))
+        probes = (slice(1, None),) + box
 
         def on_step(lo: int, totals: Array) -> Array:
             # per-step integrands keep the squares small; y0's midpoints are kept
             for j, total in enumerate(totals, lo):
-                sums[j] = 0.25 * np.sum(obs * total[1:]**2, axis=spatial)
+                sums[j] = 0.25 * np.sum(obs * total[probes]**2, axis=spatial)
             return 0.5 * totals[:, 0]
 
         run = solve_forward_nonlinear(grid, base, nl, starts, source, on_step=on_step)
-        y0, costate = run.fields, tangent_schedule(problem, run)
+        y0, costate = run.on(box), tangent_schedule(problem, run)
     phis = 0.5 * grid.dt * basis.cell_volume * np.sum(sums, axis=0)
 
     # dual side at tau = 0, shared by every direction
-    q = solve_backward(grid, costate, zero, obs * y0)
+    q = solve_backward(grid, costate, zero, obs * y0, source_box=box)
     q0_norm = basis.norm(q.state0)
 
     reports = []

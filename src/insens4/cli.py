@@ -32,6 +32,7 @@ import numpy as np
 
 from .carleman_weights import check_envelope_bounds, check_weight_properties
 from .cascade_sentinel import (
+    acting_control,
     sentinel_sensitivity,
     solve_adjoint_pair,
     solve_cascade,
@@ -475,9 +476,8 @@ def _cmd_selftest(cfg: dict, out_dir: Path, manifest: RunManifest,
     small = problem_from_config(small_cfg)
 
     def lam(a: np.ndarray) -> np.ndarray:
-        leg = solve_adjoint_pair(small, a)
-        return solve_cascade(small, small.omega.values * leg.psi.fields,
-                             include_force=False).q.state0
+        v = acting_control(small, solve_adjoint_pair(small, a))
+        return solve_cascade(small, v, include_force=False).q.state0
 
     a = _smooth_unit(small.basis, rng)
     b = _smooth_unit(small.basis, rng)

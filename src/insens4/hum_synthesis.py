@@ -39,6 +39,7 @@ import numpy as np
 from .cascade_sentinel import (
     CascadeOperators,
     CascadeSolution,
+    acting_control,
     linearized_operators,
     solve_adjoint_pair,
     solve_cascade,
@@ -152,11 +153,16 @@ class _Synthesis:
         self.forced: CascadeSolution | None = None
 
     def apply(self, phi0: Array) -> Array:
-        """Lambda phi0: q(0) of the force-free cascade of v = chi_omega psi."""
+        """Lambda phi0: q(0) of the force-free cascade of v = chi_omega psi.
+
+        Each hand-off between the four marches reads the previous record
+        on its mask's box (:func:`acting_control` for v), so the only
+        record-sized transforms are boxed ones and q(0) is the one field
+        converted in full.
+        """
         self.last = None  # drop the stored cascade before marching another
-        pair = solve_adjoint_pair(self.problem, phi0, ops=self.ops)
-        v = self.problem.omega.values * pair.psi.fields
-        del pair
+        v = acting_control(self.problem,
+                           solve_adjoint_pair(self.problem, phi0, ops=self.ops))
         casc = solve_cascade(self.problem, v, ops=self.ops, include_force=False)
         self.last = (phi0, v, casc)
         self.applies += 1
@@ -181,14 +187,6 @@ def _control_bound(problem: ValidatedProblem) -> float:
     return 2.0 * math.sqrt(h * fw)
 
 
-def _superpose(hom: Trajectory, forced: Trajectory) -> Trajectory:
-    """hom + forced, summed into hom's record, which is not read again."""
-    hom.fields += forced.fields
-    return Trajectory(hom.basis, hom.dt, hom.fields,
-                      state0=hom.state0 + forced.state0,
-                      stateT=hom.stateT + forced.stateT)
-
-
 def _assemble(syn: _Synthesis, phi0: Array, branch: str,
               **fields) -> ControlResult:
     """The control of phi0 and its forced cascade, by superposition.
@@ -197,7 +195,9 @@ def _assemble(syn: _Synthesis, phi0: Array, branch: str,
     cascade of ``affine`` plus the homogeneous cascade of phi0.  The
     latter is the stored one when phi0 is the seed applied last, as the
     exact variant's proximal step leaves it; otherwise (the quadratic
-    variant) phi0 is applied once more.  The
+    variant) phi0 is applied once more.  The two are summed by
+    ``Trajectory.superpose``, in sine coefficients where both records
+    still are, so nothing converts until a caller reads it.  The
     zero branch has v = 0 and takes the forced cascade as it is.
     ``fields`` are the remaining ``ControlResult`` fields.
     """
@@ -205,14 +205,14 @@ def _assemble(syn: _Synthesis, phi0: Array, branch: str,
     basis = problem.basis
     forced = syn.forced
     if branch == "zero":
-        v = np.zeros(forced.y.fields.shape)
+        v = np.zeros((problem.grid.n_steps,) + basis.shape)
         y, q = forced.y, forced.q
     else:
         if syn.last is None or syn.last[0] is not phi0:
             syn.apply(phi0)
         _, v, hom = syn.last
         syn.last = None
-        y, q = _superpose(hom.y, forced.y), _superpose(hom.q, forced.q)
+        y, q = hom.y.superpose(forced.y), hom.q.superpose(forced.q)
     cell = problem.grid.dt * basis.cell_volume
     return ControlResult(
         branch=branch,
@@ -480,6 +480,9 @@ def minimize_exact(
 def verify_null(result: ControlResult) -> NullReport:
     """Recompute the cascade from the stored control and check q(0).
 
+    y marches from the full-grid source v + f; q reads y's record on the
+    obs box, and only q(0) converts.
+
     The pass verdict covers only ||q(0)|| <= 1.01 eps.  ``bound_within``
     compares ||v|| with the result's ``bound_value``, the control bound
     2 sqrt(H * int e^{M/sqrt(t)} |f|^2); that bound carries an unknown
@@ -579,7 +582,8 @@ def observability_ratio_sample(
     stack transforms only what the masks read, on their boxes, and
     streams psi's energies from its sine coefficients (see
     :func:`_ratio_stack`): the full-grid transforms are the seeds'
-    synthesis and each stack's start and end states.
+    synthesis and each stack's start.  Neither march's end state is
+    read, so neither converts.
 
     Raises
     ------

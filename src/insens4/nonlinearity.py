@@ -107,6 +107,13 @@ def _fd_check(spec: NonlinearitySpec, rng: np.random.Generator, tol: float = 1e-
                     )
 
 
+def _sech2(u: np.ndarray) -> np.ndarray:
+    """sech(u)^2 = 4 e^(-2|u|) / (1 + e^(-2|u|))^2, which cannot overflow:
+    at large |u| the exponential underflows to the right value, 0."""
+    e = np.exp(-2.0 * np.abs(u))
+    return 4.0 * e / (1.0 + e) ** 2
+
+
 def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> NonlinearitySpec:
     """Build a catalog entry.
 
@@ -138,7 +145,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
         spec = NonlinearitySpec(
             "tanh", n,
             f=lambda u, p, r: c * np.tanh(u),
-            f_u=lambda u, p, r: c / np.cosh(u) ** 2,
+            f_u=lambda u, p, r: c * _sech2(u),
         )
     elif kind == "sin":
         spec = NonlinearitySpec(
@@ -157,7 +164,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
             return c * (np.tanh(u) + np.sin(p[0]) + np.tanh(r[0, 0]))
 
         def f_u(u, p, r):
-            return c / np.cosh(u) ** 2
+            return c * _sech2(u)
 
         def f_p(u, p, r):
             out = np.zeros_like(p)
@@ -166,7 +173,7 @@ def make_nonlinearity(kind: str, scale: float = 1.0, dim: int = 1) -> Nonlineari
 
         def f_r(u, p, r):
             out = np.zeros_like(r)
-            out[0, 0] = c / np.cosh(r[0, 0]) ** 2
+            out[0, 0] = c * _sech2(r[0, 0])
             return out
 
         spec = NonlinearitySpec("mixed", n, f=f, f_u=f_u, f_p=f_p, f_r=f_r)

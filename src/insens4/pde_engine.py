@@ -70,14 +70,17 @@ One step loop (``_march``) runs every march and takes its sources in
 modes.  A march starts from one field or from a stack (B, *shape):
 spatial axes are trailing, so each row marches independently, against a
 (Nt, *shape) source shared by the rows or a per-row (Nt, B, *shape) one.
-The loop transforms a full-grid source in one product before the first
-step, and a linear march without an ``on_step`` hook writes each
-midpoint sum into its record in modes, then halves the record and
-converts it in place after the last step, in chunks of time steps of at
-most RECORD_CHUNK_BYTES each, so it never holds two records.  Besides
-those, the loop transforms only a nonzero start and the end state (a
-GMRES solve and a reaction transform inside their steps).  A nonlinear
-march solves
+The loop transforms a full-grid source, and a boxed one shared by the
+rows, in one product before the first step (see below), and a linear
+march without an ``on_step`` hook writes each midpoint sum into its
+record in modes and halves the record after the last step.  The march
+hands that record and its end state over in modes (see ``Trajectory``):
+each converts on its first read, the record in place in chunks of time
+steps of at most RECORD_CHUNK_BYTES each, so no two records are held,
+and a reader that needs the record on a box only reads it there with
+``Trajectory.on(box)``.  Besides those, the loop transforms only a
+nonzero start (a GMRES solve and a reaction transform inside their
+steps).  A nonlinear march solves
 
     y_t + A y + F(y) = g,    F = F(u, grad u, hess u),
 
@@ -104,12 +107,13 @@ block.  A nonlinear march's hook sees blocks of one step, node values
 2 mid_j from the midpoint its relaxation holds.
 
 A linear march can also take its source on a box of nodes (one slice per
-axis, zero outside).  The source then comes in a block at a time through
-one boxed sine transform per block, scaled by c there, so a march whose
-source or observer lives on a subdomain pays for the subdomain only and
-never holds a full (Nt, B, *shape) stack of source modes.  A block's
-stacked products have the shapes of a single step's (a single 1D source
-field goes as a one-row stack), so a stack's records and end state have
+axis, zero outside), so a march whose source lives on a subdomain pays
+for the subdomain only.  A source shared by the rows goes to modes in one
+boxed product before the first step, as a full-grid one does; a per-row
+source (Nt, B, *box) comes in a block at a time through one boxed sine
+transform per block, scaled by c there, so the march never holds a full
+(Nt, B, *shape) stack of source modes.  A block's stacked products have
+the shapes of a single step's, so a stack's records and end state have
 the same bits at any block size.
 """
 from __future__ import annotations
@@ -150,7 +154,8 @@ INVERSE_CHUNK_BYTES = 3 * 2**17
 # GMRES midpoint solve: relative residual tolerance and Krylov dimension cap.
 INNER_TOL = 1e-13
 INNER_CAP = 40
-# Largest chunk of time steps in which a march converts its record to nodes.
+# Largest chunk of time steps in which a trajectory converts its record to
+# nodes.
 RECORD_CHUNK_BYTES = 2**16
 # Largest block of time steps a linear march takes at a time: a boxed source
 # comes to modes, and the midpoint sums go to an ``on_step`` hook, a block
@@ -282,7 +287,6 @@ class SpatialOperator:
         return self.basis.bilap(w) + _lower_apply_t(self.basis, self.coeffs, w)
 
 
-@dataclass
 class Trajectory:
     """Midpoint-averaged space-time field with exact end states.
 
@@ -292,13 +296,62 @@ class Trajectory:
     t = 0 and t = T.  A march from a stack (B, *shape) records fields
     (Nt, B, *shape) and end states (B, *shape); ``norm_l2h2`` is that of a
     single field.
+
+    A march hands over in sine coefficients what it computed there: the
+    end state it stepped to and, from a linear march without a hook, its
+    record.  Each member named in ``in_modes`` converts to node values on
+    its first read, the record in place in time chunks of at most
+    RECORD_CHUNK_BYTES, so no second copy is held.  ``on(box)`` reads the
+    record's node values on a box only and converts nothing.  A box read
+    of a record in coefficients and a slice of the converted record agree
+    to rounding, not to the bit: their products differ.
     """
 
-    basis: SineBasis
-    dt: float
-    fields: np.ndarray = field(repr=False)
-    state0: np.ndarray = field(repr=False)
-    stateT: np.ndarray = field(repr=False)
+    def __init__(self, basis: SineBasis, dt: float, fields: Array,
+                 state0: Array, stateT: Array,
+                 in_modes: set[str] | tuple[str, ...] = ()):
+        self.basis = basis
+        self.dt = dt
+        self._held = {"fields": fields, "state0": state0, "stateT": stateT}
+        self._in_modes = set(in_modes)
+
+    def _read(self, name: str) -> Array:
+        value = self._held[name]
+        if name in self._in_modes:
+            self._in_modes.remove(name)
+            if name != "fields":
+                value = self._held[name] = self.basis.from_modes(value)
+            else:
+                rows = max(1, RECORD_CHUNK_BYTES // value[0].nbytes)
+                for t in range(0, len(value), rows):
+                    value[t:t + rows] = self.basis.from_modes(value[t:t + rows])
+        return value
+
+    fields = property(lambda self: self._read("fields"))
+    state0 = property(lambda self: self._read("state0"))
+    stateT = property(lambda self: self._read("stateT"))
+
+    def on(self, box: tuple[slice, ...]) -> Array:
+        """The record's node values on ``box`` (one slice per axis) only,
+        (Nt, ..., *box shape): one boxed ``from_modes`` of a record still
+        in sine coefficients, or a view of a converted one."""
+        if "fields" in self._in_modes:
+            return self.basis.from_modes(self._held["fields"], box)
+        return self._held["fields"][(Ellipsis,) + tuple(box)]
+
+    def superpose(self, other: "Trajectory") -> "Trajectory":
+        """self + other, the record summed into self's, which is not read
+        again.  A member both hold in sine coefficients is summed there,
+        any other in node values."""
+        held, in_modes = {}, self._in_modes & other._in_modes
+        for name in self._held:
+            if name in in_modes:
+                mine, theirs = self._held[name], other._held[name]
+            else:
+                mine, theirs = self._read(name), other._read(name)
+            held[name] = np.add(mine, theirs, out=mine) if name == "fields" \
+                else mine + theirs
+        return Trajectory(self.basis, self.dt, **held, in_modes=in_modes)
 
     def norm_l2h2(self) -> float:
         """L2-in-time norm of the order-two Sobolev norm in space."""
@@ -879,17 +932,18 @@ def _march(
     source = _source_fields(grid, source, first, source_box)
     solve = _solver(basis, schedule, nt, dt, transpose)
     c = dt / 2
-    # a full-grid source goes to modes in one product and is scaled by c
-    # there (and is not held after); a boxed one goes a block at a time on
-    # its box, so it never grows into a full mode stack
-    full_modes = None
-    if source is not None and source_box is None:
-        full_modes, source = basis.to_modes(source), None
-        full_modes *= c
+    # a source goes to modes in one product, on its box if it has one, and
+    # is scaled by c there (and is not held after); a per-row source on a
+    # box goes a block at a time, so it never grows into a full mode stack
+    source_modes = None
+    if source is not None and (source_box is None
+                               or source.ndim == basis.dim + 1):
+        source_modes, source = basis.to_modes(source, source_box), None
+        source_modes *= c
     # a zero start (y0 = 0, every costate's terminal) needs no transform;
     # x is the march's own state, stepped in place
     x = basis.to_modes(first) if first.any() else np.zeros_like(first)
-    rhs = None if full_modes is None else np.empty_like(x)
+    rhs = None if source_modes is None else np.empty_like(x)
     # a linear march steps in blocks of k steps, each filled in marching
     # order (from the top going backward); a nonlinear one in single steps
     k = 1 if reaction is not None else \
@@ -904,25 +958,21 @@ def _march(
     work = np.empty((k,) + x.shape) if reaction is None and not defer else None
     u = first
     for lo, hi in blocks:
-        # a boxed source's modes are fresh: each step's slot takes its
-        # right-hand side in place, unless the rows of a stack share it.
-        # A single 1D field per step goes as a one-row stack, so every
-        # step's product has one shape at any block size
+        # a per-row source's modes are fresh: each step's slot takes its
+        # right-hand side in place.  Every step's product has its own
+        # shape, so the bits do not depend on the block size
         g = None
         if source is not None:
-            block = source[lo:hi]
-            g = basis.to_modes(block[:, None], source_box)[:, 0] \
-                if block.ndim == 2 else basis.to_modes(block, source_box)
+            g = basis.to_modes(source[lo:hi], source_box)
             g *= c
         if reaction is None:
             totals = fields[lo:hi] if defer else work[:hi - lo]
         for j in (range(hi - 1, lo - 1, -1) if transpose else range(lo, hi)):
             # u^_j + c g^_j, step j's right-hand side in modes
-            if full_modes is not None:
-                rhs_j = np.add(x, full_modes[j], out=rhs)
+            if source_modes is not None:
+                rhs_j = np.add(x, source_modes[j], out=rhs)
             elif g is not None:
-                g_j = g[j - lo]
-                rhs_j = np.add(x, g_j, out=g_j if g_j.shape == x.shape else None)
+                rhs_j = np.add(x, g[j - lo], out=g[j - lo])
             else:
                 rhs_j = x
             if reaction is None:
@@ -939,17 +989,14 @@ def _march(
         if fields is None:
             fields = np.empty((nt,) + np.shape(rec)[1:])
         fields[lo:hi] = rec
-    full_modes = None  # free the source modes before the record converts
+    # the record and the end state stay in modes until they are read
+    in_modes = {"state0" if transpose else "stateT"}
     if defer:
-        rows = max(1, RECORD_CHUNK_BYTES // fields[0].nbytes)
-        for t in range(0, nt, rows):
-            chunk = fields[t:t + rows]
-            chunk *= 0.5
-            fields[t:t + rows] = basis.from_modes(chunk)
-    state = basis.from_modes(x)
+        fields *= 0.5
+        in_modes.add("fields")
     if transpose:
-        return Trajectory(basis, dt, fields, state0=state, stateT=first)
-    return Trajectory(basis, dt, fields, state0=first, stateT=state)
+        return Trajectory(basis, dt, fields, x, first, in_modes)
+    return Trajectory(basis, dt, fields, first, x, in_modes)
 
 
 def solve_forward(
@@ -984,9 +1031,18 @@ def solve_forward(
         averages to the bit.  ``totals`` is a work array the next block
         overwrites.  A hook that needs node values converts them, on a
         box only with ``basis.from_modes(totals, box)``.  The end states
-        stay physical.
+        read as node values.
     source_box : tuple of slices, optional
-        A box of nodes, one slice per axis, that holds the source.
+        A box of nodes, one slice per axis, that holds the source.  A
+        source shared by the rows goes to modes on it in one product, a
+        per-row one a block of steps at a time.
+
+    Returns
+    -------
+    Trajectory
+        Without a hook, the record and the end state are held in sine
+        coefficients and convert on their first read; ``on(box)`` reads
+        the record on a box only (see :class:`Trajectory`).
 
     Raises
     ------

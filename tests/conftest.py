@@ -6,6 +6,7 @@ import pytest
 
 from insens4 import pde_engine
 from insens4.config import apply_quick, default_config, problem_from_config
+from insens4.spectral import SineBasis
 
 
 def unit_smooth(basis, rng, decay=1.5):
@@ -20,6 +21,27 @@ def unit_smooth(basis, rng, decay=1.5):
     modes = rng.standard_normal(shape) / rank**decay
     u = basis.from_modes(modes)
     return u / basis.norm(u)
+
+
+def count_transforms(monkeypatch):
+    """Count SineBasis transforms from here on, by (name, boxed, stacked).
+
+    ``name`` is ``to_modes`` or ``from_modes``, ``boxed`` whether the call
+    took a box, and ``stacked`` whether its array holds a stack of fields
+    (a record, a source, a block of either, or a batch of states) rather
+    than one field, so an unboxed conversion of an (Nt, ...) record counts
+    under (name, False, True).
+    """
+    calls = collections.Counter()
+    for name in ("to_modes", "from_modes"):
+        original = getattr(SineBasis, name)
+
+        def counted(basis, u, box=None, _name=name, _original=original):
+            calls[_name, box is not None, np.ndim(u) > basis.dim] += 1
+            return _original(basis, u, box)
+
+        monkeypatch.setattr(SineBasis, name, counted)
+    return calls
 
 
 def count_inverse_paths(monkeypatch):

@@ -154,8 +154,8 @@ def reference_march(grid, schedule, start, source=None, backward=False,
     midpoint itself, as modes in a linear
     march and as node values in a nonlinear one; it returns what the
     record keeps for that block.  The source goes to modes as the engine
-    takes it (a full grid in one product, a box step by step, with a
-    single 1D field as a one-row stack), and a linear record without a
+    takes it (a full grid or a box shared by the rows in one product, a
+    per-row source on a box step by step), and a linear record without a
     hook converts in the engine's chunks of steps, so every product has
     the engine's shape.
     """
@@ -164,8 +164,9 @@ def reference_march(grid, schedule, start, source=None, backward=False,
     first = np.asarray(start, dtype=float)
     x = basis.to_modes(first) if first.any() else np.zeros_like(first)
     full = None
-    if source is not None and source_box is None:
-        full = c * basis.to_modes(np.asarray(source, dtype=float))
+    if source is not None and (source_box is None
+                               or np.ndim(source) == grid.dim + 1):
+        full = c * basis.to_modes(np.asarray(source, dtype=float), source_box)
     reaction = None if nonlinearity is None else \
         (lambda v: nonlinearity.f(*nonlinearity.jet(basis, v)))
     u = first
@@ -174,10 +175,7 @@ def reference_march(grid, schedule, start, source=None, backward=False,
         if full is not None:
             rhs = x + full[j]
         elif source is not None:
-            g = source[j]
-            g = basis.to_modes(g[None], source_box)[0] if g.ndim == 1 \
-                else basis.to_modes(g, source_box)
-            rhs = x + c * g
+            rhs = x + c * basis.to_modes(source[j], source_box)
         else:
             rhs = x
         if reaction is None:

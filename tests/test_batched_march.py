@@ -16,14 +16,14 @@ source embedded in zeros and the record sliced to the box.  A stack may
 take one source per row, and a hook may record the sine coefficients
 themselves.
 
-A full-grid source goes to modes in one product before the loop and a
-record without a hook comes back in one product after it, so
-such a march makes a fixed number of transforms at any step count and
-matches the recurrence that transforms every step to rounding.  A boxed
-source goes a block of steps at a time on its box, the block that the
-hook sees, and never grows into a full mode stack.
+A full-grid source, or a boxed one shared by the rows, goes to modes in
+one product before the loop, and a record without a hook comes back in
+one product when it is first read, so such a march makes a fixed number
+of transforms at any step count and matches the recurrence that
+transforms every step to rounding.  A per-row boxed source goes a block
+of steps at a time on its box, the block that the hook sees, and never
+grows into a full mode stack.
 """
-import collections
 import dataclasses
 import functools
 import tracemalloc
@@ -46,7 +46,7 @@ from insens4.pde_engine import (
 )
 from insens4.problem_setup import CoefficientField, build_grid
 from insens4.spectral import SineBasis
-from conftest import unit_smooth
+from conftest import count_transforms, unit_smooth
 from oracles import sentinel
 
 SETTINGS = settings(max_examples=8, deadline=None, derandomize=True,
@@ -318,20 +318,6 @@ class TestPerRowSource:
         assert np.array_equal(streamed.fields, modes.fields[:, 1])
 
 
-def _count_transforms(monkeypatch):
-    """Count SineBasis transforms as (name, boxed) pairs from here on."""
-    calls = collections.Counter()
-    for name in ("to_modes", "from_modes"):
-        original = getattr(SineBasis, name)
-
-        def counted(basis, u, box=None, _name=name, _original=original):
-            calls[_name, box is not None] += 1
-            return _original(basis, u, box)
-
-        monkeypatch.setattr(SineBasis, name, counted)
-    return calls
-
-
 def _per_step_march(grid, schedule, start, source, backward):
     """The diagonal midpoint step transforming source[j] and each midpoint per step."""
     basis = grid.basis
@@ -381,11 +367,16 @@ class TestSourceAndRecordTransforms:
         starts = _stack(grid.basis, 3, 2)
         if zero_start:
             starts = np.zeros_like(starts)
-        calls = _count_transforms(monkeypatch)
+        calls = count_transforms(monkeypatch)
         solve = solve_backward if backward else solve_forward
-        solve(grid, schedule, starts, _source(grid, 3))
-        assert calls == {("to_modes", False): 1 if zero_start else 2,
-                         ("from_modes", False): 2}
+        traj = solve(grid, schedule, starts, _source(grid, 3))
+        # the march transforms the source and a nonzero start; the record
+        # (one chunk) and the end state convert on their first read only
+        marched = {("to_modes", False, True): 1 if zero_start else 2}
+        assert calls == marched
+        for _ in range(2):
+            traj.fields, traj.state0, traj.stateT
+        assert calls == marched | {("from_modes", False, True): 2}
 
     @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
     @pytest.mark.parametrize("steps", [1, 3, None], ids=["k1", "k3", "whole"])
@@ -401,33 +392,42 @@ class TestSourceAndRecordTransforms:
         blocks = -(-nt // (steps or nt))
         solve = functools.partial(solve_backward if backward else solve_forward,
                                   grid, schedule, start, source)
-        calls = _count_transforms(monkeypatch)
+        calls = count_transforms(monkeypatch)
+        # the start and the source stack, then what the hook converts;
+        # the end state converts on its read
+        marched = {("to_modes", False, False): 1, ("to_modes", False, True): 1}
         solve(on_step=lambda lo, modes: grid.basis.from_modes(modes)[:, 0])
-        assert calls == {("to_modes", False): 2,
-                         ("from_modes", False): blocks + 1}
+        assert calls == marched | {("from_modes", False, True): blocks}
         calls.clear()
-        solve(on_step=functools.partial(_on_box, grid.basis, (slice(2, 5),)))
-        assert calls == {("to_modes", False): 2, ("from_modes", True): blocks,
-                         ("from_modes", False): 1}
+        traj = solve(on_step=functools.partial(_on_box, grid.basis, (slice(2, 5),)))
+        assert calls == marched | {("from_modes", True, True): blocks}
+        traj.state0 if backward else traj.stateT
+        assert calls == marched | {("from_modes", True, True): blocks,
+                                   ("from_modes", False, False): 1}
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("backward", [False, True], ids=["fwd", "bwd"])
-    def test_boxed_source_transforms_per_block(self, monkeypatch, path, backward):
+    @pytest.mark.parametrize("rows", ["shared", "per-row"])
+    def test_boxed_source_transforms(self, monkeypatch, path, backward, rows):
         dim, coeffs = _coefficients(path, (0.5, 0.1, 0.4, 0.05, 1.0))
         grid = _grid(dim)
         schedule = make_schedule(grid, coeffs)
         box = (slice(2, 5),) * dim
+        start = np.zeros((2,) + grid.shape)
         sources = _source(grid, 6)[(...,) + box]
+        if rows == "per-row":
+            sources = np.stack([sources, -sources], axis=1)
         solve = solve_backward if backward else solve_forward
-        start = np.zeros(grid.shape)
         # build the schedule's cached factors outside the count
         solve(grid, schedule, start)
-        # blocks of 3 steps: 16 steps take 6 blocks, one source transform each
+        # blocks of 3 steps: 16 steps take 6 blocks, one transform of a
+        # per-row source each; a shared source goes in one product
         monkeypatch.setattr(pde_engine, "HOOK_BLOCK_BYTES", 3 * start.nbytes)
-        calls = _count_transforms(monkeypatch)
+        calls = count_transforms(monkeypatch)
         solve(grid, schedule, start, sources, source_box=box)
-        assert calls["to_modes", True] == -(-grid.n_steps // 3)
-        assert calls["from_modes", True] == 0
+        assert calls["to_modes", True, True] == \
+            (1 if rows == "shared" else -(-grid.n_steps // 3))
+        assert calls["from_modes", True, True] == 0
 
     def test_boxed_per_row_source_peaks_below_a_mode_stack(self):
         # a psi march as the observability sampler runs it, on a 2D

@@ -12,13 +12,20 @@ import pytest
 
 from insens4 import cascade_sentinel, cli, pde_engine
 from insens4.cascade_sentinel import (
+    acting_control,
+    linearized_operators,
     sentinel_sensitivity,
     solve_adjoint_pair,
     solve_cascade,
 )
 from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.errors import SetupError
-from insens4.pde_engine import Trajectory, duality_residual
+from insens4.pde_engine import (
+    Trajectory,
+    duality_residual,
+    solve_backward,
+    solve_forward,
+)
 from insens4.problem_setup import (
     CoefficientField,
     ProblemConfig,
@@ -64,6 +71,77 @@ def _partial_problem(rng, dim=1):
         a1=CoefficientField.constant("a1", rng.uniform(-1, 1), dim=d),
         force=force, force_onset=0.15,
     ))
+
+
+# (omega boxes, obs boxes, omega0 box, smooth) per mask kind, 1D boxes on
+# [0, 2]; a 2D box takes the same interval on both axes.  "union" masks
+# are two boxes whose bounding box holds zeros between them, "boundary"
+# boxes reach the domain's edge
+MASK_CASES = {
+    "union": ([(0.1, 0.7), (1.1, 1.8)], [(0.3, 0.9), (1.0, 1.9)], (1.3, 1.6),
+              False),
+    "smooth": ([(0.5, 1.5)], [(0.8, 1.8)], (1.0, 1.3), True),
+    "boundary": ([(0.0, 1.4)], [(0.6, 2.0)], (1.0, 1.2), False),
+}
+
+
+def _masked_problem(rng, case, dim, lower):
+    """A problem with the masks of ``case``; ``lower`` adds b0, which
+    takes the 1D inverse path and, in 2D, GMRES."""
+    om, ob, om0, smooth = MASK_CASES[case]
+    grid = build_grid(1, 2.0, 24, 0.5, 20) if dim == 1 else \
+        build_grid(2, 2.0, 12, 0.5, 16)
+    if dim == 2:
+        om, ob, om0 = ([(box, box) for box in boxes] for boxes in (om, ob, [om0]))
+    else:
+        om0 = [om0]
+    coeffs = {"a0": CoefficientField.constant("a0", 0.4, dim=dim)}
+    if lower:
+        coeffs["b0"] = CoefficientField.constant("b0", np.full(dim, 0.5), dim=dim)
+    force = rng.standard_normal((grid.n_steps,) + grid.shape)
+    force[grid.times <= 0.1] = 0.0
+    return validate_problem(ProblemConfig(
+        grid=grid,
+        omega=build_mask(grid, om, "omega", smooth=smooth),
+        obs=build_mask(grid, ob, "obs", smooth=smooth),
+        omega0=build_mask(grid, om0, "omega0"),
+        force=force, force_onset=0.1,
+        **coeffs,
+    ))
+
+
+class TestBoxedHandOffs:
+    """Every masked source read on its mask's box, against node space."""
+
+    @pytest.mark.parametrize("case", MASK_CASES)
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("lower", [False, True], ids=["diagonal", "b0"])
+    def test_matches_node_space_reference(self, rng, case, dim, lower):
+        # the reference multiplies each full record by its mask and hands
+        # it over as a full-grid source, which the march transforms whole
+        p = _masked_problem(rng, case, dim, lower)
+        grid, obs, omega = p.grid, p.obs, p.omega
+        assert np.any(obs.values[obs.box] == 0.0) == (case == "union")
+        sched = linearized_operators(p).state_schedule
+        zero = np.zeros(grid.shape)
+        phi0 = unit_smooth(p.basis, rng)
+        phi = solve_forward(grid, sched, phi0)
+        psi = solve_backward(grid, sched, zero, obs.values * phi.fields)
+        v = omega.values * psi.fields
+        pair = solve_adjoint_pair(p, phi0)
+        got = [(pair.psi.fields, psi.fields), (pair.psi.state0, psi.state0),
+               (acting_control(p, pair), v)]
+        for force in (False, True):
+            y = solve_forward(grid, sched, zero,
+                              v + p.force_fields if force else v)
+            q = solve_backward(grid, sched, zero, obs.values * y.fields)
+            casc = solve_cascade(p, v, include_force=force)
+            got += [(casc.y.fields, y.fields), (casc.y.stateT, y.stateT),
+                    (casc.q.fields, q.fields), (casc.q.state0, q.state0)]
+        # on the GMRES path each midpoint solve is linear only to INNER_TOL
+        tol = 10 * pde_engine.INNER_TOL if dim == 2 and lower else 1e-13
+        for i, (a, b) in enumerate(got):
+            assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b), i
 
 
 class TestCascadeOracle:

@@ -15,7 +15,11 @@ import pytest
 from scipy import optimize
 
 from insens4 import hum_synthesis, pde_engine
-from insens4.cascade_sentinel import solve_adjoint_pair, solve_cascade
+from insens4.cascade_sentinel import (
+    sentinel_sensitivity,
+    solve_adjoint_pair,
+    solve_cascade,
+)
 from insens4.cli import main
 from insens4.config import apply_quick, default_config, problem_from_config
 from insens4.errors import SynthesisError
@@ -28,7 +32,7 @@ from insens4.hum_synthesis import (
 )
 from insens4.semilinear_loop import freeze_linearization
 from insens4.spectral import SineBasis
-from conftest import count_inverse_paths
+from conftest import count_inverse_paths, count_transforms, unit_smooth
 from oracles import eval_j, grad_j_smooth
 
 
@@ -295,7 +299,10 @@ def _path_problem(case):
 def _assert_superposed(p, r):
     """r's control and cascade against a full re-march of its seed."""
     pair = solve_adjoint_pair(p, r.phi0, ops=r.ops)
-    v = p.omega.values * pair.psi.fields
+    # chi_omega psi, psi read on omega's box as the synthesis reads it
+    box = p.omega.box
+    v = np.zeros(r.v.shape)
+    v[(slice(None),) + box] = p.omega.values[box] * pair.psi.on(box)
     ref = solve_cascade(p, v, ops=r.ops, include_force=True)
     assert np.array_equal(r.v, v)
     assert np.all(r.y.state0 == 0.0) and np.all(r.q.stateT == 0.0)
@@ -421,6 +428,60 @@ class TestMarchBudget:
             summary = (out / "control_summary.csv").read_text().splitlines()
             row = dict(zip(summary[0].split(","), summary[1].split(",")))
             assert int(row["iterations"]) == picard
+
+
+class TestRecordConversions:
+    """Masked hand-offs read the previous march on the mask's box, and a
+    record converts only when it is read: no unboxed transform of an
+    (Nt, ...) record."""
+
+    @pytest.mark.parametrize("case", PATH_CASES)
+    def test_apply_converts_q0_only(self, case, rng, monkeypatch):
+        p, ops, _ = _path_problem(case)
+        syn = hum_synthesis._Synthesis(p, ops)
+        phi0 = unit_smooth(p.basis, rng)
+        calls = count_transforms(monkeypatch)
+        syn.apply(phi0)
+        # phi's and y's records read on the obs box and psi's on omega's;
+        # psi's, y's and q's sources go to modes on those boxes
+        boxed = {("from_modes", True, True): 3, ("to_modes", True, True): 3}
+        if p.grid.dim == 1:
+            # the seed and q(0), one field each
+            assert calls == boxed | {("to_modes", False, False): 1,
+                                     ("from_modes", False, False): 1}
+        else:
+            # GMRES steps transform single fields
+            assert {key: n for key, n in calls.items()
+                    if key[1] or key[2]} == boxed
+
+    def test_verify_null_converts_q0_only(self, quick_problem, monkeypatch):
+        r = minimize_exact(quick_problem)
+        calls = count_transforms(monkeypatch)
+        verify_null(r)
+        # y's full-grid source v + f in one product, y's record read on the
+        # obs box as q's source there, and q(0)
+        assert calls == {("to_modes", False, True): 1,
+                         ("from_modes", True, True): 1,
+                         ("to_modes", True, True): 1,
+                         ("from_modes", False, False): 1}
+
+    def test_linear_sentinel_reads_the_obs_box(self, quick_problem, rng,
+                                                monkeypatch):
+        p = quick_problem
+        yhats = np.array([unit_smooth(p.basis, rng) for _ in range(3)])
+        v = p.omega.values * rng.standard_normal((p.grid.n_steps,) + p.grid.shape)
+        calls = count_transforms(monkeypatch)
+        sentinel_sensitivity(p, v, yhats)
+        nt = p.grid.n_steps
+        blocks = -(-nt // max(1, min(nt, pde_engine.HOOK_BLOCK_BYTES
+                                     // yhats.nbytes)))
+        # y0's source and the directions' starts go to modes whole; y0's
+        # record and each block of the directions' sums are read on the
+        # obs box, the costate's source goes there, and q(0) converts
+        assert calls == {("to_modes", False, True): 2,
+                         ("from_modes", True, True): 1 + blocks,
+                         ("to_modes", True, True): 1,
+                         ("from_modes", False, False): 1}
 
 
 class TestQuadraticPenalty:
@@ -601,8 +662,8 @@ class TestRatioSample:
 
     def test_full_grid_transforms_pinned(self, monkeypatch):
         # no step of either march transforms a full grid: the full-grid
-        # transforms are the seeds' synthesis and, per stack, phi's start
-        # and the end states of the two marches.  Per block of steps and
+        # transforms are the seeds' synthesis and, per stack, phi's start;
+        # neither march's end state is read.  Per block of steps and
         # stack, phi's record and psi's source stay on the obs box and
         # psi's control-window energy reads omega's box.  One stack of 5
         # draws, whose 20 steps fit one block.
@@ -718,18 +779,15 @@ def _assert_transform_counts(monkeypatch, rows, steps=None):
     blocks = [-(-nt // max(1, min(nt, pde_engine.HOOK_BLOCK_BYTES
                                   // (size * field_bytes))))
               for size in sizes]
-    calls = {"full": 0, "boxed": 0}
-    for name in ("to_modes", "from_modes"):
-        original = getattr(SineBasis, name)
-
-        def counted(basis, u, box=None, _original=original):
-            calls["full" if box is None else "boxed"] += 1
-            return _original(basis, u, box)
-
-        monkeypatch.setattr(SineBasis, name, counted)
+    calls = count_transforms(monkeypatch)
     observability_ratio_sample(problem, n_samples=n, seed=2)
-    assert calls["full"] == n + 3 * len(sizes)
-    assert calls["boxed"] == 3 * sum(blocks)
+    # full grids: each seed's synthesis and each stack's start; per block,
+    # phi's record and psi's source on the obs box and psi's record on
+    # omega's box.  The end states are never read, so never converted
+    assert calls == {("from_modes", False, False): n,
+                     ("to_modes", False, True): len(sizes),
+                     ("from_modes", True, True): 2 * sum(blocks),
+                     ("to_modes", True, True): sum(blocks)}
     if steps is not None:
         assert blocks[0] == -(-nt // steps)
 

@@ -114,3 +114,33 @@ def test_state_only_declaration_is_truthful(kind):
     moved = not np.array_equal(spec.f(u, p, r),
                                spec.f(u, np.zeros_like(p), np.zeros_like(r)))
     assert moved == (kind == "mixed")
+
+
+@pytest.mark.parametrize("kind", ["tanh", "mixed"])
+def test_sech_squared_partials_do_not_overflow(kind):
+    # cosh(u)^2 overflows past |u| = 355; the suite turns the warning into
+    # an error, so the partials must reach their limit 0 without one
+    c = 0.7
+    spec = make_nonlinearity(kind, scale=c, dim=1)
+    u = np.concatenate([np.linspace(-1e3, 1e3, 2001), [-1e3, 1e3, 0.0]])
+    p = np.zeros((1, u.size))
+    r = np.broadcast_to(u, (1, 1, u.size)).copy()
+    partials = [spec.f_u(u, p, r)]
+    if kind == "mixed":
+        partials.append(spec.f_r(u, p, r)[0, 0])
+    for got in partials:
+        assert np.all(np.isfinite(got))
+        assert np.all((0.0 <= got) & (got <= c))
+        assert got[-1] == c
+        assert np.all(got[np.abs(u) >= 400] == 0.0)
+
+
+def test_sech_squared_matches_cosh_form():
+    # the overflow-free form 4 e^(-2|u|) / (1 + e^(-2|u|))^2 against
+    # 1 / cosh(u)^2 where the latter is finite, to a few ulp (each form
+    # is within 3 ulp of sech^2 on this grid; they differ by up to 6)
+    u = np.linspace(-20.0, 20.0, 40001)
+    spec = make_nonlinearity("tanh", scale=1.0)
+    got = spec.f_u(u, None, None)
+    want = 1.0 / np.cosh(u) ** 2
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(want))

@@ -237,12 +237,17 @@ class TestLibraryHooks:
         offsets = np.array([tau, -tau, tau / 2, -tau / 2])
         base = make_schedule(grid, p.coefficients)
         zero = np.zeros(grid.shape)
+        # the sentinel reads every midpoint on the obs box only
+        box = p.obs.box
         if kind == "zero":
             # linear probes by superposition: y0 plus each offset times the
-            # midpoints of its direction's source-free march
-            y0, _ = reference_march(grid, base, zero, source)
+            # midpoints of its direction's source-free march; y0's record
+            # is read on the box in one product, as Trajectory.on reads it
+            y0, _ = reference_march(grid, base, zero, source,
+                                    on_step=lambda lo, modes: modes)
+            y0 = basis.from_modes(y0, box)
             d, _ = reference_march(grid, base, yhats, on_step=(
-                lambda lo, modes: basis.from_modes(modes)))
+                lambda lo, modes: basis.from_modes(modes, box)))
             probes = y0[:, None, None] + offsets[:, None] * d[:, :, None]
             costate = base
         else:
@@ -255,12 +260,15 @@ class TestLibraryHooks:
                                          on_step=lambda lo, m: m)
             y0, end = mids[:, 0], ends[0]
             probes = mids[:, 1:].reshape(grid.n_steps, -1, 4, *grid.shape)
+            probes = probes[(...,) + box]
             costate = tangent_schedule(p, Trajectory(basis, grid.dt, y0, zero, end))
-        sums = np.sum(p.obs.values * probes**2, axis=-1)
+            y0 = y0[(...,) + box]
+        obs = p.obs.values[box]
+        sums = np.sum(obs * probes**2, axis=-1)
         phis = 0.5 * grid.dt * basis.cell_volume * np.sum(sums, axis=0)
-        # the dual side reads the tau = 0 midpoints
-        q = solve_backward(grid, costate, np.zeros(grid.shape),
-                           p.obs.values * y0)
+        # the dual side reads the tau = 0 midpoints, its source on the box
+        q = solve_backward(grid, costate, np.zeros(grid.shape), obs * y0,
+                           source_box=box)
         for i, report in enumerate(reports):
             assert report.phi_plus == phis[i, 0]
             assert report.phi_minus == phis[i, 1]

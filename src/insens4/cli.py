@@ -285,8 +285,8 @@ def _cmd_insensitize_linear(cfg: dict, out_dir: Path, manifest: RunManifest,
     _dump(manifest, out_dir, "seed_phi0.fld", result.phi0, problem)
 
 
-_PICARD_HEADER = ("iteration", "increment", "z_norm", "q0_norm", "v_norm",
-                  "hum_converged", "certificate", "note")
+_PICARD_HEADER = ("iteration", "increment", "error_estimate", "z_norm",
+                  "q0_norm", "v_norm", "hum_converged", "certificate", "note")
 
 
 def _picard_row(h: dict) -> list:
@@ -316,9 +316,10 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path,
     # before the probes build their own
     sem.frozen.ops.release_factors()
     ftc = sem.history[-1]["ftc_residual"]
+    estimate = sem.history[-1]["error_estimate"]
     # picard_insensitize returns only a converged loop
     manifest.add_check("picard-converged", True, iterations=sem.iterations,
-                       increment=sem.increments[-1])
+                       increment=sem.increments[-1], error_estimate=estimate)
     manifest.add_check("null-condition", null.passed, q0_norm=null.q0_norm,
                        epsilon=problem.epsilon)
     manifest.add_check("ftc-identity", ftc <= 1e-8, residual=ftc)
@@ -329,12 +330,12 @@ def _cmd_insensitize_semilinear(cfg: dict, out_dir: Path,
     contraction = sem.contraction_factors[-1] if sem.contraction_factors else ""
     summary_header = ("converged", "iterations", "epsilon", "q0_norm",
                       "v_norm", "increment_last", "contraction_last",
-                      "r1_radius", "inside_ball", "weighted_force_norm",
-                      "ftc_residual", "objective")
+                      "error_estimate", "r1_radius", "inside_ball",
+                      "weighted_force_norm", "ftc_residual", "objective")
     summary = (True, sem.iterations, problem.epsilon, result.q0_norm,
-               result.v_norm, sem.increments[-1], contraction, sem.r1_radius,
-               sem.inside_ball, math.sqrt(problem.force_weight_integral), ftc,
-               result.objective)
+               result.v_norm, sem.increments[-1], contraction, estimate,
+               sem.r1_radius, sem.inside_ball,
+               math.sqrt(problem.force_weight_integral), ftc, result.objective)
     _csv(manifest, out_dir, "control_summary.csv", summary_header, [summary])
 
     tau = cfg["sampling"]["tau_probe"]

@@ -354,8 +354,16 @@ class Trajectory:
         return Trajectory(self.basis, self.dt, **held, in_modes=in_modes)
 
     def norm_l2h2(self) -> float:
-        """L2-in-time norm of the order-two Sobolev norm in space."""
-        return float(np.sqrt(self.dt * self.basis.h2_norm_sq(self.fields)))
+        """L2-in-time norm of the order-two Sobolev norm in space.
+
+        Of a record still in sine coefficients, summed from them: the
+        record is not converted.
+        """
+        if "fields" in self._in_modes:
+            sq = self.basis.h2_norm_sq_modes(self._held["fields"])
+        else:
+            sq = self.basis.h2_norm_sq(self._held["fields"])
+        return float(np.sqrt(self.dt * sq))
 
 
 def _source_fields(grid: Grid, source: Array | None, start: Array,

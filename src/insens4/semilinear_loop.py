@@ -12,7 +12,10 @@ carries the pointwise tangent coefficients F_u, F_p, F_r at z, whose
 discrete transpose is the divergence-form adjoint the costate equation
 wants.  The outer loop is successive substitution: linearize at z,
 synthesize the penalized control, advance z to the controlled state,
-and stop when the update stalls in the discrete L2(0,T;H2) norm.
+and stop when the a-posteriori bound of the contraction mapping theorem,
+||z_k - z*|| <= q/(1 - q) ||z_k - z_{k-1}|| with q estimated from the
+observed increment ratios, puts z within tol of the fixed point in the
+discrete L2(0,T;H2) norm.
 """
 
 from __future__ import annotations
@@ -41,8 +44,24 @@ __all__ = [
 
 Array = np.ndarray
 
+
+def _gauss_legendre(n: int) -> tuple[Array, Array]:
+    """n-node Gauss-Legendre rule on [-1, 1] by Golub-Welsch.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence and the weights twice the squared first components of its
+    eigenvectors; both are then made symmetric about 0 and the weights
+    summed to 2 exactly, as ``numpy.polynomial.legendre.leggauss`` does.
+    """
+    k = np.arange(1.0, n)
+    x, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    w = vecs[0] ** 2
+    x, w = 0.5 * (x - x[::-1]), w + w[::-1]
+    return x, w * (2.0 / w.sum())
+
+
 # 16-node Gauss-Legendre on [0, 1]: exact for polynomial F up to degree 31
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_X, _GL_W = _gauss_legendre(16)
 _TAU = 0.5 * (_GL_X + 1.0)
 _TAU_W = 0.5 * _GL_W
 
@@ -72,7 +91,9 @@ class SemilinearResult:
     ``final`` is the last control solve: its ``q0_norm`` is the loop's,
     and its ``problem`` holds the penalty level and the force.  Only a
     converged loop returns one; :func:`picard_insensitize` raises
-    otherwise.
+    otherwise.  Each ``history`` entry carries the iteration's
+    ``increment`` and the ``error_estimate`` the loop stopped on (see
+    :func:`picard_insensitize`).
     """
 
     iterations: int                 # control solves performed
@@ -214,6 +235,21 @@ def tangent_schedule(problem: ValidatedProblem, z: Trajectory) -> Schedule:
     return make_schedule(problem.grid, problem.coefficients, *tangent)
 
 
+def _error_estimate(contraction: list[float], inc: float) -> float:
+    """A-posteriori distance to the fixed point after an increment inc.
+
+    A map contracting by q puts its k-th iterate within q/(1 - q) inc_k
+    of the fixed point (Banach).  q is taken as the larger of the last two
+    observed ratios in ``contraction``; with fewer than two, or when that
+    exceeds 1/2, the estimate is inc itself, so it never exceeds inc.
+    """
+    if len(contraction) >= 2:
+        q = max(contraction[-2:])
+        if q <= 0.5:
+            return q / (1.0 - q) * inc
+    return inc
+
+
 def _frozen_equal(a: FrozenLinearization, b: FrozenLinearization) -> bool:
     return (np.array_equal(a.g1, b.g1)
             and np.array_equal(a.g2, b.g2)
@@ -234,12 +270,16 @@ def picard_insensitize(
     Starts from z = 0, freezes the linearization, synthesizes the
     exact-norm penalized control (:func:`minimize_exact` at ``hum_tol``,
     whose ``converged`` flag each ``history`` entry records as
-    ``hum_converged``), and advances z to the controlled
-    state, stopping when the increment falls below tol (1 + ||z||) in
-    the discrete L2(0,T;H2) norm or the linearization stops changing
-    (a z-independent reaction converges after one solve, so a converged
-    loop has always solved at least once).  The radius report echoes the
-    a-priori ball: R1 is the first iterate's size ||z||_{L2H2} +
+    ``hum_converged``), and advances z to the controlled state.  It
+    stops when the estimated distance to the fixed point falls below
+    tol (1 + ||z||) in the discrete L2(0,T;H2) norm, or when the
+    linearization stops changing (a z-independent reaction converges
+    after one solve, so a converged loop has always solved at least
+    once).  The estimate, each ``history`` entry's ``error_estimate``,
+    is q/(1 - q) times the increment, q the larger of the last two
+    increment ratios; while fewer than two exist, or q > 1/2, it is the
+    increment itself.  So no loop runs longer than an increment test
+    would.  The radius report echoes the a-priori ball: R1 is the first iterate's size ||z||_{L2H2} +
     ||q||_{L2H2}, doubled as margin.  Each ``history`` entry records
     the secant identity's ``ftc_residual`` at that iteration's z, against
     the linearization frozen there.
@@ -274,6 +314,7 @@ def picard_insensitize(
             increments.append(0.0)
             z_norms.append(z_norms[-1] if z_norms else 0.0)
             history.append({"iteration": k, "increment": 0.0,
+                            "error_estimate": 0.0,
                             "note": "linearization-stationary",
                             "ftc_residual": ftc})
             converged = True
@@ -284,21 +325,24 @@ def picard_insensitize(
         frozen = candidate
         result = minimize_exact(problem, tol=hum_tol, ops=frozen.ops)
         z_new = result.y
-        inc = math.sqrt(problem.grid.dt
-                        * problem.basis.h2_norm_sq(z_new.fields - z.fields))
+        # both norms sum the records' sine coefficients before z_new's
+        # record is read in node values; q's is never converted
         znorm = z_new.norm_l2h2()
         sizes.append(znorm + result.q.norm_l2h2())
+        inc = math.sqrt(problem.grid.dt
+                        * problem.basis.h2_norm_sq(z_new.fields - z.fields))
         increments.append(inc)
         z_norms.append(znorm)
         if len(increments) >= 2 and increments[-2] > 0.0:
             contraction.append(inc / increments[-2])
+        estimate = _error_estimate(contraction, inc)
         history.append({
-            "iteration": k, "increment": inc, "z_norm": znorm,
-            "q0_norm": result.q0_norm, "v_norm": result.v_norm,
-            "hum_converged": result.converged,
+            "iteration": k, "increment": inc, "error_estimate": estimate,
+            "z_norm": znorm, "q0_norm": result.q0_norm,
+            "v_norm": result.v_norm, "hum_converged": result.converged,
             "certificate": frozen.sup_certificate, "ftc_residual": ftc,
         })
-        if inc <= tol * (1.0 + znorm):
+        if estimate <= tol * (1.0 + znorm):
             converged = True
             break
         if len(increments) >= 2 and inc > increments[-2]:

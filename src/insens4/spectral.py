@@ -235,6 +235,9 @@ class SineBasis:
 
         Of a stack (..., *shape), the sum over its fields.
         """
-        c = self.to_modes(u)
+        return self.h2_norm_sq_modes(self.to_modes(u))
+
+    def h2_norm_sq_modes(self, c: np.ndarray) -> float:
+        """:meth:`h2_norm_sq` of the field(s) whose sine coefficients are c."""
         w = 1.0 + self.lap_modes + self.bilap_modes
         return float(self.mode_volume * np.sum(w * c * c))

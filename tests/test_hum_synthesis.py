@@ -385,10 +385,10 @@ class TestMarchBudget:
             ("insensitize-linear", "[grid]\ncells = 128\nsteps = 400\n"
              "[coefficients]\na0 = 0.5\na1 = 0.2\n", [], 23, 5, 0, None, 0),
             ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n", [],
-             76, 20, 1400, 4, 0),
+             58, 15, 1000, 3, 0),
             ("insensitize-linear", "", ["--quick"], 23, 5, 0, None, 0),
             ("insensitize-semilinear", "[nonlinearity]\nkind = tanh\n",
-             ["--quick"], 76, 20, 448, 4, 0),
+             ["--quick"], 58, 15, 320, 3, 0),
             ("insensitize-linear", "[penalty]\nvariant = quadratic\n",
              ["--quick"], 19, 4, 0, None, 2),
         ], ids=["linear-lower-1d", "semilinear-tanh-1d", "linear-quick",
@@ -401,15 +401,15 @@ class TestMarchBudget:
         # cascade is the one returned, also when that trial is stationary;
         # verify_null adds 2 per run.  A linear run's sentinel marches y0,
         # its directions and the costate (3), a tanh run's the batched
-        # probes and the costate (2).  The tanh runs take 4 Picard
-        # iterations: 4 x 18 + 2 + 2 = 76.  The quadratic run builds a
+        # probes and the costate (2).  The tanh runs take 3 Picard
+        # iterations: 3 x 18 + 2 + 2 = 58.  The quadratic run builds a
         # two-vector basis (8) and applies its seed once (4); its
         # null-condition check fails (rc 2), as ||q0|| = eps ||phi0||.
         # The linear runs march diagonal schedules and invert nothing.  A
         # tanh run's first linearization, frozen at z = 0, is diagonal on
         # both legs; each later one inverts one step matrix per step on
         # each leg, and the sentinel probes' tangent schedule one more
-        # stack: 7 x Nt inverses (Nt = 200 by default, 64 with --quick).
+        # stack: 5 x Nt inverses (Nt = 200 by default, 64 with --quick).
         # Every one of those step matrices has rho <= 2.8e-5 (default size)
         # or 8.4e-5 (--quick), so all take the Neumann product with K = 2
         # and none goes to LAPACK.

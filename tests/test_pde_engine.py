@@ -25,7 +25,7 @@ from insens4.pde_engine import (
 )
 from insens4.problem_setup import CoefficientField, build_grid
 from insens4.spectral import SineBasis
-from conftest import count_inverse_paths
+from conftest import count_inverse_paths, count_transforms
 
 
 def _mode(grid, k):
@@ -864,6 +864,17 @@ class TestTrajectory:
         b = grid.basis
         h2 = np.sqrt(grid.dt * sum(b.h2_norm_sq(f) for f in traj.fields))
         assert traj.norm_l2h2() == pytest.approx(h2, rel=1e-13)
+
+    def test_norm_of_mode_record_converts_nothing(self, monkeypatch):
+        # a linear march without a hook holds its record in sine
+        # coefficients; the norm sums them and leaves the record there
+        grid, traj = self._traj()
+        calls = count_transforms(monkeypatch)
+        norm = traj.norm_l2h2()
+        assert not calls
+        b = grid.basis
+        h2 = np.sqrt(grid.dt * sum(b.h2_norm_sq(f) for f in traj.fields))
+        assert norm == pytest.approx(h2, rel=1e-13)
 
     def test_fields_record_midpoint_averages(self):
         # fields[j] averages the integer-node states u_j and u_{j+1}, so

@@ -6,6 +6,7 @@ F = s*sin(u), and s*tanh(z)/z for F = s*tanh(u).  The quadrature is
 exact for polynomials and at rounding level for the analytic kinds.
 """
 import gc
+import math
 import types
 
 import numpy as np
@@ -44,6 +45,24 @@ def _nl_problem(kind, scale, **over):
     return problem_from_config(cfg)
 
 
+def _distance(p, a, b):
+    """Discrete L2(0,T;H2) distance of two loops' final states."""
+    diff = a.final.y.fields - b.final.y.fields
+    return math.sqrt(p.grid.dt * p.basis.h2_norm_sq(diff))
+
+
+def _stop_iteration(increments, tol):
+    """The iteration at which the stop rule ends a loop with these
+    increments and ||z|| = 0, or None when it does not."""
+    contraction = []
+    for k, inc in enumerate(increments, 1):
+        if k > 1:
+            contraction.append(inc / increments[k - 2])
+        if sl._error_estimate(contraction, inc) <= tol:
+            return k
+    return None
+
+
 class TestSecantCoefficients:
     def test_quadratic_secant_exact(self, quick_problem, rng):
         z = _trajectory(quick_problem, rng)
@@ -68,6 +87,13 @@ class TestSecantCoefficients:
         frozen = eval_g(make_nonlinearity("tanh", scale=c), z)
         assert np.allclose(frozen.tangent_u, c / np.cosh(z.fields) ** 2,
                            rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 31])
+    def test_gauss_legendre_matches_numpy(self, n):
+        x, w = sl._gauss_legendre(n)
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - want_x)) <= 1e-14
+        assert np.max(np.abs(w - want_w)) <= 1e-14
 
     def test_offset_is_value_at_origin(self, rng):
         p = _nl_problem("tanh", 0.5)
@@ -174,10 +200,42 @@ class TestPicard:
         p = _nl_problem("tanh", 0.1)
         r = picard_insensitize(p, tol=1e-10)
         assert r.final.q0_norm == pytest.approx(p.epsilon, rel=1e-6)
-        assert r.increments[-1] <= 1e-10 * (1.0 + r.z_norms[-1])
+        bound = 1e-10 * (1.0 + r.z_norms[-1])
+        assert r.history[-1]["error_estimate"] <= bound
+        # the estimate's promise, against a loop run to rounding level
+        assert _distance(p, r, picard_insensitize(p, tol=1e-14)) <= bound
         assert r.inside_ball
         assert len(r.contraction_factors) == len(r.increments) - 1
         assert max(r.contraction_factors) < 1.0
+
+    @pytest.mark.parametrize("kind,scale", [
+        ("tanh", 0.1), ("mixed", 0.1), ("quadratic", 0.1),
+        ("quadratic", 1.0), ("sin", 3.0)])
+    def test_stop_lies_within_tol_of_fixed_point(self, kind, scale):
+        p = _nl_problem(kind, scale)
+        reference = picard_insensitize(p, tol=1e-14)
+        for tol in (1e-8, 1e-10):
+            r = picard_insensitize(p, tol=tol)
+            assert _distance(p, r, reference) <= tol * (1.0 + r.z_norms[-1])
+
+    def test_fast_contraction_stops_early(self):
+        # ratios of 1e-3: the third iterate is within 1e-9 of the fixed
+        # point, one iteration before its increment would show it
+        increments = [1.0, 1e-3, 1e-6, 1e-9]
+        assert _stop_iteration(increments, 1e-8) == 3
+        assert sl._error_estimate([1e-3], 1e-6) == 1e-6
+
+    def test_one_small_ratio_after_a_large_one_does_not_stop(self):
+        # the larger of the last two ratios sets q: 0.4, not 2.5e-7
+        increments = [1.0, 0.4, 1e-7, 1e-9]
+        assert _stop_iteration(increments, 1e-8) == 4
+
+    def test_slow_contraction_falls_back_to_the_increment(self):
+        increments = [0.6 ** k for k in range(60)]
+        assert sl._error_estimate([0.6, 0.6], 0.3) == 0.3
+        first_small = next(k for k, inc in enumerate(increments, 1)
+                           if inc <= 1e-8)
+        assert _stop_iteration(increments, 1e-8) == first_small
 
     def test_budget_exhaustion_raises(self):
         p = _nl_problem("tanh", 0.1)
